@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Tabulate the dynamical Lie-algebra dimensions for low cutoffs.
+"""Tabulate the dynamical Lie-algebra dimensions for a list of cutoffs.
 
-For j_max = 1..3 and both processes, reports the computed algebra dimension
-against the counts required for general and for symmetry-restricted
-simultaneous controllability of the invariant blocks.
+For each cutoff (j_max = 1..3 unless --j-max says otherwise) and both
+processes, reports the computed algebra dimension against the counts
+required for general and for symmetry-restricted simultaneous
+controllability of the invariant blocks.
 """
 
 import argparse
@@ -11,9 +12,9 @@ import argparse
 from rotorkick.cli import main
 
 
-def run(out_dir: str) -> None:
+def run(out_dir: str, j_values: list[int]) -> None:
     for preset in ("licl-5K", "licl-5K-alignment"):
-        code = main(["controllability", "--preset", preset, "--out", out_dir, "--j-max", "1", "2", "3"])
+        code = main(["controllability", "--preset", preset, "--out", out_dir, "--j-max", *map(str, j_values)])
         if code != 0:
             raise SystemExit(code)
 
@@ -21,5 +22,6 @@ def run(out_dir: str) -> None:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/algebra", help="output directory")
+    parser.add_argument("--j-max", type=int, nargs="+", default=[1, 2, 3], metavar="J", help="cutoffs to analyze (default: 1 2 3)")
     args = parser.parse_args()
-    run(args.out)
+    run(args.out, args.j_max)

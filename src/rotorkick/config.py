@@ -13,21 +13,19 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .basis import PROCESS_KINDS
+from .basis import ALIGNMENT, ORIENTATION, PROCESS_KINDS
 from .errors import ConfigError
 
 KB_CM_PER_K = 0.6950348  # Boltzmann constant in wavenumbers per kelvin (overridable per config)
 C_CM_PER_PS = 0.0299792458  # speed of light, cm per picosecond
 
+# Open range of <cos theta> and <cos^2 theta> over all states.
+_THRESHOLD_RANGE = {ORIENTATION: (-1.0, 1.0), ALIGNMENT: (0.0, 1.0)}
+
 
 def b_rad_per_ps(b_cm: float) -> float:
     """Rotational constant as an angular frequency (hbar = 1)."""
     return 2.0 * np.pi * C_CM_PER_PS * b_cm
-
-
-def rotational_period_ps(b_cm: float) -> float:
-    """Full revival time pi/B of the field-free rotor."""
-    return np.pi / b_rad_per_ps(b_cm)
 
 
 def beta_from(b_cm: float, temperature_k: float, kb_cm_per_k: float = KB_CM_PER_K) -> float:
@@ -126,6 +124,14 @@ class RunConfig:
             raise ConfigError(f"temperatures must be positive, got {self.temperatures_k!r}")
         object.__setattr__(self, "j_max_range", tuple(int(v) for v in self.j_max_range))
         object.__setattr__(self, "temperatures_k", tuple(float(t) for t in self.temperatures_k))
+        lo, hi = self.j_max_range
+        if not 1 <= lo <= hi:
+            raise ConfigError(f"j_max_range must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
+        low, high = _THRESHOLD_RANGE[self.process]
+        if not low < self.threshold < high:
+            raise ConfigError(
+                f"threshold must lie in the {self.process} range ({low:g}, {high:g}), got {self.threshold}"
+            )
 
     @property
     def beta(self) -> float:

@@ -49,30 +49,3 @@ def write_json(path: str, payload, config_hash: str | None = None) -> None:
     if config_hash is not None and isinstance(payload, dict):
         payload = {**payload, "config_hash": config_hash}
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
-
-
-def matrix_rows(matrix: np.ndarray):
-    """Row-major rows of alternating re/im pairs for a dense complex matrix."""
-    mat = np.asarray(matrix, dtype=complex)
-    for row in mat:
-        out = []
-        for entry in row:
-            out.append(entry.real)
-            out.append(entry.imag)
-        yield out
-
-
-def write_matrix_csv(path: str, matrix: np.ndarray, config_hash: str | None = None) -> None:
-    n = np.asarray(matrix).shape[1]
-    header = []
-    for k in range(n):
-        header.extend([f"re_{k}", f"im_{k}"])
-    write_csv(path, header, matrix_rows(matrix), config_hash)
-
-
-def matrix_to_jsonable(matrix: np.ndarray) -> dict:
-    mat = np.asarray(matrix, dtype=complex)
-    return {
-        "shape": list(mat.shape),
-        "entries": [[entry.real, entry.imag] for entry in mat.ravel()],
-    }

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from rotorkick.basis import build_basis
@@ -15,13 +14,22 @@ from rotorkick.config import (
     load_config,
 )
 from rotorkick.errors import ConfigError
-from rotorkick.output import fmt, matrix_rows, matrix_to_jsonable, write_csv, write_matrix_csv
+from rotorkick.output import fmt, write_csv
 
 
 def _small_config(**overrides):
     base = dict(j_max=1, j_sim=2, j_max_range=(1, 2), max_kicks=2)
     base.update(overrides)
     return PRESETS["licl-5K"].with_overrides(**base)
+
+
+def _raw_config_file(tmp_path, **fields):
+    """The small config as a file, with fields set past RunConfig's validation."""
+    payload = _small_config(out_dir=str(tmp_path), temperatures_k=(5.0,)).to_dict()
+    payload.update(fields)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return path
 
 
 def test_config_roundtrip_byte_identical(tmp_path):
@@ -103,20 +111,6 @@ def test_write_csv_layout(tmp_path):
     assert lines[3] == "2,0.333333333333333"
 
 
-def test_matrix_export_roundtrip(tmp_path):
-    mat = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
-    rows = list(matrix_rows(mat))
-    assert rows[0] == [1.0, 0.0, 0.0, 0.5]
-    payload = matrix_to_jsonable(mat)
-    rebuilt = np.array([re + 1j * im for re, im in payload["entries"]]).reshape(payload["shape"])
-    assert np.max(np.abs(rebuilt - mat)) == 0.0
-    path = tmp_path / "matrix.csv"
-    write_matrix_csv(str(path), mat)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "re_0,im_0,re_1,im_1"
-    assert lines[1] == "1,0,0,0.5"
-
-
 def test_basis_json_schema():
     basis = build_basis(1)
     payload = json.loads(basis.to_json())
@@ -177,13 +171,10 @@ def test_cli_bounds_outputs(tmp_path, capsys):
 
 
 def test_cli_bounds_empty_range(tmp_path, capsys):
-    cfg = _small_config(out_dir=str(tmp_path), j_max_range=(3, 2), temperatures_k=(5.0,))
-    path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
-    assert main(["bounds", "--config", str(path)]) == 0
-    capsys.readouterr()
-    lines = (tmp_path / "bounds_orientation_T5K.csv").read_text().splitlines()
-    assert len(lines) == 2  # hash comment + header only
+    path = _raw_config_file(tmp_path, j_max_range=[3, 2])
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert "j_max_range" in capsys.readouterr().err
+    assert not (tmp_path / "bounds_orientation_T5K.csv").exists()
 
 
 def test_cli_outputs_deterministic(tmp_path, capsys):
@@ -234,12 +225,20 @@ def test_cli_out_flag_overrides(tmp_path, capsys):
 
 
 def test_cli_invalid_parameter_exit_code(tmp_path, capsys):
-    # j_max = 0 puts the 0.5 threshold outside the observable range
-    cfg = _small_config(out_dir=str(tmp_path), j_max_range=(0, 1), temperatures_k=(5.0,))
-    path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path = _raw_config_file(tmp_path, j_max_range=[0, 1])
     assert main(["bounds", "--config", str(path)]) == 2
-    assert "error" in capsys.readouterr().err
+    assert "j_max_range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "process, threshold",
+    [("orientation", 5.0), ("orientation", -1.0), ("alignment", 0.0), ("alignment", 1.2)],
+)
+def test_cli_threshold_outside_observable_range(tmp_path, capsys, process, threshold):
+    path = _raw_config_file(tmp_path, process=process, threshold=threshold)
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not list(tmp_path.glob("train_*.json"))
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -252,6 +251,19 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_controllability", boom)
     assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_lie_dimension_above_bound_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    import rotorkick.controllability as controllability
+    from rotorkick.controllability import dims_required
+
+    def inflated(generators, tol=controllability.RANK_TOL):
+        return dims_required(2, 1)[1] + 1, []
+
+    monkeypatch.setattr(controllability, "lie_closure", inflated)
+    assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), "--j-max", "2"]) == 3
+    assert "above the bound" in capsys.readouterr().err
+    assert not (tmp_path / "controllability_orientation.json").exists()
 
 
 def test_eigensolver_failure_wrapped(monkeypatch):

@@ -22,9 +22,16 @@ from rotorkick.operators import (
 from rotorkick.target import build_target
 from rotorkick.basis import block_decomposition
 
-# reference dimensions for j_max = 1, 2, 3
-ORIENTATION_TABLE = {1: (4, 4, 4), 2: (12, 15, 12), 3: (27, 38, 27)}
-ALIGNMENT_TABLE = {1: (2, 5, 2), 2: (5, 16, 5), 3: (11, 39, 11)}
+# reference (dim_L, D, D') per j_max
+ORIENTATION_TABLE = {1: (4, 4, 4), 2: (12, 15, 12), 3: (27, 38, 27), 4: (51, 77, 51), 5: (86, 136, 86)}
+ALIGNMENT_TABLE = {
+    1: (2, 5, 2),
+    2: (5, 16, 5),
+    3: (11, 39, 11),
+    4: (22, 78, 22),
+    5: (38, 137, 38),
+    6: (61, 220, 61),
+}
 
 
 def _two_level_system():
@@ -73,7 +80,7 @@ def test_closure_deterministic():
     assert np.max(np.abs(gram1 - np.eye(dim1))) < 1e-12
 
 
-@pytest.mark.parametrize("j_max", [1, 2, 3])
+@pytest.mark.parametrize("j_max", sorted(ORIENTATION_TABLE))
 def test_orientation_reference_dimensions(j_max):
     report = controllability_report(j_max, ORIENTATION)
     dim_l, d, d_prime = ORIENTATION_TABLE[j_max]
@@ -84,7 +91,7 @@ def test_orientation_reference_dimensions(j_max):
     assert report.simultaneous == (j_max == 1)
 
 
-@pytest.mark.parametrize("j_max", [1, 2, 3])
+@pytest.mark.parametrize("j_max", sorted(ALIGNMENT_TABLE))
 def test_alignment_reference_dimensions(j_max):
     report = controllability_report(j_max, ALIGNMENT)
     dim_l, d, d_prime = ALIGNMENT_TABLE[j_max]
@@ -93,6 +100,58 @@ def test_alignment_reference_dimensions(j_max):
     assert report.dim_required_restricted == d_prime
     assert report.restricted_simultaneous
     assert not report.simultaneous
+
+
+@pytest.mark.parametrize("kind, j_max, r", [(ORIENTATION, 6, 1), (ALIGNMENT, 7, 2)])
+def test_closure_reaches_restricted_count_at_larger_cutoffs(kind, j_max, r):
+    basis = build_basis(j_max)
+    dim, _ = lie_closure([1j * h0_matrix(basis).matrix, 1j * observable_matrix(basis, kind).matrix])
+    assert dim == dims_required(j_max, r, kind)[1]
+
+
+def _random_skew(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a - a.conj().T
+
+
+def _block_diag(a, b):
+    out = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=complex)
+    out[: a.shape[0], : a.shape[0]] = a
+    out[a.shape[0] :, a.shape[0] :] = b
+    return out
+
+
+def test_closure_of_generic_pair_is_all_of_u_n():
+    rng = np.random.default_rng(3)
+    dim, _ = lie_closure([_random_skew(rng, 4), _random_skew(rng, 4)])
+    assert dim == 16
+
+
+def test_closure_counts_identical_blocks_once():
+    rng = np.random.default_rng(5)
+    a = [_random_skew(rng, 3), _random_skew(rng, 3)]
+    other = [_random_skew(rng, 3), _random_skew(rng, 3)]
+    dim_a, _ = lie_closure(a)
+    assert dim_a == 9
+    dim_copies, basis = lie_closure([_block_diag(g, g) for g in a])
+    assert dim_copies == dim_a
+    gram = np.array([[np.vdot(x, y).real for y in basis] for x in basis])
+    assert np.max(np.abs(gram - np.eye(dim_copies))) < 1e-12
+    # two generic blocks: su(3) + su(3) plus a two-dimensional trace part
+    dim_distinct, _ = lie_closure([_block_diag(g, h) for g, h in zip(a, other)])
+    assert dim_distinct == 18
+
+
+def test_closure_basis_is_closed_under_commutators():
+    basis = build_basis(3)
+    dim, elems = lie_closure([1j * h0_matrix(basis).matrix, 1j * cos_theta_matrix(basis).matrix])
+    assert dim == 27
+    q = np.array([np.concatenate([e.real.ravel(), e.imag.ravel()]) for e in elems])
+    for x in elems:
+        for y in elems:
+            comm = x @ y - y @ x
+            v = np.concatenate([comm.real.ravel(), comm.imag.ravel()])
+            assert np.linalg.norm(v - (q @ v) @ q) < 1e-9
 
 
 @pytest.mark.parametrize("j_max", range(1, 7))
