@@ -65,10 +65,6 @@ class Basis:
     def j_values(self) -> np.ndarray:
         return np.array([s.j for s in self.states], dtype=int)
 
-    @cached_property
-    def m_values(self) -> np.ndarray:
-        return np.array([s.m for s in self.states], dtype=int)
-
     def to_json(self) -> str:
         """Serialize as {"j_max": ..., "states": [[j, m], ...]} with stable ordering."""
         payload = {"j_max": self.j_max, "states": [[s.j, s.m] for s in self.states]}

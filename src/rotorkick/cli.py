@@ -165,30 +165,24 @@ def cmd_controllability(config: RunConfig, j_values: list[int] | None = None) ->
     return [json_path, csv_path]
 
 
-def cmd_fixedpoints(config: RunConfig, force: bool = False) -> list[str]:
+def cmd_fixedpoints(config: RunConfig) -> list[str]:
     """Fixed-point span analysis of the greedy iteration for the configured process."""
-    n = (config.j_max + 1) ** 2
-    if n > 12 and not force:
-        raise ConfigError(
-            f"fixed-point analysis scales with N^2 and N={n} exceeds 12; pass --force to run anyway"
-        )
     basis = build_basis(config.j_max)
     h0 = h0_matrix(basis)
     obs = observable_matrix(basis, config.process)
-    kick = make_kick(basis, config.process, config.kick_amplitude)
-    report = fixed_point_analysis(h0, obs, kick)
+    report = fixed_point_analysis(h0, obs)
 
     rho0 = thermal_state(basis, config.beta, z_mode=config.z_mode, renormalize=config.renormalize)
     blocks = block_decomposition(basis, config.process)
     target = build_target(rho0, obs, blocks)
-    mixed = DensityMatrix(basis, np.eye(n, dtype=complex) / n)
+    mixed = DensityMatrix(basis, np.eye(basis.dim, dtype=complex) / basis.dim)
     payload = report.to_jsonable()
     payload.update(
         {
             "process": config.process,
             "j_max": config.j_max,
-            "target_is_stationary": is_kick_stationary(target.rho, h0, obs, kick),
-            "maximally_mixed_is_stationary": is_kick_stationary(mixed, h0, obs, kick),
+            "target_is_stationary": is_kick_stationary(target.rho, h0, obs),
+            "maximally_mixed_is_stationary": is_kick_stationary(mixed, h0, obs),
         }
     )
     path = os.path.join(config.out_dir, f"fixedpoints_{config.process}.json")
@@ -222,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fix = sub.add_parser("fixedpoints", help="fixed-point span analysis")
     _add_common(p_fix)
-    p_fix.add_argument("--force", action="store_true", help="run despite a large basis dimension")
+    p_fix.add_argument("--force", action="store_true", help="ignored; kept so that older invocations still parse")
     return parser
 
 
@@ -240,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "controllability":
             paths = cmd_controllability(config, args.j_max)
         else:
-            paths = cmd_fixedpoints(config, force=args.force)
+            paths = cmd_fixedpoints(config)
     except ValueError as exc:  # ConfigError and invalid-parameter errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -93,7 +93,6 @@ class RunConfig:
     z_mode: str = "full"
     renormalize: bool = False
     out_dir: str = "out"
-    seed: int = 2026
     kb_cm_per_k: float = KB_CM_PER_K
     j_max_range: tuple[int, int] = (1, 12)
     temperatures_k: tuple[float, ...] = (5.0, 10.0)

@@ -4,10 +4,12 @@ The dynamical Lie algebra generated by i*H0 and i*O decides whether every
 invariant block can be steered independently by the one shared control
 field.  Simultaneous controllability of all blocks requires one dimension
 count; exploiting the identical dynamics of the m and -m blocks relaxes it
-to a smaller count.  A separate rank computation characterizes the fixed
-points of the greedy kick iteration: states commuting with the driving
-functional are the only fixed points exactly when the span of the rotated
-commutators saturates its commutant-complement bound.
+to a smaller count.  A separate count characterizes the fixed points of
+the greedy kick iteration: states commuting with the driving functional are
+the only fixed points exactly when the span of the kick-rotated slope
+operators saturates its commutant-complement bound.  That span is read off
+in closed form from the frequency components of the slope operator in the
+functional's eigenbasis.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import NumericalError
 from .operators import (
     DensityMatrix,
     HermitianOperator,
+    cluster_labels,
     eigenvalue_multiplicities,
     h0_matrix,
     observable_matrix,
@@ -29,8 +32,6 @@ from .operators import (
 SKEW_TOL = 1e-12
 RANK_TOL = 1e-10
 STATIONARY_TOL = 1e-10
-
-DEFAULT_AMPLITUDE_GRID = np.linspace(0.0, 4.0 * np.pi, 64)
 
 
 def _invariant_blocks(mats: list[np.ndarray]) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
@@ -330,21 +331,22 @@ def two_level_obstruction(j_max: int) -> TwoLevelReport:
     )
 
 
-def _rotated_commutators(
-    h0: HermitianOperator,
-    functional: HermitianOperator,
-    kick,
-    amplitudes: np.ndarray,
-) -> list[np.ndarray]:
-    comm_dev = float(np.max(np.abs(kick.operator.matrix @ functional.matrix - functional.matrix @ kick.operator.matrix)))
-    if comm_dev > STATIONARY_TOL:
-        raise ValueError(f"kick generator does not commute with the functional ({comm_dev:.3e})")
-    base = 1j * (h0.matrix @ functional.matrix - functional.matrix @ h0.matrix)  # Hermitian
-    out = []
-    for a in amplitudes:
-        u = kick.unitary(float(a))
-        out.append(u.conj().T @ base @ u)
-    return out
+def _slope_frequencies(h0: HermitianOperator, functional: HermitianOperator) -> tuple[np.ndarray, np.ndarray, int]:
+    """The slope operator C = i[H0, B] in B's eigenbasis, entry by entry, with frequency clusters.
+
+    With H0 written in the same basis, entry (k, l) is
+    C_kl = -i w_kl (H0)_kl with w_kl = lambda_k - lambda_l, and the kick
+    U(a) = exp(i a B) turns it into exp(-i a w_kl) C_kl.  So
+    U(a)+ C U(a) = sum_w exp(-i a w) C_w, where C_w keeps the entries at
+    frequency w.  Returns the flattened entries, their cluster labels
+    (ascending in w) and the label of w = 0; labels above it are the
+    positive frequencies.
+    """
+    lam, v = functional.eigensystem
+    w = lam[:, None] - lam[None, :]
+    c = -1j * w * (v.conj().T @ h0.matrix @ v)
+    labels = cluster_labels(w.ravel(), np.max(np.abs(lam), initial=0.0))
+    return c.ravel(), labels, int(labels[0])  # entry (0, 0) sits at w = 0 exactly
 
 
 @dataclass(frozen=True)
@@ -376,24 +378,23 @@ class FixedPointReport:
 def fixed_point_analysis(
     h0: HermitianOperator,
     functional: HermitianOperator,
-    kick,
-    amplitudes: np.ndarray | None = None,
     tol: float = RANK_TOL,
 ) -> FixedPointReport:
-    """Rank of span{ U(a)+ [H0, B] U(a) } against N^2 - sum of squared multiplicities.
+    """Dimension of span{ U(a)+ i[H0, B] U(a) : a real } against N^2 - sum of squared multiplicities.
 
-    B is the driving functional, U(a) the kick family over the amplitude
-    grid.  B-commuting states annihilate every spanning operator, so the
-    span can never exceed the complement of B's commutant; saturation means
-    those states are the only stationary ones.
+    B is the driving functional and U(a) = exp(i a B) the kick it generates.
+    The span is the real span of the frequency components C_w of the slope
+    operator: each w > 0 with C_w != 0 contributes C_w + C_w+ and
+    i(C_w - C_w+), and C_0 vanishes.  A component counts when its norm
+    exceeds tol times the norm of C.  B-commuting states annihilate every
+    spanning operator, so the span can never exceed the complement of B's
+    commutant; saturation means those states are the only stationary ones.
     """
-    if amplitudes is None:
-        amplitudes = DEFAULT_AMPLITUDE_GRID
-    ops = _rotated_commutators(h0, functional, kick, np.asarray(amplitudes, dtype=float))
+    c, labels, zero = _slope_frequencies(h0, functional)
+    norms = np.sqrt(np.bincount(labels, weights=np.abs(c) ** 2))
+    total = float(np.linalg.norm(c))
+    dim_span = 2 * int(np.sum(norms[zero + 1 :] > tol * total)) if total > 0 else 0
     n = functional.dim
-    rows = np.array([np.concatenate([op.real.ravel(), op.imag.ravel()]) for op in ops])
-    s = np.linalg.svd(rows, compute_uv=False)
-    dim_span = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
     mult = tuple(eigenvalue_multiplicities(functional))
     commutant = int(sum(k**2 for k in mult))
     return FixedPointReport(
@@ -409,20 +410,17 @@ def is_kick_stationary(
     rho: DensityMatrix,
     h0: HermitianOperator,
     functional: HermitianOperator,
-    kick,
-    amplitudes: np.ndarray | None = None,
     tol: float = STATIONARY_TOL,
 ) -> bool:
-    """True when the functional slope of rho vanishes for every kick in the family.
+    """True when the functional slope of rho vanishes after every kick of the family exp(i a B).
 
-    Checks |Tr[rho U(a)+ [H0, B] U(a)]| < tol over the amplitude grid (the
-    grid includes a = 0, covering the pre-kick slope).  Fixed points of the
-    greedy iteration all pass this test.
+    The slope after a kick of amplitude a is Tr[rho U(a)+ C U(a)] =
+    sum_w exp(-i a w) Tr[rho C_w], which vanishes for every a exactly when
+    |Tr[rho C_w]| <= tol at every frequency w.  Fixed points of the greedy
+    iteration all pass this test.
     """
-    if amplitudes is None:
-        amplitudes = DEFAULT_AMPLITUDE_GRID
-    ops = _rotated_commutators(h0, functional, kick, np.asarray(amplitudes, dtype=float))
-    for op in ops:
-        if abs(complex(np.sum(rho.matrix * op.T))) > tol:
-            return False
-    return True
+    c, labels, _ = _slope_frequencies(h0, functional)
+    _, v = functional.eigensystem
+    terms = (v.conj().T @ rho.matrix @ v).T.ravel() * c  # rho_lk C_kl
+    traces = np.bincount(labels, weights=terms.real) + 1j * np.bincount(labels, weights=terms.imag)
+    return bool(np.all(np.abs(traces) <= tol))

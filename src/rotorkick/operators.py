@@ -20,6 +20,7 @@ from .errors import NumericalError
 HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 UNITARITY_TOL = 1e-10
+CLUSTER_TOL = 1e-12  # relative gap below which eigenvalues or frequencies coincide
 
 
 def _as_locked_complex(matrix) -> np.ndarray:
@@ -261,14 +262,21 @@ def embed_operator(op: HermitianOperator, big_basis: Basis) -> HermitianOperator
     return HermitianOperator(big_basis, mat)
 
 
-def eigenvalue_multiplicities(op: HermitianOperator, rel_tol: float = 1e-12) -> list[int]:
-    """Multiplicities of the eigenvalues, clustering gaps below rel_tol * ||op||."""
+def cluster_labels(values: np.ndarray, scale: float, rel_tol: float = CLUSTER_TOL) -> np.ndarray:
+    """Cluster index of every value, numbered in ascending order of value.
+
+    Neighbours in sorted order share a cluster when their gap is at most
+    rel_tol * max(scale, 1), so a cluster is a chain of such gaps.
+    """
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    labels = np.empty(values.size, dtype=np.int64)
+    labels[order] = np.cumsum(np.diff(ordered, prepend=ordered[:1]) > rel_tol * max(scale, 1.0))
+    return labels
+
+
+def eigenvalue_multiplicities(op: HermitianOperator, rel_tol: float = CLUSTER_TOL) -> list[int]:
+    """Multiplicities of the eigenvalues, clustering gaps below rel_tol * max(||op||, 1)."""
     w = op.eigensystem[0]
-    scale = max(float(np.max(np.abs(w))) if w.size else 0.0, 1.0)
-    counts: list[int] = []
-    for k, val in enumerate(w):
-        if k > 0 and val - w[k - 1] <= rel_tol * scale:
-            counts[-1] += 1
-        else:
-            counts.append(1)
-    return counts
+    return np.bincount(cluster_labels(w, np.max(np.abs(w), initial=0.0), rel_tol)).tolist()

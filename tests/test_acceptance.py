@@ -272,32 +272,31 @@ def test_criterion_8_fixed_points():
             h0 = h0_matrix(basis)
             obs = observable_matrix(basis, kind)
             kick = make_kick(basis, kind, 2.0)
-            report = fixed_point_analysis(h0, obs, kick)
+            report = fixed_point_analysis(h0, obs)
             if report.dim_span > report.bound:
                 ok = False
                 details.append(f"bound violated ({kind}, j={j_max})")
             rho0 = thermal_state(basis, beta=0.4)
             target = build_target(rho0, obs, block_decomposition(basis, kind))
             mixed = DensityMatrix(basis, np.eye(basis.dim, dtype=complex) / basis.dim)
-            if not is_kick_stationary(target.rho, h0, obs, kick):
+            if not is_kick_stationary(target.rho, h0, obs):
                 ok = False
                 details.append(f"target not stationary ({kind}, j={j_max})")
-            if not is_kick_stationary(mixed, h0, obs, kick):
+            if not is_kick_stationary(mixed, h0, obs):
                 ok = False
                 details.append(f"mixed state not stationary ({kind}, j={j_max})")
             if j_max >= 2:
                 mid = free_propagate(apply_kick(rho0, kick), h0, 0.37)
-                if is_kick_stationary(mid, h0, obs, kick):
+                if is_kick_stationary(mid, h0, obs):
                     ok = False
                     details.append(f"mid-train state wrongly stationary ({kind}, j={j_max})")
     # exact two-level case
     from rotorkick.basis import Basis, BasisIndex
-    from rotorkick.dynamics import KickSpec
 
     two = Basis(j_max=1, states=(BasisIndex(0, 0), BasisIndex(1, 0)))
     h0 = h0_matrix(two)
     c = cos_theta_matrix(two)
-    report = fixed_point_analysis(h0, c, KickSpec(2.0, ORIENTATION, "idealized", c))
+    report = fixed_point_analysis(h0, c)
     ok = ok and report.dim_span == 2 and report.bound == 2
     elapsed = time.time() - start
     ok = ok and elapsed < 60

@@ -136,9 +136,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["bounds", "--config", missing]) == 2
     capsys.readouterr()
-    # fixedpoints guard: N = 81 for the preset needs --force
-    assert main(["fixedpoints", "--preset", "licl-5K", "--out", str(tmp_path)]) == 2
-    capsys.readouterr()
+    # fixedpoints runs at any N (the preset has N = 81); --force is accepted and ignored
+    for extra in ([], ["--force"]):
+        assert main(["fixedpoints", "--preset", "licl-5K", "--out", str(tmp_path), *extra]) == 0
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "fixedpoints_orientation.json").read_text())
+        assert payload["N"] == 81
+        assert payload["dim_span"] == 140
 
 
 def test_cli_fixedpoints_small(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import haar_unitary, sampled_slope_span
 
 from rotorkick.basis import ALIGNMENT, ORIENTATION, Basis, BasisIndex, build_basis
 from rotorkick.controllability import (
@@ -14,6 +15,7 @@ from rotorkick.controllability import (
 from rotorkick.dynamics import KickSpec, apply_kick, free_propagate, make_kick
 from rotorkick.operators import (
     DensityMatrix,
+    HermitianOperator,
     cos_theta_matrix,
     h0_matrix,
     observable_matrix,
@@ -200,7 +202,7 @@ def test_two_level_witness_needs_j_above_one():
 
 def test_fixed_point_two_level_exact():
     basis, h0, c, kick = _two_level_system()
-    report = fixed_point_analysis(h0, c, kick)
+    report = fixed_point_analysis(h0, c)
     assert report.multiplicities == (1, 1)
     assert report.commutant_dim == 2
     assert report.bound == 2
@@ -221,11 +223,8 @@ def test_fixed_point_two_level_exact():
 def test_fixed_point_scalar_functional():
     basis = build_basis(1)
     h0 = h0_matrix(basis)
-    from rotorkick.operators import HermitianOperator
-
     ident = HermitianOperator(basis, np.eye(basis.dim))
-    kick = KickSpec(amplitude=1.0, kind=ORIENTATION, mode="idealized", operator=ident)
-    report = fixed_point_analysis(h0, ident, kick)
+    report = fixed_point_analysis(h0, ident)
     assert report.dim_span == 0
     assert report.bound == 0
     assert report.multiplicities == (basis.dim,)
@@ -237,12 +236,72 @@ def test_fixed_point_bound_and_grid_saturation(kind, j_max):
     basis = build_basis(j_max)
     h0 = h0_matrix(basis)
     obs = observable_matrix(basis, kind)
-    kick = make_kick(basis, kind, 2.0)
-    report = fixed_point_analysis(h0, obs, kick)
+    report = fixed_point_analysis(h0, obs)
     assert report.dim_span <= report.bound
     assert sum(report.multiplicities) == basis.dim
-    doubled = fixed_point_analysis(h0, obs, kick, amplitudes=np.linspace(0, 4 * np.pi, 128))
-    assert doubled.dim_span == report.dim_span
+    assert report.dim_span == sampled_slope_span(h0.matrix, obs.matrix, np.random.default_rng(j_max))
+
+
+# closed-form spans beyond j_max = 3, where a 64-point amplitude grid under-counts
+EXACT_SPANS = {
+    (ORIENTATION, 4): 26,
+    (ORIENTATION, 6): 68,
+    (ORIENTATION, 8): 140,
+    (ALIGNMENT, 4): 14,
+    (ALIGNMENT, 6): 44,
+    (ALIGNMENT, 8): 100,
+}
+
+
+@pytest.mark.parametrize("kind, j_max", sorted(EXACT_SPANS))
+def test_fixed_point_span_matches_sampled_oracle(kind, j_max):
+    basis = build_basis(j_max)
+    h0 = h0_matrix(basis)
+    obs = observable_matrix(basis, kind)
+    report = fixed_point_analysis(h0, obs)
+    assert report.dim_span == EXACT_SPANS[kind, j_max]
+    assert report.dim_span == sampled_slope_span(h0.matrix, obs.matrix, np.random.default_rng(j_max))
+    assert report.dim_span <= report.bound
+
+
+def _synthetic_functional(spectrum, seed=5):
+    """A functional with the given spectrum and random eigenvectors, with the rotor H0 on len(spectrum) states."""
+    n = len(spectrum)
+    basis = Basis(j_max=n - 1, states=tuple(BasisIndex(j, 0) for j in range(n)))
+    v = haar_unitary(n, np.random.default_rng(seed))
+    functional = HermitianOperator(basis, (v * np.asarray(spectrum, dtype=float)) @ v.conj().T)
+    return h0_matrix(basis), functional, v
+
+
+def test_fixed_point_repeated_frequency_counts_once():
+    # differences of an equally spaced spectrum: six pairs, three positive frequencies
+    h0, functional, _ = _synthetic_functional([0.0, 1.0, 2.0, 3.0])
+    report = fixed_point_analysis(h0, functional)
+    assert report.dim_span == 6
+    assert report.dim_span == sampled_slope_span(h0.matrix, functional.matrix, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("split, span", [(1e-9, 6), (1e-14, 4), (0.0, 4)])
+def test_fixed_point_frequency_clustering_tolerance(split, span):
+    # frequencies 1, 1 + delta and 2 + delta; delta is relative to the spectral scale 2
+    delta = 2.0 * split
+    h0, functional, _ = _synthetic_functional([0.0, 1.0, 2.0 + delta])
+    assert fixed_point_analysis(h0, functional).dim_span == span
+
+
+def test_single_frequency_slope_is_not_stationary():
+    h0, functional, v = _synthetic_functional([0.0, 1.0, 3.0])
+    slope = v.conj().T @ (1j * (h0.matrix @ functional.matrix - functional.matrix @ h0.matrix)) @ v
+    assert is_kick_stationary(DensityMatrix(h0.basis, np.eye(3, dtype=complex) / 3), h0, functional)
+    # rho_10 C_01 = 1e-6 i |C_01| gives Tr[rho C_w] != 0 at w = -1 and its
+    # mirror w = 1 only; the pre-kick slope 2 Re(rho_10 C_01) is zero, and
+    # kicks rotate the rest into view
+    rho = np.eye(3, dtype=complex) / 3
+    rho[1, 0] = 1e-6j * np.conj(slope[0, 1]) / abs(slope[0, 1])
+    rho[0, 1] = np.conj(rho[1, 0])
+    state = DensityMatrix(h0.basis, v @ rho @ v.conj().T)
+    assert abs(np.trace(state.matrix @ v @ slope @ v.conj().T)) < 1e-14
+    assert not is_kick_stationary(state, h0, functional)
 
 
 def test_fixed_point_spectrum_example():
@@ -250,19 +309,10 @@ def test_fixed_point_spectrum_example():
     basis = build_basis(1)
     h0 = h0_matrix(basis)
     obs = cos_theta_matrix(basis)
-    report = fixed_point_analysis(h0, obs, make_kick(basis, ORIENTATION, 2.0))
+    report = fixed_point_analysis(h0, obs)
     assert report.multiplicities == (1, 2, 1)
     assert report.commutant_dim == 6
     assert report.bound == 10
-
-
-def test_noncommuting_kick_rejected():
-    basis = build_basis(1)
-    h0 = h0_matrix(basis)
-    obs = cos_theta_matrix(basis)
-    bad = KickSpec(amplitude=1.0, kind=ORIENTATION, mode="idealized", operator=h0)
-    with pytest.raises(ValueError):
-        fixed_point_analysis(h0, obs, bad)
 
 
 def test_stationary_states():
@@ -273,12 +323,12 @@ def test_stationary_states():
     rho0 = thermal_state(basis, beta=0.5)
     blocks = block_decomposition(basis, ORIENTATION)
     target = build_target(rho0, obs, blocks)
-    assert is_kick_stationary(target.rho, h0, obs, kick)
+    assert is_kick_stationary(target.rho, h0, obs)
     mixed = DensityMatrix(basis, np.eye(basis.dim, dtype=complex) / basis.dim)
-    assert is_kick_stationary(mixed, h0, obs, kick)
+    assert is_kick_stationary(mixed, h0, obs)
     # a kicked thermal state mid-train is not stationary
     moving = free_propagate(apply_kick(rho0, kick), h0, 0.31)
-    assert not is_kick_stationary(moving, h0, obs, kick)
+    assert not is_kick_stationary(moving, h0, obs)
 
 
 def test_random_commuting_states_are_stationary():
@@ -286,7 +336,6 @@ def test_random_commuting_states_are_stationary():
     basis = build_basis(2)  # N = 9
     h0 = h0_matrix(basis)
     obs = cos_theta_matrix(basis)
-    kick = make_kick(basis, ORIENTATION, 2.0)
     w, v = np.linalg.eigh(obs.matrix)
     # cluster the eigenvalues to find the degenerate sectors
     sectors = []
@@ -304,4 +353,4 @@ def test_random_commuting_states_are_stationary():
         mat = mat / np.trace(mat).real
         mat = 0.5 * (mat + mat.conj().T)
         rho = DensityMatrix(basis, mat)
-        assert is_kick_stationary(rho, h0, obs, kick)
+        assert is_kick_stationary(rho, h0, obs)
