@@ -3,28 +3,53 @@
 
 Each preset produces the time series of the observable expectation and the
 target overlap, for both the control-space propagation and the enlarged
-j_sim = 16 propagation, together with the per-kick record (times,
-amplitudes, maxima, slopes) and the post-train figures of merit.
+j_sim propagation, together with the per-kick record (times, amplitudes,
+maxima, slopes) and the post-train figures of merit.
+
+With --j-sim J [J ...] every preset is rerun with each enlarged cutoff J in
+place of the preset's j_sim = 16, and the wall time of each run (both
+modes) is printed, e.g. `scripts/run_trains.py --j-sim 16 24 32 48`.
 """
 
 import argparse
+import contextlib
+import io
 import os
+import time
 
 from rotorkick.cli import main
+from rotorkick.config import PRESETS as CONFIGS
 
 PRESETS = ("licl-5K", "licl-5K-s2", "licl-5K-alignment", "licl-5K-alignment-s2")
 
 
-def run(out_dir: str) -> None:
-    for preset in PRESETS:
-        out = os.path.join(out_dir, preset)
-        code = main(["simulate", "--preset", preset, "--out", out])
-        if code != 0:
-            raise SystemExit(code)
+def _simulate(args: list[str]) -> None:
+    code = main(["simulate", *args])
+    if code != 0:
+        raise SystemExit(code)
+
+
+def run(out_dir: str, j_sims: list[int] | None = None) -> None:
+    if not j_sims:
+        for preset in PRESETS:
+            _simulate(["--preset", preset, "--out", os.path.join(out_dir, preset)])
+        return
+    for j_sim in j_sims:
+        for preset in PRESETS:
+            out = os.path.join(out_dir, f"jsim{j_sim}", preset)
+            os.makedirs(out, exist_ok=True)
+            path = os.path.join(out, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(CONFIGS[preset].with_overrides(j_sim=j_sim, out_dir=out).to_json())
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):  # the output paths
+                _simulate(["--config", path])
+            print(f"j_sim={j_sim} {preset}: {time.perf_counter() - start:.2f} s", flush=True)
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default="results/trains", help="output directory")
+    parser.add_argument("--j-sim", type=int, nargs="+", metavar="J", help="enlarged cutoffs to time (default: the presets)")
     args = parser.parse_args()
-    run(args.out)
+    run(args.out, args.j_sim)

@@ -45,8 +45,10 @@ from .dynamics import (
     run_strategy,
 )
 from .errors import ConfigError, NumericalError
-from .evolution import PERIOD, LevelSetMeasure, TraceSeries
+from .evolution import PERIOD, FrequencyLattice, LevelSetMeasure, TraceSeries
 from .operators import (
+    BlockDensity,
+    BlockOperator,
     DensityMatrix,
     HermitianOperator,
     cos2_theta_matrix,

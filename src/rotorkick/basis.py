@@ -122,6 +122,53 @@ class BlockDecomposition:
             raise ValueError("decomposition does not cover the requested dimension")
         return label[:, None] != label[None, :]
 
+    @cached_property
+    def dim(self) -> int:
+        return sum(block.size for block in self.blocks)
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """(n_blocks, largest block size) basis indices of the block members.
+
+        This is the layout of a block stack: block b of a block-diagonal
+        matrix sits zero-padded in stack[b].  Padding slots hold the basis
+        dimension, one past the last state.
+        """
+        size = max((block.size for block in self.blocks), default=0)
+        slots = np.full((self.n_blocks, size), self.dim, dtype=np.intp)
+        for b, block in enumerate(self.blocks):
+            slots[b, : block.size] = block.members
+        return slots
+
+    def gather(self, matrix: np.ndarray, what: str = "matrix") -> np.ndarray:
+        """Block stack of a (dim, dim) matrix; ValueError if it couples two blocks."""
+        padded = np.zeros((self.dim + 1, self.dim + 1), dtype=matrix.dtype)
+        padded[: self.dim, : self.dim] = matrix
+        stack = padded[self.slots[:, :, None], self.slots[:, None, :]]
+        if np.count_nonzero(stack) != np.count_nonzero(matrix):
+            raise ValueError(f"{what} couples states in different invariant blocks")
+        return stack
+
+    def scatter(self, stack: np.ndarray) -> np.ndarray:
+        """The (dim, dim) block-diagonal matrix of a block stack."""
+        out = np.zeros((self.dim + 1, self.dim + 1), dtype=stack.dtype)
+        out[self.slots[:, :, None], self.slots[:, None, :]] = stack
+        return out[: self.dim, : self.dim]
+
+    def gather_diagonal(self, vector: np.ndarray) -> np.ndarray:
+        """(n_blocks, size) per-block entries of a basis vector, such as the energies.
+
+        Padding slots repeat the block's first entry, so they add no new
+        differences between entries of one block.
+        """
+        return np.asarray(vector)[np.where(self.slots < self.dim, self.slots, self.slots[:, :1])]
+
+    def scatter_diagonal(self, values: np.ndarray) -> np.ndarray:
+        """The basis vector of per-block entries laid out as by gather_diagonal."""
+        out = np.zeros(self.dim + 1, dtype=values.dtype)
+        out[self.slots] = values
+        return out[: self.dim]
+
 
 def block_decomposition(basis: Basis, kind: str) -> BlockDecomposition:
     """Group basis states into invariant blocks: by m, and by parity of j for alignment.

@@ -5,17 +5,30 @@ exp(i A O), O being the process observable.  The greedy schedules fire a
 kick whenever the driving functional (observable expectation for S1,
 normalized overlap with the target state for S2) reaches its global maximum
 within one free-evolution period.
+
+Every operator of a train conserves m (and, for alignment, the parity of
+j), so the train runs on the invariant blocks of the kick's process: kicks,
+free evolution, slopes and trace series all act on block stacks (see
+BlockDecomposition.slots), and no step costs more than one block's cube.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .basis import Basis, check_process_kind
-from .evolution import PERIOD, LevelSetMeasure, TraceSeries, global_max, measure_above
-from .operators import DensityMatrix, HermitianOperator, kick_unitary, observable_matrix
+from .basis import Basis, block_decomposition, check_process_kind
+from .evolution import PERIOD, FrequencyLattice, LevelSetMeasure, TraceSeries, global_max, measure_above
+from .operators import (
+    BlockDensity,
+    BlockOperator,
+    DensityMatrix,
+    HermitianOperator,
+    kick_unitary,
+    observable_matrix,
+)
 from .target import TargetState
 
 SLOPE_TOL = 1e-10
@@ -36,11 +49,25 @@ def _diagonal_energies(h0: HermitianOperator) -> np.ndarray:
     return np.diag(h0.matrix).real.copy()
 
 
+def _rotate(matrix: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
+    """rho_ab -> rho_ab * exp(-i (E_a - E_b) t) for a matrix or a block stack and its energies."""
+    phase = np.exp(-1j * energies * t)
+    return matrix * (phase[..., :, None] * phase.conj()[..., None, :])
+
+
+def _commutator(energies: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[H0, B]_ab = (E_a - E_b) B_ab for H0 = diag(energies); a matrix or a block stack."""
+    return (energies[..., :, None] - energies[..., None, :]) * b
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
+    """Tr[a b] of two matrices or two block stacks."""
+    return complex(np.sum(a * np.swapaxes(b, -1, -2)))
+
+
 def free_propagate(rho: DensityMatrix, h0: HermitianOperator, t: float) -> DensityMatrix:
     """Exact free evolution: rho_ab -> rho_ab * exp(-i (E_a - E_b) t)."""
-    energies = _diagonal_energies(h0)
-    phase = np.exp(-1j * energies * t)
-    mat = rho.matrix * np.outer(phase, phase.conj())
+    mat = _rotate(rho.matrix, _diagonal_energies(h0), t)
     return DensityMatrix(rho.basis, mat, trace_target=rho.trace_target)
 
 
@@ -69,23 +96,37 @@ class KickSpec:
         a = self.amplitude if amplitude is None else amplitude
         return kick_unitary(self.operator, a)
 
+    @cached_property
+    def generator(self) -> BlockOperator:
+        """The operator on the invariant blocks of the kick's process."""
+        blocks = block_decomposition(self.operator.basis, self.kind)
+        return BlockOperator(blocks, blocks.gather(self.operator.matrix, "kick generator"))
+
 
 def make_kick(basis: Basis, kind: str, amplitude: float, mode: str = IDEALIZED) -> KickSpec:
     """Kick whose generator is the process observable on the given basis."""
     return KickSpec(amplitude=amplitude, kind=kind, mode=mode, operator=observable_matrix(basis, kind))
 
 
-def apply_kick(rho: DensityMatrix, kick: KickSpec, amplitude: float | None = None) -> DensityMatrix:
-    """rho -> U rho U+ for the kick unitary; spectrum-preserving."""
-    u = kick.unitary(amplitude)
-    mat = u @ rho.matrix @ u.conj().T
-    mat = 0.5 * (mat + mat.conj().T)  # scrub roundoff asymmetry
-    return DensityMatrix(rho.basis, mat, trace_target=rho.trace_target)
+def apply_kick(
+    rho: DensityMatrix | BlockDensity, kick: KickSpec, amplitude: float | None = None
+) -> DensityMatrix | BlockDensity:
+    """rho -> U rho U+ for the kick unitary, block by block; spectrum-preserving.
+
+    Returns the same form it is given: a DensityMatrix, or a BlockDensity
+    on the blocks of the kick's process.  A dense state that couples two of
+    those blocks raises ValueError.
+    """
+    a = kick.amplitude if amplitude is None else amplitude
+    generator = kick.generator
+    state = rho if isinstance(rho, BlockDensity) else BlockDensity.from_density(rho, generator.blocks)
+    kicked = state.conjugated(kick_unitary(generator, a))
+    return kicked if state is rho else kicked.to_density()
 
 
 def _slope(rho_matrix: np.ndarray, commutator: np.ndarray) -> float:
     # d/dt Tr[B rho(t)] = Re( i Tr[rho [H0, B]] ) under free evolution
-    return float((1j * np.sum(rho_matrix * commutator.T)).real)
+    return (1j * _trace_product(rho_matrix, commutator)).real
 
 
 def post_kick_slope(
@@ -96,7 +137,7 @@ def post_kick_slope(
     amplitude: float | None = None,
 ) -> float:
     """Time derivative of Tr[functional rho(t)] immediately after kicking rho."""
-    comm = h0.matrix @ functional.matrix - functional.matrix @ h0.matrix
+    comm = _commutator(_diagonal_energies(h0), functional.matrix)
     kicked = apply_kick(rho, kick, amplitude)
     return _slope(kicked.matrix, comm)
 
@@ -120,10 +161,10 @@ def find_next_global_max(
     return t_start + res.t, res.value, res.flat
 
 
-def leakage(rho: DensityMatrix, j_max: int) -> float:
+def leakage(rho: DensityMatrix | BlockDensity, j_max: int) -> float:
     """Population carried by states with j above the cutoff."""
     mask = rho.basis.j_values > j_max
-    return float(np.diag(rho.matrix).real[mask].sum())
+    return float(rho.populations[mask].sum())
 
 
 @dataclass
@@ -179,33 +220,46 @@ class TimeSeries:
 
 
 class _SeriesAccumulator:
-    """Collect samples segment by segment; each segment has its own series origin."""
+    """Collect samples segment by segment; each segment has its own series origin.
+
+    Grid samples sit at the times k * PERIOD / points_per_period.  A segment
+    spans at most one period, so its samples are one FFT grid of the series.
+    """
 
     def __init__(self, points_per_period: int, track_projection: bool):
+        self.points = points_per_period
         self.step = PERIOD / points_per_period
         self.track_projection = track_projection
         self.times: list[float] = []
         self.expect: list[float] = []
         self.project: list[float] = []
         self.flags: list[int] = []
-        self._next_tick = 0.0
+        self._next_k = 0
 
-    def _append(self, t: float, origin: float, exp_series, proj_series, flag: int) -> None:
+    def segment(self, origin: float, t_to: float, exp_series, proj_series) -> None:
+        """Grid samples in [origin, t_to) evaluated from the state valid at origin."""
+        ks = []
+        while self._next_k * self.step < t_to - 1e-15:
+            if self._next_k * self.step >= origin - 1e-15:
+                ks.append(self._next_k)
+            self._next_k += 1
+        if not ks:
+            return
+        wrap = np.arange(len(ks)) % self.points
+        tau0 = ks[0] * self.step - origin
+        self.times.extend(k * self.step for k in ks)
+        self.expect.extend(exp_series.grid_values(tau0, self.points)[wrap])
+        self.project.extend(
+            proj_series.grid_values(tau0, self.points)[wrap] if proj_series is not None else [np.nan] * len(ks)
+        )
+        self.flags.extend([0] * len(ks))
+
+    def event(self, t: float, origin: float, exp_series, proj_series, flag: int) -> None:
         tau = t - origin
         self.times.append(t)
         self.expect.append(exp_series.value(tau))
         self.project.append(proj_series.value(tau) if proj_series is not None else np.nan)
         self.flags.append(flag)
-
-    def segment(self, origin: float, t_to: float, exp_series, proj_series) -> None:
-        """Grid samples in [origin, t_to) evaluated from the state valid at origin."""
-        while self._next_tick < t_to - 1e-15:
-            if self._next_tick >= origin - 1e-15:
-                self._append(self._next_tick, origin, exp_series, proj_series, 0)
-            self._next_tick += self.step
-
-    def event(self, t: float, origin: float, exp_series, proj_series, flag: int) -> None:
-        self._append(t, origin, exp_series, proj_series, flag)
 
     def build(self) -> TimeSeries:
         return TimeSeries(
@@ -246,6 +300,11 @@ def run_strategy(
     padded into that space, so that both propagations chase the same figure
     of merit.  leak_guard_j, when set, attaches a warning whenever the shells
     above it hold more than 1e-4 population after a kick.
+
+    The train runs on the invariant blocks of the kick's process: an input
+    state, observable or target that couples two of them raises ValueError,
+    and a state whose trace or Hermiticity drifts beyond HERM_TOL after a
+    kick raises NumericalError naming the kick.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -260,43 +319,47 @@ def run_strategy(
     obs = observable if observable is not None else kick.operator
     if obs.dim != rho0.dim:
         raise ValueError("observable and initial state live on different bases")
-    proj_matrix = None
+    # every input must respect the kick's invariant blocks; gather raises otherwise
+    blocks = kick.generator.blocks
+    block_energies = blocks.gather_diagonal(energies)
+    lattice = FrequencyLattice(block_energies)
+    obs_stack = blocks.gather(obs.matrix, "observable")
+    proj_stack = None
     if target is not None:
-        proj_matrix = target.rho.matrix / target.rho.purity()
-    drive_matrix = obs.matrix if strategy == S1 else proj_matrix
-    comm = h0.matrix @ drive_matrix - drive_matrix @ h0.matrix
+        proj_stack = blocks.gather(target.rho.matrix / target.rho.purity(), "target state")
+    drive_stack = obs_stack if strategy == S1 else proj_stack
+    comm = _commutator(block_energies, drive_stack)
 
-    def series_pair(state: DensityMatrix):
-        exp_s = TraceSeries(state.matrix, obs.matrix, energies)
-        proj_s = TraceSeries(state.matrix, proj_matrix, energies) if proj_matrix is not None else None
+    def series_pair(state: BlockDensity):
+        exp_s = TraceSeries(state.stack, obs_stack, lattice)
+        proj_s = TraceSeries(state.stack, proj_stack, lattice) if proj_stack is not None else None
         return exp_s, proj_s
 
     record = PulseTrainRecord(strategy=strategy)
-    acc = _SeriesAccumulator(points_per_period, track_projection=proj_matrix is not None)
-    rho = rho0
+    acc = _SeriesAccumulator(points_per_period, track_projection=proj_stack is not None)
+    rho = BlockDensity.from_density(rho0, blocks)
     t_now = 0.0
-    prev_max = float(np.sum(rho.matrix * drive_matrix.T).real)
+    prev_max = _trace_product(rho.stack, drive_stack).real
+    exp_s, proj_s = series_pair(rho)
 
     for _ in range(max_kicks):
-        drive_series = TraceSeries(rho.matrix, drive_matrix, energies)
-        res = global_max(drive_series, 0.0, n_samples=4096)
+        res = global_max(exp_s if strategy == S1 else proj_s, 0.0, n_samples=4096)
         t_star = t_now + res.t
         if record.kick_times and t_star <= record.kick_times[-1]:
             t_star = record.kick_times[-1] + 1e-9  # keep kick times strictly increasing
         record.maxima.append(res.value)
 
-        at_max = free_propagate(rho, h0, t_star - t_now)
+        at_max = replace(rho, stack=_rotate(rho.stack, block_energies, t_star - t_now))
         kicked_plus = apply_kick(at_max, kick, kick.amplitude)
         kicked_minus = apply_kick(at_max, kick, -kick.amplitude)
-        slope_plus = _slope(kicked_plus.matrix, comm)
-        slope_minus = _slope(kicked_minus.matrix, comm)
+        slope_plus = _slope(kicked_plus.stack, comm)
+        slope_minus = _slope(kicked_minus.stack, comm)
 
         gain = res.value - prev_max
         if gain < gain_tol * max(abs(prev_max), 1e-30) and max(abs(slope_plus), abs(slope_minus)) < SLOPE_TOL:
             record.stop_reason = "converged"
             break
 
-        exp_s, proj_s = series_pair(rho)
         acc.segment(t_now, t_star, exp_s, proj_s)
 
         if slope_minus > slope_plus and max(abs(slope_plus), abs(slope_minus)) >= SLOPE_TOL:
@@ -310,6 +373,7 @@ def run_strategy(
         record.amplitudes.append(amplitude)
         record.pre_kick_values.append(res.value)
         record.post_kick_slopes.append(slope)
+        rho.check_drift(f"kick {record.n_kicks}")
 
         exp_s, proj_s = series_pair(rho)
         acc.event(t_star, t_star, exp_s, proj_s, flag=1)
@@ -324,12 +388,11 @@ def run_strategy(
         record.stop_reason = "max_kicks"
 
     # post-train window: one full period beyond the last event
-    exp_s, proj_s = series_pair(rho)
     acc.segment(t_now, t_now + PERIOD, exp_s, proj_s)
     acc.event(t_now + PERIOD, t_now, exp_s, proj_s, flag=0)
 
     final_max = global_max(exp_s, 0.0)
-    record.final_state = rho
+    record.final_state = rho.to_density()
     record.final_efficiency = final_max.value
     record.final_efficiency_time = t_now + final_max.t
     if proj_s is not None:

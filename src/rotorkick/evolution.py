@@ -2,9 +2,11 @@
 
 For a diagonal Hamiltonian with energies E_a, the functional
 t -> Tr[B rho(t)] of a freely evolving state is a finite sum of terms
-c * exp(-i (E_a - E_b) t).  Collecting coefficients by frequency gives an
-exact, cheaply evaluable series, which drives the global-maximum search and
-the level-set (duration) measurements.
+c * exp(-i (E_a - E_b) t).  The rotor's differences E_a - E_b are even
+integers 2k, so the coefficients live on the integer lattice of k, and the
+series sampled on a uniform grid over one period pi is one FFT of them.
+That drives the global-maximum search and the level-set (duration)
+measurements.
 """
 
 from __future__ import annotations
@@ -23,24 +25,61 @@ TIE_TOL = 1e-12
 REFINE_TOL = 1e-10
 
 
-class TraceSeries:
-    """t -> Tr[B rho(t)] with rho(0) given and rho evolving freely under diag(energies)."""
+class FrequencyLattice:
+    """Lattice index k = (E_a - E_b) / 2 of every matrix entry over states with given energies.
 
-    def __init__(self, rho_matrix: np.ndarray, b_matrix: np.ndarray, energies: np.ndarray):
-        diffs = np.subtract.outer(energies, energies)
-        freqs, inverse = np.unique(diffs, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        g = (rho_matrix * b_matrix.T).ravel()
-        coef_re = np.bincount(inverse, weights=g.real, minlength=freqs.size)
-        coef_im = np.bincount(inverse, weights=g.imag, minlength=freqs.size)
-        self.freqs = freqs
-        self.coef = coef_re + 1j * coef_im
+    energies is the diagonal of H0, shape (N,) for N x N matrices, or one
+    row per block, shape (n_blocks, size), for block stacks.  Built once
+    per basis or train and shared by the series on it.  Energies whose
+    differences are not all even integers raise ValueError: the period
+    would not be pi.
+    """
+
+    def __init__(self, energies: np.ndarray):
+        energies = np.asarray(energies, dtype=float)
+        half = 0.5 * (energies - energies.min(initial=np.inf))
+        k = np.rint(half)
+        if np.any(k != half):
+            raise ValueError("energy differences are not all even integers; the free-evolution period is not pi")
+        k = k.astype(np.int64)
+        diffs = k[..., :, None] - k[..., None, :]
+        self.kmax = int(diffs.max(initial=0))
+        self.index = (diffs + self.kmax).ravel()
+        self.freqs = 2.0 * np.arange(-self.kmax, self.kmax + 1)
+
+
+class TraceSeries:
+    """t -> Tr[B rho(t)] with rho(0) given and rho evolving freely under diag(energies).
+
+    rho_matrix and b_matrix are N x N matrices or block stacks, and
+    energies their diagonal energies or the FrequencyLattice built from
+    them.  coef[k + kmax] is the coefficient of exp(-2ikt).
+    """
+
+    def __init__(self, rho_matrix: np.ndarray, b_matrix: np.ndarray, energies):
+        lattice = energies if isinstance(energies, FrequencyLattice) else FrequencyLattice(energies)
+        g = (rho_matrix * np.swapaxes(b_matrix, -1, -2)).ravel()
+        n = lattice.freqs.size
+        self.kmax = lattice.kmax
+        self.freqs = lattice.freqs
+        self.coef = np.bincount(lattice.index, g.real, n) + 1j * np.bincount(lattice.index, g.imag, n)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         return (self.coef @ np.exp(-1j * np.outer(self.freqs, ts))).real
 
+    def grid_values(self, t_start: float, n_samples: int) -> np.ndarray:
+        """The series at t_start + i * PERIOD / n_samples for i < n_samples, by one FFT.
+
+        Exact at any n_samples: lattice frequencies beyond the grid fold
+        onto the same samples.
+        """
+        shifted = self.coef * np.exp(-1j * self.freqs * t_start)
+        slot = np.arange(-self.kmax, self.kmax + 1) % n_samples
+        folded = np.bincount(slot, shifted.real, n_samples) + 1j * np.bincount(slot, shifted.imag, n_samples)
+        return np.fft.fft(folded).real
+
     def value(self, t: float) -> float:
-        return float((self.coef @ np.exp(-1j * self.freqs * t)).real)
+        return float(self.values(np.array([t]))[0])
 
     def derivative(self, t: float, order: int = 1) -> float:
         return float((self.coef @ ((-1j * self.freqs) ** order * np.exp(-1j * self.freqs * t))).real)
@@ -77,8 +116,11 @@ def _newton_polish(
 
     The series is a finite trigonometric sum, so its derivatives are exact;
     a few Newton steps reduce the slope at the peak to roundoff.  Falls back
-    to the incoming point when the local curvature is not concave or the
-    iteration leaves the bracket.
+    to the incoming point when the local curvature is not concave, the
+    iteration leaves the bracket, or the polished value is lower by more
+    than TIE_TOL.  Near a peak the two values differ by roundoff only, so
+    comparing them exactly would pick either point by chance, and the
+    golden-section point lies up to ~1e-8 from the peak.
     """
     t = x
     for _ in range(8):
@@ -94,9 +136,14 @@ def _newton_polish(
         if abs(step) < 1e-14:
             break
     y_new = series.value(t_start + t)
-    if y_new >= y:
+    if y_new >= y - TIE_TOL:
         return t, y_new
     return x, y
+
+
+def grid_size(kmax: int, n_min: int) -> int:
+    """Samples per period: n_min, or the power of two giving 8 per fastest oscillation if larger."""
+    return max(n_min, 1 << max(8 * kmax - 1, 0).bit_length())
 
 
 @dataclass(frozen=True)
@@ -109,13 +156,14 @@ class MaxResult:
 def global_max(series: TraceSeries, t_start: float, n_samples: int = 4096) -> MaxResult:
     """Earliest global maximum of the series in [t_start, t_start + PERIOD).
 
-    Dense circular sampling locates candidate peaks, each refined by
-    golden-section search to REFINE_TOL in t; ties within TIE_TOL resolve to
-    the earliest time.  A functional flat to within FLAT_TOL is flagged and
-    reported at t_start.
+    Dense circular sampling (grid_size(kmax, n_samples) points) locates
+    candidate peaks, each refined by golden-section search to REFINE_TOL in
+    t; ties within TIE_TOL resolve to the earliest time.  A functional flat
+    to within FLAT_TOL is flagged and reported at t_start.
     """
+    n_samples = grid_size(series.kmax, n_samples)
     taus = np.arange(n_samples) * (PERIOD / n_samples)
-    vals = series.values(t_start + taus)
+    vals = series.grid_values(t_start, n_samples)
     if float(vals.max() - vals.min()) < FLAT_TOL:
         return MaxResult(t=t_start, value=float(vals[0]), flat=True)
 
@@ -146,15 +194,20 @@ def global_max(series: TraceSeries, t_start: float, n_samples: int = 4096) -> Ma
     return MaxResult(t=t_start + tau_star, value=series.value(t_start + tau_star), flat=False)
 
 
-def _bisect_crossing(series: TraceSeries, threshold: float, lo: float, hi: float, tol: float = 1e-10) -> float:
-    g_lo = series.value(lo) - threshold
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        g_mid = series.value(mid) - threshold
-        if (g_lo >= 0) == (g_mid >= 0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
+def _bisect_crossings(
+    series: TraceSeries, threshold: float, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10
+) -> np.ndarray:
+    """Bisect every bracket [lo[i], hi[i]] to where the series crosses threshold, all at once."""
+    lo, hi = lo.copy(), hi.copy()
+    g_lo = series.values(lo) - threshold
+    live = np.nonzero(hi - lo > tol)[0]
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        g_mid = series.values(mid) - threshold
+        same = (g_lo[live] >= 0) == (g_mid >= 0)
+        lo[live[same]], g_lo[live[same]] = mid[same], g_mid[same]
+        hi[live[~same]] = mid[~same]
+        live = live[hi[live] - lo[live] > tol]
     return 0.5 * (lo + hi)
 
 
@@ -172,13 +225,15 @@ def measure_above(
 ) -> LevelSetMeasure:
     """Fraction of one free-evolution period where the series stays at or above threshold.
 
-    Sampled on [t_anchor, t_anchor + PERIOD) with every sign change refined by
-    bisection to 1e-10 in t.  The window is circular, so intervals touching
-    both window edges merge when computing the longest stretch.
+    Sampled on grid_size(kmax, n_samples) points of [t_anchor, t_anchor +
+    PERIOD) with every sign change refined by bisection to 1e-10 in t.  The
+    window is circular, so intervals touching both window edges merge when
+    computing the longest stretch.
     """
+    n_samples = grid_size(series.kmax, n_samples)
     taus = np.arange(n_samples) * (PERIOD / n_samples)
     ts = t_anchor + taus
-    above = series.values(ts) >= threshold
+    above = series.grid_values(t_anchor, n_samples) >= threshold
     if bool(above.all()):
         return LevelSetMeasure(total=1.0, longest=1.0)
     if not bool(above.any()):
@@ -187,15 +242,11 @@ def measure_above(
     # segment boundaries where the sign flips, circularly (F has period PERIOD)
     nxt = np.roll(above, -1)
     flips = np.nonzero(above != nxt)[0]
-    crossings = []
-    for k in flips:
-        lo = ts[k]
-        hi = ts[k] + PERIOD / n_samples  # right endpoint, == ts[k+1] or wraps to t_anchor+PERIOD
-        crossings.append(_bisect_crossing(series, threshold, lo, hi))
-    crossings.sort()
+    # right endpoints ts[k] + step == ts[k+1], or t_anchor + PERIOD at the wrap
+    crossings = np.sort(_bisect_crossings(series, threshold, ts[flips], ts[flips] + PERIOD / n_samples))
 
     # walk alternating intervals starting from the state at t_anchor
-    edges = [t_anchor] + crossings + [t_anchor + PERIOD]
+    edges = [t_anchor] + crossings.tolist() + [t_anchor + PERIOD]
     state = bool(above[0])
     lengths = []
     total = 0.0

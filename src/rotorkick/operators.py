@@ -1,4 +1,4 @@
-"""Dense operators on the truncated rotor basis.
+"""Operators on the truncated rotor basis: dense, or as stacks of invariant blocks.
 
 Internal units: hbar = 1, energies in units of the rotational constant B,
 time in units of 1/B.  The field-free spectrum j(j+1) then has purely even
@@ -8,7 +8,7 @@ integer level spacings, so free evolution is periodic with period pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -58,15 +58,14 @@ class HermitianOperator:
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues ascending, eigenvector columns)."""
-        try:
-            w, v = np.linalg.eigh(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            scale = float(np.max(np.abs(self.matrix))) if self.dim else 0.0
-            raise NumericalError(
-                f"eigensolver failed on a {self.dim}x{self.dim} Hermitian matrix "
-                f"(max entry {scale:.3e})"
-            ) from exc
-        return w, v
+        return _eigh(self.matrix)
+
+    @cached_property
+    def block_form(self) -> "BlockOperator":
+        """The operator as a stack of its invariant blocks (one block without metadata)."""
+        if self.blocks is None:
+            return BlockOperator(None, self.matrix[None])
+        return BlockOperator(self.blocks, self.blocks.gather(self.matrix))
 
     def block_view(self, block) -> np.ndarray:
         idx = list(block.members)
@@ -135,6 +134,100 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.sum(self.matrix * self.matrix.T).real)
+
+    @property
+    def populations(self) -> np.ndarray:
+        return np.diag(self.matrix).real
+
+
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        n = matrix.shape[-1]
+        scale = float(np.max(np.abs(matrix))) if n else 0.0
+        raise NumericalError(
+            f"eigensolver failed on a {n}x{n} Hermitian matrix (max entry {scale:.3e})"
+        ) from exc
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return np.swapaxes(stack.conj(), -1, -2)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockOperator:
+    """Hermitian operator kept as the stack of its invariant blocks.
+
+    stack[b] holds block b of `blocks`, zero-padded to the largest block
+    (see BlockDecomposition.slots); blocks=None stands for a single block
+    spanning the whole basis.
+    """
+
+    blocks: BlockDecomposition | None
+    stack: np.ndarray
+
+    def to_matrix(self, stack: np.ndarray) -> np.ndarray:
+        """The dense matrix of a stack laid out like this operator's."""
+        return stack[0] if self.blocks is None else self.blocks.scatter(stack)
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per block (eigenvalues ascending, eigenvector columns).
+
+        Padding slots get eigenvalue 0 and unit eigenvectors, so every
+        function of the operator acts as f(0) times the identity there.
+        """
+        sizes = [self.stack.shape[-1]] if self.blocks is None else [b.size for b in self.blocks.blocks]
+        n_blocks, size = self.stack.shape[:2]
+        w = np.zeros((n_blocks, size))
+        v = np.zeros((n_blocks, size, size), dtype=complex)
+        v[:] = np.eye(size)
+        for b, k in enumerate(sizes):
+            w[b, :k], v[b, :k, :k] = _eigh(self.stack[b, :k, :k])
+        return w, v
+
+
+@dataclass(frozen=True, eq=False)
+class BlockDensity:
+    """A block-diagonal DensityMatrix kept as the stack of its invariant blocks.
+
+    The pulse-train loop propagates this form; to_density() gives the dense
+    state back.  stack follows the layout of BlockDecomposition.slots.
+    """
+
+    basis: Basis
+    blocks: BlockDecomposition
+    stack: np.ndarray
+    trace_target: float = 1.0
+
+    @classmethod
+    def from_density(cls, rho: DensityMatrix, blocks: BlockDecomposition) -> "BlockDensity":
+        """Split a state into blocks; ValueError if it couples two of them."""
+        return cls(rho.basis, blocks, blocks.gather(rho.matrix, "state"), rho.trace_target)
+
+    def to_density(self) -> DensityMatrix:
+        return DensityMatrix(self.basis, self.blocks.scatter(self.stack), trace_target=self.trace_target)
+
+    def conjugated(self, u: np.ndarray) -> "BlockDensity":
+        """u rho u+ for a stack of block unitaries, with the roundoff asymmetry scrubbed."""
+        mat = u @ self.stack @ _dagger(u)
+        return replace(self, stack=0.5 * (mat + _dagger(mat)))
+
+    @property
+    def populations(self) -> np.ndarray:
+        return self.blocks.scatter_diagonal(np.diagonal(self.stack, axis1=-2, axis2=-1).real)
+
+    def check_drift(self, where: str) -> None:
+        """NumericalError when the trace or Hermiticity has drifted beyond HERM_TOL."""
+        skew = float(np.max(np.abs(self.stack - _dagger(self.stack)), initial=0.0))
+        trace = float(np.trace(self.stack, axis1=-2, axis2=-1).sum().real)
+        shift = abs(trace - self.trace_target)
+        if not (skew <= HERM_TOL and shift <= HERM_TOL * max(1.0, abs(self.trace_target))):
+            raise NumericalError(
+                f"{where}: state drifted (trace {trace!r} against {self.trace_target!r}, "
+                f"Hermiticity deviation {skew:.3e}; tolerance {HERM_TOL:g})"
+            )
 
 
 def h0_matrix(basis: Basis) -> HermitianOperator:
@@ -237,13 +330,19 @@ def hermitian_function(op: HermitianOperator, f: Callable[[np.ndarray], np.ndarr
     return (v * f(w)) @ v.conj().T
 
 
-def kick_unitary(op: HermitianOperator, amplitude: float) -> np.ndarray:
-    """exp(i * amplitude * op); verified unitary to 1e-10."""
-    u = hermitian_function(op, lambda w: np.exp(1j * amplitude * w))
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(op.dim)))
-    if dev > UNITARITY_TOL:
+def kick_unitary(op: HermitianOperator | BlockOperator, amplitude: float) -> np.ndarray:
+    """exp(i * amplitude * op) from op's eigensystem in each invariant block.
+
+    A BlockOperator gives the stack of block unitaries, a HermitianOperator
+    the dense matrix.  Every block is verified unitary to 1e-10.
+    """
+    form = op.block_form if isinstance(op, HermitianOperator) else op
+    w, v = form.eigensystem
+    u = (v * np.exp(1j * amplitude * w)[..., None, :]) @ _dagger(v)
+    dev = float(np.max(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])), initial=0.0))
+    if not dev <= UNITARITY_TOL:
         raise NumericalError(f"kick exponential failed unitarity check: {dev:.3e}")
-    return u
+    return u if form is op else form.to_matrix(u)
 
 
 def embed_density(rho: DensityMatrix, big_basis: Basis) -> DensityMatrix:

@@ -84,3 +84,65 @@ def sampled_slope_span(h0: np.ndarray, functional: np.ndarray, rng: np.random.Ge
     rank = int(np.sum(s > 1e-7 * s[0]))
     assert rank < len(rows), "every sample is independent: too few amplitudes to bound the span"
     return rank
+
+
+def dense_train(rho0, strategy, kick, h0, target=None, observable=None, max_kicks=15, gain_tol=1e-4, duration_threshold=0.5):
+    """The greedy pulse train on dense N x N matrices, as run_strategy did before it ran on blocks.
+
+    The kick unitary comes from one eigendecomposition of the whole
+    generator, states are conjugated by full matrix products, slopes use the
+    matrix commutator H0 B - B H0.  Only the series search (TraceSeries,
+    global_max, measure_above) is the package's own.  Returns the train's
+    figures: kick times, amplitudes, maxima, final efficiency, projection
+    and duration above the threshold.
+    """
+    from rotorkick.dynamics import S1, SLOPE_TOL
+    from rotorkick.evolution import TraceSeries, global_max, measure_above
+
+    energies = np.diag(h0.matrix).real.copy()
+    obs = (observable if observable is not None else kick.operator).matrix
+    proj = None if target is None else target.rho.matrix / target.rho.purity()
+    drive = obs if strategy == S1 else proj
+    comm = h0.matrix @ drive - drive @ h0.matrix
+    lam, vec = np.linalg.eigh(kick.operator.matrix)
+
+    def kicked(rho, amplitude):
+        u = (vec * np.exp(1j * amplitude * lam)) @ vec.conj().T
+        mat = u @ rho @ u.conj().T
+        return 0.5 * (mat + mat.conj().T)
+
+    def slope(rho):
+        return float((1j * np.sum(rho * comm.T)).real)
+
+    rho = rho0.matrix
+    out = {"kick_times": [], "amplitudes": [], "maxima": []}
+    t_now = 0.0
+    prev_max = float(np.sum(rho * drive.T).real)
+    for _ in range(max_kicks):
+        res = global_max(TraceSeries(rho, drive, energies), 0.0, n_samples=4096)
+        t_star = t_now + res.t
+        if out["kick_times"] and t_star <= out["kick_times"][-1]:
+            t_star = out["kick_times"][-1] + 1e-9
+        out["maxima"].append(res.value)
+        phase = np.exp(-1j * energies * (t_star - t_now))
+        at_max = rho * np.outer(phase, phase.conj())
+        plus, minus = kicked(at_max, kick.amplitude), kicked(at_max, -kick.amplitude)
+        s_plus, s_minus = slope(plus), slope(minus)
+        if res.value - prev_max < gain_tol * max(abs(prev_max), 1e-30) and max(abs(s_plus), abs(s_minus)) < SLOPE_TOL:
+            break
+        if s_minus > s_plus and max(abs(s_plus), abs(s_minus)) >= SLOPE_TOL:
+            amplitude, rho = -kick.amplitude, minus
+        else:
+            amplitude, rho = kick.amplitude, plus
+        t_now, prev_max = t_star, res.value
+        out["kick_times"].append(t_star)
+        out["amplitudes"].append(amplitude)
+
+    exp_s = TraceSeries(rho, obs, energies)
+    final = global_max(exp_s, 0.0)
+    out["final_efficiency"] = final.value
+    out["final_projection"] = None if proj is None else global_max(TraceSeries(rho, proj, energies), 0.0).value
+    duration = measure_above(exp_s, duration_threshold, t_anchor=final.t)
+    out["final_duration"] = (duration.total, duration.longest)
+    out["maxima"].append(final.value if strategy == S1 else out["final_projection"])
+    return out

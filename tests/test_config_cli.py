@@ -270,6 +270,18 @@ def test_cli_lie_dimension_above_bound_is_numerical_failure(tmp_path, capsys, mo
     assert not (tmp_path / "controllability_orientation.json").exists()
 
 
+def test_cli_state_drift_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    import rotorkick.dynamics as dynamics
+
+    real = dynamics.kick_unitary
+    monkeypatch.setattr(dynamics, "kick_unitary", lambda op, amplitude: (1 + 1e-9) * real(op, amplitude))
+    path = _raw_config_file(tmp_path)
+    assert main(["simulate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "kick 1" in err
+    assert not list(tmp_path.glob("train_*.json"))
+
+
 def test_eigensolver_failure_wrapped(monkeypatch):
     import numpy as np
 

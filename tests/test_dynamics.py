@@ -17,6 +17,7 @@ from rotorkick.dynamics import (
 from rotorkick.evolution import PERIOD
 from rotorkick.operators import (
     DensityMatrix,
+    HermitianOperator,
     cos_theta_matrix,
     embed_density,
     h0_matrix,
@@ -24,6 +25,8 @@ from rotorkick.operators import (
     thermal_state,
 )
 from rotorkick.target import build_target
+
+from oracles import dense_train
 
 
 def _coherent_pair(basis, phase=0.0):
@@ -337,3 +340,59 @@ def test_embedded_run_matches_native_when_space_is_big_enough():
     kicked_small = apply_kick(rho, kick_small)
     lifted = embed_density(kicked_small, big)
     assert np.trace(lifted.matrix).real == pytest.approx(np.trace(kicked_small.matrix).real, abs=1e-12)
+
+
+def test_run_strategy_rejects_inputs_coupling_blocks():
+    basis = build_basis(2)
+    h0 = h0_matrix(basis)
+    kick = make_kick(basis, ORIENTATION, 1.0)
+    coupled = _coherent_pair(basis).matrix.copy()
+    a, b = basis.index_of(1, -1), basis.index_of(1, 0)  # different m
+    coupled[a, b] = coupled[b, a] = 0.01
+    rho = DensityMatrix(basis, coupled)
+    with pytest.raises(ValueError, match="state couples"):
+        run_strategy(rho, "S1", kick, h0, max_kicks=1)
+    observable = HermitianOperator(basis, coupled)
+    with pytest.raises(ValueError, match="observable couples"):
+        run_strategy(thermal_state(basis, 0.5), "S1", kick, h0, observable=observable, max_kicks=1)
+    # cos(theta) mixes the parities of j, so it cannot drive an alignment train
+    with pytest.raises(ValueError, match="kick generator couples"):
+        run_strategy(thermal_state(basis, 0.5), "S1", KickSpec(1.0, ALIGNMENT, "idealized", kick.operator), h0)
+
+
+# (preset, j_sim): the preset's own j_sim once per process, a smaller one elsewhere
+ORACLE_CASES = [
+    ("licl-5K", 16),
+    ("licl-5K-alignment", 16),
+    ("licl-10K", 12),
+    ("licl-5K-s2", 12),
+    ("licl-5K-alignment-s2", 12),
+]
+
+
+@pytest.mark.parametrize("preset, j_sim", ORACLE_CASES)
+@pytest.mark.parametrize("mode", ["idealized", "physical"])
+def test_block_train_matches_dense_oracle(preset, j_sim, mode, monkeypatch):
+    import rotorkick.cli as cli
+    from rotorkick.config import PRESETS
+
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return run_strategy(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_strategy", recording)
+    record, _, _ = cli._run_one_mode(PRESETS[preset].with_overrides(j_sim=j_sim), mode)
+    args, kwargs = calls[0]
+    kwargs.pop("leak_guard_j")
+    dense = dense_train(*args, **kwargs)
+
+    assert record.amplitudes == dense["amplitudes"]
+    assert np.allclose(record.kick_times, dense["kick_times"], rtol=0, atol=1e-10)
+    assert np.allclose(record.maxima, dense["maxima"], rtol=0, atol=1e-10)
+    assert record.final_efficiency == pytest.approx(dense["final_efficiency"], abs=1e-10)
+    if dense["final_projection"] is not None:
+        assert record.final_projection == pytest.approx(dense["final_projection"], abs=1e-10)
+    duration = (record.final_duration.total, record.final_duration.longest)
+    assert duration == pytest.approx(dense["final_duration"], abs=1e-10)

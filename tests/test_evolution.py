@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rotorkick.basis import ORIENTATION, build_basis
 from rotorkick.dynamics import apply_kick, free_propagate, make_kick
-from rotorkick.evolution import PERIOD, TraceSeries, global_max, measure_above
+from rotorkick.evolution import PERIOD, TraceSeries, global_max, grid_size, measure_above
 from rotorkick.operators import cos_theta_matrix, h0_matrix, thermal_state
 
 
@@ -73,3 +73,63 @@ def test_free_propagation_composes(t1, t2):
     one_step = free_propagate(rho, h0, t1 + t2)
     two_step = free_propagate(free_propagate(rho, h0, t1), h0, t2)
     assert np.max(np.abs(one_step.matrix - two_step.matrix)) < 1e-12
+
+
+def test_series_rejects_energies_off_the_even_lattice():
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    obs = np.array([[0.0, 1.0], [1.0, 0.0]])
+    TraceSeries(rho, obs, np.array([3.0, 9.0]))  # a common shift keeps differences even
+    with pytest.raises(ValueError, match="even integers"):
+        TraceSeries(rho, obs, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="even integers"):
+        TraceSeries(rho, obs, np.array([0.0, 2.5]))
+
+
+@pytest.mark.parametrize("n_samples", [4096, 8192])
+def test_fft_grid_matches_direct_evaluation(n_samples):
+    basis, rho = _kicked_state(j_max=8, amplitude=2.0)
+    series = TraceSeries(rho.matrix, cos_theta_matrix(basis).matrix, np.diag(h0_matrix(basis).matrix).real)
+    t_start = 0.7391
+    grid = series.grid_values(t_start, n_samples)
+    direct = np.concatenate(
+        [series.values(t_start + np.arange(k, k + 512) * (PERIOD / n_samples)) for k in range(0, n_samples, 512)]
+    )
+    assert np.max(np.abs(grid - direct)) < 1e-13
+
+
+def test_grid_size_follows_the_bandwidth():
+    # j_sim = 31 and 44 are the largest cutoffs that keep the 4096 and 8192 grids
+    for j_sim, n_min, expected in [(24, 4096, 4096), (31, 4096, 4096), (32, 4096, 8192), (44, 8192, 8192), (45, 8192, 16384)]:
+        assert grid_size(j_sim * (j_sim + 1) // 2, n_min) == expected
+
+
+def test_global_max_finds_a_peak_the_fixed_grid_aliases():
+    # j_sim = 64: kmax = 2080 is above the 2048 a 4096-point grid resolves.
+    # Coupling j = 64 to j' <= 6 puts seven cosines of frequency near 2 kmax
+    # in phase at t_star, half a carrier quarter-period off a grid point.
+    energies = (np.arange(65) * np.arange(1, 66)).astype(float)
+    h = PERIOD / 4096
+    t_star = 1000 * h - 0.5 * np.pi / 4160
+    rho = np.zeros((65, 65), dtype=complex)
+    obs = np.zeros((65, 65))
+    for j in range(7):
+        rho[64, j] = np.exp(1j * (energies[64] - energies[j]) * t_star)
+        rho[j, 64] = np.conj(rho[64, j])
+        obs[j, 64] = obs[64, j] = 1.0
+    series = TraceSeries(rho, obs, energies)
+    assert series.kmax == 2080
+    peak = series.value(t_star)
+    assert peak == pytest.approx(np.abs(series.coef).sum(), abs=1e-12)  # the largest any t can reach
+
+    # the fixed grid sees the peak nowhere: its samples stay far below it, and
+    # no local maximum of the samples lies within one step of t_star, so no
+    # refinement bracket [tau - h, tau + h] reaches it
+    taus = np.arange(4096) * h
+    fixed = series.grid_values(0.0, 4096)
+    assert fixed.max() < peak - 1.0
+    local = np.nonzero((fixed >= np.roll(fixed, 1)) & (fixed >= np.roll(fixed, -1)))[0]
+    assert np.min(np.abs(taus[local] - t_star)) > h
+
+    res = global_max(series, 0.0)
+    assert res.value == pytest.approx(peak, abs=1e-10)
+    assert res.t == pytest.approx(t_star, abs=1e-9)
