@@ -93,7 +93,7 @@ def build_basis(j_max: int) -> Basis:
 class Block:
     """One dynamically invariant subspace: fixed m, optionally fixed parity of j."""
 
-    m: int
+    m: int | None  # None for the one block of a decomposition that resolves no symmetry
     parity: int | None  # j mod 2 shared by all members; None when parity is not resolved
     members: tuple[int, ...]  # flattened basis indices, ascending j
 
@@ -168,6 +168,11 @@ class BlockDecomposition:
         out = np.zeros(self.dim + 1, dtype=values.dtype)
         out[self.slots] = values
         return out[: self.dim]
+
+
+def single_block(dim: int) -> BlockDecomposition:
+    """The trivial decomposition: one block holding all dim states."""
+    return BlockDecomposition(kind="none", blocks=(Block(m=None, parity=None, members=tuple(range(dim))),))
 
 
 def block_decomposition(basis: Basis, kind: str) -> BlockDecomposition:

@@ -111,17 +111,22 @@ def make_kick(basis: Basis, kind: str, amplitude: float, mode: str = IDEALIZED) 
 def apply_kick(
     rho: DensityMatrix | BlockDensity, kick: KickSpec, amplitude: float | None = None
 ) -> DensityMatrix | BlockDensity:
-    """rho -> U rho U+ for the kick unitary, block by block; spectrum-preserving.
+    """rho -> U rho U+ for the kick unitary; spectrum-preserving.
 
-    Returns the same form it is given: a DensityMatrix, or a BlockDensity
-    on the blocks of the kick's process.  A dense state that couples two of
-    those blocks raises ValueError.
+    Returns the same form it is given.  A BlockDensity on the blocks of the
+    kick's process is conjugated block by block; a DensityMatrix, which may
+    couple those blocks, by the dense unitary assembled from the same block
+    unitaries.
     """
     a = kick.amplitude if amplitude is None else amplitude
     generator = kick.generator
-    state = rho if isinstance(rho, BlockDensity) else BlockDensity.from_density(rho, generator.blocks)
-    kicked = state.conjugated(kick_unitary(generator, a))
-    return kicked if state is rho else kicked.to_density()
+    u = kick_unitary(generator, a)
+    if isinstance(rho, BlockDensity):
+        return rho.conjugated(u)
+    u = generator.to_matrix(u)
+    mat = u @ rho.matrix @ u.conj().T
+    mat = 0.5 * (mat + mat.conj().T)  # scrub roundoff asymmetry
+    return DensityMatrix(rho.basis, mat, trace_target=rho.trace_target)
 
 
 def _slope(rho_matrix: np.ndarray, commutator: np.ndarray) -> float:
@@ -303,8 +308,8 @@ def run_strategy(
 
     The train runs on the invariant blocks of the kick's process: an input
     state, observable or target that couples two of them raises ValueError,
-    and a state whose trace or Hermiticity drifts beyond HERM_TOL after a
-    kick raises NumericalError naming the kick.
+    and a state whose trace drifts beyond HERM_TOL after a kick raises
+    NumericalError naming the kick.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -132,6 +132,25 @@ def test_kick_invariance_and_purity():
     assert np.max(np.abs(kicked.eigenvalues - rho.eigenvalues)) < 1e-10
 
 
+def test_apply_kick_to_a_state_coupling_blocks():
+    basis = build_basis(2)
+    h0 = h0_matrix(basis)
+    kick = make_kick(basis, ORIENTATION, 1.7)
+    mat = _coherent_pair(basis).matrix.copy()
+    a, b = basis.index_of(1, -1), basis.index_of(1, 0)  # different m
+    mat[a, b] = mat[b, a] = 0.01
+    rho = DensityMatrix(basis, mat)
+    lam, vec = np.linalg.eigh(kick.operator.matrix)
+    u = (vec * np.exp(1.7j * lam)) @ vec.conj().T
+    kicked = apply_kick(rho, kick)
+    assert np.max(np.abs(kicked.matrix - u @ mat @ u.conj().T)) < 1e-12
+    obs = cos_theta_matrix(basis)
+    h = 1e-6
+    fwd = free_propagate(kicked, h0, h).expectation(obs)
+    bwd = free_propagate(kicked, h0, -h).expectation(obs)
+    assert post_kick_slope(rho, kick, h0, obs) == pytest.approx((fwd - bwd) / (2 * h), abs=1e-6)
+
+
 def test_post_kick_slope_zero_cases():
     basis = build_basis(2)
     h0 = h0_matrix(basis)

@@ -201,6 +201,17 @@ def test_kick_unitary_and_commuting(amp):
     assert np.max(np.abs(c.matrix @ u - u @ c.matrix)) < 1e-12
 
 
+def test_kick_unitary_without_block_metadata_is_one_block():
+    basis = build_basis(2)
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+    op = HermitianOperator(basis, z + z.conj().T)
+    lam, vec = np.linalg.eigh(op.matrix)
+    expected = (vec * np.exp(1.3j * lam)) @ vec.conj().T
+    assert op.block_form.blocks.n_blocks == 1
+    assert np.max(np.abs(kick_unitary(op, 1.3) - expected)) < 1e-12
+
+
 def test_spectrum_preserved_under_conjugation():
     basis = build_basis(3)
     rho = thermal_state(basis, beta=0.25)
