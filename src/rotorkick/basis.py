@@ -140,13 +140,24 @@ class BlockDecomposition:
             slots[b, : block.size] = block.members
         return slots
 
-    def gather(self, matrix: np.ndarray, what: str = "matrix") -> np.ndarray:
-        """Block stack of a (dim, dim) matrix; ValueError if it couples two blocks."""
+    @cached_property
+    def filled(self) -> np.ndarray:
+        """(n_blocks, largest block size) mask of the slots holding a basis state, False at padding."""
+        return self.slots < self.dim
+
+    def gather(self, matrix: np.ndarray, what: str = "matrix", tol: float = 0.0) -> np.ndarray:
+        """Block stack of a (dim, dim) matrix.
+
+        Entries coupling two blocks are dropped when none exceeds tol in
+        magnitude; otherwise ValueError.
+        """
         padded = np.zeros((self.dim + 1, self.dim + 1), dtype=matrix.dtype)
         padded[: self.dim, : self.dim] = matrix
         stack = padded[self.slots[:, :, None], self.slots[:, None, :]]
         if np.count_nonzero(stack) != np.count_nonzero(matrix):
-            raise ValueError(f"{what} couples states in different invariant blocks")
+            dev = float(np.max(np.abs(matrix - self.scatter(stack))))
+            if not dev <= tol:  # NaN included
+                raise ValueError(f"{what} couples states in different invariant blocks ({dev:.3e})")
         return stack
 
     def scatter(self, stack: np.ndarray) -> np.ndarray:

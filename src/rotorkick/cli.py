@@ -43,27 +43,28 @@ SERIES_HEADER = ["t_over_Trot", "expectation", "projection", "kick_flag"]
 
 
 def cmd_bounds(config: RunConfig) -> list[str]:
-    """Kinematical bound tables: one CSV per temperature."""
+    """Kinematical bound tables: one CSV per temperature, from one sweep over all of them."""
+    j_values = config.sweep_j_values()
+    rows = bound_sweep(
+        j_values,
+        config.temperatures_k,
+        config.process,
+        b_cm=config.molecule.b_cm,
+        kb_cm_per_k=config.kb_cm_per_k,
+        z_mode=config.z_mode,
+        renormalize=config.renormalize,
+        threshold=config.threshold,
+    )
     paths = []
     chash = config.config_hash()
-    for temperature in config.temperatures_k:
-        rows = bound_sweep(
-            config.sweep_j_values(),
-            [temperature],
-            config.process,
-            b_cm=config.molecule.b_cm,
-            kb_cm_per_k=config.kb_cm_per_k,
-            z_mode=config.z_mode,
-            renormalize=config.renormalize,
-            threshold=config.threshold,
-        )
+    for k, temperature in enumerate(config.temperatures_k):
         path = os.path.join(config.out_dir, f"bounds_{config.process}_T{temperature:g}K.csv")
         write_csv(
             path,
             BOUNDS_HEADER,
             (
                 [r.kind, r.j_max, r.temperature_k, r.optimal, r.linear, r.duration_linear, r.duration_linear_longest]
-                for r in rows
+                for r in rows[k * len(j_values) : (k + 1) * len(j_values)]
             ),
             chash,
         )

@@ -53,7 +53,9 @@ class TraceSeries:
 
     rho_matrix and b_matrix are N x N matrices or block stacks, and
     energies their diagonal energies or the FrequencyLattice built from
-    them.  coef[k + kmax] is the coefficient of exp(-2ikt).
+    them.  coef[k + kmax] is the coefficient of exp(-2ikt).  Point
+    evaluations (values, value, derivative) sum over the nonzero
+    coefficients only; grid_values folds the whole lattice into one FFT.
     """
 
     def __init__(self, rho_matrix: np.ndarray, b_matrix: np.ndarray, energies):
@@ -63,9 +65,12 @@ class TraceSeries:
         self.kmax = lattice.kmax
         self.freqs = lattice.freqs
         self.coef = np.bincount(lattice.index, g.real, n) + 1j * np.bincount(lattice.index, g.imag, n)
+        terms = np.flatnonzero(self.coef)
+        self._terms = (self.coef[terms], self.freqs[terms])
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        return (self.coef @ np.exp(-1j * np.outer(self.freqs, ts))).real
+        coef, freqs = self._terms
+        return (coef @ np.exp(-1j * np.outer(freqs, ts))).real
 
     def grid_values(self, t_start: float, n_samples: int) -> np.ndarray:
         """The series at t_start + i * PERIOD / n_samples for i < n_samples, by one FFT.
@@ -82,7 +87,8 @@ class TraceSeries:
         return float(self.values(np.array([t]))[0])
 
     def derivative(self, t: float, order: int = 1) -> float:
-        return float((self.coef @ ((-1j * self.freqs) ** order * np.exp(-1j * self.freqs * t))).real)
+        coef, freqs = self._terms
+        return float((coef @ ((-1j * freqs) ** order * np.exp(-1j * freqs * t))).real)
 
 
 def golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import ALIGNMENT, ORIENTATION, Basis, BlockDecomposition, block_decomposition, build_basis, single_block
+from .basis import ALIGNMENT, ORIENTATION, Basis, BlockDecomposition, block_decomposition, single_block
 from .errors import NumericalError
 
 HERM_TOL = 1e-12
@@ -65,10 +65,6 @@ class HermitianOperator:
         """The operator as a stack of its invariant blocks (one block without metadata)."""
         blocks = self.blocks if self.blocks is not None else single_block(self.dim)
         return BlockOperator(blocks, blocks.gather(self.matrix))
-
-    def block_view(self, block) -> np.ndarray:
-        idx = list(block.members)
-        return self.matrix[np.ix_(idx, idx)]
 
     def block_trace(self, block) -> float:
         return float(sum(self.matrix[k, k].real for k in block.members))
@@ -185,6 +181,11 @@ class BlockOperator:
             w[b, :k], v[b, :k, :k] = _eigh(self.stack[b, :k, :k])
         return w, v
 
+    def with_eigenvalues(self, values: np.ndarray) -> np.ndarray:
+        """The stack with this operator's eigenvectors and eigenvalues values[b, k] in block b."""
+        v = self.eigensystem[1]
+        return (v * values[..., None, :]) @ _dagger(v)
+
 
 @dataclass(frozen=True, eq=False)
 class BlockDensity:
@@ -253,16 +254,19 @@ def cos_theta_matrix(basis: Basis) -> HermitianOperator:
 def cos2_theta_matrix(basis: Basis) -> HermitianOperator:
     """cos^2(theta) truncated to the basis: couples j <-> j, j+-2 within each m block.
 
-    Built by squaring cos(theta) on a basis enlarged by one j shell and
-    restricting to the requested states.  This reproduces the truncated
-    square exactly because cos(theta) only couples adjacent j.
+    The entries are those of the square of cos(theta) on the basis enlarged
+    by one j shell, in closed form: with c(j, m) = cos_theta_element(j, m),
+    <j m|cos^2|j m> = c(j-1, m)^2 + c(j, m)^2 (the first term only for
+    j > |m|) and <j+2 m|cos^2|j m> = c(j, m) c(j+1, m).
     """
-    top_j = int(basis.j_values.max()) if basis.dim else 0
-    big = build_basis(top_j + 1)
-    c = cos_theta_matrix(big).matrix.real
-    sq = c @ c
-    idx = [big.index_of(s.j, s.m) for s in basis.states]
-    mat = sq[np.ix_(idx, idx)]
+    n = basis.dim
+    mat = np.zeros((n, n))
+    for a, s in enumerate(basis.states):
+        below = cos_theta_element(s.j - 1, s.m) if s.j > abs(s.m) else 0.0
+        mat[a, a] = below**2 + cos_theta_element(s.j, s.m) ** 2
+        if basis.contains(s.j + 2, s.m):
+            b = basis.index_of(s.j + 2, s.m)
+            mat[a, b] = mat[b, a] = cos_theta_element(s.j, s.m) * cos_theta_element(s.j + 1, s.m)
     return HermitianOperator(basis, mat, blocks=block_decomposition(basis, ALIGNMENT))
 
 
@@ -335,8 +339,7 @@ def kick_unitary(op: HermitianOperator | BlockOperator, amplitude: float) -> np.
     the dense matrix.  Every block is verified unitary to 1e-10.
     """
     form = op.block_form if isinstance(op, HermitianOperator) else op
-    w, v = form.eigensystem
-    u = (v * np.exp(1j * amplitude * w)[..., None, :]) @ _dagger(v)
+    u = form.with_eigenvalues(np.exp(1j * amplitude * form.eigensystem[0]))
     dev = float(np.max(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])), initial=0.0))
     if not dev <= UNITARITY_TOL:
         raise NumericalError(f"kick exponential failed unitarity check: {dev:.3e}")

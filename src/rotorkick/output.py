@@ -33,14 +33,41 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _row_format(kinds: tuple[type, ...]) -> str | None:
+    """printf format rendering a row of cells of these types as fmt() does; None if one is boolean."""
+    specs = []
+    for kind in kinds:
+        if issubclass(kind, (bool, np.bool_)):
+            return None
+        if issubclass(kind, str):
+            specs.append("%s")
+        elif issubclass(kind, (int, np.integer)):
+            specs.append("%d")
+        else:
+            specs.append("%.15g")
+    return ",".join(specs)
+
+
 def write_csv(path: str, header: list[str], rows, config_hash: str | None = None) -> None:
-    """Comma-separated table with a header row and a provenance comment line."""
+    """Comma-separated table with a header row and a provenance comment line.
+
+    Strings are written as they are and every other cell as fmt() renders
+    it, through one printf format per distinct row of cell types.
+    """
     lines = []
     if config_hash is not None:
         lines.append(f"# config-hash: {config_hash}")
     lines.append(",".join(header))
+    formats: dict[tuple[type, ...], str | None] = {}
     for row in rows:
-        lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = _row_format(kinds)
+        form = formats[kinds]
+        if form is None:
+            lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
+        else:
+            lines.append(form % tuple(row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

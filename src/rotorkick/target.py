@@ -16,6 +16,7 @@ import numpy as np
 from .basis import BlockDecomposition, block_decomposition, build_basis
 from .evolution import LevelSetMeasure, TraceSeries, global_max, measure_above
 from .operators import (
+    BlockOperator,
     DensityMatrix,
     HermitianOperator,
     h0_matrix,
@@ -71,11 +72,6 @@ class TargetState:
     blocks: BlockDecomposition | None = None
 
 
-def _max_off_block(matrix: np.ndarray, blocks: BlockDecomposition) -> float:
-    off = blocks.coupling_mask(matrix.shape[0])
-    return float(np.max(np.abs(matrix[off]))) if off.any() else 0.0
-
-
 def build_target(
     rho0: DensityMatrix,
     obs: HermitianOperator,
@@ -83,63 +79,43 @@ def build_target(
 ) -> TargetState:
     """Assemble the state maximizing Tr[obs rho] over unitaries acting on rho0.
 
-    With blocks=None every unitary is admissible and all weights are paired
-    globally; with a block decomposition both inputs must be block diagonal
-    and the pairing runs inside each block.  Degenerate observable
-    eigenvalues are filled in deterministic basis order, which leaves the
-    achieved expectation unchanged.
+    The target is built on the eigenvectors of obs in each invariant block
+    of obs (one block without metadata), weighted with eigenvalues of rho0.
+    With blocks=None every unitary is admissible: the whole spectrum of
+    rho0, sorted, is paired with the eigenvalues of all blocks, sorted.
+    With a block decomposition both inputs must be block diagonal in it
+    (off-block entries up to 1e-12 are dropped, larger ones raise
+    ValueError), and the pairing runs inside each block.  Degenerate
+    observable eigenvalues are filled in deterministic basis order, which
+    leaves the achieved expectation unchanged.
     """
     if rho0.basis is not obs.basis and rho0.basis != obs.basis:
         raise ValueError("state and observable live on different bases")
-    n = rho0.dim
 
     if blocks is None:
-        # deterministic eigenbasis: per-block eigenvectors when metadata is available
-        pieces = obs.blocks.blocks if obs.blocks is not None else None
-        chis = []
-        vecs = []
-        if pieces is None:
-            w, v = np.linalg.eigh(obs.matrix)
-            chis = list(w)
-            vecs = [v[:, k] for k in range(n)]
+        form = obs.block_form
+        chi = form.eigensystem[0]
+        filled = form.blocks.filled
+        # eigenvalues flattened in block order: the stable sort keeps basis order on ties
+        order = np.argsort(-chi[filled], kind="stable")
+        paired = np.empty(order.size)
+        paired[order] = rho0.eigenvalues  # descending
+        w = np.zeros_like(chi)
+        w[filled] = paired
+    else:
+        if obs.blocks == blocks:
+            form = obs.block_form
         else:
-            for block in pieces:
-                w, v = np.linalg.eigh(obs.block_view(block))
-                for k in range(block.size):
-                    full = np.zeros(n, dtype=complex)
-                    full[list(block.members)] = v[:, k]
-                    chis.append(float(w[k]))
-                    vecs.append(full)
-        order = np.argsort(-np.asarray(chis), kind="stable")
-        weights = rho0.eigenvalues  # descending
-        mat = np.zeros((n, n), dtype=complex)
-        achieved = 0.0
-        for rank, k in enumerate(order):
-            mat += weights[rank] * np.outer(vecs[k], vecs[k].conj())
-            achieved += weights[rank] * chis[k]
-        mat = 0.5 * (mat + mat.conj().T)
-        rho_f = DensityMatrix(rho0.basis, mat, trace_target=rho0.trace_target)
-        return TargetState(rho=rho_f, scope=GLOBAL_SCOPE, observable=obs, achieved=float(achieved))
+            form = BlockOperator(blocks, blocks.gather(obs.matrix, "observable", _OFF_BLOCK_TOL))
+        chi = form.eigensystem[0]
+        state = BlockOperator(blocks, blocks.gather(rho0.matrix, "state", _OFF_BLOCK_TOL))
+        w = state.eigensystem[0]  # ascending in each block, like chi: largest meets largest
 
-    for name, matrix in (("state", rho0.matrix), ("observable", obs.matrix)):
-        dev = _max_off_block(matrix, blocks)
-        if dev > _OFF_BLOCK_TOL:
-            raise ValueError(f"{name} is not block diagonal in the requested decomposition ({dev:.3e})")
-
-    mat = np.zeros((n, n), dtype=complex)
-    achieved = 0.0
-    for block in blocks.blocks:
-        idx = list(block.members)
-        chi, vec = np.linalg.eigh(obs.matrix[np.ix_(idx, idx)])
-        w_block = np.linalg.eigvalsh(rho0.matrix[np.ix_(idx, idx)])
-        chi, vec = chi[::-1], vec[:, ::-1]  # descending
-        w_block = w_block[::-1]
-        achieved += float(np.dot(chi, w_block))
-        sub = (vec * w_block) @ vec.conj().T
-        mat[np.ix_(idx, idx)] = sub
-    mat = 0.5 * (mat + mat.conj().T)
-    rho_f = DensityMatrix(rho0.basis, mat, trace_target=rho0.trace_target)
-    return TargetState(rho=rho_f, scope=BLOCKWISE_SCOPE, observable=obs, achieved=float(achieved), blocks=blocks)
+    stack = form.with_eigenvalues(w)
+    stack = 0.5 * (stack + np.swapaxes(stack.conj(), -1, -2))
+    rho_f = DensityMatrix(rho0.basis, form.blocks.scatter(stack), trace_target=rho0.trace_target)
+    scope = GLOBAL_SCOPE if blocks is None else BLOCKWISE_SCOPE
+    return TargetState(rho=rho_f, scope=scope, observable=obs, achieved=float(np.sum(w * chi)), blocks=blocks)
 
 
 def duration_above(
@@ -156,9 +132,11 @@ def duration_above(
     summed measure and the longest contiguous stretch, in units of the
     rotational period.
     """
-    eig = obs.eigensystem[0]
-    if not (eig[0] < threshold < eig[-1]):
-        raise ValueError(f"threshold {threshold} outside the observable range [{eig[0]:.6f}, {eig[-1]:.6f}]")
+    form = obs.block_form
+    eig = form.eigensystem[0][form.blocks.filled]
+    lo, hi = eig.min(), eig.max()
+    if not (lo < threshold < hi):
+        raise ValueError(f"threshold {threshold} outside the observable range [{lo:.6f}, {hi:.6f}]")
     energies = np.diag(h0.matrix).real
     if np.any(h0.matrix != np.diag(np.diag(h0.matrix))):
         raise ValueError("h0 must be diagonal in the stored basis")
@@ -193,18 +171,25 @@ def bound_sweep(
     renormalize: bool = False,
     threshold: float = 0.5,
 ) -> list[SweepRow]:
-    """Kinematical bounds and blockwise-target persistence over a (j_max, T) grid."""
-    rows = []
-    for temperature in temperatures_k:
+    """Kinematical bounds and blockwise-target persistence over a (j_max, T) grid.
+
+    Rows run temperature-major: every cutoff at the first temperature, then
+    at the next.  Basis, observable, h0 and blocks are built once per
+    cutoff and shared by all temperatures.
+    """
+    temperatures = list(temperatures_k)
+    for temperature in temperatures:
         if temperature <= 0:
             raise ValueError(f"temperature must be positive, got {temperature}")
-        beta = b_cm / (kb_cm_per_k * temperature)
-        for j_max in j_max_values:
-            basis = build_basis(j_max)
-            obs = observable_matrix(basis, kind)
-            h0 = h0_matrix(basis)
+    per_temperature: list[list[SweepRow]] = [[] for _ in temperatures]
+    for j_max in j_max_values:
+        basis = build_basis(j_max)
+        obs = observable_matrix(basis, kind)
+        h0 = h0_matrix(basis)
+        blocks = block_decomposition(basis, kind)
+        for temperature, rows in zip(temperatures, per_temperature):
+            beta = b_cm / (kb_cm_per_k * temperature)
             rho0 = thermal_state(basis, beta, z_mode=z_mode, renormalize=renormalize)
-            blocks = block_decomposition(basis, kind)
             opt = build_target(rho0, obs)
             lin = build_target(rho0, obs, blocks)
             dur = duration_above(lin.rho, obs, h0, threshold)
@@ -219,4 +204,4 @@ def bound_sweep(
                     duration_linear_longest=dur.longest,
                 )
             )
-    return rows
+    return [row for rows in per_temperature for row in rows]

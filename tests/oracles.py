@@ -146,3 +146,54 @@ def dense_train(rho0, strategy, kick, h0, target=None, observable=None, max_kick
     out["final_duration"] = (duration.total, duration.longest)
     out["maxima"].append(final.value if strategy == S1 else out["final_projection"])
     return out
+
+
+def dense_target(rho0, obs, blocks=None):
+    """The kinematical target assembled on dense N x N matrices, as build_target did before it ran on block stacks.
+
+    Global scope (blocks=None): the observable's eigenvectors, found in each
+    block of its own metadata (in the whole matrix without it), become
+    length-N vectors ordered by descending eigenvalue (stable sort), and the
+    k-th gets the k-th largest eigenvalue of rho0, one outer product each.
+    Blockwise scope: an entry above 1e-12 coupling two blocks raises
+    ValueError, and each block pairs its descending observable eigenvalues
+    with the descending eigenvalues of the state's block.  Returns the
+    target matrix and the achieved expectation.
+    """
+    n = rho0.matrix.shape[0]
+    if blocks is None:
+        pieces = [list(range(n))] if obs.blocks is None else [list(b.members) for b in obs.blocks.blocks]
+        chis, vecs = [], []
+        for idx in pieces:
+            w, v = np.linalg.eigh(obs.matrix[np.ix_(idx, idx)])
+            for k in range(len(idx)):
+                full = np.zeros(n, dtype=complex)
+                full[idx] = v[:, k]
+                chis.append(float(w[k]))
+                vecs.append(full)
+        order = np.argsort(-np.asarray(chis), kind="stable")
+        weights = np.linalg.eigvalsh(rho0.matrix)[::-1]
+        mat = np.zeros((n, n), dtype=complex)
+        achieved = 0.0
+        for rank, k in enumerate(order):
+            mat += weights[rank] * np.outer(vecs[k], vecs[k].conj())
+            achieved += weights[rank] * chis[k]
+        return 0.5 * (mat + mat.conj().T), achieved
+
+    label = np.empty(n, dtype=int)
+    for b, block in enumerate(blocks.blocks):
+        label[list(block.members)] = b
+    off = label[:, None] != label[None, :]
+    for name, matrix in (("state", rho0.matrix), ("observable", obs.matrix)):
+        if off.any() and np.max(np.abs(matrix[off])) > 1e-12:
+            raise ValueError(f"{name} is not block diagonal")
+    mat = np.zeros((n, n), dtype=complex)
+    achieved = 0.0
+    for block in blocks.blocks:
+        idx = list(block.members)
+        chi, vec = np.linalg.eigh(obs.matrix[np.ix_(idx, idx)])
+        w_block = np.linalg.eigvalsh(rho0.matrix[np.ix_(idx, idx)])
+        chi, vec, w_block = chi[::-1], vec[:, ::-1], w_block[::-1]
+        achieved += float(np.dot(chi, w_block))
+        mat[np.ix_(idx, idx)] = (vec * w_block) @ vec.conj().T
+    return 0.5 * (mat + mat.conj().T), achieved

@@ -1,5 +1,7 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
 from rotorkick.basis import build_basis
@@ -111,6 +113,19 @@ def test_write_csv_layout(tmp_path):
     assert lines[3] == "2,0.333333333333333"
 
 
+def test_write_csv_matches_fmt_per_cell(tmp_path):
+    rows = [
+        ["x", 1, 0.5, np.float64(1 / 3), np.int64(7), float("nan")],
+        ["y", 10**17, -0.0, np.float32(0.1), np.int32(-3), float("-inf")],
+        ["z", True, np.bool_(False), 1e-7, 2, 1e300],
+        ["x", 2, 0.25, np.float64(2 / 3), np.int64(8), 1.0],
+    ]
+    path = tmp_path / "table.csv"
+    write_csv(str(path), list("abcdef"), rows)
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows]
+
+
 def test_basis_json_schema():
     basis = build_basis(1)
     payload = json.loads(basis.to_json())
@@ -172,6 +187,19 @@ def test_cli_bounds_outputs(tmp_path, capsys):
         assert lines[0].startswith("# config-hash: ")
         assert lines[1] == "process,j_max,T_K,optimal,linear,duration_linear,duration_linear_longest"
         assert len(lines) == 4  # j_max 1..2
+
+
+def test_cli_bounds_one_table_per_listed_temperature(tmp_path, capsys):
+    # a repeated temperature writes its table again, as each listed temperature always has
+    cfg = _small_config(out_dir=str(tmp_path), temperatures_k=(10.0, 5.0, 10.0))
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    assert main(["bounds", "--config", str(path)]) == 0
+    printed = capsys.readouterr().out.split()
+    assert [os.path.basename(p) for p in printed] == [f"bounds_orientation_T{t}K.csv" for t in ("10", "5", "10")]
+    for temperature in ("5", "10"):
+        lines = (tmp_path / f"bounds_orientation_T{temperature}K.csv").read_text().splitlines()[2:]
+        assert [line.split(",")[1:3] for line in lines] == [["1", temperature], ["2", temperature]]
 
 
 def test_cli_bounds_empty_range(tmp_path, capsys):

@@ -28,6 +28,27 @@ def test_series_matches_direct_propagation():
     assert np.max(np.abs(series.values(ts) - direct)) < 1e-13
 
 
+def test_point_evaluations_of_a_sparse_series():
+    # three coherences on the j <= 20 ladder: 6 nonzero of 421 lattice coefficients
+    j = np.arange(21.0)
+    energies = j * (j + 1)
+    rho = np.diag(np.full(21, 1 / 21)).astype(complex)
+    b = np.zeros((21, 21), dtype=complex)
+    for a, c, amp in [(0, 20, 0.3), (3, 5, 0.2j), (7, 19, 0.1)]:
+        rho[a, c], rho[c, a] = amp, np.conj(amp)
+        b[a, c] = b[c, a] = 1.0
+    series = TraceSeries(rho, b, energies)
+    assert np.count_nonzero(series.coef) == 6 and series.coef.size == 421
+    ts = np.linspace(0.0, PERIOD, 41)
+    phases = np.exp(-1j * np.outer(series.freqs, ts))
+    assert np.max(np.abs(series.values(ts) - (series.coef @ phases).real)) < 1e-14
+    for t, phase in zip(ts, phases.T):
+        assert abs(series.value(t) - (series.coef @ phase).real) < 1e-14
+        for order in (1, 2):
+            full = (series.coef @ ((-1j * series.freqs) ** order * phase)).real
+            assert abs(series.derivative(t, order) - full) < 1e-11 * max(1.0, abs(full))
+
+
 def test_series_is_periodic():
     basis, rho = _kicked_state()
     h0 = h0_matrix(basis)

@@ -78,6 +78,17 @@ def test_cos2_against_quadrature():
             assert c2.matrix[a, b].real == pytest.approx(expected, abs=1e-12)
 
 
+def test_cos2_closed_form_matches_dense_square():
+    # cos^2 truncated to j_max is the square of cos on one more j shell, restricted
+    for j_max in range(13):
+        basis = build_basis(j_max)
+        big = build_basis(j_max + 1)
+        c = cos_theta_matrix(big).matrix.real
+        idx = [big.index_of(s.j, s.m) for s in basis.states]
+        square = (c @ c)[np.ix_(idx, idx)]
+        assert np.max(np.abs(cos2_theta_matrix(basis).matrix - square)) <= 1e-15
+
+
 @pytest.mark.parametrize("j_max", [1, 3, 6])
 def test_block_structure_exact_zeros(j_max):
     basis = build_basis(j_max)

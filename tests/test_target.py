@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_unitary, brute_force_pairing, haar_unitary
+from oracles import block_unitary, brute_force_pairing, dense_target, haar_unitary
 from rotorkick.basis import (
     ALIGNMENT,
     ORIENTATION,
@@ -17,7 +17,9 @@ from rotorkick.basis import (
 from rotorkick.config import KB_CM_PER_K
 from rotorkick.operators import (
     DensityMatrix,
+    HermitianOperator,
     cos_theta_matrix,
+    embed_operator,
     h0_matrix,
     observable_matrix,
     thermal_state,
@@ -199,6 +201,54 @@ def test_blockwise_rejects_non_block_input():
         build_target(rho, obs, blocks)
 
 
+def _assert_matches_dense_target(rho0, obs, blocks):
+    target = build_target(rho0, obs, blocks)
+    mat, achieved = dense_target(rho0, obs, blocks)
+    assert target.scope == ("global" if blocks is None else "blockwise")
+    assert np.max(np.abs(target.rho.matrix - mat)) < 1e-13
+    assert abs(target.achieved - achieved) < 1e-15
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+@pytest.mark.parametrize("blockwise", [False, True])
+def test_stack_target_matches_dense_oracle(kind, blockwise):
+    for j_max in range(1, 9):
+        basis = build_basis(j_max)
+        obs = observable_matrix(basis, kind)
+        blocks = block_decomposition(basis, kind) if blockwise else None
+        _assert_matches_dense_target(thermal_state(basis, beta=0.2), obs, blocks)
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_stack_target_without_block_metadata(kind):
+    # an embedded observable carries no blocks: the global scope pairs on one block of all states
+    big = build_basis(5)
+    obs = embed_operator(observable_matrix(build_basis(3), kind), big)
+    assert obs.blocks is None
+    rho0 = thermal_state(big, beta=0.2)
+    for blocks in (None, block_decomposition(big, kind)):
+        _assert_matches_dense_target(rho0, obs, blocks)
+
+
+@pytest.mark.parametrize("which", ["state", "observable"])
+@pytest.mark.parametrize("size", [1e-13, 1e-11])
+def test_blockwise_off_block_tolerance(which, size):
+    basis = build_basis(3)
+    blocks = block_decomposition(basis, ORIENTATION)
+    thermal = thermal_state(basis, beta=0.2)
+    rho, obs = thermal.matrix.copy(), cos_theta_matrix(basis).matrix.copy()
+    a, b = basis.index_of(1, -1), basis.index_of(1, 1)  # different m blocks
+    coupled = rho if which == "state" else obs
+    coupled[a, b] = coupled[b, a] = size
+    rho0 = DensityMatrix(basis, rho, trace_target=thermal.trace_target)
+    obs_op = HermitianOperator(basis, obs)
+    if size < 1e-12:  # dropped, like the dense pairing did
+        _assert_matches_dense_target(rho0, obs_op, blocks)
+    else:
+        with pytest.raises(ValueError, match=which):
+            build_target(rho0, obs_op, blocks)
+
+
 def test_duration_stationary_states():
     basis = build_basis(2)
     h0 = h0_matrix(basis)
@@ -247,6 +297,14 @@ def test_bound_sweep_monotone_and_shapes():
         assert all(b >= a - 1e-12 for a, b in zip(opt, opt[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(lin, lin[1:]))
         assert all(r.optimal >= r.linear - 1e-12 for r in vals)
+
+
+def test_bound_sweep_over_temperatures_equals_single_sweeps():
+    # one sweep shares basis and observable across temperatures; rows stay temperature-major
+    kw = dict(kind=ALIGNMENT, b_cm=0.70652, kb_cm_per_k=KB_CM_PER_K)
+    temperatures = [5.0, 10.0, 5.0]
+    rows = bound_sweep(range(1, 7), temperatures, **kw)
+    assert rows == [row for t in temperatures for row in bound_sweep(range(1, 7), [t], **kw)]
 
 
 def test_duration_decreases_at_high_cutoff():
