@@ -47,8 +47,6 @@ from .dynamics import (
 from .errors import ConfigError, NumericalError
 from .evolution import PERIOD, FrequencyLattice, LevelSetMeasure, TraceSeries
 from .operators import (
-    BlockDensity,
-    BlockOperator,
     DensityMatrix,
     HermitianOperator,
     cos2_theta_matrix,

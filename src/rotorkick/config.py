@@ -123,6 +123,9 @@ class RunConfig:
             raise ConfigError(f"temperatures must be positive, got {self.temperatures_k!r}")
         object.__setattr__(self, "j_max_range", tuple(int(v) for v in self.j_max_range))
         object.__setattr__(self, "temperatures_k", tuple(float(t) for t in self.temperatures_k))
+        repeated = [t for k, t in enumerate(self.temperatures_k) if t in self.temperatures_k[:k]]
+        if repeated:
+            raise ConfigError(f"temperature {repeated[0]:g} K is listed more than once in temperatures_k")
         lo, hi = self.j_max_range
         if not 1 <= lo <= hi:
             raise ConfigError(f"j_max_range must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")

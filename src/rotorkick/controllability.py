@@ -331,7 +331,9 @@ def two_level_obstruction(j_max: int) -> TwoLevelReport:
     )
 
 
-def _slope_frequencies(h0: HermitianOperator, functional: HermitianOperator) -> tuple[np.ndarray, np.ndarray, int]:
+def _slope_frequencies(
+    h0: HermitianOperator, functional: HermitianOperator
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """The slope operator C = i[H0, B] in B's eigenbasis, entry by entry, with frequency clusters.
 
     With H0 written in the same basis, entry (k, l) is
@@ -339,14 +341,16 @@ def _slope_frequencies(h0: HermitianOperator, functional: HermitianOperator) -> 
     U(a) = exp(i a B) turns it into exp(-i a w_kl) C_kl.  So
     U(a)+ C U(a) = sum_w exp(-i a w) C_w, where C_w keeps the entries at
     frequency w.  Returns the flattened entries, their cluster labels
-    (ascending in w) and the label of w = 0; labels above it are the
-    positive frequencies.
+    (ascending in w), the label of w = 0 (labels above it are the positive
+    frequencies) and the eigenbasis, assembled from B's blocks.
     """
-    lam, v = functional.eigensystem
+    values, vectors = functional.eigensystem
+    lam = functional.blocks.scatter_diagonal(values)
+    v = functional.blocks.scatter(vectors)
     w = lam[:, None] - lam[None, :]
     c = -1j * w * (v.conj().T @ h0.matrix @ v)
     labels = cluster_labels(w.ravel(), np.max(np.abs(lam), initial=0.0))
-    return c.ravel(), labels, int(labels[0])  # entry (0, 0) sits at w = 0 exactly
+    return c.ravel(), labels, int(labels[0]), v  # entry (0, 0) sits at w = 0 exactly
 
 
 @dataclass(frozen=True)
@@ -390,7 +394,7 @@ def fixed_point_analysis(
     spanning operator, so the span can never exceed the complement of B's
     commutant; saturation means those states are the only stationary ones.
     """
-    c, labels, zero = _slope_frequencies(h0, functional)
+    c, labels, zero, _ = _slope_frequencies(h0, functional)
     norms = np.sqrt(np.bincount(labels, weights=np.abs(c) ** 2))
     total = float(np.linalg.norm(c))
     dim_span = 2 * int(np.sum(norms[zero + 1 :] > tol * total)) if total > 0 else 0
@@ -419,8 +423,7 @@ def is_kick_stationary(
     |Tr[rho C_w]| <= tol at every frequency w.  Fixed points of the greedy
     iteration all pass this test.
     """
-    c, labels, _ = _slope_frequencies(h0, functional)
-    _, v = functional.eigensystem
+    c, labels, _, v = _slope_frequencies(h0, functional)
     terms = (v.conj().T @ rho.matrix @ v).T.ravel() * c  # rho_lk C_kl
     traces = np.bincount(labels, weights=terms.real) + 1j * np.bincount(labels, weights=terms.imag)
     return bool(np.all(np.abs(traces) <= tol))

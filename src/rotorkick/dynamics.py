@@ -15,20 +15,13 @@ BlockDecomposition.slots), and no step costs more than one block's cube.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
 from .basis import Basis, block_decomposition, check_process_kind
+from .errors import NumericalError
 from .evolution import PERIOD, FrequencyLattice, LevelSetMeasure, TraceSeries, global_max, measure_above
-from .operators import (
-    BlockDensity,
-    BlockOperator,
-    DensityMatrix,
-    HermitianOperator,
-    kick_unitary,
-    observable_matrix,
-)
+from .operators import DensityMatrix, HermitianOperator, kick_unitary, observable_matrix
 from .target import TargetState
 
 SLOPE_TOL = 1e-10
@@ -42,15 +35,8 @@ PHYSICAL = "physical"
 KICK_MODES = (IDEALIZED, PHYSICAL)
 
 
-def _diagonal_energies(h0: HermitianOperator) -> np.ndarray:
-    off = h0.matrix - np.diag(np.diag(h0.matrix))
-    if np.any(off != 0):
-        raise ValueError("h0 must be diagonal in the stored basis")
-    return np.diag(h0.matrix).real.copy()
-
-
 def _rotate(matrix: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
-    """rho_ab -> rho_ab * exp(-i (E_a - E_b) t) for a matrix or a block stack and its energies."""
+    """rho_ab -> rho_ab * exp(-i (E_a - E_b) t) for a block stack and its per-block energies."""
     phase = np.exp(-1j * energies * t)
     return matrix * (phase[..., :, None] * phase.conj()[..., None, :])
 
@@ -67,8 +53,7 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
 
 def free_propagate(rho: DensityMatrix, h0: HermitianOperator, t: float) -> DensityMatrix:
     """Exact free evolution: rho_ab -> rho_ab * exp(-i (E_a - E_b) t)."""
-    mat = _rotate(rho.matrix, _diagonal_energies(h0), t)
-    return DensityMatrix(rho.basis, mat, trace_target=rho.trace_target)
+    return replace(rho, stack=_rotate(rho.stack, rho.blocks.gather_diagonal(h0.energies()), t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +62,8 @@ class KickSpec:
 
     mode records whether the generator is the observable truncated to the
     control space ("idealized") or built on an enlarged simulation basis
-    ("physical"); the generator itself is carried in `operator`.
+    ("physical"); the generator itself is carried in `operator`, on the
+    invariant blocks of the kick's process (ValueError if it couples two).
     """
 
     amplitude: float
@@ -91,16 +77,8 @@ class KickSpec:
             raise ValueError(f"unknown kick mode {self.mode!r}")
         if not np.isfinite(self.amplitude):
             raise ValueError("kick amplitude must be finite")
-
-    def unitary(self, amplitude: float | None = None) -> np.ndarray:
-        a = self.amplitude if amplitude is None else amplitude
-        return kick_unitary(self.operator, a)
-
-    @cached_property
-    def generator(self) -> BlockOperator:
-        """The operator on the invariant blocks of the kick's process."""
         blocks = block_decomposition(self.operator.basis, self.kind)
-        return BlockOperator(blocks, blocks.gather(self.operator.matrix, "kick generator"))
+        object.__setattr__(self, "operator", self.operator.regroup(blocks, "kick generator"))
 
 
 def make_kick(basis: Basis, kind: str, amplitude: float, mode: str = IDEALIZED) -> KickSpec:
@@ -108,25 +86,24 @@ def make_kick(basis: Basis, kind: str, amplitude: float, mode: str = IDEALIZED) 
     return KickSpec(amplitude=amplitude, kind=kind, mode=mode, operator=observable_matrix(basis, kind))
 
 
-def apply_kick(
-    rho: DensityMatrix | BlockDensity, kick: KickSpec, amplitude: float | None = None
-) -> DensityMatrix | BlockDensity:
+def apply_kick(rho: DensityMatrix, kick: KickSpec, amplitude: float | None = None) -> DensityMatrix:
     """rho -> U rho U+ for the kick unitary; spectrum-preserving.
 
-    Returns the same form it is given.  A BlockDensity on the blocks of the
-    kick's process is conjugated block by block; a DensityMatrix, which may
-    couple those blocks, by the dense unitary assembled from the same block
-    unitaries.
+    A state on the blocks of the kick's process is conjugated block by
+    block; any other, which may couple those blocks, on one block of all
+    states.
     """
     a = kick.amplitude if amplitude is None else amplitude
-    generator = kick.generator
-    u = kick_unitary(generator, a)
-    if isinstance(rho, BlockDensity):
-        return rho.conjugated(u)
-    u = generator.to_matrix(u)
-    mat = u @ rho.matrix @ u.conj().T
-    mat = 0.5 * (mat + mat.conj().T)  # scrub roundoff asymmetry
-    return DensityMatrix(rho.basis, mat, trace_target=rho.trace_target)
+    return rho.conjugated(kick.operator.blocks, kick_unitary(kick.operator, a))
+
+
+def _seen_by(rho: DensityMatrix, functional: HermitianOperator) -> DensityMatrix:
+    """rho on the functional's blocks, as far as Tr[functional rho(t)] sees it.
+
+    Entries of rho coupling two of those blocks never meet an entry of the
+    functional, and free evolution keeps them apart, so they are dropped.
+    """
+    return rho.regroup(functional.blocks, "state", np.inf)
 
 
 def _slope(rho_matrix: np.ndarray, commutator: np.ndarray) -> float:
@@ -142,14 +119,13 @@ def post_kick_slope(
     amplitude: float | None = None,
 ) -> float:
     """Time derivative of Tr[functional rho(t)] immediately after kicking rho."""
-    comm = _commutator(_diagonal_energies(h0), functional.matrix)
-    kicked = apply_kick(rho, kick, amplitude)
-    return _slope(kicked.matrix, comm)
+    comm = _commutator(functional.blocks.gather_diagonal(h0.energies()), functional.stack)
+    return _slope(_seen_by(apply_kick(rho, kick, amplitude), functional).stack, comm)
 
 
 def find_next_global_max(
     rho: DensityMatrix,
-    functional: HermitianOperator | DensityMatrix,
+    functional: HermitianOperator,
     h0: HermitianOperator,
     t_start: float = 0.0,
     n_samples: int = 4096,
@@ -160,16 +136,16 @@ def find_next_global_max(
     state.  Returns (t_star, value, flat); a functional flat to 1e-14 reports
     t_start with the flag set.
     """
-    energies = _diagonal_energies(h0)
-    series = TraceSeries(rho.matrix, functional.matrix, energies)
+    energies = functional.blocks.gather_diagonal(h0.energies())
+    series = TraceSeries(_seen_by(rho, functional).stack, functional.stack, energies)
     res = global_max(series, 0.0, n_samples=n_samples)
     return t_start + res.t, res.value, res.flat
 
 
-def leakage(rho: DensityMatrix | BlockDensity, j_max: int) -> float:
+def leakage(rho: DensityMatrix, j_max: int) -> float:
     """Population carried by states with j above the cutoff."""
     mask = rho.basis.j_values > j_max
-    return float(rho.populations[mask].sum())
+    return float(rho.diagonal[mask].sum())
 
 
 @dataclass
@@ -308,7 +284,7 @@ def run_strategy(
 
     The train runs on the invariant blocks of the kick's process: an input
     state, observable or target that couples two of them raises ValueError,
-    and a state whose trace drifts beyond HERM_TOL after a kick raises
+    and a kicked state whose trace drifts beyond HERM_TOL raises
     NumericalError naming the kick.
     """
     if strategy not in STRATEGIES:
@@ -320,29 +296,28 @@ def run_strategy(
     if target is not None and target.rho.basis.dim != rho0.dim:
         raise ValueError("target state and initial state live on different bases")
 
-    energies = _diagonal_energies(h0)
     obs = observable if observable is not None else kick.operator
     if obs.dim != rho0.dim:
         raise ValueError("observable and initial state live on different bases")
-    # every input must respect the kick's invariant blocks; gather raises otherwise
-    blocks = kick.generator.blocks
-    block_energies = blocks.gather_diagonal(energies)
+    # every input must respect the kick's invariant blocks; regroup raises otherwise
+    blocks = kick.operator.blocks
+    block_energies = blocks.gather_diagonal(h0.energies())
     lattice = FrequencyLattice(block_energies)
-    obs_stack = blocks.gather(obs.matrix, "observable")
+    obs_stack = obs.regroup(blocks, "observable").stack
     proj_stack = None
     if target is not None:
-        proj_stack = blocks.gather(target.rho.matrix / target.rho.purity(), "target state")
+        proj_stack = target.rho.regroup(blocks, "target state").stack / target.rho.purity()
     drive_stack = obs_stack if strategy == S1 else proj_stack
     comm = _commutator(block_energies, drive_stack)
 
-    def series_pair(state: BlockDensity):
+    def series_pair(state: DensityMatrix):
         exp_s = TraceSeries(state.stack, obs_stack, lattice)
         proj_s = TraceSeries(state.stack, proj_stack, lattice) if proj_stack is not None else None
         return exp_s, proj_s
 
     record = PulseTrainRecord(strategy=strategy)
     acc = _SeriesAccumulator(points_per_period, track_projection=proj_stack is not None)
-    rho = BlockDensity.from_density(rho0, blocks)
+    rho = rho0.regroup(blocks, "state")
     t_now = 0.0
     prev_max = _trace_product(rho.stack, drive_stack).real
     exp_s, proj_s = series_pair(rho)
@@ -355,8 +330,11 @@ def run_strategy(
         record.maxima.append(res.value)
 
         at_max = replace(rho, stack=_rotate(rho.stack, block_energies, t_star - t_now))
-        kicked_plus = apply_kick(at_max, kick, kick.amplitude)
-        kicked_minus = apply_kick(at_max, kick, -kick.amplitude)
+        try:
+            kicked_plus = apply_kick(at_max, kick, kick.amplitude)
+            kicked_minus = apply_kick(at_max, kick, -kick.amplitude)
+        except NumericalError as exc:
+            raise NumericalError(f"kick {record.n_kicks + 1}: {exc}") from exc
         slope_plus = _slope(kicked_plus.stack, comm)
         slope_minus = _slope(kicked_minus.stack, comm)
 
@@ -378,7 +356,6 @@ def run_strategy(
         record.amplitudes.append(amplitude)
         record.pre_kick_values.append(res.value)
         record.post_kick_slopes.append(slope)
-        rho.check_drift(f"kick {record.n_kicks}")
 
         exp_s, proj_s = series_pair(rho)
         acc.event(t_star, t_star, exp_s, proj_s, flag=1)
@@ -397,7 +374,7 @@ def run_strategy(
     acc.event(t_now + PERIOD, t_now, exp_s, proj_s, flag=0)
 
     final_max = global_max(exp_s, 0.0)
-    record.final_state = rho.to_density()
+    record.final_state = rho
     record.final_efficiency = final_max.value
     record.final_efficiency_time = t_now + final_max.t
     if proj_s is not None:

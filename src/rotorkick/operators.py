@@ -1,8 +1,13 @@
-"""Operators on the truncated rotor basis: dense, or as stacks of invariant blocks.
+"""Operators and states on the truncated rotor basis, kept as stacks of invariant blocks.
 
 Internal units: hbar = 1, energies in units of the rotational constant B,
 time in units of 1/B.  The field-free spectrum j(j+1) then has purely even
 integer level spacings, so free evolution is periodic with period pi.
+
+Every operator of the package conserves m, and cos^2(theta) also the parity
+of j, so an operator is stored as the stack of its invariant blocks (see
+BlockDecomposition.slots).  This module alone decides which blocks an
+operator carries and how a dense matrix enters them (from_matrix, regroup).
 """
 
 from __future__ import annotations
@@ -14,7 +19,15 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import ALIGNMENT, ORIENTATION, Basis, BlockDecomposition, block_decomposition, single_block
+from .basis import (
+    ALIGNMENT,
+    ORIENTATION,
+    PROCESS_KINDS,
+    Basis,
+    BlockDecomposition,
+    block_decomposition,
+    single_block,
+)
 from .errors import NumericalError
 
 HERM_TOL = 1e-12
@@ -23,116 +36,8 @@ UNITARITY_TOL = 1e-10
 CLUSTER_TOL = 1e-12  # relative gap below which eigenvalues or frequencies coincide
 
 
-def _as_locked_complex(matrix) -> np.ndarray:
-    mat = np.array(matrix, dtype=complex)
-    mat.flags.writeable = False
-    return mat
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """Dense Hermitian matrix over a basis, with optional invariant-block metadata."""
-
-    basis: Basis
-    matrix: np.ndarray
-    blocks: BlockDecomposition | None = None
-
-    def __post_init__(self) -> None:
-        mat = _as_locked_complex(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        n = self.basis.dim
-        if mat.shape != (n, n):
-            raise ValueError(f"matrix shape {mat.shape} does not match basis dimension {n}")
-        dev = np.max(np.abs(mat - mat.conj().T)) if n else 0.0
-        if dev > HERM_TOL:
-            raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-        if self.blocks is not None:
-            off = self.blocks.coupling_mask(n)
-            if np.any(mat[off] != 0):
-                raise ValueError("matrix couples states in different blocks")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues ascending, eigenvector columns)."""
-        return _eigh(self.matrix)
-
-    @cached_property
-    def block_form(self) -> "BlockOperator":
-        """The operator as a stack of its invariant blocks (one block without metadata)."""
-        blocks = self.blocks if self.blocks is not None else single_block(self.dim)
-        return BlockOperator(blocks, blocks.gather(self.matrix))
-
-    def block_trace(self, block) -> float:
-        return float(sum(self.matrix[k, k].real for k in block.members))
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, positive semidefinite state with a declared trace.
-
-    The declared trace is 1 for normalized states and can be below 1 for
-    states projected out of a larger thermal ensemble.  Spectral data is
-    computed lazily and cached; positivity is checked on demand.
-    """
-
-    basis: Basis
-    matrix: np.ndarray
-    trace_target: float = 1.0
-
-    def __post_init__(self) -> None:
-        mat = _as_locked_complex(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        n = self.basis.dim
-        if mat.shape != (n, n):
-            raise ValueError(f"matrix shape {mat.shape} does not match basis dimension {n}")
-        dev = np.max(np.abs(mat - mat.conj().T)) if n else 0.0
-        if dev > HERM_TOL:
-            raise ValueError(f"state is not Hermitian: max deviation {dev:.3e}")
-        tr = float(np.trace(mat).real)
-        if abs(tr - self.trace_target) > HERM_TOL * max(1.0, abs(self.trace_target)):
-            raise ValueError(f"trace {tr!r} deviates from declared value {self.trace_target!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues descending, matching eigenvector columns)."""
-        w, v = np.linalg.eigh(self.matrix)
-        return w[::-1].copy(), v[:, ::-1].copy()
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum[0]
-
-    def validate_spectrum(self) -> "DensityMatrix":
-        """Check positivity and the 0 <= w_k <= 1 window; returns self for chaining."""
-        w = self.eigenvalues
-        if w[-1] < -PSD_TOL:
-            raise ValueError(f"state has negative eigenvalue {w[-1]:.3e}")
-        if w[0] > 1.0 + PSD_TOL:
-            raise ValueError(f"state has eigenvalue above one: {w[0]:.6f}")
-        return self
-
-    def expectation(self, op: HermitianOperator) -> float:
-        """Tr[op rho], real part (the imaginary residue is pure roundoff)."""
-        return float(np.sum(op.matrix * self.matrix.T).real)
-
-    def overlap(self, other: "DensityMatrix") -> float:
-        """Tr[rho other]."""
-        return float(np.sum(self.matrix * other.matrix.T).real)
-
-    def purity(self) -> float:
-        return float(np.sum(self.matrix * self.matrix.T).real)
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.diag(self.matrix).real
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return np.swapaxes(stack.conj(), -1, -2)
 
 
 def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,24 +51,66 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def _dagger(stack: np.ndarray) -> np.ndarray:
-    return np.swapaxes(stack.conj(), -1, -2)
-
-
 @dataclass(frozen=True, eq=False)
-class BlockOperator:
-    """Hermitian operator kept as the stack of its invariant blocks.
+class HermitianOperator:
+    """Hermitian operator over a basis, kept as the stack of its invariant blocks.
 
     stack[b] holds block b of `blocks`, zero-padded to the largest block
-    (see BlockDecomposition.slots).
+    (see BlockDecomposition.slots), so no entry couples two blocks.
+    from_matrix() gathers a dense matrix; .matrix is the dense view.
     """
 
+    basis: Basis
     blocks: BlockDecomposition
     stack: np.ndarray
 
-    def to_matrix(self, stack: np.ndarray) -> np.ndarray:
-        """The dense matrix of a stack laid out like this operator's."""
-        return self.blocks.scatter(stack)
+    def __post_init__(self) -> None:
+        stack = np.array(self.stack, dtype=complex)
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        size = self.blocks.slots.shape[1]
+        expected = (self.blocks.n_blocks, size, size)
+        if self.blocks.dim != self.basis.dim or stack.shape != expected:
+            raise ValueError(
+                f"stack shape {stack.shape} does not match the blocks {expected} of a {self.basis.dim}-state basis"
+            )
+        dev = float(np.max(np.abs(stack - _dagger(stack)), initial=0.0))
+        if dev > HERM_TOL:
+            raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
+
+    @classmethod
+    def from_matrix(cls, basis: Basis, matrix, blocks: BlockDecomposition | None = None, **fields):
+        """The operator of a dense (dim, dim) matrix on blocks, by default one block of all states.
+
+        ValueError if the matrix couples two blocks.  fields go to the
+        constructor, such as a state's trace_target.
+        """
+        matrix = np.asarray(matrix)
+        if matrix.shape != (basis.dim, basis.dim):
+            raise ValueError(f"matrix shape {matrix.shape} does not match basis dimension {basis.dim}")
+        blocks = single_block(basis.dim) if blocks is None else blocks
+        return cls(basis, blocks, blocks.gather(matrix, "matrix"), **fields)
+
+    def regroup(self, blocks: BlockDecomposition, what: str = "operator", tol: float = 0.0):
+        """The same operator on other blocks: self when they are equal, else gathered again.
+
+        Entries coupling two of the new blocks are dropped when none exceeds
+        tol in magnitude; otherwise ValueError naming `what`.
+        """
+        if blocks == self.blocks:
+            return self
+        return replace(self, blocks=blocks, stack=blocks.gather(self.matrix, what, tol))
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (dim, dim) matrix, read-only."""
+        mat = self.blocks.scatter(self.stack)
+        mat.flags.writeable = False
+        return mat
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -186,53 +133,115 @@ class BlockOperator:
         v = self.eigensystem[1]
         return (v * values[..., None, :]) @ _dagger(v)
 
-
-@dataclass(frozen=True, eq=False)
-class BlockDensity:
-    """A block-diagonal DensityMatrix kept as the stack of its invariant blocks.
-
-    The pulse-train loop propagates this form; to_density() gives the dense
-    state back.  stack follows the layout of BlockDecomposition.slots.
-    """
-
-    basis: Basis
-    blocks: BlockDecomposition
-    stack: np.ndarray
-    trace_target: float = 1.0
-
-    @classmethod
-    def from_density(cls, rho: DensityMatrix, blocks: BlockDecomposition) -> "BlockDensity":
-        """Split a state into blocks; ValueError if it couples two of them."""
-        return cls(rho.basis, blocks, blocks.gather(rho.matrix, "state"), rho.trace_target)
-
-    def to_density(self) -> DensityMatrix:
-        return DensityMatrix(self.basis, self.blocks.scatter(self.stack), trace_target=self.trace_target)
-
-    def conjugated(self, u: np.ndarray) -> "BlockDensity":
-        """u rho u+ for a stack of block unitaries, with the roundoff asymmetry scrubbed."""
-        mat = u @ self.stack @ _dagger(u)
-        return replace(self, stack=0.5 * (mat + _dagger(mat)))
-
     @property
-    def populations(self) -> np.ndarray:
+    def diagonal(self) -> np.ndarray:
+        """The real diagonal in the basis."""
         return self.blocks.scatter_diagonal(np.diagonal(self.stack, axis1=-2, axis2=-1).real)
 
-    def check_drift(self, where: str) -> None:
-        """NumericalError when the trace has drifted from trace_target beyond HERM_TOL.
+    def energies(self) -> np.ndarray:
+        """The diagonal of an operator diagonal in the basis, such as the level energies of H0.
 
-        Hermiticity needs no check: conjugated() symmetrizes every state.
+        ValueError if any off-diagonal entry is nonzero.
         """
-        trace = float(np.trace(self.stack, axis1=-2, axis2=-1).sum().real)
-        if not abs(trace - self.trace_target) <= HERM_TOL * max(1.0, abs(self.trace_target)):
-            raise NumericalError(
-                f"{where}: state trace drifted to {trace!r} from {self.trace_target!r} (tolerance {HERM_TOL:g})"
-            )
+        if np.count_nonzero(self.stack) != np.count_nonzero(np.diagonal(self.stack, axis1=-2, axis2=-1)):
+            raise ValueError("h0 must be diagonal in the stored basis")
+        return self.diagonal
+
+    def block_trace(self, block) -> float:
+        return float(self.diagonal[list(block.members)].sum())
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(HermitianOperator):
+    """Hermitian, positive semidefinite state with a declared trace, kept as a block stack.
+
+    The declared trace is 1 for normalized states and can be below 1 for
+    states projected out of a larger thermal ensemble.  Spectral data comes
+    from the per-block eigensystem and is cached; positivity is checked on
+    demand.
+    """
+
+    trace_target: float = 1.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        tr = float(np.trace(self.stack, axis1=-2, axis2=-1).sum().real)
+        if abs(tr - self.trace_target) > HERM_TOL * max(1.0, abs(self.trace_target)):
+            raise ValueError(f"trace {tr!r} deviates from declared value {self.trace_target!r}")
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """All eigenvalues, descending, from the eigensystem of each block."""
+        return np.sort(self.eigensystem[0][self.blocks.filled])[::-1]
+
+    def validate_spectrum(self) -> "DensityMatrix":
+        """Check positivity and the 0 <= w_k <= 1 window; returns self for chaining."""
+        w = self.eigenvalues
+        if w[-1] < -PSD_TOL:
+            raise ValueError(f"state has negative eigenvalue {w[-1]:.3e}")
+        if w[0] > 1.0 + PSD_TOL:
+            raise ValueError(f"state has eigenvalue above one: {w[0]:.6f}")
+        return self
+
+    def expectation(self, op: HermitianOperator) -> float:
+        """Tr[op rho], real part (the imaginary residue is pure roundoff)."""
+        return float(np.sum(op.matrix * self.matrix.T).real)
+
+    def purity(self) -> float:
+        return float(np.sum(self.stack * np.swapaxes(self.stack, -1, -2)).real)
+
+    def conjugated(self, blocks: BlockDecomposition, u: np.ndarray) -> "DensityMatrix":
+        """u rho u+ for a stack u of unitaries on blocks, with the roundoff asymmetry scrubbed.
+
+        A state on other blocks, which may couple those, is conjugated on one
+        block of all states.  NumericalError when the trace drifts from
+        trace_target beyond HERM_TOL.
+        """
+        state = self
+        if blocks != self.blocks:
+            whole = single_block(self.dim)
+            state, u = self.regroup(whole), whole.gather(blocks.scatter(u))
+        mat = u @ state.stack @ _dagger(u)
+        try:
+            return replace(state, stack=0.5 * (mat + _dagger(mat)))
+        except ValueError as exc:  # a unitary keeps the trace, so a deviation is numerical drift
+            raise NumericalError(f"kicked state: {exc}") from exc
+
+
+def _on_m_blocks(basis: Basis, values: np.ndarray) -> tuple[BlockDecomposition, np.ndarray]:
+    """The m blocks of the basis, which every operator of the package conserves, and diag(values) on them."""
+    blocks = block_decomposition(basis, ORIENTATION)
+    d = np.append(values, 0.0)[blocks.slots]  # padding slots read the appended zero
+    return blocks, d[..., None] * np.eye(d.shape[-1])
+
+
+def _places(blocks: BlockDecomposition) -> dict[int, tuple[int, int]]:
+    """(block, slot) of every basis index in the stack layout."""
+    return {a: (b, k) for b, block in enumerate(blocks.blocks) for k, a in enumerate(block.members)}
+
+
+def _ladder(basis: Basis, kind: str, diagonal, step: int, coupling) -> HermitianOperator:
+    """Operator on the blocks of a process kind with closed-form entries.
+
+    <j m|X|j m> = diagonal(j, m) and <j+step m|X|j m> = <j m|X|j+step m> =
+    coupling(j, m); step keeps both states in one block.
+    """
+    blocks = block_decomposition(basis, kind)
+    place = _places(blocks)
+    size = blocks.slots.shape[1]
+    stack = np.zeros((blocks.n_blocks, size, size))
+    for a, s in enumerate(basis.states):
+        b, k = place[a]
+        stack[b, k, k] = diagonal(s.j, s.m)
+        if basis.contains(s.j + step, s.m):
+            _, l = place[basis.index_of(s.j + step, s.m)]
+            stack[b, k, l] = stack[b, l, k] = coupling(s.j, s.m)
+    return HermitianOperator(basis, blocks, stack)
 
 
 def h0_matrix(basis: Basis) -> HermitianOperator:
-    """Field-free Hamiltonian: diagonal j(j+1) in units of B."""
-    energies = basis.j_values * (basis.j_values + 1)
-    return HermitianOperator(basis, np.diag(energies.astype(float)))
+    """Field-free Hamiltonian: diagonal j(j+1) in units of B, on the m blocks."""
+    return HermitianOperator(basis, *_on_m_blocks(basis, basis.j_values * (basis.j_values + 1.0)))
 
 
 def cos_theta_element(j: int, m: int) -> float:
@@ -242,13 +251,7 @@ def cos_theta_element(j: int, m: int) -> float:
 
 def cos_theta_matrix(basis: Basis) -> HermitianOperator:
     """cos(theta) truncated to the basis: couples j <-> j+1 within each m block."""
-    n = basis.dim
-    mat = np.zeros((n, n))
-    for a, s in enumerate(basis.states):
-        if basis.contains(s.j + 1, s.m):
-            b = basis.index_of(s.j + 1, s.m)
-            mat[a, b] = mat[b, a] = cos_theta_element(s.j, s.m)
-    return HermitianOperator(basis, mat, blocks=block_decomposition(basis, ORIENTATION))
+    return _ladder(basis, ORIENTATION, lambda j, m: 0.0, 1, cos_theta_element)
 
 
 def cos2_theta_matrix(basis: Basis) -> HermitianOperator:
@@ -259,15 +262,14 @@ def cos2_theta_matrix(basis: Basis) -> HermitianOperator:
     <j m|cos^2|j m> = c(j-1, m)^2 + c(j, m)^2 (the first term only for
     j > |m|) and <j+2 m|cos^2|j m> = c(j, m) c(j+1, m).
     """
-    n = basis.dim
-    mat = np.zeros((n, n))
-    for a, s in enumerate(basis.states):
-        below = cos_theta_element(s.j - 1, s.m) if s.j > abs(s.m) else 0.0
-        mat[a, a] = below**2 + cos_theta_element(s.j, s.m) ** 2
-        if basis.contains(s.j + 2, s.m):
-            b = basis.index_of(s.j + 2, s.m)
-            mat[a, b] = mat[b, a] = cos_theta_element(s.j, s.m) * cos_theta_element(s.j + 1, s.m)
-    return HermitianOperator(basis, mat, blocks=block_decomposition(basis, ALIGNMENT))
+
+    def diagonal(j: int, m: int) -> float:
+        below = cos_theta_element(j - 1, m) if j > abs(m) else 0.0
+        return below**2 + cos_theta_element(j, m) ** 2
+
+    return _ladder(
+        basis, ALIGNMENT, diagonal, 2, lambda j, m: cos_theta_element(j, m) * cos_theta_element(j + 1, m)
+    )
 
 
 def observable_matrix(basis: Basis, kind: str) -> HermitianOperator:
@@ -323,43 +325,57 @@ def thermal_state(
     if renormalize:
         weights = weights / trace
         trace = 1.0
-    return DensityMatrix(basis, np.diag(weights.astype(complex)), trace_target=trace)
+    return DensityMatrix(basis, *_on_m_blocks(basis, weights), trace_target=trace)
 
 
 def hermitian_function(op: HermitianOperator, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian operator through its spectral decomposition."""
-    w, v = op.eigensystem
-    return (v * f(w)) @ v.conj().T
+    """Apply a scalar function to a Hermitian operator through its spectral decomposition; the dense result."""
+    w = op.eigensystem[0]
+    filled = op.blocks.filled
+    values = np.zeros(w.shape, dtype=complex)
+    values[filled] = f(w[filled])
+    return op.blocks.scatter(op.with_eigenvalues(values))
 
 
-def kick_unitary(op: HermitianOperator | BlockOperator, amplitude: float) -> np.ndarray:
-    """exp(i * amplitude * op) from op's eigensystem in each invariant block.
+def kick_unitary(op: HermitianOperator, amplitude: float) -> np.ndarray:
+    """exp(i * amplitude * op) as the stack of its block unitaries, laid out like op.stack.
 
-    A BlockOperator gives the stack of block unitaries, a HermitianOperator
-    the dense matrix.  Every block is verified unitary to 1e-10.
+    Built from op's eigensystem in each block; every block is verified
+    unitary to 1e-10.
     """
-    form = op.block_form if isinstance(op, HermitianOperator) else op
-    u = form.with_eigenvalues(np.exp(1j * amplitude * form.eigensystem[0]))
+    u = op.with_eigenvalues(np.exp(1j * amplitude * op.eigensystem[0]))
     dev = float(np.max(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])), initial=0.0))
     if not dev <= UNITARITY_TOL:
         raise NumericalError(f"kick exponential failed unitarity check: {dev:.3e}")
-    return u if form is op else form.to_matrix(u)
+    return u
+
+
+def _embedded(x: HermitianOperator, big_basis: Basis) -> tuple[BlockDecomposition, np.ndarray]:
+    """x's stack zero-padded into a larger basis holding all of x's states.
+
+    The result lives on the big basis's blocks of the same kind as x's, one
+    block of all states if x resolves no symmetry.
+    """
+    kind = x.blocks.kind
+    blocks = block_decomposition(big_basis, kind) if kind in PROCESS_KINDS else single_block(big_basis.dim)
+    place = _places(blocks)
+    size = blocks.slots.shape[1]
+    stack = np.zeros((blocks.n_blocks, size, size), dtype=complex)
+    for b, block in enumerate(x.blocks.blocks):
+        spots = [place[big_basis.index_of(x.basis.states[a].j, x.basis.states[a].m)] for a in block.members]
+        slots = [k for _, k in spots]
+        stack[spots[0][0]][np.ix_(slots, slots)] = x.stack[b, : block.size, : block.size]
+    return blocks, stack
 
 
 def embed_density(rho: DensityMatrix, big_basis: Basis) -> DensityMatrix:
     """Zero-pad a state into a larger basis containing all of its states."""
-    idx = [big_basis.index_of(s.j, s.m) for s in rho.basis.states]
-    mat = np.zeros((big_basis.dim, big_basis.dim), dtype=complex)
-    mat[np.ix_(idx, idx)] = rho.matrix
-    return DensityMatrix(big_basis, mat, trace_target=rho.trace_target)
+    return DensityMatrix(big_basis, *_embedded(rho, big_basis), trace_target=rho.trace_target)
 
 
 def embed_operator(op: HermitianOperator, big_basis: Basis) -> HermitianOperator:
     """Zero-pad an operator into a larger basis: the projected operator P op P."""
-    idx = [big_basis.index_of(s.j, s.m) for s in op.basis.states]
-    mat = np.zeros((big_basis.dim, big_basis.dim), dtype=complex)
-    mat[np.ix_(idx, idx)] = op.matrix
-    return HermitianOperator(big_basis, mat)
+    return HermitianOperator(big_basis, *_embedded(op, big_basis))
 
 
 def cluster_labels(values: np.ndarray, scale: float, rel_tol: float = CLUSTER_TOL) -> np.ndarray:
@@ -378,5 +394,5 @@ def cluster_labels(values: np.ndarray, scale: float, rel_tol: float = CLUSTER_TO
 
 def eigenvalue_multiplicities(op: HermitianOperator, rel_tol: float = CLUSTER_TOL) -> list[int]:
     """Multiplicities of the eigenvalues, clustering gaps below rel_tol * max(||op||, 1)."""
-    w = op.eigensystem[0]
+    w = op.eigensystem[0][op.blocks.filled]
     return np.bincount(cluster_labels(w, np.max(np.abs(w), initial=0.0), rel_tol)).tolist()

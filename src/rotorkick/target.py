@@ -15,14 +15,7 @@ import numpy as np
 
 from .basis import BlockDecomposition, block_decomposition, build_basis
 from .evolution import LevelSetMeasure, TraceSeries, global_max, measure_above
-from .operators import (
-    BlockOperator,
-    DensityMatrix,
-    HermitianOperator,
-    h0_matrix,
-    observable_matrix,
-    thermal_state,
-)
+from .operators import DensityMatrix, HermitianOperator, h0_matrix, observable_matrix, thermal_state
 
 GLOBAL_SCOPE = "global"
 BLOCKWISE_SCOPE = "blockwise"
@@ -79,8 +72,8 @@ def build_target(
 ) -> TargetState:
     """Assemble the state maximizing Tr[obs rho] over unitaries acting on rho0.
 
-    The target is built on the eigenvectors of obs in each invariant block
-    of obs (one block without metadata), weighted with eigenvalues of rho0.
+    The target is built on the eigenvectors of obs in each of its invariant
+    blocks, weighted with eigenvalues of rho0.
     With blocks=None every unitary is admissible: the whole spectrum of
     rho0, sorted, is paired with the eigenvalues of all blocks, sorted.
     With a block decomposition both inputs must be block diagonal in it
@@ -93,7 +86,7 @@ def build_target(
         raise ValueError("state and observable live on different bases")
 
     if blocks is None:
-        form = obs.block_form
+        form = obs
         chi = form.eigensystem[0]
         filled = form.blocks.filled
         # eigenvalues flattened in block order: the stable sort keeps basis order on ties
@@ -103,17 +96,14 @@ def build_target(
         w = np.zeros_like(chi)
         w[filled] = paired
     else:
-        if obs.blocks == blocks:
-            form = obs.block_form
-        else:
-            form = BlockOperator(blocks, blocks.gather(obs.matrix, "observable", _OFF_BLOCK_TOL))
+        form = obs.regroup(blocks, "observable", _OFF_BLOCK_TOL)
         chi = form.eigensystem[0]
-        state = BlockOperator(blocks, blocks.gather(rho0.matrix, "state", _OFF_BLOCK_TOL))
-        w = state.eigensystem[0]  # ascending in each block, like chi: largest meets largest
+        # ascending in each block, like chi: largest meets largest
+        w = rho0.regroup(blocks, "state", _OFF_BLOCK_TOL).eigensystem[0]
 
     stack = form.with_eigenvalues(w)
     stack = 0.5 * (stack + np.swapaxes(stack.conj(), -1, -2))
-    rho_f = DensityMatrix(rho0.basis, form.blocks.scatter(stack), trace_target=rho0.trace_target)
+    rho_f = DensityMatrix(rho0.basis, form.blocks, stack, trace_target=rho0.trace_target)
     scope = GLOBAL_SCOPE if blocks is None else BLOCKWISE_SCOPE
     return TargetState(rho=rho_f, scope=scope, observable=obs, achieved=float(np.sum(w * chi)), blocks=blocks)
 
@@ -132,15 +122,13 @@ def duration_above(
     summed measure and the longest contiguous stretch, in units of the
     rotational period.
     """
-    form = obs.block_form
-    eig = form.eigensystem[0][form.blocks.filled]
+    eig = obs.eigensystem[0][obs.blocks.filled]
     lo, hi = eig.min(), eig.max()
     if not (lo < threshold < hi):
         raise ValueError(f"threshold {threshold} outside the observable range [{lo:.6f}, {hi:.6f}]")
-    energies = np.diag(h0.matrix).real
-    if np.any(h0.matrix != np.diag(np.diag(h0.matrix))):
-        raise ValueError("h0 must be diagonal in the stored basis")
-    series = TraceSeries(rho.matrix, obs.matrix, energies)
+    # entries of rho coupling two blocks of obs never meet an entry of obs, so they are dropped
+    state = rho.regroup(obs.blocks, "state", np.inf)
+    series = TraceSeries(state.stack, obs.stack, obs.blocks.gather_diagonal(h0.energies()))
     peak = global_max(series, 0.0)
     if peak.flat:
         hit = 1.0 if peak.value >= threshold else 0.0

@@ -278,7 +278,7 @@ def test_criterion_8_fixed_points():
                 details.append(f"bound violated ({kind}, j={j_max})")
             rho0 = thermal_state(basis, beta=0.4)
             target = build_target(rho0, obs, block_decomposition(basis, kind))
-            mixed = DensityMatrix(basis, np.eye(basis.dim, dtype=complex) / basis.dim)
+            mixed = DensityMatrix.from_matrix(basis, np.eye(basis.dim, dtype=complex) / basis.dim)
             if not is_kick_stationary(target.rho, h0, obs):
                 ok = False
                 details.append(f"target not stationary ({kind}, j={j_max})")

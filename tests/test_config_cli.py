@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -190,16 +189,11 @@ def test_cli_bounds_outputs(tmp_path, capsys):
 
 
 def test_cli_bounds_one_table_per_listed_temperature(tmp_path, capsys):
-    # a repeated temperature writes its table again, as each listed temperature always has
-    cfg = _small_config(out_dir=str(tmp_path), temperatures_k=(10.0, 5.0, 10.0))
-    path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
-    assert main(["bounds", "--config", str(path)]) == 0
-    printed = capsys.readouterr().out.split()
-    assert [os.path.basename(p) for p in printed] == [f"bounds_orientation_T{t}K.csv" for t in ("10", "5", "10")]
-    for temperature in ("5", "10"):
-        lines = (tmp_path / f"bounds_orientation_T{temperature}K.csv").read_text().splitlines()[2:]
-        assert [line.split(",")[1:3] for line in lines] == [["1", temperature], ["2", temperature]]
+    # a repeated temperature would be swept twice and its table written twice: rejected up front
+    path = _raw_config_file(tmp_path, temperatures_k=[10.0, 5.0, 10.0])
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert "temperature 10 K is listed more than once" in capsys.readouterr().err
+    assert not list(tmp_path.glob("bounds_*.csv"))
 
 
 def test_cli_bounds_empty_range(tmp_path, capsys):
@@ -317,7 +311,7 @@ def test_eigensolver_failure_wrapped(monkeypatch):
     from rotorkick.operators import HermitianOperator
 
     basis = build_basis(1)
-    op = HermitianOperator(basis, np.eye(4))
+    op = HermitianOperator.from_matrix(basis, np.eye(4))
 
     def fail(mat):
         raise np.linalg.LinAlgError("did not converge")

@@ -18,6 +18,7 @@ from rotorkick.operators import (
     HermitianOperator,
     cos_theta_matrix,
     h0_matrix,
+    kick_unitary,
     observable_matrix,
     thermal_state,
 )
@@ -213,7 +214,7 @@ def test_fixed_point_two_level_exact():
     # U+ i[H0, C] U is traceless and orthogonal to C, and the span has
     # dimension 2, so it is exactly the complement of span{I, C}.
     for amp in (0.0, 0.7, 2.0):
-        u = kick.unitary(amp)
+        u = kick.operator.blocks.scatter(kick_unitary(kick.operator, amp))
         rotated = u.conj().T @ (1j * (h0.matrix @ c.matrix - c.matrix @ h0.matrix)) @ u
         assert np.max(np.abs(rotated - rotated.conj().T)) < 1e-12
         assert abs(np.vdot(np.eye(2), rotated).real) < 1e-12
@@ -223,7 +224,7 @@ def test_fixed_point_two_level_exact():
 def test_fixed_point_scalar_functional():
     basis = build_basis(1)
     h0 = h0_matrix(basis)
-    ident = HermitianOperator(basis, np.eye(basis.dim))
+    ident = HermitianOperator.from_matrix(basis, np.eye(basis.dim))
     report = fixed_point_analysis(h0, ident)
     assert report.dim_span == 0
     assert report.bound == 0
@@ -269,7 +270,7 @@ def _synthetic_functional(spectrum, seed=5):
     n = len(spectrum)
     basis = Basis(j_max=n - 1, states=tuple(BasisIndex(j, 0) for j in range(n)))
     v = haar_unitary(n, np.random.default_rng(seed))
-    functional = HermitianOperator(basis, (v * np.asarray(spectrum, dtype=float)) @ v.conj().T)
+    functional = HermitianOperator.from_matrix(basis, (v * np.asarray(spectrum, dtype=float)) @ v.conj().T)
     return h0_matrix(basis), functional, v
 
 
@@ -292,14 +293,14 @@ def test_fixed_point_frequency_clustering_tolerance(split, span):
 def test_single_frequency_slope_is_not_stationary():
     h0, functional, v = _synthetic_functional([0.0, 1.0, 3.0])
     slope = v.conj().T @ (1j * (h0.matrix @ functional.matrix - functional.matrix @ h0.matrix)) @ v
-    assert is_kick_stationary(DensityMatrix(h0.basis, np.eye(3, dtype=complex) / 3), h0, functional)
+    assert is_kick_stationary(DensityMatrix.from_matrix(h0.basis, np.eye(3, dtype=complex) / 3), h0, functional)
     # rho_10 C_01 = 1e-6 i |C_01| gives Tr[rho C_w] != 0 at w = -1 and its
     # mirror w = 1 only; the pre-kick slope 2 Re(rho_10 C_01) is zero, and
     # kicks rotate the rest into view
     rho = np.eye(3, dtype=complex) / 3
     rho[1, 0] = 1e-6j * np.conj(slope[0, 1]) / abs(slope[0, 1])
     rho[0, 1] = np.conj(rho[1, 0])
-    state = DensityMatrix(h0.basis, v @ rho @ v.conj().T)
+    state = DensityMatrix.from_matrix(h0.basis, v @ rho @ v.conj().T)
     assert abs(np.trace(state.matrix @ v @ slope @ v.conj().T)) < 1e-14
     assert not is_kick_stationary(state, h0, functional)
 
@@ -324,7 +325,7 @@ def test_stationary_states():
     blocks = block_decomposition(basis, ORIENTATION)
     target = build_target(rho0, obs, blocks)
     assert is_kick_stationary(target.rho, h0, obs)
-    mixed = DensityMatrix(basis, np.eye(basis.dim, dtype=complex) / basis.dim)
+    mixed = DensityMatrix.from_matrix(basis, np.eye(basis.dim, dtype=complex) / basis.dim)
     assert is_kick_stationary(mixed, h0, obs)
     # a kicked thermal state mid-train is not stationary
     moving = free_propagate(apply_kick(rho0, kick), h0, 0.31)
@@ -352,5 +353,5 @@ def test_random_commuting_states_are_stationary():
         mat = v @ blocks_mat @ v.conj().T
         mat = mat / np.trace(mat).real
         mat = 0.5 * (mat + mat.conj().T)
-        rho = DensityMatrix(basis, mat)
+        rho = DensityMatrix.from_matrix(basis, mat)
         assert is_kick_stationary(rho, h0, obs)

@@ -35,7 +35,7 @@ def _coherent_pair(basis, phase=0.0):
     mat[i0, i0] = mat[i1, i1] = 0.5
     mat[i0, i1] = 0.5 * np.exp(1j * phase)
     mat[i1, i0] = np.conj(mat[i0, i1])
-    return DensityMatrix(basis, mat)
+    return DensityMatrix.from_matrix(basis, mat)
 
 
 def test_free_propagation_period():
@@ -132,19 +132,43 @@ def test_kick_invariance_and_purity():
     assert np.max(np.abs(kicked.eigenvalues - rho.eigenvalues)) < 1e-10
 
 
-def test_apply_kick_to_a_state_coupling_blocks():
-    basis = build_basis(2)
-    h0 = h0_matrix(basis)
-    kick = make_kick(basis, ORIENTATION, 1.7)
+def _coherence_between_m_blocks(basis):
     mat = _coherent_pair(basis).matrix.copy()
     a, b = basis.index_of(1, -1), basis.index_of(1, 0)  # different m
     mat[a, b] = mat[b, a] = 0.01
-    rho = DensityMatrix(basis, mat)
+    return DensityMatrix.from_matrix(basis, mat)
+
+
+def _thermal_on_m_blocks(basis):
+    return thermal_state(basis, beta=0.4)
+
+
+def _target_on_m_parity_blocks(basis):
+    obs = observable_matrix(basis, ALIGNMENT)
+    return build_target(thermal_state(basis, beta=0.4), obs, block_decomposition(basis, ALIGNMENT)).rho
+
+
+@pytest.mark.parametrize(
+    "make_state, kind",
+    [
+        (_coherence_between_m_blocks, ORIENTATION),
+        (_thermal_on_m_blocks, ALIGNMENT),
+        (_target_on_m_parity_blocks, ORIENTATION),
+    ],
+    ids=["coherence-between-m-blocks", "thermal-on-m-blocks-cos2", "target-on-m-parity-blocks-cos"],
+)
+def test_apply_kick_to_a_state_coupling_blocks(make_state, kind):
+    # states whose blocks differ from the kick's: conjugated on one block of all states
+    basis = build_basis(2)
+    h0 = h0_matrix(basis)
+    kick = make_kick(basis, kind, 1.7)
+    rho = make_state(basis)
+    mat = rho.matrix
     lam, vec = np.linalg.eigh(kick.operator.matrix)
     u = (vec * np.exp(1.7j * lam)) @ vec.conj().T
     kicked = apply_kick(rho, kick)
     assert np.max(np.abs(kicked.matrix - u @ mat @ u.conj().T)) < 1e-12
-    obs = cos_theta_matrix(basis)
+    obs = observable_matrix(basis, kind)
     h = 1e-6
     fwd = free_propagate(kicked, h0, h).expectation(obs)
     bwd = free_propagate(kicked, h0, -h).expectation(obs)
@@ -306,7 +330,7 @@ def test_leakage_single_kick_from_ground_state():
     big = build_basis(24)
     ground = np.zeros((big.dim, big.dim), dtype=complex)
     ground[big.index_of(0, 0), big.index_of(0, 0)] = 1.0
-    rho = DensityMatrix(big, ground)
+    rho = DensityMatrix.from_matrix(big, ground)
     kick = make_kick(big, ORIENTATION, 2.0)
     kicked = apply_kick(rho, kick)
     assert leakage(kicked, 8) < 1e-3
@@ -368,10 +392,10 @@ def test_run_strategy_rejects_inputs_coupling_blocks():
     coupled = _coherent_pair(basis).matrix.copy()
     a, b = basis.index_of(1, -1), basis.index_of(1, 0)  # different m
     coupled[a, b] = coupled[b, a] = 0.01
-    rho = DensityMatrix(basis, coupled)
+    rho = DensityMatrix.from_matrix(basis, coupled)
     with pytest.raises(ValueError, match="state couples"):
         run_strategy(rho, "S1", kick, h0, max_kicks=1)
-    observable = HermitianOperator(basis, coupled)
+    observable = HermitianOperator.from_matrix(basis, coupled)
     with pytest.raises(ValueError, match="observable couples"):
         run_strategy(thermal_state(basis, 0.5), "S1", kick, h0, observable=observable, max_kicks=1)
     # cos(theta) mixes the parities of j, so it cannot drive an alignment train

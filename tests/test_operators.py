@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import direct_partition_sum, quadrature_cos_power_element
-from rotorkick.basis import ALIGNMENT, ORIENTATION, block_decomposition, build_basis
+from rotorkick.basis import ALIGNMENT, ORIENTATION, block_decomposition, build_basis, single_block
 from rotorkick.operators import (
     DensityMatrix,
     HermitianOperator,
@@ -16,6 +16,7 @@ from rotorkick.operators import (
     h0_matrix,
     hermitian_function,
     kick_unitary,
+    observable_matrix,
     thermal_state,
 )
 
@@ -181,7 +182,7 @@ def test_hermitian_function_identity_and_zero():
     basis = build_basis(2)
     c = cos_theta_matrix(basis)
     assert np.max(np.abs(hermitian_function(c, lambda w: w) - c.matrix)) < 1e-12
-    u0 = kick_unitary(c, 0.0)
+    u0 = c.blocks.scatter(kick_unitary(c, 0.0))
     assert np.max(np.abs(u0 - np.eye(basis.dim))) < 1e-12
 
 
@@ -192,7 +193,7 @@ def test_kick_exponential_two_level_closed_form():
     cmat = cos_theta_matrix(basis)
     c = 1 / math.sqrt(3)
     for amp in (0.5, 1.0, 2.0):
-        u = kick_unitary(cmat, amp)
+        u = cmat.blocks.scatter(kick_unitary(cmat, amp))
         idx = [basis.index_of(0, 0), basis.index_of(1, 0)]
         block = u[np.ix_(idx, idx)]
         expected = math.cos(amp * c) * np.eye(2) + 1j * math.sin(amp * c) / c * cmat.matrix[np.ix_(idx, idx)]
@@ -207,7 +208,7 @@ def test_kick_exponential_two_level_closed_form():
 def test_kick_unitary_and_commuting(amp):
     basis = build_basis(4)
     c = cos_theta_matrix(basis)
-    u = kick_unitary(c, amp)
+    u = c.blocks.scatter(kick_unitary(c, amp))
     assert np.max(np.abs(u.conj().T @ u - np.eye(basis.dim))) < 1e-10
     assert np.max(np.abs(c.matrix @ u - u @ c.matrix)) < 1e-12
 
@@ -216,18 +217,21 @@ def test_kick_unitary_without_block_metadata_is_one_block():
     basis = build_basis(2)
     rng = np.random.default_rng(7)
     z = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
-    op = HermitianOperator(basis, z + z.conj().T)
+    op = HermitianOperator.from_matrix(basis, z + z.conj().T)
     lam, vec = np.linalg.eigh(op.matrix)
     expected = (vec * np.exp(1.3j * lam)) @ vec.conj().T
-    assert op.block_form.blocks.n_blocks == 1
-    assert np.max(np.abs(kick_unitary(op, 1.3) - expected)) < 1e-12
+    assert op.blocks.n_blocks == 1
+    assert np.max(np.abs(op.blocks.scatter(kick_unitary(op, 1.3)) - expected)) < 1e-12
 
 
 def test_spectrum_preserved_under_conjugation():
     basis = build_basis(3)
     rho = thermal_state(basis, beta=0.25)
-    u = kick_unitary(cos_theta_matrix(basis), 2.0)
-    conj = DensityMatrix(basis, u @ rho.matrix @ u.conj().T, trace_target=float(np.trace(rho.matrix).real))
+    c = cos_theta_matrix(basis)
+    u = c.blocks.scatter(kick_unitary(c, 2.0))
+    conj = DensityMatrix.from_matrix(
+        basis, u @ rho.matrix @ u.conj().T, trace_target=float(np.trace(rho.matrix).real)
+    )
     assert np.max(np.abs(conj.eigenvalues - rho.eigenvalues)) < 1e-10
 
 
@@ -236,26 +240,62 @@ def test_hermitian_operator_validation():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0  # not Hermitian
     with pytest.raises(ValueError):
-        HermitianOperator(basis, bad)
+        HermitianOperator.from_matrix(basis, bad)
     good = np.eye(4)
     with pytest.raises(ValueError):
-        HermitianOperator(build_basis(2), good)  # wrong size
+        HermitianOperator.from_matrix(build_basis(2), good)  # wrong size
     coupling = np.zeros((4, 4))
     coupling[0, 1] = coupling[1, 0] = 0.5  # couples m=-1 to m=0
     with pytest.raises(ValueError):
-        HermitianOperator(basis, coupling, blocks=block_decomposition(basis, ORIENTATION))
+        HermitianOperator.from_matrix(basis, coupling, blocks=block_decomposition(basis, ORIENTATION))
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_layout_round_trip_and_regroup(kind):
+    basis = build_basis(3)
+    blocks = block_decomposition(basis, kind)
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+    dense = z + z.conj().T
+    dense[blocks.coupling_mask(basis.dim)] = 0
+    op = HermitianOperator.from_matrix(basis, dense, blocks)
+    assert np.array_equal(op.matrix, dense)
+    assert op.regroup(block_decomposition(basis, kind)) is op  # equal blocks, not the same object
+    whole = op.regroup(single_block(basis.dim))
+    assert whole.blocks.n_blocks == 1 and np.array_equal(whole.matrix, dense)
+    assert np.array_equal(whole.regroup(blocks).stack, op.stack)
+
+    a, b = basis.index_of(1, -1), basis.index_of(1, 0)  # different m: couples blocks of either kind
+    dense[a, b] = dense[b, a] = 1e-11
+    coupled = HermitianOperator.from_matrix(basis, dense)
+    with pytest.raises(ValueError, match="observable couples"):
+        coupled.regroup(blocks, "observable", 1e-12)
+    assert np.array_equal(coupled.regroup(blocks, "observable", 1e-10).stack, op.stack)
+    with pytest.raises(ValueError, match="couples"):
+        HermitianOperator.from_matrix(basis, dense, blocks)
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_density_eigenvalues_come_from_the_blocks(kind):
+    basis = build_basis(4)
+    thermal = thermal_state(basis, beta=0.3)
+    op = observable_matrix(basis, kind)
+    kicked = thermal.regroup(op.blocks).conjugated(op.blocks, kick_unitary(op, 1.7))
+    assert kicked.blocks == op.blocks
+    for rho in (thermal, kicked):
+        assert np.max(np.abs(rho.eigenvalues - np.linalg.eigvalsh(rho.matrix)[::-1])) <= 1e-14
 
 
 def test_density_matrix_validation():
     basis = build_basis(1)
     mat = np.eye(4) / 4
-    rho = DensityMatrix(basis, mat)
+    rho = DensityMatrix.from_matrix(basis, mat)
     assert rho.purity() == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(ValueError):
-        DensityMatrix(basis, np.eye(4))  # trace 4 vs declared 1
+        DensityMatrix.from_matrix(basis, np.eye(4))  # trace 4 vs declared 1
     neg = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
     with pytest.raises(ValueError):
-        DensityMatrix(basis, neg).validate_spectrum()
+        DensityMatrix.from_matrix(basis, neg).validate_spectrum()
 
 
 def test_embedding_roundtrip():
@@ -277,5 +317,5 @@ def test_eigenvalue_multiplicities():
     basis = build_basis(1)
     c = cos_theta_matrix(basis)
     assert eigenvalue_multiplicities(c) == [1, 2, 1]
-    ident = HermitianOperator(basis, np.eye(4))
+    ident = HermitianOperator.from_matrix(basis, np.eye(4))
     assert eigenvalue_multiplicities(ident) == [4]

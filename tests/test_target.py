@@ -83,7 +83,7 @@ def test_global_target_pure_state_limit():
     obs = cos_theta_matrix(basis)
     ground = np.zeros((basis.dim, basis.dim), dtype=complex)
     ground[basis.index_of(0, 0), basis.index_of(0, 0)] = 1.0
-    rho0 = DensityMatrix(basis, ground)
+    rho0 = DensityMatrix.from_matrix(basis, ground)
     target = build_target(rho0, obs)
     w, v = np.linalg.eigh(obs.matrix)
     assert target.achieved == pytest.approx(w[-1], abs=1e-12)
@@ -180,7 +180,7 @@ def test_blockwise_equals_global_single_block():
     obs_s = cos_theta_matrix(synth)
     weights = np.exp(-0.4 * np.arange(4) * (np.arange(4) + 1.0))
     weights /= weights.sum()
-    rho_s = DensityMatrix(synth, np.diag(weights.astype(complex)))
+    rho_s = DensityMatrix.from_matrix(synth, np.diag(weights.astype(complex)))
     blocks_s = block_decomposition(synth, ORIENTATION)
     assert blocks_s.n_blocks == 1
     t_global = build_target(rho_s, obs_s)
@@ -196,7 +196,7 @@ def test_blockwise_rejects_non_block_input():
     mat = np.eye(basis.dim, dtype=complex) / basis.dim
     a, b = basis.index_of(1, -1), basis.index_of(1, 1)
     mat[a, b] = mat[b, a] = 0.01  # couples different m blocks
-    rho = DensityMatrix(basis, mat)
+    rho = DensityMatrix.from_matrix(basis, mat)
     with pytest.raises(ValueError):
         build_target(rho, obs, blocks)
 
@@ -221,10 +221,10 @@ def test_stack_target_matches_dense_oracle(kind, blockwise):
 
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
 def test_stack_target_without_block_metadata(kind):
-    # an embedded observable carries no blocks: the global scope pairs on one block of all states
+    # an observable without block metadata: the global scope pairs on one block of all states
     big = build_basis(5)
-    obs = embed_operator(observable_matrix(build_basis(3), kind), big)
-    assert obs.blocks is None
+    obs = HermitianOperator.from_matrix(big, embed_operator(observable_matrix(build_basis(3), kind), big).matrix)
+    assert obs.blocks.n_blocks == 1
     rho0 = thermal_state(big, beta=0.2)
     for blocks in (None, block_decomposition(big, kind)):
         _assert_matches_dense_target(rho0, obs, blocks)
@@ -240,8 +240,8 @@ def test_blockwise_off_block_tolerance(which, size):
     a, b = basis.index_of(1, -1), basis.index_of(1, 1)  # different m blocks
     coupled = rho if which == "state" else obs
     coupled[a, b] = coupled[b, a] = size
-    rho0 = DensityMatrix(basis, rho, trace_target=thermal.trace_target)
-    obs_op = HermitianOperator(basis, obs)
+    rho0 = DensityMatrix.from_matrix(basis, rho, trace_target=thermal.trace_target)
+    obs_op = HermitianOperator.from_matrix(basis, obs)
     if size < 1e-12:  # dropped, like the dense pairing did
         _assert_matches_dense_target(rho0, obs_op, blocks)
     else:
@@ -253,7 +253,7 @@ def test_duration_stationary_states():
     basis = build_basis(2)
     h0 = h0_matrix(basis)
     obs = cos_theta_matrix(basis)
-    mixed = DensityMatrix(basis, np.eye(basis.dim, dtype=complex) / basis.dim)
+    mixed = DensityMatrix.from_matrix(basis, np.eye(basis.dim, dtype=complex) / basis.dim)
     # Tr[cos theta]/N = 0: above a negative threshold always, below a positive one never
     assert duration_above(mixed, obs, h0, threshold=-0.1).total == 1.0
     assert duration_above(mixed, obs, h0, threshold=0.1).total == 0.0
@@ -276,7 +276,7 @@ def test_duration_two_level_analytic():
     mat = np.zeros((4, 4), dtype=complex)
     mat[i0, i0] = mat[i1, i1] = 0.5
     mat[i0, i1] = mat[i1, i0] = 0.5
-    rho = DensityMatrix(basis, mat)
+    rho = DensityMatrix.from_matrix(basis, mat)
     h0 = h0_matrix(basis)
     obs = cos_theta_matrix(basis)
     threshold = 0.31
