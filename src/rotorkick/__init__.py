@@ -29,8 +29,6 @@ from .controllability import (
     two_level_obstruction,
 )
 from .dynamics import (
-    IDEALIZED,
-    PHYSICAL,
     S1,
     S2,
     KickSpec,

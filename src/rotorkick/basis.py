@@ -113,15 +113,6 @@ class BlockDecomposition:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def coupling_mask(self, dim: int) -> np.ndarray:
-        """Boolean (dim, dim) mask, True where an entry couples two different blocks."""
-        label = np.full(dim, -1, dtype=int)
-        for b, block in enumerate(self.blocks):
-            label[list(block.members)] = b
-        if np.any(label < 0):
-            raise ValueError("decomposition does not cover the requested dimension")
-        return label[:, None] != label[None, :]
-
     @cached_property
     def dim(self) -> int:
         return sum(block.size for block in self.blocks)
@@ -145,26 +136,47 @@ class BlockDecomposition:
         """(n_blocks, largest block size) mask of the slots holding a basis state, False at padding."""
         return self.slots < self.dim
 
-    def gather(self, matrix: np.ndarray, what: str = "matrix", tol: float = 0.0) -> np.ndarray:
-        """Block stack of a (dim, dim) matrix.
+    @cached_property
+    def places(self) -> tuple[np.ndarray, np.ndarray]:
+        """(block, slot) of every basis index; the padding index dim is slot 0 of a zero block past the last."""
+        block = np.full(self.dim + 1, self.n_blocks, dtype=np.intp)
+        slot = np.zeros(self.dim + 1, dtype=np.intp)
+        block[self.slots[self.filled]], slot[self.slots[self.filled]] = np.nonzero(self.filled)
+        return block, slot
 
-        Entries coupling two blocks are dropped when none exceeds tol in
-        magnitude; otherwise ValueError.
+    def restack(
+        self,
+        stack: np.ndarray,
+        source: BlockDecomposition,
+        index: np.ndarray | None = None,
+        what: str = "matrix",
+        tol: float = 0.0,
+    ) -> np.ndarray:
+        """This decomposition's stack of the operator held as stack on the source blocks.
+
+        index maps every basis index here to one of the source, source.dim
+        for a state the source lacks; by default both share one basis.  Each
+        entry is read through source.places, never from a padding slot.
+        Source entries that land in no block here are dropped when none
+        exceeds tol in magnitude (NaN does); otherwise ValueError.
         """
-        padded = np.zeros((self.dim + 1, self.dim + 1), dtype=matrix.dtype)
-        padded[: self.dim, : self.dim] = matrix
-        stack = padded[self.slots[:, :, None], self.slots[:, None, :]]
-        if np.count_nonzero(stack) != np.count_nonzero(matrix):
-            dev = float(np.max(np.abs(matrix - self.scatter(stack))))
-            if not dev <= tol:  # NaN included
-                raise ValueError(f"{what} couples states in different invariant blocks ({dev:.3e})")
-        return stack
+        index = np.append(np.arange(self.dim) if index is None else index, source.dim)
+        block, slot = (p[index[self.slots]] for p in source.places)
+        block = np.where(block[:, :, None] == block[:, None, :], block[:, :, None], source.n_blocks)
+        out = np.concatenate([stack, np.zeros_like(stack[:1])])[block, slot[:, :, None], slot[:, None, :]]
+        home = np.full(source.dim + 1, -1, dtype=np.intp)  # block here of each source index, -1 for none
+        home[index[:-1]] = self.places[0][:-1]
+        home = home[source.slots]  # padding slots are masked out below
+        kept = (home[:, :, None] == home[:, None, :]) & (home[:, :, None] >= 0)
+        dropped = source.filled[:, :, None] & source.filled[:, None, :] & ~kept
+        dev = float(np.max(np.abs(stack[dropped]), initial=0.0))
+        if not dev <= tol:  # NaN included
+            raise ValueError(f"{what} couples states in different invariant blocks ({dev:.3e})")
+        return out
 
     def scatter(self, stack: np.ndarray) -> np.ndarray:
         """The (dim, dim) block-diagonal matrix of a block stack."""
-        out = np.zeros((self.dim + 1, self.dim + 1), dtype=stack.dtype)
-        out[self.slots[:, :, None], self.slots[:, None, :]] = stack
-        return out[: self.dim, : self.dim]
+        return single_block(self.dim).restack(stack, self)[0]
 
     def gather_diagonal(self, vector: np.ndarray) -> np.ndarray:
         """(n_blocks, size) per-block entries of a basis vector, such as the energies.

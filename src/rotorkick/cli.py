@@ -113,7 +113,7 @@ def _run_one_mode(config: RunConfig, mode: str):
             blocks=None,
         )
     h0 = h0_matrix(basis)
-    kick = make_kick(basis, config.process, config.kick_amplitude, mode=mode)
+    kick = make_kick(basis, config.process, config.kick_amplitude)
 
     record, series = run_strategy(
         rho0,

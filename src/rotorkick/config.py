@@ -123,9 +123,11 @@ class RunConfig:
             raise ConfigError(f"temperatures must be positive, got {self.temperatures_k!r}")
         object.__setattr__(self, "j_max_range", tuple(int(v) for v in self.j_max_range))
         object.__setattr__(self, "temperatures_k", tuple(float(t) for t in self.temperatures_k))
-        repeated = [t for k, t in enumerate(self.temperatures_k) if t in self.temperatures_k[:k]]
-        if repeated:
-            raise ConfigError(f"temperature {repeated[0]:g} K is listed more than once in temperatures_k")
+        names = [f"{t:g}" for t in self.temperatures_k]  # bounds names one file per temperature T{t:g}K
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                pair = f"{self.temperatures_k[names.index(name)]!r} and {self.temperatures_k[k]!r} share a file"
+                raise ConfigError(f"temperature {name} K is listed more than once in temperatures_k ({pair})")
         lo, hi = self.j_max_range
         if not 1 <= lo <= hi:
             raise ConfigError(f"j_max_range must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")

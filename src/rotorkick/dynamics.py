@@ -30,10 +30,6 @@ S1 = "S1"
 S2 = "S2"
 STRATEGIES = (S1, S2)
 
-IDEALIZED = "idealized"
-PHYSICAL = "physical"
-KICK_MODES = (IDEALIZED, PHYSICAL)
-
 
 def _rotate(matrix: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
     """rho_ab -> rho_ab * exp(-i (E_a - E_b) t) for a block stack and its per-block energies."""
@@ -60,30 +56,25 @@ def free_propagate(rho: DensityMatrix, h0: HermitianOperator, t: float) -> Densi
 class KickSpec:
     """Template for a sudden kick exp(i * amplitude * operator).
 
-    mode records whether the generator is the observable truncated to the
-    control space ("idealized") or built on an enlarged simulation basis
-    ("physical"); the generator itself is carried in `operator`, on the
-    invariant blocks of the kick's process (ValueError if it couples two).
+    The generator is carried in `operator`, on the invariant blocks of the
+    kick's process (ValueError if it couples two).
     """
 
     amplitude: float
     kind: str
-    mode: str
     operator: HermitianOperator
 
     def __post_init__(self) -> None:
         check_process_kind(self.kind)
-        if self.mode not in KICK_MODES:
-            raise ValueError(f"unknown kick mode {self.mode!r}")
         if not np.isfinite(self.amplitude):
             raise ValueError("kick amplitude must be finite")
         blocks = block_decomposition(self.operator.basis, self.kind)
         object.__setattr__(self, "operator", self.operator.regroup(blocks, "kick generator"))
 
 
-def make_kick(basis: Basis, kind: str, amplitude: float, mode: str = IDEALIZED) -> KickSpec:
+def make_kick(basis: Basis, kind: str, amplitude: float) -> KickSpec:
     """Kick whose generator is the process observable on the given basis."""
-    return KickSpec(amplitude=amplitude, kind=kind, mode=mode, operator=observable_matrix(basis, kind))
+    return KickSpec(amplitude=amplitude, kind=kind, operator=observable_matrix(basis, kind))
 
 
 def apply_kick(rho: DensityMatrix, kick: KickSpec, amplitude: float | None = None) -> DensityMatrix:

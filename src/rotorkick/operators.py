@@ -7,7 +7,7 @@ integer level spacings, so free evolution is periodic with period pi.
 Every operator of the package conserves m, and cos^2(theta) also the parity
 of j, so an operator is stored as the stack of its invariant blocks (see
 BlockDecomposition.slots).  This module alone decides which blocks an
-operator carries and how a dense matrix enters them (from_matrix, regroup).
+operator carries; BlockDecomposition.restack moves a stack between them.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class HermitianOperator:
 
     stack[b] holds block b of `blocks`, zero-padded to the largest block
     (see BlockDecomposition.slots), so no entry couples two blocks.
-    from_matrix() gathers a dense matrix; .matrix is the dense view.
+    from_matrix() restacks a dense matrix; .matrix is the dense view.
     """
 
     basis: Basis
@@ -88,18 +88,19 @@ class HermitianOperator:
         matrix = np.asarray(matrix)
         if matrix.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {matrix.shape} does not match basis dimension {basis.dim}")
-        blocks = single_block(basis.dim) if blocks is None else blocks
-        return cls(basis, blocks, blocks.gather(matrix, "matrix"), **fields)
+        whole = single_block(basis.dim)
+        blocks = whole if blocks is None else blocks
+        return cls(basis, blocks, blocks.restack(matrix[None], whole), **fields)
 
     def regroup(self, blocks: BlockDecomposition, what: str = "operator", tol: float = 0.0):
-        """The same operator on other blocks: self when they are equal, else gathered again.
+        """The same operator on other blocks of its basis: self when they are equal, else restacked.
 
         Entries coupling two of the new blocks are dropped when none exceeds
         tol in magnitude; otherwise ValueError naming `what`.
         """
         if blocks == self.blocks:
             return self
-        return replace(self, blocks=blocks, stack=blocks.gather(self.matrix, what, tol))
+        return replace(self, blocks=blocks, stack=blocks.restack(self.stack, self.blocks, what=what, tol=tol))
 
     @property
     def dim(self) -> int:
@@ -184,11 +185,12 @@ class DensityMatrix(HermitianOperator):
         return self
 
     def expectation(self, op: HermitianOperator) -> float:
-        """Tr[op rho], real part (the imaginary residue is pure roundoff)."""
-        return float(np.sum(op.matrix * self.matrix.T).real)
+        """Tr[op rho], real part; op's entries coupling two of rho's blocks meet zeros and are dropped."""
+        seen = op.regroup(self.blocks, "operator", np.inf)
+        return float(np.sum(seen.stack * np.swapaxes(self.stack, -1, -2)).real)
 
     def purity(self) -> float:
-        return float(np.sum(self.stack * np.swapaxes(self.stack, -1, -2)).real)
+        return self.expectation(self)
 
     def conjugated(self, blocks: BlockDecomposition, u: np.ndarray) -> "DensityMatrix":
         """u rho u+ for a stack u of unitaries on blocks, with the roundoff asymmetry scrubbed.
@@ -200,7 +202,7 @@ class DensityMatrix(HermitianOperator):
         state = self
         if blocks != self.blocks:
             whole = single_block(self.dim)
-            state, u = self.regroup(whole), whole.gather(blocks.scatter(u))
+            state, u = self.regroup(whole), whole.restack(u, blocks)
         mat = u @ state.stack @ _dagger(u)
         try:
             return replace(state, stack=0.5 * (mat + _dagger(mat)))
@@ -215,11 +217,6 @@ def _on_m_blocks(basis: Basis, values: np.ndarray) -> tuple[BlockDecomposition, 
     return blocks, d[..., None] * np.eye(d.shape[-1])
 
 
-def _places(blocks: BlockDecomposition) -> dict[int, tuple[int, int]]:
-    """(block, slot) of every basis index in the stack layout."""
-    return {a: (b, k) for b, block in enumerate(blocks.blocks) for k, a in enumerate(block.members)}
-
-
 def _ladder(basis: Basis, kind: str, diagonal, step: int, coupling) -> HermitianOperator:
     """Operator on the blocks of a process kind with closed-form entries.
 
@@ -227,14 +224,14 @@ def _ladder(basis: Basis, kind: str, diagonal, step: int, coupling) -> Hermitian
     coupling(j, m); step keeps both states in one block.
     """
     blocks = block_decomposition(basis, kind)
-    place = _places(blocks)
+    block_of, slot_of = (p.tolist() for p in blocks.places)
     size = blocks.slots.shape[1]
     stack = np.zeros((blocks.n_blocks, size, size))
     for a, s in enumerate(basis.states):
-        b, k = place[a]
+        b, k = block_of[a], slot_of[a]
         stack[b, k, k] = diagonal(s.j, s.m)
         if basis.contains(s.j + step, s.m):
-            _, l = place[basis.index_of(s.j + step, s.m)]
+            l = slot_of[basis.index_of(s.j + step, s.m)]
             stack[b, k, l] = stack[b, l, k] = coupling(s.j, s.m)
     return HermitianOperator(basis, blocks, stack)
 
@@ -354,18 +351,14 @@ def _embedded(x: HermitianOperator, big_basis: Basis) -> tuple[BlockDecompositio
     """x's stack zero-padded into a larger basis holding all of x's states.
 
     The result lives on the big basis's blocks of the same kind as x's, one
-    block of all states if x resolves no symmetry.
+    block of all states if x resolves no symmetry.  KeyError if the big
+    basis lacks one of x's states.
     """
     kind = x.blocks.kind
     blocks = block_decomposition(big_basis, kind) if kind in PROCESS_KINDS else single_block(big_basis.dim)
-    place = _places(blocks)
-    size = blocks.slots.shape[1]
-    stack = np.zeros((blocks.n_blocks, size, size), dtype=complex)
-    for b, block in enumerate(x.blocks.blocks):
-        spots = [place[big_basis.index_of(x.basis.states[a].j, x.basis.states[a].m)] for a in block.members]
-        slots = [k for _, k in spots]
-        stack[spots[0][0]][np.ix_(slots, slots)] = x.stack[b, : block.size, : block.size]
-    return blocks, stack
+    index = np.full(big_basis.dim, x.dim)  # big-basis states outside x's basis read zeros
+    index[[big_basis.index_of(s.j, s.m) for s in x.basis.states]] = np.arange(x.dim)
+    return blocks, blocks.restack(x.stack, x.blocks, index)
 
 
 def embed_density(rho: DensityMatrix, big_basis: Basis) -> DensityMatrix:

@@ -197,3 +197,27 @@ def dense_target(rho0, obs, blocks=None):
         achieved += float(np.dot(chi, w_block))
         mat[np.ix_(idx, idx)] = (vec * w_block) @ vec.conj().T
     return 0.5 * (mat + mat.conj().T), achieved
+
+
+def block_stack(matrix, blocks):
+    """The block stack of a dense matrix from the layout's definition alone.
+
+    Block b is matrix[np.ix_(members, members)] for the members of the b-th
+    block, zero-padded to the largest block; entries coupling two blocks are
+    left out.
+    """
+    size = max(len(block.members) for block in blocks.blocks)
+    stack = np.zeros((len(blocks.blocks), size, size), dtype=complex)
+    for b, block in enumerate(blocks.blocks):
+        idx = list(block.members)
+        stack[b, : len(idx), : len(idx)] = matrix[np.ix_(idx, idx)]
+    return stack
+
+
+def block_diagonal_part(matrix, blocks):
+    """The matrix with every entry coupling two blocks set to zero."""
+    out = np.zeros_like(matrix)
+    for block in blocks.blocks:
+        idx = list(block.members)
+        out[np.ix_(idx, idx)] = matrix[np.ix_(idx, idx)]
+    return out

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import block_diagonal_part, block_stack, direct_partition_sum
 from rotorkick.basis import (
     ALIGNMENT,
     ORIENTATION,
@@ -9,7 +11,9 @@ from rotorkick.basis import (
     BasisIndex,
     block_decomposition,
     build_basis,
+    single_block,
 )
+from rotorkick.operators import cos2_theta_matrix, kick_unitary, thermal_state
 
 
 def test_dimension_examples():
@@ -118,9 +122,98 @@ def test_unknown_kind_rejected():
         block_decomposition(build_basis(2), "circular")
 
 
-def test_coupling_mask():
-    basis = build_basis(1)
-    mask = block_decomposition(basis, ORIENTATION).coupling_mask(basis.dim)
-    i0, i1 = basis.index_of(0, 0), basis.index_of(1, 0)
-    assert not mask[i0, i1]
-    assert mask[basis.index_of(1, -1), i0]
+LAYOUTS = ["m", "m-parity", "one"]
+
+
+def _decomposition(basis, name):
+    if name == "one":
+        return single_block(basis.dim)
+    return block_decomposition(basis, ORIENTATION if name == "m" else ALIGNMENT)
+
+
+def _random_operator(basis, blocks, rng):
+    """A random Hermitian matrix that couples no two of the given blocks."""
+    z = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+    return block_diagonal_part(z + z.conj().T, blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    j_max=st.integers(0, 4),
+    source=st.sampled_from(LAYOUTS),
+    target=st.sampled_from(LAYOUTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_restack_matches_dense_oracle(j_max, source, target, seed):
+    basis = build_basis(j_max)
+    src, dst = _decomposition(basis, source), _decomposition(basis, target)
+    # an operator on the (m, parity) blocks is block diagonal in every layout
+    dense = _random_operator(basis, _decomposition(basis, "m-parity"), np.random.default_rng(seed))
+    assert np.array_equal(dst.restack(block_stack(dense, src), src), block_stack(dense, dst))
+
+
+def test_restack_moves_the_thermal_state_and_back():
+    basis = build_basis(5)
+    beta = 0.3
+    rho = thermal_state(basis, beta)
+    weights = np.array([np.exp(-beta * s.j * (s.j + 1)) for s in basis.states]) / direct_partition_sum(beta)
+    dense = np.diag(weights).astype(complex)
+    stack, blocks = rho.stack, rho.blocks
+    for name in ("m-parity", "one", "m"):
+        target = _decomposition(basis, name)
+        stack, blocks = target.restack(stack, blocks), target
+        assert np.max(np.abs(stack - block_stack(dense, blocks))) <= 1e-15
+    assert blocks == rho.blocks and np.array_equal(stack, rho.stack)
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_restack_embeds_a_small_basis(name):
+    small, big = build_basis(3), build_basis(6)
+    src, dst = _decomposition(small, name), _decomposition(big, name)
+    dense = _random_operator(small, src, np.random.default_rng(7))
+    idx = [big.states.index(s) for s in small.states]
+    index = np.full(big.dim, small.dim)  # states of the big basis only read zeros
+    index[idx] = np.arange(small.dim)
+    lifted = np.zeros((big.dim, big.dim), dtype=complex)
+    lifted[np.ix_(idx, idx)] = dense
+    assert np.array_equal(dst.restack(block_stack(dense, src), src, index), block_stack(lifted, dst))
+
+
+def test_restack_never_reads_padding():
+    basis = build_basis(4)
+    op = cos2_theta_matrix(basis)
+    u = kick_unitary(op, 1.3)
+    filled = op.blocks.filled
+    padding = ~(filled[:, :, None] & filled[:, None, :])
+    assert np.any(u[padding] == 1)  # a unitary's padding holds ones
+    poisoned = np.where(padding, np.nan, u)  # any read of the padding would show
+    dense = single_block(basis.dim).restack(poisoned, op.blocks)[0]
+    assert np.array_equal(block_stack(dense, op.blocks)[~padding], u[~padding])
+    assert np.array_equal(dense, block_diagonal_part(dense, op.blocks))
+    for name in LAYOUTS:
+        target = _decomposition(basis, name)
+        assert np.array_equal(target.restack(poisoned, op.blocks), block_stack(dense, target))
+
+
+# (source layout, target layout, pair of states whose entry lands in no target block)
+COUPLINGS = [("one", "m", (1, -1), (1, 0)), ("m", "m-parity", (0, 0), (1, 0))]
+
+
+@pytest.mark.parametrize("source, target, first, second", COUPLINGS)
+@pytest.mark.parametrize(
+    "value, tol, drops",
+    [(1e-11, 1e-10, True), (1e-10, 1e-10, True), (1e-11, 1e-12, False), (np.nan, np.inf, False)],
+)
+def test_restack_drops_or_raises_on_entries_coupling_blocks(source, target, first, second, value, tol, drops):
+    basis = build_basis(3)
+    src, dst = _decomposition(basis, source), _decomposition(basis, target)
+    dense = _random_operator(basis, dst, np.random.default_rng(11))
+    a, b = basis.index_of(*first), basis.index_of(*second)
+    coupled = dense.copy()
+    coupled[a, b] = coupled[b, a] = value
+    stack = block_stack(coupled, src)
+    if drops:
+        assert np.array_equal(dst.restack(stack, src, what="observable", tol=tol), block_stack(dense, dst))
+    else:
+        with pytest.raises(ValueError, match="observable couples states in different invariant blocks"):
+            dst.restack(stack, src, what="observable", tol=tol)

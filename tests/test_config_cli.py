@@ -196,6 +196,33 @@ def test_cli_bounds_one_table_per_listed_temperature(tmp_path, capsys):
     assert not list(tmp_path.glob("bounds_*.csv"))
 
 
+def test_cli_bounds_rejects_temperatures_sharing_a_file_name(tmp_path, capsys):
+    # both print as 5 under %g, so their tables would both be bounds_orientation_T5K.csv
+    path = _raw_config_file(tmp_path, temperatures_k=[5.0, 5.0000001])
+    assert main(["bounds", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "temperature 5 K is listed more than once" in err
+    assert "5.0 and 5.0000001" in err
+    assert not list(tmp_path.glob("bounds_*.csv"))
+
+
+@pytest.mark.parametrize("preset", ["licl-5K", "licl-5K-alignment"])
+def test_simulate_and_bounds_build_no_dense_matrix(preset, tmp_path, monkeypatch, capsys):
+    import rotorkick.basis
+    import rotorkick.operators
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense N x N matrix built")
+
+    monkeypatch.setattr(rotorkick.operators.HermitianOperator, "matrix", property(dense))
+    monkeypatch.setattr(rotorkick.basis.BlockDecomposition, "scatter", dense)
+    monkeypatch.setattr(rotorkick.basis, "single_block", dense)
+    monkeypatch.setattr(rotorkick.operators, "single_block", dense)
+    for command in ("simulate", "bounds"):
+        assert main([command, "--preset", preset, "--out", str(tmp_path / command)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_bounds_empty_range(tmp_path, capsys):
     path = _raw_config_file(tmp_path, j_max_range=[3, 2])
     assert main(["bounds", "--config", str(path)]) == 2

@@ -42,7 +42,7 @@ def _two_level_system():
     basis = Basis(j_max=1, states=states)
     h0 = h0_matrix(basis)
     c = cos_theta_matrix(basis)
-    kick = KickSpec(amplitude=2.0, kind=ORIENTATION, mode="idealized", operator=c)
+    kick = KickSpec(amplitude=2.0, kind=ORIENTATION, operator=c)
     return basis, h0, c, kick
 
 

@@ -343,7 +343,7 @@ def test_physical_mode_tracks_leakage_warnings():
     basis = build_basis(6)
     h0 = h0_matrix(basis)
     rho0 = thermal_state(basis, beta=0.35)
-    kick = make_kick(basis, ORIENTATION, 2.0, mode="physical")
+    kick = make_kick(basis, ORIENTATION, 2.0)
     record, _ = run_strategy(rho0, "S1", kick, h0, max_kicks=6, leak_guard_j=4)
     assert record.warnings  # strong driving against a tight guard must trip it
     assert all("population" in w for w in record.warnings)
@@ -366,11 +366,9 @@ def test_kick_spec_validation():
     basis = build_basis(1)
     op = cos_theta_matrix(basis)
     with pytest.raises(ValueError):
-        KickSpec(amplitude=float("nan"), kind=ORIENTATION, mode="idealized", operator=op)
+        KickSpec(amplitude=float("nan"), kind=ORIENTATION, operator=op)
     with pytest.raises(ValueError):
-        KickSpec(amplitude=1.0, kind="bogus", mode="idealized", operator=op)
-    with pytest.raises(ValueError):
-        KickSpec(amplitude=1.0, kind=ORIENTATION, mode="bogus", operator=op)
+        KickSpec(amplitude=1.0, kind="bogus", operator=op)
 
 
 def test_embedded_run_matches_native_when_space_is_big_enough():
@@ -400,7 +398,7 @@ def test_run_strategy_rejects_inputs_coupling_blocks():
         run_strategy(thermal_state(basis, 0.5), "S1", kick, h0, observable=observable, max_kicks=1)
     # cos(theta) mixes the parities of j, so it cannot drive an alignment train
     with pytest.raises(ValueError, match="kick generator couples"):
-        run_strategy(thermal_state(basis, 0.5), "S1", KickSpec(1.0, ALIGNMENT, "idealized", kick.operator), h0)
+        run_strategy(thermal_state(basis, 0.5), "S1", KickSpec(1.0, ALIGNMENT, kick.operator), h0)
 
 
 # (preset, j_sim): the preset's own j_sim once per process, a smaller one elsewhere
