@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class BlockDecomposition:
 
     @cached_property
     def slots(self) -> np.ndarray:
-        """(n_blocks, largest block size) basis indices of the block members.
+        """(n_blocks, largest block size) basis indices of the block members, read-only.
 
         This is the layout of a block stack: block b of a block-diagonal
         matrix sits zero-padded in stack[b].  Padding slots hold the basis
@@ -129,12 +129,12 @@ class BlockDecomposition:
         slots = np.full((self.n_blocks, size), self.dim, dtype=np.intp)
         for b, block in enumerate(self.blocks):
             slots[b, : block.size] = block.members
-        return slots
+        return _read_only(slots)
 
     @cached_property
     def filled(self) -> np.ndarray:
         """(n_blocks, largest block size) mask of the slots holding a basis state, False at padding."""
-        return self.slots < self.dim
+        return _read_only(self.slots < self.dim)
 
     @cached_property
     def places(self) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +142,7 @@ class BlockDecomposition:
         block = np.full(self.dim + 1, self.n_blocks, dtype=np.intp)
         slot = np.zeros(self.dim + 1, dtype=np.intp)
         block[self.slots[self.filled]], slot[self.slots[self.filled]] = np.nonzero(self.filled)
-        return block, slot
+        return _read_only(block), _read_only(slot)
 
     def restack(
         self,
@@ -193,8 +193,14 @@ class BlockDecomposition:
         return out[: self.dim]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=16)
 def single_block(dim: int) -> BlockDecomposition:
-    """The trivial decomposition: one block holding all dim states."""
+    """The trivial decomposition: one block holding all dim states, shared between calls."""
     return BlockDecomposition(kind="none", blocks=(Block(m=None, parity=None, members=tuple(range(dim))),))
 
 

@@ -10,6 +10,9 @@ Every operator of a train conserves m (and, for alignment, the parity of
 j), so the train runs on the invariant blocks of the kick's process: kicks,
 free evolution, slopes and trace series all act on block stacks (see
 BlockDecomposition.slots), and no step costs more than one block's cube.
+When every input holds the same entries in the -m block as in the m block,
+as the thermal state, cos(theta) and cos^2(theta) do, the train keeps one
+copy of each pair and weighs it twice.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import Basis, block_decomposition, check_process_kind
+from .basis import Basis, BlockDecomposition, block_decomposition, check_process_kind
 from .errors import NumericalError
 from .evolution import PERIOD, FrequencyLattice, LevelSetMeasure, TraceSeries, global_max, measure_above
 from .operators import DensityMatrix, HermitianOperator, kick_unitary, observable_matrix
@@ -95,6 +98,22 @@ def _seen_by(rho: DensityMatrix, functional: HermitianOperator) -> DensityMatrix
     functional, and free evolution keeps them apart, so they are dropped.
     """
     return rho.regroup(functional.blocks, "state", np.inf)
+
+
+def _mirror_fold(blocks: BlockDecomposition, stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks a train keeps, and for every block the position among the kept ones of the block it reads.
+
+    When each stack (per-block entries laid out like blocks.slots) holds
+    exactly the same entries in the block at -m as in its mirror at m, same
+    parity, the train keeps the blocks with m >= 0 and every block at -m
+    reads its mirror; otherwise every block is kept and reads itself.
+    """
+    where = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
+    mirror = np.array([where.get((-block.m, block.parity), -1) for block in blocks.blocks], dtype=np.intp)
+    m = np.array([block.m for block in blocks.blocks])
+    folds = bool(np.all(mirror >= 0)) and all(np.array_equal(s, s[mirror]) for s in stacks)
+    keep = (m >= 0) | (not folds)
+    return keep, (np.cumsum(keep) - 1)[np.where(keep, np.arange(blocks.n_blocks), mirror)]
 
 
 def _slope(rho_matrix: np.ndarray, commutator: np.ndarray) -> float:
@@ -276,7 +295,13 @@ def run_strategy(
     The train runs on the invariant blocks of the kick's process: an input
     state, observable or target that couples two of them raises ValueError,
     and a kicked state whose trace drifts beyond HERM_TOL raises
-    NumericalError naming the kick.
+    NumericalError naming the kick.  When every input (state, observable,
+    target, kick generator and the energies) is exactly the same in the -m
+    block as in the m block, only the blocks with m >= 0 are propagated, on
+    the basis of their states: kicks keep each block's trace, so the kept
+    state declares the trace of the kept blocks, and the observable, target
+    and slope weigh the blocks at m > 0 twice, as do the leakage warnings.
+    final_state is unfolded onto all blocks of the kick's process.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -293,11 +318,27 @@ def run_strategy(
     # every input must respect the kick's invariant blocks; regroup raises otherwise
     blocks = kick.operator.blocks
     block_energies = blocks.gather_diagonal(h0.energies())
-    lattice = FrequencyLattice(block_energies)
+    start = rho0.regroup(blocks, "state")
     obs_stack = obs.regroup(blocks, "observable").stack
     proj_stack = None
     if target is not None:
         proj_stack = target.rho.regroup(blocks, "target state").stack / target.rho.purity()
+    basis = rho0.basis
+    inputs = [start.stack, obs_stack, kick.operator.stack, block_energies, blocks.gather_diagonal(basis.j_values)]
+    keep, source = _mirror_fold(blocks, inputs if proj_stack is None else [*inputs, proj_stack])
+    copies = np.bincount(source)  # how many blocks each kept block stands for
+
+    # the kept states, in basis order, have the kept blocks in the same order
+    kept_basis = Basis(basis.j_max, tuple(basis.states[a] for a in np.sort(blocks.slots[keep][blocks.filled[keep]])))
+    kept_blocks = block_decomposition(kept_basis, blocks.kind)
+    kick = KickSpec(kick.amplitude, kick.kind, HermitianOperator(kept_basis, kept_blocks, kick.operator.stack[keep]))
+    dropped = float(np.trace(start.stack[~keep], axis1=-2, axis2=-1).sum().real)
+    rho = DensityMatrix(kept_basis, kept_blocks, start.stack[keep], trace_target=start.trace_target - dropped)
+    block_energies = block_energies[keep]
+    lattice = FrequencyLattice(block_energies)
+    obs_stack = copies[:, None, None] * obs_stack[keep]
+    if proj_stack is not None:
+        proj_stack = copies[:, None, None] * proj_stack[keep]
     drive_stack = obs_stack if strategy == S1 else proj_stack
     comm = _commutator(block_energies, drive_stack)
 
@@ -308,7 +349,8 @@ def run_strategy(
 
     record = PulseTrainRecord(strategy=strategy)
     acc = _SeriesAccumulator(points_per_period, track_projection=proj_stack is not None)
-    rho = rho0.regroup(blocks, "state")
+    if leak_guard_j is not None:
+        above = (kept_basis.j_values > leak_guard_j) * copies[kept_blocks.places[0][:-1]]
     t_now = 0.0
     prev_max = _trace_product(rho.stack, drive_stack).real
     exp_s, proj_s = series_pair(rho)
@@ -352,7 +394,7 @@ def run_strategy(
         acc.event(t_star, t_star, exp_s, proj_s, flag=1)
 
         if leak_guard_j is not None:
-            shell = leakage(rho, leak_guard_j)
+            shell = float(rho.diagonal @ above)
             if shell > 1e-4:
                 record.warnings.append(
                     f"population {shell:.3e} above j={leak_guard_j} after kick {record.n_kicks}"
@@ -365,7 +407,13 @@ def run_strategy(
     acc.event(t_now + PERIOD, t_now, exp_s, proj_s, flag=0)
 
     final_max = global_max(exp_s, 0.0)
-    record.final_state = rho
+    block, slot = blocks.places
+    try:  # every block reads the kept block it stands for
+        record.final_state = replace(
+            start, stack=blocks.restack(rho.stack, kept_blocks, kept_blocks.slots[source[block[:-1]], slot[:-1]])
+        )
+    except ValueError as exc:
+        raise NumericalError(f"final state: {exc}") from exc
     record.final_efficiency = final_max.value
     record.final_efficiency_time = t_now + final_max.t
     if proj_s is not None:

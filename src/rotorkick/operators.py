@@ -75,7 +75,7 @@ class HermitianOperator:
                 f"stack shape {stack.shape} does not match the blocks {expected} of a {self.basis.dim}-state basis"
             )
         dev = float(np.max(np.abs(stack - _dagger(stack)), initial=0.0))
-        if dev > HERM_TOL:
+        if not dev <= HERM_TOL:  # NaN included
             raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
 
     @classmethod
@@ -96,8 +96,11 @@ class HermitianOperator:
         """The same operator on other blocks of its basis: self when they are equal, else restacked.
 
         Entries coupling two of the new blocks are dropped when none exceeds
-        tol in magnitude; otherwise ValueError naming `what`.
+        tol in magnitude; otherwise ValueError naming `what`, as for blocks
+        of a basis of another size.
         """
+        if blocks.dim != self.dim:
+            raise ValueError(f"{what} on {self.dim} states cannot move onto the blocks of a {blocks.dim}-state basis")
         if blocks == self.blocks:
             return self
         return replace(self, blocks=blocks, stack=blocks.restack(self.stack, self.blocks, what=what, tol=tol))
@@ -128,6 +131,11 @@ class HermitianOperator:
             k = block.size
             w[b, :k], v[b, :k, :k] = _eigh(self.stack[b, :k, :k])
         return w, v
+
+    @cached_property
+    def _exponentials(self) -> dict[float, np.ndarray]:
+        """The latest block stacks of exp(i a op), keyed by a; filled by kick_unitary."""
+        return {}
 
     def with_eigenvalues(self, values: np.ndarray) -> np.ndarray:
         """The stack with this operator's eigenvectors and eigenvalues values[b, k] in block b."""
@@ -167,7 +175,7 @@ class DensityMatrix(HermitianOperator):
     def __post_init__(self) -> None:
         super().__post_init__()
         tr = float(np.trace(self.stack, axis1=-2, axis2=-1).sum().real)
-        if abs(tr - self.trace_target) > HERM_TOL * max(1.0, abs(self.trace_target)):
+        if not abs(tr - self.trace_target) <= HERM_TOL * max(1.0, abs(self.trace_target)):  # NaN included
             raise ValueError(f"trace {tr!r} deviates from declared value {self.trace_target!r}")
 
     @cached_property
@@ -335,16 +343,27 @@ def hermitian_function(op: HermitianOperator, f: Callable[[np.ndarray], np.ndarr
 
 
 def kick_unitary(op: HermitianOperator, amplitude: float) -> np.ndarray:
-    """exp(i * amplitude * op) as the stack of its block unitaries, laid out like op.stack.
+    """exp(i * amplitude * op) as the read-only stack of its block unitaries, laid out like op.stack.
 
-    Built from op's eigensystem in each block; every block is verified
-    unitary to 1e-10.
+    Built from op's eigensystem in each block, verified unitary to 1e-10,
+    and kept with op until another amplitude is asked for, so a train
+    builds it once.  For a real op, exp(-i a op) is the complex conjugate
+    of exp(i a op) and is kept with it; the conjugate deviates from
+    unitarity exactly as much as the checked original.
     """
-    u = op.with_eigenvalues(np.exp(1j * amplitude * op.eigensystem[0]))
-    dev = float(np.max(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])), initial=0.0))
-    if not dev <= UNITARITY_TOL:
-        raise NumericalError(f"kick exponential failed unitarity check: {dev:.3e}")
-    return u
+    cache = op._exponentials
+    if amplitude not in cache:
+        u = op.with_eigenvalues(np.exp(1j * amplitude * op.eigensystem[0]))
+        dev = float(np.max(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])), initial=0.0))
+        if not dev <= UNITARITY_TOL:
+            raise NumericalError(f"kick exponential failed unitarity check: {dev:.3e}")
+        cache.clear()
+        cache[amplitude] = u
+        if not np.any(op.stack.imag):
+            cache.setdefault(-amplitude, u.conj())
+        for built in cache.values():
+            built.flags.writeable = False
+    return cache[amplitude]
 
 
 def _embedded(x: HermitianOperator, big_basis: Basis) -> tuple[BlockDecomposition, np.ndarray]:

@@ -217,3 +217,14 @@ def test_restack_drops_or_raises_on_entries_coupling_blocks(source, target, firs
     else:
         with pytest.raises(ValueError, match="observable couples states in different invariant blocks"):
             dst.restack(stack, src, what="observable", tol=tol)
+
+
+def test_single_block_is_shared_and_read_only():
+    whole = single_block(9)
+    assert single_block(9) is whole
+    blocks = block_decomposition(build_basis(2), ALIGNMENT)
+    for layout in (whole, blocks):
+        for array in (layout.slots, layout.filled, *layout.places):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0

@@ -331,6 +331,24 @@ def test_cli_state_drift_is_numerical_failure(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("train_*.json"))
 
 
+def test_cli_kicked_nan_state_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    import rotorkick.dynamics as dynamics
+
+    real = dynamics.kick_unitary
+
+    def poisoned(op, amplitude):
+        u = real(op, amplitude).copy()
+        u[0, 0, 0] = np.nan
+        return u
+
+    monkeypatch.setattr(dynamics, "kick_unitary", poisoned)
+    path = _raw_config_file(tmp_path)
+    assert main(["simulate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "kick 1" in err and "nan" in err
+    assert not list(tmp_path.glob("train_*.json"))
+
+
 def test_eigensolver_failure_wrapped(monkeypatch):
     import numpy as np
 

@@ -437,3 +437,100 @@ def test_block_train_matches_dense_oracle(preset, j_sim, mode, monkeypatch):
         assert record.final_projection == pytest.approx(dense["final_projection"], abs=1e-10)
     duration = (record.final_duration.total, record.final_duration.longest)
     assert duration == pytest.approx(dense["final_duration"], abs=1e-10)
+
+
+def _recorded_kick_operators(monkeypatch):
+    import rotorkick.dynamics as dynamics
+
+    seen = []
+    real = dynamics.kick_unitary
+
+    def recording(op, amplitude):
+        seen.append(op)
+        return real(op, amplitude)
+
+    monkeypatch.setattr(dynamics, "kick_unitary", recording)
+    return seen
+
+
+@pytest.mark.parametrize("preset", ["licl-5K", "licl-10K", "licl-5K-s2", "licl-5K-alignment", "licl-5K-alignment-s2"])
+@pytest.mark.parametrize("mode", ["idealized", "physical"])
+def test_presets_fold_onto_one_copy_of_each_mirror_pair(preset, mode, monkeypatch):
+    import rotorkick.cli as cli
+    from rotorkick.config import PRESETS
+
+    seen = _recorded_kick_operators(monkeypatch)
+    record, _, _ = cli._run_one_mode(PRESETS[preset].with_overrides(j_sim=12), mode)
+    assert seen and all(op is seen[0] for op in seen)
+    assert min(s.m for s in seen[0].basis.states) == 0
+    full = block_decomposition(record.final_state.basis, PRESETS[preset].process)
+    assert record.final_state.blocks == full
+    assert seen[0].blocks.n_blocks == sum(block.m >= 0 for block in full.blocks)
+
+
+def test_train_builds_the_kick_exponential_once(monkeypatch):
+    import rotorkick.operators as operators
+
+    eighs, builds = [], []
+    real_eigh, real_with = operators._eigh, HermitianOperator.with_eigenvalues
+    monkeypatch.setattr(operators, "_eigh", lambda matrix: eighs.append(1) or real_eigh(matrix))
+    monkeypatch.setattr(
+        HermitianOperator, "with_eigenvalues", lambda op, values: builds.append(1) or real_with(op, values)
+    )
+    basis = build_basis(5)
+    kick = make_kick(basis, ALIGNMENT, 1.5)
+    record, _ = run_strategy(thermal_state(basis, beta=0.3), "S1", kick, h0_matrix(basis), max_kicks=6)
+    assert record.n_kicks == 6  # 12 candidate kicks, six with each sign
+    kept = [block for block in kick.operator.blocks.blocks if block.m >= 0]
+    assert len(eighs) == len(kept)  # one eigensystem per kept block
+    assert len(builds) == 1  # one exponential, checked once; -A is its conjugate
+
+
+def _train_inputs(kind, j_max=4, beta=0.3):
+    basis = build_basis(j_max)
+    rho0 = thermal_state(basis, beta)
+    obs = observable_matrix(basis, kind)
+    target = build_target(rho0, obs, block_decomposition(basis, kind))
+    return basis, rho0, h0_matrix(basis), make_kick(basis, kind, 1.2), target
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+@pytest.mark.parametrize("strategy", ["S1", "S2"])
+def test_mirror_breaking_state_runs_unfolded_and_matches_dense_oracle(kind, strategy, monkeypatch):
+    basis, rho0, h0, kick, target = _train_inputs(kind)
+    weights = rho0.diagonal.copy()
+    a, b = basis.index_of(1, -1), basis.index_of(1, 0)
+    weights[[a, b]] = weights[a] + 0.01, weights[b] - 0.01  # m = -1 no longer mirrors m = 1
+    rho = DensityMatrix.from_matrix(basis, np.diag(weights), rho0.blocks, trace_target=rho0.trace_target)
+    seen = _recorded_kick_operators(monkeypatch)
+    record, _ = run_strategy(rho, strategy, kick, h0, target=target, max_kicks=5)
+    assert seen[0].basis == basis and seen[0].blocks == kick.operator.blocks
+    dense = dense_train(rho, strategy, kick, h0, target=target, max_kicks=5)
+    assert record.amplitudes == dense["amplitudes"]
+    assert np.allclose(record.kick_times, dense["kick_times"], rtol=0, atol=1e-10)
+    assert np.allclose(record.maxima, dense["maxima"], rtol=0, atol=1e-10)
+    assert record.final_efficiency == pytest.approx(dense["final_efficiency"], abs=1e-10)
+
+
+def _replayed(record, rho0, h0, kick, n):
+    """The state right after the n-th kick of the record, propagated on all blocks of the kick."""
+    rho, t_now = rho0.regroup(kick.operator.blocks), 0.0
+    for t, amplitude in zip(record.kick_times[:n], record.amplitudes[:n]):
+        rho, t_now = apply_kick(free_propagate(rho, h0, t - t_now), kick, amplitude), t
+    return rho
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_folded_final_state_and_leak_warnings_match_the_unfolded_train(kind):
+    basis, rho0, h0, kick, target = _train_inputs(kind, j_max=6)
+    record, _ = run_strategy(rho0, "S2", kick, h0, target=target, max_kicks=6, leak_guard_j=3)
+    assert record.n_kicks and record.warnings
+    final, unfolded = record.final_state, _replayed(record, rho0, h0, kick, record.n_kicks)
+    assert final.blocks == unfolded.blocks and final.trace_target == rho0.trace_target
+    assert np.max(np.abs(final.stack - unfolded.stack)) <= 1e-13
+    expected = []
+    for n in range(1, record.n_kicks + 1):
+        shell = leakage(_replayed(record, rho0, h0, kick, n), 3)
+        if shell > 1e-4:
+            expected.append(f"population {shell:.3e} above j=3 after kick {n}")
+    assert record.warnings == expected

@@ -325,3 +325,51 @@ def test_eigenvalue_multiplicities():
     assert eigenvalue_multiplicities(c) == [1, 2, 1]
     ident = HermitianOperator.from_matrix(basis, np.eye(4))
     assert eigenvalue_multiplicities(ident) == [4]
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_kick_unitary_is_built_once_and_conjugated_for_the_opposite_sign(kind):
+    op = observable_matrix(build_basis(8), kind)
+    u = kick_unitary(op, 1.7)
+    assert kick_unitary(op, 1.7) is u and not u.flags.writeable
+    minus = kick_unitary(op, -1.7)
+    assert kick_unitary(op, -1.7) is minus and not minus.flags.writeable
+    fresh = op.with_eigenvalues(np.exp(-1.7j * op.eigensystem[0]))
+    assert np.max(np.abs(minus - fresh)) <= 1e-15
+    with pytest.raises(ValueError):
+        u[0, 0, 0] = 0.0
+    kick_unitary(op, 0.4)
+    assert kick_unitary(op, 1.7) is not u  # only the latest pair is kept
+
+
+def test_kick_unitary_of_a_complex_operator_builds_each_sign():
+    basis = build_basis(2)
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+    op = HermitianOperator.from_matrix(basis, z + z.conj().T)
+    lam, vec = np.linalg.eigh(op.matrix)
+    for amp in (0.9, -0.9):
+        expected = (vec * np.exp(1j * amp * lam)) @ vec.conj().T
+        assert np.max(np.abs(op.blocks.scatter(kick_unitary(op, amp)) - expected)) < 1e-12
+
+
+def test_constructors_reject_nan():
+    basis = build_basis(2)
+    thermal = thermal_state(basis, beta=0.5)
+    for entry in ((0, 0, 0), (2, 0, 1)):
+        stack = thermal.stack.copy()
+        stack[entry] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(basis, thermal.blocks, stack, trace_target=thermal.trace_target)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianOperator(basis, thermal.blocks, stack)
+    with pytest.raises(ValueError, match="deviates from declared value nan"):
+        DensityMatrix(basis, thermal.blocks, thermal.stack, trace_target=float("nan"))
+
+
+@pytest.mark.parametrize("j_other", [1, 3])
+def test_regroup_onto_blocks_of_another_basis_size(j_other):
+    rho = thermal_state(build_basis(2), 0.5)
+    other = block_decomposition(build_basis(j_other), ALIGNMENT)
+    with pytest.raises(ValueError, match=f"state on 9 states cannot move onto the blocks of a {other.dim}-state basis"):
+        rho.regroup(other, "state")
