@@ -144,6 +144,18 @@ class BlockDecomposition:
         block[self.slots[self.filled]], slot[self.slots[self.filled]] = np.nonzero(self.filled)
         return _read_only(block), _read_only(slot)
 
+    def copies(self, stacks: list[np.ndarray]) -> np.ndarray:
+        """For every block, the index of the last block of its size whose entries are bit-identical in every stack.
+
+        Each stack holds per-block entries laid out like slots, as a block
+        stack or gather_diagonal does.  Blocks that are copies evolve alike
+        under operators built from the stacks, so one of each suffices; the
+        last is the one with m >= 0 of a +-m pair.
+        """
+        keys = [(block.size, b"".join(s[b].tobytes() for s in stacks)) for b, block in enumerate(self.blocks)]
+        last = {key: b for b, key in enumerate(keys)}
+        return np.array([last[key] for key in keys], dtype=np.intp)
+
     def restack(
         self,
         stack: np.ndarray,

@@ -176,7 +176,7 @@ def cmd_fixedpoints(config: RunConfig) -> list[str]:
     rho0 = thermal_state(basis, config.beta, z_mode=config.z_mode, renormalize=config.renormalize)
     blocks = block_decomposition(basis, config.process)
     target = build_target(rho0, obs, blocks)
-    mixed = DensityMatrix.from_matrix(basis, np.eye(basis.dim) / basis.dim)
+    mixed = DensityMatrix(basis, blocks, np.eye(blocks.slots.shape[1]) * blocks.filled[:, None, :] / basis.dim)
     payload = report.to_jsonable()
     payload.update(
         {

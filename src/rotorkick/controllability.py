@@ -9,7 +9,8 @@ the greedy kick iteration: states commuting with the driving functional are
 the only fixed points exactly when the span of the kick-rotated slope
 operators saturates its commutant-complement bound.  That span is read off
 in closed form from the frequency components of the slope operator in the
-functional's eigenbasis.
+functional's eigenbasis.  Both work block by block on the operators'
+invariant-block stacks.
 """
 
 from __future__ import annotations
@@ -29,39 +30,8 @@ from .operators import (
     observable_matrix,
 )
 
-SKEW_TOL = 1e-12
 RANK_TOL = 1e-10
 STATIONARY_TOL = 1e-10
-
-
-def _invariant_blocks(mats: list[np.ndarray]) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Distinct invariant blocks of the generators: (restrictions, index sets of every copy).
-
-    The blocks are the connected components of the generators' joint nonzero
-    pattern, so every commutator stays block-diagonal on them.  Two blocks
-    are copies when each generator restricts to the same matrix on both, as
-    for the m and -m blocks of the rotor; the whole algebra then restricts to
-    the same matrices on both, and one copy carries its arithmetic.
-    """
-    n = mats[0].shape[0]
-    reach = (np.eye(n, dtype=bool) | np.any([g != 0 for g in mats], axis=0)).astype(np.int64)
-    while True:  # transitive closure by repeated squaring
-        grown = (reach @ reach > 0).astype(np.int64)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    labels = reach.argmax(axis=1)  # the smallest index of each component
-    distinct: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
-    for label in np.unique(labels):
-        idx = np.flatnonzero(labels == label)
-        parts = [g[np.ix_(idx, idx)] for g in mats]
-        for restrictions, copies in distinct:
-            if all(np.array_equal(a, b) for a, b in zip(restrictions, parts)):
-                copies.append(idx)
-                break
-        else:
-            distinct.append((parts, [idx]))
-    return distinct
 
 
 def _commutators(x: np.ndarray, ys: np.ndarray, layout) -> np.ndarray:
@@ -99,34 +69,43 @@ def _orthonormalize(rows: np.ndarray, dim: int, candidate: np.ndarray, tol: floa
     return dim + 1
 
 
-def lie_closure(generators, tol: float = RANK_TOL) -> tuple[int, list[np.ndarray]]:
-    """Dimension and orthonormal basis of the real Lie algebra closing the generators.
+def lie_closure(operators: list[HermitianOperator], tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
+    """Dimension and orthonormal basis of the real Lie algebra generated by i H for the operators H.
 
     Repeatedly commutes every basis element with the elements found in the
     previous round, orthonormalizes under the trace inner product
-    Re Tr[X+ Y], and keeps residuals whose relative norm exceeds tol.
-    Generators must be skew-Hermitian; the count is a real dimension, as for
-    u(N).  The arithmetic runs on one copy of each distinct invariant block,
-    weighted by the square root of its number of copies so that inner
-    products equal those of the full matrices.
+    Re Tr[X+ Y], and keeps residuals whose relative norm exceeds tol.  The
+    count is a real dimension, as for u(N).  The operators must share one
+    block decomposition (ValueError otherwise), on whose blocks every
+    commutator stays.  Blocks on which every operator is the same
+    (BlockDecomposition.copies), such as the m and -m blocks of the rotor,
+    carry the same restriction of the whole algebra, so the arithmetic runs
+    on one copy of each, weighted by the square root of its number of
+    copies so that inner products equal those of the full matrices.  The
+    skew-Hermitian basis elements are returned as block stacks laid out
+    like the operators' stacks, with a leading axis of length dim.
     """
-    mats = [np.array(g, dtype=complex) for g in generators]
-    for g in mats:
-        dev = float(np.max(np.abs(g + g.conj().T)))
-        if dev > SKEW_TOL:
-            raise ValueError(f"generator is not skew-Hermitian: deviation {dev:.3e}")
-    if not mats:
-        return 0, []
-
-    blocks = _invariant_blocks(mats)
+    if not operators:
+        return 0, np.zeros((0, 0, 0, 0), dtype=complex)
+    blocks = operators[0].blocks
+    if any(op.blocks != blocks for op in operators):
+        raise ValueError("lie_closure needs operators on one block decomposition; regroup them first")
+    last = blocks.copies([op.stack for op in operators])
+    keep = last == np.arange(blocks.n_blocks)
+    source = (np.cumsum(keep) - 1)[last]  # for every block, the position of its copy among the distinct ones
+    distinct = np.flatnonzero(keep)
+    weights = np.sqrt(np.bincount(source))
+    sizes = blocks.filled[keep].sum(axis=1)
     layout = []
     width = 0
-    for parts, copies in blocks:
-        size = parts[0].shape[0]
-        layout.append((width, width + size * size, size, 1.0 / np.sqrt(len(copies))))
+    for size, weight in zip(sizes, weights):
+        layout.append((width, width + size * size, size, 1.0 / weight))
         width += size * size
     compact = np.array(
-        [np.concatenate([np.sqrt(len(copies)) * parts[k].ravel() for parts, copies in blocks]) for k in range(len(mats))]
+        [
+            np.concatenate([w * (1j * op.stack[b, :k, :k]).ravel() for b, k, w in zip(distinct, sizes, weights)])
+            for op in operators
+        ]
     )
     # Basis rows in compact complex form; the float view interleaves [Re, Im],
     # so a dot product of two rows is Re Tr[X+ Y].  No more than 2 * width
@@ -140,13 +119,13 @@ def lie_closure(generators, tol: float = RANK_TOL) -> tuple[int, list[np.ndarray
     # the rounding along them grows each time a small residual is normalized:
     # rejected residuals at orientation j_max = 7 reach 6e-11, and alignment
     # j_max = 8 closes at 133, above D' = 130.
-    traces = np.zeros((len(blocks), width), dtype=complex)
+    traces = np.zeros((len(distinct), width), dtype=complex)
     for b, (lo, hi, size, _) in enumerate(layout):
         traces[b, lo:hi] = 1j * np.eye(size).ravel() / np.sqrt(size)
     units = traces.view(np.float64)
     left, s, _ = np.linalg.svd(units @ compact.view(np.float64).T)
     rank = int(np.sum(s > tol * s[0]))
-    excluded = len(blocks) - rank
+    excluded = len(distinct) - rank
     rows[:excluded] = left[:, rank:].T @ units
 
     dim = excluded
@@ -165,13 +144,11 @@ def lie_closure(generators, tol: float = RANK_TOL) -> tuple[int, list[np.ndarray
         fresh = elems[start:dim]
     found = elems[excluded:dim]
 
-    n = mats[0].shape[0]
-    dense = np.zeros((len(found), n, n), dtype=complex)
-    for (lo, hi, size, scale), (_, copies) in zip(layout, blocks):
-        block = scale * found[:, lo:hi].reshape(-1, size, size)
-        for idx in copies:
-            dense[:, idx[:, None], idx[None, :]] = block
-    return len(found), list(dense)
+    size = blocks.slots.shape[1]
+    one_copy = np.zeros((len(found), len(distinct), size, size), dtype=complex)
+    for d, (lo, hi, k, scale) in enumerate(layout):
+        one_copy[:, d, :k, :k] = scale * found[:, lo:hi].reshape(-1, k, k)
+    return len(found), one_copy[:, source]
 
 
 def block_trace_rank(j_max: int, kind: str) -> int:
@@ -194,33 +171,20 @@ def block_trace_rank(j_max: int, kind: str) -> int:
     return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def _alignment_subblock_sizes(j_max: int, m_from: int) -> list[int]:
-    sizes = []
-    for m in range(m_from, j_max + 1):
-        for parity in (0, 1):
-            size = sum(1 for j in range(m, j_max + 1) if j % 2 == parity)
-            if size:
-                sizes.append(size)
-    return sizes
-
-
 def dims_required(j_max: int, r: int, kind: str = ORIENTATION) -> tuple[int, int]:
     """Lie-algebra dimensions demanded for simultaneous controllability.
 
-    The first count treats every invariant block independently; the second
-    exploits the m <-> -m symmetry and only counts blocks with m >= 0 (for
+    Both counts are r plus size^2 - 1 summed over invariant blocks.  The
+    first takes every m block independently; the second exploits the
+    m <-> -m symmetry and only counts the process's blocks with m >= 0 (for
     alignment, the parity-resolved sub-blocks).
     """
     check_process_kind(kind)
     if j_max < 1 or r < 1:
         raise ValueError("j_max and r must be at least 1")
-    core = (j_max + 1) ** 2 - 1
-    wing = sum((j_max - m + 1) ** 2 - 1 for m in range(1, j_max + 1))
-    d_general = r + core + 2 * wing
-    if kind == ORIENTATION:
-        d_restricted = r + core + wing
-    else:
-        d_restricted = r + sum(s**2 - 1 for s in _alignment_subblock_sizes(j_max, m_from=0))
+    basis = build_basis(j_max)
+    d_general = r + sum(b.size**2 - 1 for b in block_decomposition(basis, ORIENTATION).blocks)
+    d_restricted = r + sum(b.size**2 - 1 for b in block_decomposition(basis, kind).blocks if b.m >= 0)
     return d_general, d_restricted
 
 
@@ -265,7 +229,7 @@ def controllability_report(j_max: int, kind: str) -> LieAlgebraReport:
     basis = build_basis(j_max)
     h0 = h0_matrix(basis)
     obs = observable_matrix(basis, kind)
-    dim_l, _ = lie_closure([1j * h0.matrix, 1j * obs.matrix])
+    dim_l, _ = lie_closure([h0.regroup(obs.blocks), obs])
     r = block_trace_rank(j_max, kind)
     d, d_prime = dims_required(j_max, r, kind)
     if dim_l > d_prime:
@@ -308,19 +272,22 @@ def two_level_obstruction(j_max: int) -> TwoLevelReport:
         raise ValueError("two-level obstruction needs j_max > 1")
     basis = build_basis(j_max)
     obs = observable_matrix(basis, ORIENTATION)
-    h0 = h0_matrix(basis)
+    energies = h0_matrix(basis).diagonal
+    block, slot = obs.blocks.places
     m = j_max - 1
     couplings = []
     gaps = []
     for sign in (1, -1):
         a = basis.index_of(j_max - 1, sign * m)
         b = basis.index_of(j_max, sign * m)
-        couplings.append(float(obs.matrix[a, b].real))
-        gaps.append(float((h0.matrix[b, b] - h0.matrix[a, a]).real))
-    e0 = float(h0.matrix[basis.index_of(j_max - 1, m), basis.index_of(j_max - 1, m)].real)
-    e1 = float(h0.matrix[basis.index_of(j_max, m), basis.index_of(j_max, m)].real)
-    assert abs(couplings[0] - couplings[1]) <= 1e-15, "m and -m couplings differ"
-    assert abs(couplings[0] - 1.0 / np.sqrt(2 * j_max + 1)) <= 1e-12
+        couplings.append(float(obs.stack[block[a], slot[a], slot[b]].real))
+        gaps.append(float(energies[b] - energies[a]))
+    e0 = float(energies[basis.index_of(j_max - 1, m)])
+    e1 = float(energies[basis.index_of(j_max, m)])
+    if not abs(couplings[0] - couplings[1]) <= 1e-15:
+        raise NumericalError(f"m = +-{m} couplings differ: {couplings[0]!r} and {couplings[1]!r}")
+    if not abs(couplings[0] - 1.0 / np.sqrt(2 * j_max + 1)) <= 1e-12:
+        raise NumericalError(f"m = {m} coupling {couplings[0]!r} is not 1/sqrt(2 j_max + 1)")
     return TwoLevelReport(
         j_max=j_max,
         coupling=couplings[0],
@@ -336,21 +303,24 @@ def _slope_frequencies(
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """The slope operator C = i[H0, B] in B's eigenbasis, entry by entry, with frequency clusters.
 
-    With H0 written in the same basis, entry (k, l) is
-    C_kl = -i w_kl (H0)_kl with w_kl = lambda_k - lambda_l, and the kick
-    U(a) = exp(i a B) turns it into exp(-i a w_kl) C_kl.  So
+    In block b of B, with eigenvectors v_b, entry (k, l) is
+    C_kl = -i w_kl (v_b+ H0_b v_b)_kl with w_kl = lambda_k - lambda_l, and
+    the kick U(a) = exp(i a B) turns it into exp(-i a w_kl) C_kl.  So
     U(a)+ C U(a) = sum_w exp(-i a w) C_w, where C_w keeps the entries at
-    frequency w.  Returns the flattened entries, their cluster labels
-    (ascending in w), the label of w = 0 (labels above it are the positive
-    frequencies) and the eigenbasis, assembled from B's blocks.
+    frequency w.  H0 must couple no two blocks of B (ValueError), so
+    neither does C.  Returns the entries of the filled within-block pairs
+    (k, l), flattened block by block, their cluster labels (ascending in
+    w), the label of w = 0 (labels above it are the positive frequencies)
+    and the mask of those pairs in a block stack.
     """
     values, vectors = functional.eigensystem
-    lam = functional.blocks.scatter_diagonal(values)
-    v = functional.blocks.scatter(vectors)
-    w = lam[:, None] - lam[None, :]
-    c = -1j * w * (v.conj().T @ h0.matrix @ v)
-    labels = cluster_labels(w.ravel(), np.max(np.abs(lam), initial=0.0))
-    return c.ravel(), labels, int(labels[0]), v  # entry (0, 0) sits at w = 0 exactly
+    filled = functional.blocks.filled
+    pairs = filled[:, :, None] & filled[:, None, :]
+    w = (values[:, :, None] - values[:, None, :])[pairs]
+    h = h0.regroup(functional.blocks, "h0").stack
+    c = -1j * w * (vectors.conj().transpose(0, 2, 1) @ h @ vectors)[pairs]
+    labels = cluster_labels(w, np.max(np.abs(values), initial=0.0))
+    return c, labels, int(labels[0]), pairs  # entry (0, 0) of block 0 sits at w = 0 exactly
 
 
 @dataclass(frozen=True)
@@ -423,7 +393,9 @@ def is_kick_stationary(
     |Tr[rho C_w]| <= tol at every frequency w.  Fixed points of the greedy
     iteration all pass this test.
     """
-    c, labels, _, v = _slope_frequencies(h0, functional)
-    terms = (v.conj().T @ rho.matrix @ v).T.ravel() * c  # rho_lk C_kl
+    c, labels, _, pairs = _slope_frequencies(h0, functional)
+    v = functional.eigensystem[1]
+    seen = rho.regroup(functional.blocks, "state", np.inf).stack  # C couples no two blocks of B
+    terms = (v.conj().transpose(0, 2, 1) @ seen @ v).transpose(0, 2, 1)[pairs] * c  # rho_lk C_kl
     traces = np.bincount(labels, weights=terms.real) + 1j * np.bincount(labels, weights=terms.imag)
     return bool(np.all(np.abs(traces) <= tol))

@@ -10,9 +10,9 @@ Every operator of a train conserves m (and, for alignment, the parity of
 j), so the train runs on the invariant blocks of the kick's process: kicks,
 free evolution, slopes and trace series all act on block stacks (see
 BlockDecomposition.slots), and no step costs more than one block's cube.
-When every input holds the same entries in the -m block as in the m block,
+Where every input holds the same entries in the -m block as in the m block,
 as the thermal state, cos(theta) and cos^2(theta) do, the train keeps one
-copy of each pair and weighs it twice.
+copy of the pair and weighs it twice.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import Basis, BlockDecomposition, block_decomposition, check_process_kind
+from .basis import Basis, block_decomposition, check_process_kind
 from .errors import NumericalError
 from .evolution import PERIOD, FrequencyLattice, LevelSetMeasure, TraceSeries, global_max, measure_above
 from .operators import DensityMatrix, HermitianOperator, kick_unitary, observable_matrix
@@ -98,22 +98,6 @@ def _seen_by(rho: DensityMatrix, functional: HermitianOperator) -> DensityMatrix
     functional, and free evolution keeps them apart, so they are dropped.
     """
     return rho.regroup(functional.blocks, "state", np.inf)
-
-
-def _mirror_fold(blocks: BlockDecomposition, stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks a train keeps, and for every block the position among the kept ones of the block it reads.
-
-    When each stack (per-block entries laid out like blocks.slots) holds
-    exactly the same entries in the block at -m as in its mirror at m, same
-    parity, the train keeps the blocks with m >= 0 and every block at -m
-    reads its mirror; otherwise every block is kept and reads itself.
-    """
-    where = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
-    mirror = np.array([where.get((-block.m, block.parity), -1) for block in blocks.blocks], dtype=np.intp)
-    m = np.array([block.m for block in blocks.blocks])
-    folds = bool(np.all(mirror >= 0)) and all(np.array_equal(s, s[mirror]) for s in stacks)
-    keep = (m >= 0) | (not folds)
-    return keep, (np.cumsum(keep) - 1)[np.where(keep, np.arange(blocks.n_blocks), mirror)]
 
 
 def _slope(rho_matrix: np.ndarray, commutator: np.ndarray) -> float:
@@ -295,13 +279,16 @@ def run_strategy(
     The train runs on the invariant blocks of the kick's process: an input
     state, observable or target that couples two of them raises ValueError,
     and a kicked state whose trace drifts beyond HERM_TOL raises
-    NumericalError naming the kick.  When every input (state, observable,
-    target, kick generator and the energies) is exactly the same in the -m
-    block as in the m block, only the blocks with m >= 0 are propagated, on
-    the basis of their states: kicks keep each block's trace, so the kept
-    state declares the trace of the kept blocks, and the observable, target
-    and slope weigh the blocks at m > 0 twice, as do the leakage warnings.
-    final_state is unfolded onto all blocks of the kick's process.
+    NumericalError naming the kick.  Blocks on which every input (state,
+    observable, target, kick generator, energies and j values) holds
+    bit-identical entries, as the m and -m blocks of a symmetric input do,
+    are propagated once (BlockDecomposition.copies keeps the last copy, so
+    m >= 0), on the basis of the kept states: kicks keep each block's
+    trace, so the kept state declares the trace of the kept blocks, and the
+    observable, target and slope weigh each kept block by its number of
+    copies, as do the leakage warnings.  A state that breaks one +-m pair
+    runs that pair on both copies and still folds the others.  final_state
+    is unfolded onto all blocks of the kick's process.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -325,7 +312,9 @@ def run_strategy(
         proj_stack = target.rho.regroup(blocks, "target state").stack / target.rho.purity()
     basis = rho0.basis
     inputs = [start.stack, obs_stack, kick.operator.stack, block_energies, blocks.gather_diagonal(basis.j_values)]
-    keep, source = _mirror_fold(blocks, inputs if proj_stack is None else [*inputs, proj_stack])
+    last = blocks.copies(inputs if proj_stack is None else [*inputs, proj_stack])
+    keep = last == np.arange(blocks.n_blocks)
+    source = (np.cumsum(keep) - 1)[last]  # for every block, the position of its copy among the kept ones
     copies = np.bincount(source)  # how many blocks each kept block stands for
 
     # the kept states, in basis order, have the kept blocks in the same order

@@ -9,10 +9,14 @@ from rotorkick.basis import (
     ORIENTATION,
     Basis,
     BasisIndex,
+    Block,
+    BlockDecomposition,
     block_decomposition,
     build_basis,
     single_block,
 )
+from rotorkick.config import PRESETS
+from rotorkick.controllability import controllability_report
 from rotorkick.operators import cos2_theta_matrix, kick_unitary, thermal_state
 
 
@@ -228,3 +232,41 @@ def test_single_block_is_shared_and_read_only():
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+def test_copies_group_bit_identical_blocks_of_one_size():
+    # sizes 1, 2, 1, 2: zero-padded alike, so only the size tells the blocks apart
+    sizes = (1, 2, 1, 2)
+    starts = np.cumsum((0, *sizes[:-1]))
+    blocks = BlockDecomposition(
+        kind="none",
+        blocks=tuple(Block(m=None, parity=None, members=tuple(range(a, a + k))) for a, k in zip(starts, sizes)),
+    )
+    stack, diagonal = np.zeros((4, 2, 2)), np.zeros((4, 2))
+    assert blocks.copies([stack, diagonal]).tolist() == [2, 3, 2, 3]
+    stack[3, 1, 0] = -0.0  # equal to 0.0, but not bit-identical
+    assert blocks.copies([stack, diagonal]).tolist() == [2, 1, 2, 3]
+    diagonal[0, 0] = 1.0  # one entry of one stack
+    assert blocks.copies([stack, diagonal]).tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_copies_match_every_mirror_pair_of_the_presets(preset, monkeypatch):
+    import rotorkick.cli as cli
+
+    found = []
+    real = BlockDecomposition.copies
+
+    def recording(self, stacks):
+        found.append((self, real(self, stacks)))
+        return found[-1][1]
+
+    monkeypatch.setattr(BlockDecomposition, "copies", recording)
+    config = PRESETS[preset].with_overrides(j_sim=12)
+    for mode in ("idealized", "physical"):
+        cli._run_one_mode(config, mode)
+    controllability_report(3, config.process)
+    assert len(found) == 3
+    for blocks, last in found:
+        where = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
+        assert last.tolist() == [where[abs(block.m), block.parity] for block in blocks.blocks]

@@ -218,8 +218,8 @@ def test_simulate_and_bounds_build_no_dense_matrix(preset, tmp_path, monkeypatch
     monkeypatch.setattr(rotorkick.basis.BlockDecomposition, "scatter", dense)
     monkeypatch.setattr(rotorkick.basis, "single_block", dense)
     monkeypatch.setattr(rotorkick.operators, "single_block", dense)
-    for command in ("simulate", "bounds"):
-        assert main([command, "--preset", preset, "--out", str(tmp_path / command)]) == 0
+    for command, *extra in (("simulate",), ("bounds",), ("controllability", "--j-max", "1", "2", "3"), ("fixedpoints",)):
+        assert main([command, "--preset", preset, "--out", str(tmp_path / command), *extra]) == 0
     capsys.readouterr()
 
 

@@ -46,27 +46,47 @@ def _two_level_system():
     return basis, h0, c, kick
 
 
+def _line_basis(n):
+    """n states of one m, so that from_matrix keeps any n x n matrix in one block."""
+    return Basis(j_max=n - 1, states=tuple(BasisIndex(j, 0) for j in range(n)))
+
+
+def _operators(basis, matrices, blocks=None):
+    return [HermitianOperator.from_matrix(basis, m, blocks) for m in matrices]
+
+
+def _dense_elements(blocks, elements):
+    return [blocks.scatter(e) for e in elements]
+
+
 def test_closure_of_commuting_diagonals():
-    d1 = 1j * np.diag([1.0, 2.0, 3.0])
-    d2 = 1j * np.diag([2.0, 4.0, 6.0])  # parallel to d1
-    d3 = 1j * np.diag([1.0, 0.0, -1.0])
-    dim, _ = lie_closure([d1, d2])
+    basis = _line_basis(3)
+    d1, d2, d3 = _operators(basis, [np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 4.0, 6.0]), np.diag([1.0, 0.0, -1.0])])
+    dim, _ = lie_closure([d1, d2])  # d2 is parallel to d1
     assert dim == 1
     dim, _ = lie_closure([d1, d3])
     assert dim == 2
 
 
 def test_closure_rejects_non_skew_input():
-    with pytest.raises(ValueError):
-        lie_closure([np.eye(2)])
+    # i H is skew-Hermitian exactly when H is Hermitian, which the operator checks
+    with pytest.raises(ValueError, match="not Hermitian"):
+        lie_closure(_operators(_line_basis(2), [1j * np.eye(2)]))
+
+
+def test_closure_rejects_operators_on_different_blocks():
+    basis = build_basis(2)
+    h0 = h0_matrix(basis)
+    with pytest.raises(ValueError, match="one block decomposition"):
+        lie_closure([h0, observable_matrix(basis, ALIGNMENT)])
 
 
 def test_closure_scaling_invariance():
     basis = build_basis(2)
     h0 = h0_matrix(basis)
     c = cos_theta_matrix(basis)
-    dim_a, _ = lie_closure([1j * h0.matrix, 1j * c.matrix])
-    dim_b, _ = lie_closure([2j * h0.matrix, 1j * c.matrix])
+    dim_a, _ = lie_closure([h0, c])
+    dim_b, _ = lie_closure([HermitianOperator(basis, h0.blocks, 2 * h0.stack), c])
     assert dim_a == dim_b == 12
 
 
@@ -74,9 +94,11 @@ def test_closure_deterministic():
     basis = build_basis(2)
     h0 = h0_matrix(basis)
     c = cos_theta_matrix(basis)
-    dim1, basis1 = lie_closure([1j * h0.matrix, 1j * c.matrix])
-    dim2, basis2 = lie_closure([1j * h0.matrix, 1j * c.matrix])
+    dim1, elems1 = lie_closure([h0, c])
+    dim2, elems2 = lie_closure([h0, c])
     assert dim1 == dim2
+    assert elems1.shape == (dim1, *h0.stack.shape)
+    basis1, basis2 = _dense_elements(h0.blocks, elems1), _dense_elements(h0.blocks, elems2)
     for x, y in zip(basis1, basis2):
         assert np.max(np.abs(x - y)) < 1e-12
     gram1 = np.array([[np.vdot(x, y).real for y in basis1] for x in basis1])
@@ -108,13 +130,14 @@ def test_alignment_reference_dimensions(j_max):
 @pytest.mark.parametrize("kind, j_max, r", [(ORIENTATION, 6, 1), (ALIGNMENT, 7, 2)])
 def test_closure_reaches_restricted_count_at_larger_cutoffs(kind, j_max, r):
     basis = build_basis(j_max)
-    dim, _ = lie_closure([1j * h0_matrix(basis).matrix, 1j * observable_matrix(basis, kind).matrix])
+    obs = observable_matrix(basis, kind)
+    dim, _ = lie_closure([h0_matrix(basis).regroup(obs.blocks), obs])
     assert dim == dims_required(j_max, r, kind)[1]
 
 
-def _random_skew(rng, n):
+def _random_hermitian(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return a - a.conj().T
+    return a + a.conj().T
 
 
 def _block_diag(a, b):
@@ -126,29 +149,37 @@ def _block_diag(a, b):
 
 def test_closure_of_generic_pair_is_all_of_u_n():
     rng = np.random.default_rng(3)
-    dim, _ = lie_closure([_random_skew(rng, 4), _random_skew(rng, 4)])
+    dim, _ = lie_closure(_operators(_line_basis(4), [_random_hermitian(rng, 4), _random_hermitian(rng, 4)]))
     assert dim == 16
 
 
 def test_closure_counts_identical_blocks_once():
     rng = np.random.default_rng(5)
-    a = [_random_skew(rng, 3), _random_skew(rng, 3)]
-    other = [_random_skew(rng, 3), _random_skew(rng, 3)]
-    dim_a, _ = lie_closure(a)
+    a = [_random_hermitian(rng, 3), _random_hermitian(rng, 3)]
+    other = [_random_hermitian(rng, 3), _random_hermitian(rng, 3)]
+    dim_a, _ = lie_closure(_operators(_line_basis(3), a))
     assert dim_a == 9
-    dim_copies, basis = lie_closure([_block_diag(g, g) for g in a])
+    # two blocks of three states, at m = -1 and m = 1
+    pair = Basis(j_max=3, states=tuple(BasisIndex(j, m) for m in (-1, 1) for j in (1, 2, 3)))
+    blocks = block_decomposition(pair, ORIENTATION)
+    assert [block.size for block in blocks.blocks] == [3, 3]
+    dim_copies, elems = lie_closure(_operators(pair, [_block_diag(g, g) for g in a], blocks))
     assert dim_copies == dim_a
-    gram = np.array([[np.vdot(x, y).real for y in basis] for x in basis])
+    assert np.array_equal(elems[:, 0], elems[:, 1])  # both copies carry the same element
+    dense = _dense_elements(blocks, elems)
+    gram = np.array([[np.vdot(x, y).real for y in dense] for x in dense])
     assert np.max(np.abs(gram - np.eye(dim_copies))) < 1e-12
     # two generic blocks: su(3) + su(3) plus a two-dimensional trace part
-    dim_distinct, _ = lie_closure([_block_diag(g, h) for g, h in zip(a, other)])
+    dim_distinct, _ = lie_closure(_operators(pair, [_block_diag(g, h) for g, h in zip(a, other)], blocks))
     assert dim_distinct == 18
 
 
 def test_closure_basis_is_closed_under_commutators():
     basis = build_basis(3)
-    dim, elems = lie_closure([1j * h0_matrix(basis).matrix, 1j * cos_theta_matrix(basis).matrix])
+    h0 = h0_matrix(basis)
+    dim, stacks = lie_closure([h0, cos_theta_matrix(basis)])
     assert dim == 27
+    elems = _dense_elements(h0.blocks, stacks)
     q = np.array([np.concatenate([e.real.ravel(), e.imag.ravel()]) for e in elems])
     for x in elems:
         for y in elems:
