@@ -144,17 +144,21 @@ class BlockDecomposition:
         block[self.slots[self.filled]], slot[self.slots[self.filled]] = np.nonzero(self.filled)
         return _read_only(block), _read_only(slot)
 
-    def copies(self, stacks: list[np.ndarray]) -> np.ndarray:
-        """For every block, the index of the last block of its size whose entries are bit-identical in every stack.
+    def copies(self, stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Fold blocks of one size whose entries are bit-identical in every stack onto one copy: (keep, source).
 
         Each stack holds per-block entries laid out like slots, as a block
         stack or gather_diagonal does.  Blocks that are copies evolve alike
-        under operators built from the stacks, so one of each suffices; the
-        last is the one with m >= 0 of a +-m pair.
+        under operators built from the stacks, so one of each suffices.
+        keep marks the last block of each group, the one with m >= 0 of a
+        +-m pair; source[b] is the position among the kept blocks of the
+        copy that block b stands for.
         """
         keys = [(block.size, b"".join(s[b].tobytes() for s in stacks)) for b, block in enumerate(self.blocks)]
-        last = {key: b for b, key in enumerate(keys)}
-        return np.array([last[key] for key in keys], dtype=np.intp)
+        last_of = {key: b for b, key in enumerate(keys)}
+        last = np.array([last_of[key] for key in keys], dtype=np.intp)
+        keep = last == np.arange(self.n_blocks)
+        return keep, (np.cumsum(keep) - 1)[last]
 
     def restack(
         self,

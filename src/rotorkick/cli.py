@@ -73,10 +73,8 @@ def cmd_bounds(config: RunConfig) -> list[str]:
 
 
 def _series_rows(series: TimeSeries):
-    proj = series.projection
-    for k, t in enumerate(series.times):
-        p = float("nan") if proj is None else proj[k]
-        yield [t / PERIOD, series.expectation[k], p, int(series.kick_flags[k])]
+    proj = [float("nan")] * len(series.times) if series.projection is None else series.projection.tolist()
+    return zip((series.times / PERIOD).tolist(), series.expectation.tolist(), proj, series.kick_flags.tolist())
 
 
 def _run_one_mode(config: RunConfig, mode: str):

@@ -90,9 +90,7 @@ def lie_closure(operators: list[HermitianOperator], tol: float = RANK_TOL) -> tu
     blocks = operators[0].blocks
     if any(op.blocks != blocks for op in operators):
         raise ValueError("lie_closure needs operators on one block decomposition; regroup them first")
-    last = blocks.copies([op.stack for op in operators])
-    keep = last == np.arange(blocks.n_blocks)
-    source = (np.cumsum(keep) - 1)[last]  # for every block, the position of its copy among the distinct ones
+    keep, source = blocks.copies([op.stack for op in operators])
     distinct = np.flatnonzero(keep)
     weights = np.sqrt(np.bincount(source))
     sizes = blocks.filled[keep].sum(axis=1)

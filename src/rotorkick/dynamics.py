@@ -211,23 +211,29 @@ class _SeriesAccumulator:
         self.flags: list[int] = []
         self._next_k = 0
 
+    def _first_k(self, t: float) -> int:
+        """The first grid index k >= 0 whose time k * step is not before t - 1e-15."""
+        bound = t - 1e-15
+        k = max(int(np.ceil(bound / self.step)), 0)
+        if k > 0 and (k - 1) * self.step >= bound:  # the division rounded up
+            return k - 1
+        return k + 1 if k * self.step < bound else k
+
     def segment(self, origin: float, t_to: float, exp_series, proj_series) -> None:
-        """Grid samples in [origin, t_to) evaluated from the state valid at origin."""
-        ks = []
-        while self._next_k * self.step < t_to - 1e-15:
-            if self._next_k * self.step >= origin - 1e-15:
-                ks.append(self._next_k)
-            self._next_k += 1
-        if not ks:
+        """Grid samples in [origin, t_to) not taken yet, evaluated from the state valid at origin."""
+        start = max(self._next_k, self._first_k(origin))
+        self._next_k = max(self._next_k, self._first_k(t_to))
+        n = self._next_k - start
+        if n <= 0:
             return
-        wrap = np.arange(len(ks)) % self.points
-        tau0 = ks[0] * self.step - origin
-        self.times.extend(k * self.step for k in ks)
+        wrap = np.arange(n) % self.points
+        tau0 = start * self.step - origin
+        self.times.extend((np.arange(start, self._next_k) * self.step).tolist())
         self.expect.extend(exp_series.grid_values(tau0, self.points)[wrap])
         self.project.extend(
-            proj_series.grid_values(tau0, self.points)[wrap] if proj_series is not None else [np.nan] * len(ks)
+            proj_series.grid_values(tau0, self.points)[wrap] if proj_series is not None else [np.nan] * n
         )
-        self.flags.extend([0] * len(ks))
+        self.flags.extend([0] * n)
 
     def event(self, t: float, origin: float, exp_series, proj_series, flag: int) -> None:
         tau = t - origin
@@ -312,9 +318,7 @@ def run_strategy(
         proj_stack = target.rho.regroup(blocks, "target state").stack / target.rho.purity()
     basis = rho0.basis
     inputs = [start.stack, obs_stack, kick.operator.stack, block_energies, blocks.gather_diagonal(basis.j_values)]
-    last = blocks.copies(inputs if proj_stack is None else [*inputs, proj_stack])
-    keep = last == np.arange(blocks.n_blocks)
-    source = (np.cumsum(keep) - 1)[last]  # for every block, the position of its copy among the kept ones
+    keep, source = blocks.copies(inputs if proj_stack is None else [*inputs, proj_stack])
     copies = np.bincount(source)  # how many blocks each kept block stands for
 
     # the kept states, in basis order, have the kept blocks in the same order

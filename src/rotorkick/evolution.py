@@ -5,8 +5,9 @@ t -> Tr[B rho(t)] of a freely evolving state is a finite sum of terms
 c * exp(-i (E_a - E_b) t).  The rotor's differences E_a - E_b are even
 integers 2k, so the coefficients live on the integer lattice of k, and the
 series sampled on a uniform grid over one period pi is one FFT of them.
-That drives the global-maximum search and the level-set (duration)
-measurements.
+The grid brackets the maxima (roots of F') and the level-set edges (roots
+of F - threshold), and one Newton root finder on the exact derivatives
+refines them.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ import numpy as np
 
 PERIOD = np.pi  # free-evolution period in units of 1/B (even integer level spacings)
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
-
 FLAT_TOL = 1e-14
 TIE_TOL = 1e-12
 REFINE_TOL = 1e-10
+ROOT_TOL = 1e-14
 
 
 class FrequencyLattice:
@@ -68,17 +67,22 @@ class TraceSeries:
         terms = np.flatnonzero(self.coef)
         self._terms = (self.coef[terms], self.freqs[terms])
 
-    def values(self, ts: np.ndarray) -> np.ndarray:
+    def values(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
+        """The series, or its order-th time derivative, at every time in ts."""
         coef, freqs = self._terms
+        if order:
+            coef = coef * _rate(freqs, order)
         return (coef @ np.exp(-1j * np.outer(freqs, ts))).real
 
-    def grid_values(self, t_start: float, n_samples: int) -> np.ndarray:
-        """The series at t_start + i * PERIOD / n_samples for i < n_samples, by one FFT.
+    def grid_values(self, t_start: float, n_samples: int, order: int = 0) -> np.ndarray:
+        """The series (or its order-th derivative) at t_start + i * PERIOD / n_samples for i < n_samples, by one FFT.
 
         Exact at any n_samples: lattice frequencies beyond the grid fold
         onto the same samples.
         """
         shifted = self.coef * np.exp(-1j * self.freqs * t_start)
+        if order:
+            shifted *= _rate(self.freqs, order)
         slot = np.arange(-self.kmax, self.kmax + 1) % n_samples
         folded = np.bincount(slot, shifted.real, n_samples) + 1j * np.bincount(slot, shifted.imag, n_samples)
         return np.fft.fft(folded).real
@@ -87,64 +91,55 @@ class TraceSeries:
         return float(self.values(np.array([t]))[0])
 
     def derivative(self, t: float, order: int = 1) -> float:
-        coef, freqs = self._terms
-        return float((coef @ ((-1j * freqs) ** order * np.exp(-1j * freqs * t))).real)
+        return float(self.values(np.array([t]), order)[0])
 
 
-def golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of f on [a, b], narrowing the bracket to tol."""
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    while h > tol:
-        if yc >= yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INV_PHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_PHI * h
-            yd = f(d)
-    x = c if yc >= yd else d
-    return (x, yc) if yc >= yd else (x, yd)
+def _rate(freqs: np.ndarray, order: int) -> np.ndarray:
+    """(-i freqs)^order, the factor the order-th time derivative puts on each exp(-i freqs t)."""
+    return (1, -1j, -1, 1j)[order % 4] * freqs**order
 
 
-def _newton_polish(
-    series: TraceSeries, t_start: float, x: float, y: float, lo: float, hi: float
-) -> tuple[float, float]:
-    """Drive the series derivative to zero near a golden-section estimate.
+def _roots(
+    series: TraceSeries, order: int, level: float, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray
+) -> np.ndarray:
+    """Where the order-th derivative of the series crosses level, one root in every bracket [lo[i], hi[i]].
 
-    The series is a finite trigonometric sum, so its derivatives are exact;
-    a few Newton steps reduce the slope at the peak to roundoff.  Falls back
-    to the incoming point when the local curvature is not concave, the
-    iteration leaves the bracket, or the polished value is lower by more
-    than TIE_TOL.  Near a peak the two values differ by roundoff only, so
-    comparing them exactly would pick either point by chance, and the
-    golden-section point lies up to ~1e-8 from the peak.
+    g_lo and g_hi are F^(order) - level sampled at the bracket ends, one of
+    them negative and the other not.  Every bracket starts at the secant
+    point of its samples and runs safeguarded Newton on the exact next
+    derivative, all at once.  Each evaluation shrinks the bracket around
+    the sign change.  A Newton point that is not strictly inside the
+    bracket, or a step longer than half the previous move, is replaced by
+    the bracket's midpoint, so the moves shrink at least geometrically.  A
+    bracket is done when its Newton step or its width falls below tol =
+    ROOT_TOL * max(1, |t|).  The check on the step comes first: on a root
+    that sits on a grid point, roundoff puts the converged Newton point
+    just past the bracket end, and refusing it would crawl there by
+    bisection.
     """
-    t = x
-    for _ in range(8):
-        d1 = series.derivative(t_start + t, 1)
-        d2 = series.derivative(t_start + t, 2)
-        if d2 >= 0:
-            return x, y
-        step = -d1 / d2
-        t_new = t + step
-        if not (lo - 1e-9 <= t_new <= hi + 1e-9):
-            return x, y
-        t = t_new
-        if abs(step) < 1e-14:
-            break
-    y_new = series.value(t_start + t)
-    if y_new >= y - TIE_TOL:
-        return t, y_new
-    return x, y
+    lo, hi = lo.astype(float), hi.astype(float)
+    sign = np.where(g_lo < 0, 1.0, -1.0)  # g rises through zero where g_lo < 0
+    t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+    moved = hi - lo
+    live = np.arange(t.size)
+    while live.size:
+        tl, l, h = t[live], lo[live], hi[live]
+        g = series.values(tl, order) - level
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / series.values(tl, order + 1)
+        past = sign[live] * g >= 0
+        h = np.where(past, tl, h)
+        l = np.where(past, l, tl)
+        newton = tl - step
+        tol = ROOT_TOL * np.maximum(1.0, np.abs(tl))
+        converged = np.abs(step) <= tol  # False for NaN
+        newton_ok = (l < newton) & (newton < h) & (2.0 * np.abs(step) <= moved[live])
+        bisect = ~(converged | newton_ok)
+        t[live] = np.where(bisect, 0.5 * (l + h), np.clip(newton, l, h))
+        moved[live] = np.where(bisect, 0.5 * (h - l), np.abs(step))
+        lo[live], hi[live] = l, h
+        live = live[~(converged | (h - l <= tol))]
+    return t
 
 
 def grid_size(kmax: int, n_min: int) -> int:
@@ -162,59 +157,31 @@ class MaxResult:
 def global_max(series: TraceSeries, t_start: float, n_samples: int = 4096) -> MaxResult:
     """Earliest global maximum of the series in [t_start, t_start + PERIOD).
 
-    Dense circular sampling (grid_size(kmax, n_samples) points) locates
-    candidate peaks, each refined by golden-section search to REFINE_TOL in
-    t; ties within TIE_TOL resolve to the earliest time.  A functional flat
-    to within FLAT_TOL is flagged and reported at t_start.
+    The slope is sampled on grid_size(kmax, n_samples) points; every grid
+    step over which it turns from positive to non-positive holds a local
+    maximum, and all of them are refined at once to a root of the slope
+    (_roots, on the exact series).  Ties within TIE_TOL resolve to the
+    earliest time, the window start included.  A functional flat to within
+    FLAT_TOL is flagged and reported at t_start.
     """
     n_samples = grid_size(series.kmax, n_samples)
-    taus = np.arange(n_samples) * (PERIOD / n_samples)
     vals = series.grid_values(t_start, n_samples)
     if float(vals.max() - vals.min()) < FLAT_TOL:
         return MaxResult(t=t_start, value=float(vals[0]), flat=True)
 
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    peaks = np.nonzero((vals >= left) & (vals >= right))[0]
     h = PERIOD / n_samples
-    # refinement can lift a sampled peak by at most h * max|dF/dt|
-    margin = h * float(np.abs(series.coef * series.freqs).sum()) + TIE_TOL
-    peaks = peaks[vals[peaks] >= float(vals.max()) - margin]
-
-    candidates: list[tuple[float, float]] = []
-    for k in peaks:
-        tau_k = taus[k]
-        x, y = golden_max(lambda tau: series.value(t_start + tau), tau_k - h, tau_k + h, REFINE_TOL)
-        x, y = _newton_polish(series, t_start, x, y, tau_k - h, tau_k + h)
-        x = x % PERIOD
-        if PERIOD - x < REFINE_TOL:  # peak straddling the window start
-            x = 0.0
-            y = series.value(t_start)
-        candidates.append((x, y))
-    best = max(y for _, y in candidates)
+    slope = series.grid_values(t_start, n_samples, order=1)
+    nxt = np.roll(slope, -1)
+    k = np.flatnonzero((slope > 0) & (nxt <= 0))
+    taus = (_roots(series, 1, 0.0, t_start + k * h, t_start + (k + 1) * h, slope[k], nxt[k]) - t_start) % PERIOD
+    taus[PERIOD - taus < REFINE_TOL] = 0.0  # peak straddling the window start
+    ys = series.values(t_start + taus)
     # the window start itself wins any tie (earliest admissible time)
     v0 = series.value(t_start)
-    if v0 >= best - TIE_TOL:
+    if v0 >= ys.max(initial=-np.inf) - TIE_TOL:
         return MaxResult(t=t_start, value=v0, flat=False)
-    tau_star = min(x for x, y in candidates if y >= best - TIE_TOL)
+    tau_star = float(taus[ys >= ys.max() - TIE_TOL].min())
     return MaxResult(t=t_start + tau_star, value=series.value(t_start + tau_star), flat=False)
-
-
-def _bisect_crossings(
-    series: TraceSeries, threshold: float, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10
-) -> np.ndarray:
-    """Bisect every bracket [lo[i], hi[i]] to where the series crosses threshold, all at once."""
-    lo, hi = lo.copy(), hi.copy()
-    g_lo = series.values(lo) - threshold
-    live = np.nonzero(hi - lo > tol)[0]
-    while live.size:
-        mid = 0.5 * (lo[live] + hi[live])
-        g_mid = series.values(mid) - threshold
-        same = (g_lo[live] >= 0) == (g_mid >= 0)
-        lo[live[same]], g_lo[live[same]] = mid[same], g_mid[same]
-        hi[live[~same]] = mid[~same]
-        live = live[hi[live] - lo[live] > tol]
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -232,24 +199,24 @@ def measure_above(
     """Fraction of one free-evolution period where the series stays at or above threshold.
 
     Sampled on grid_size(kmax, n_samples) points of [t_anchor, t_anchor +
-    PERIOD) with every sign change refined by bisection to 1e-10 in t.  The
-    window is circular, so intervals touching both window edges merge when
-    computing the longest stretch.
+    PERIOD); every grid step over which the series crosses threshold is
+    refined to the crossing on the exact series (_roots), so the edges are
+    exact to roundoff.  The window is circular, so intervals touching both
+    window edges merge when computing the longest stretch.
     """
     n_samples = grid_size(series.kmax, n_samples)
-    taus = np.arange(n_samples) * (PERIOD / n_samples)
-    ts = t_anchor + taus
-    above = series.grid_values(t_anchor, n_samples) >= threshold
+    h = PERIOD / n_samples
+    g = series.grid_values(t_anchor, n_samples) - threshold
+    above = g >= 0
     if bool(above.all()):
         return LevelSetMeasure(total=1.0, longest=1.0)
     if not bool(above.any()):
         return LevelSetMeasure(total=0.0, longest=0.0)
 
-    # segment boundaries where the sign flips, circularly (F has period PERIOD)
-    nxt = np.roll(above, -1)
-    flips = np.nonzero(above != nxt)[0]
-    # right endpoints ts[k] + step == ts[k+1], or t_anchor + PERIOD at the wrap
-    crossings = np.sort(_bisect_crossings(series, threshold, ts[flips], ts[flips] + PERIOD / n_samples))
+    # grid steps over which the sign flips, circularly (F has period PERIOD)
+    nxt = np.roll(g, -1)
+    k = np.flatnonzero(above != (nxt >= 0))
+    crossings = np.sort(_roots(series, 0, threshold, t_anchor + k * h, t_anchor + (k + 1) * h, g[k], nxt[k]))
 
     # walk alternating intervals starting from the state at t_anchor
     edges = [t_anchor] + crossings.tolist() + [t_anchor + PERIOD]

@@ -118,7 +118,8 @@ def duration_above(
     """Fraction of a free-evolution period with Tr[obs rho(t)] at or above threshold.
 
     Measured over one period anchored at the time of maximum expectation;
-    crossings are refined by bisection to 1e-10 in t.  Returns both the
+    crossings are roots of the exact series, refined to roundoff by the
+    Newton root finder of evolution.measure_above.  Returns both the
     summed measure and the longest contiguous stretch, in units of the
     rotational period.
     """

@@ -243,11 +243,16 @@ def test_copies_group_bit_identical_blocks_of_one_size():
         blocks=tuple(Block(m=None, parity=None, members=tuple(range(a, a + k))) for a, k in zip(starts, sizes)),
     )
     stack, diagonal = np.zeros((4, 2, 2)), np.zeros((4, 2))
-    assert blocks.copies([stack, diagonal]).tolist() == [2, 3, 2, 3]
+
+    def folded():
+        keep, source = blocks.copies([stack, diagonal])
+        return np.flatnonzero(keep).tolist(), source.tolist()
+
+    assert folded() == ([2, 3], [0, 1, 0, 1])
     stack[3, 1, 0] = -0.0  # equal to 0.0, but not bit-identical
-    assert blocks.copies([stack, diagonal]).tolist() == [2, 1, 2, 3]
+    assert folded() == ([1, 2, 3], [1, 0, 1, 2])
     diagonal[0, 0] = 1.0  # one entry of one stack
-    assert blocks.copies([stack, diagonal]).tolist() == [0, 1, 2, 3]
+    assert folded() == ([0, 1, 2, 3], [0, 1, 2, 3])
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -267,6 +272,6 @@ def test_copies_match_every_mirror_pair_of_the_presets(preset, monkeypatch):
         cli._run_one_mode(config, mode)
     controllability_report(3, config.process)
     assert len(found) == 3
-    for blocks, last in found:
+    for blocks, (keep, source) in found:
         where = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
-        assert last.tolist() == [where[abs(block.m), block.parity] for block in blocks.blocks]
+        assert np.flatnonzero(keep)[source].tolist() == [where[abs(block.m), block.parity] for block in blocks.blocks]

@@ -6,6 +6,7 @@ import pytest
 from rotorkick.basis import ALIGNMENT, ORIENTATION, block_decomposition, build_basis
 from rotorkick.dynamics import (
     KickSpec,
+    _SeriesAccumulator,
     apply_kick,
     find_next_global_max,
     free_propagate,
@@ -539,3 +540,35 @@ def test_folded_final_state_and_leak_warnings_match_the_unfolded_train(kind):
         if shell > 1e-4:
             expected.append(f"population {shell:.3e} above j=3 after kick {n}")
     assert record.warnings == expected
+
+
+class _ZeroSeries:
+    def grid_values(self, t_start, n_samples):
+        return np.zeros(n_samples)
+
+
+@pytest.mark.parametrize("points", [8, 2048])
+def test_segment_takes_the_grid_indices_of_the_per_sample_loop(points):
+    # reference: the loop that stepped one grid index at a time
+    def loop(next_k, step, origin, t_to):
+        ks = []
+        while next_k * step < t_to - 1e-15:
+            if next_k * step >= origin - 1e-15:
+                ks.append(next_k)
+            next_k += 1
+        return ks, next_k
+
+    rng = np.random.default_rng(1)
+    acc = _SeriesAccumulator(points, track_projection=False)
+    step, next_k, t = acc.step, 0, 0.0
+    for _ in range(400):
+        k = int(rng.integers(0, 3 * points))
+        # grid times, times an ulp or two off them, times between, a segment ending before it starts
+        off = rng.choice([-1.0, 1.0]) * rng.choice([1e-16, 1e-15, 3e-15])
+        t_to = rng.choice([k * step, k * step + off, rng.uniform(0.0, 3.0 * PERIOD)])
+        ks, next_k = loop(next_k, step, t, t_to)
+        before = len(acc.times)
+        acc.segment(t, t_to, _ZeroSeries(), None)
+        assert acc.times[before:] == [k * step for k in ks]
+        assert acc._next_k == next_k
+        t = max(t, t_to)
