@@ -32,22 +32,59 @@ from .operators import (
 
 RANK_TOL = 1e-10
 STATIONARY_TOL = 1e-10
+# Lie-closure candidates built and screened together: enough to spread the
+# Python work of a group thin, few enough to keep its temporaries small.
+GROUP = 64
+# The most multiply-adds in one matrix product of the screen.  OpenBLAS runs
+# a product this small on the calling thread (65536 times its
+# GEMM_MULTITHREAD_THRESHOLD of 4).  A threaded product waits for every core
+# it was split over, so on a virtual machine that loses one core for a while
+# a closure stalls for up to a second.
+SERIAL_PRODUCT = 2**18
 
 
-def _commutators(x: np.ndarray, ys: np.ndarray, layout) -> np.ndarray:
-    """Compact [x, y] for every row y of ys, one batched matmul per distinct block.
+def _commutators(xs: np.ndarray, ys: np.ndarray, layout) -> np.ndarray:
+    """Compact [xs[i], ys[i]] for every row i, one batched matmul per distinct block.
 
     For skew-Hermitian x and y, y x = (x y)+, so [x, y] = x y - (x y)+, which
     is skew-Hermitian to the last bit.
     """
     out = np.empty_like(ys)
     for lo, hi, size, scale in layout:
-        a = x[lo:hi].reshape(size, size)
+        a = xs[:, lo:hi].reshape(-1, size, size)
         b = ys[:, lo:hi].reshape(-1, size, size)
         # rows hold sqrt(copies) times the block, so the weighted commutator is [a, b] / sqrt(copies)
         ab = scale * (a @ b)
         out[:, lo:hi] = (ab - ab.conj().transpose(0, 2, 1)).reshape(len(ys), hi - lo)
     return out
+
+
+def _residuals(candidates: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The candidates less their projections onto the orthonormal rows q, by classical Gram-Schmidt.
+
+    q is taken a few rows at a time, so that each product stays within
+    SERIAL_PRODUCT multiply-adds where one row allows it.
+    """
+    res = candidates.copy()
+    step = max(1, SERIAL_PRODUCT // max(1, candidates.size))
+    for lo in range(0, len(q), step):
+        part = q[lo : lo + step]
+        res -= (candidates @ part.T) @ part
+    return res
+
+
+def _survivors(q: np.ndarray, candidates: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the candidates whose residual against the rows q passes the test of _orthonormalize.
+
+    The same classical Gram-Schmidt applied twice, on all candidates at
+    once.  Another pass, or more rows, can only shrink a residual, so a
+    candidate that fails here fails there, and the second pass runs only on
+    the candidates that pass the first.
+    """
+    bound = tol * np.linalg.norm(candidates, axis=1)
+    res = _residuals(candidates, q)
+    live = np.flatnonzero(np.linalg.norm(res, axis=1) > bound)
+    return live[np.linalg.norm(_residuals(res[live], q), axis=1) > bound[live]]
 
 
 def _orthonormalize(rows: np.ndarray, dim: int, candidate: np.ndarray, tol: float) -> int:
@@ -67,6 +104,29 @@ def _orthonormalize(rows: np.ndarray, dim: int, candidate: np.ndarray, tol: floa
         return dim
     rows[dim] = res / norm
     return dim + 1
+
+
+def _grow(elems: np.ndarray, excluded: int, dim: int, fresh: np.ndarray, layout, tol: float) -> int:
+    """Add to elems every independent commutator of an element with the previous round's new ones.
+
+    Rounds run until one adds nothing.  Within a round the candidates
+    [x, f] come x-major, f-minor, GROUP at a time: a group is built by one
+    batched commutator and screened against the rows found before it, and
+    only its survivors go through _orthonormalize one by one, in order, so
+    every accepted row is the one the one-at-a-time loop would accept.
+    Returns the new number of rows.
+    """
+    rows = elems.view(np.float64)
+    while len(fresh):
+        start = dim
+        count = (start - excluded) * len(fresh)
+        for first in range(0, count, GROUP):
+            x, f = np.divmod(np.arange(first, min(first + GROUP, count)), len(fresh))
+            candidates = _commutators(elems[excluded + x], fresh[f], layout).view(np.float64)
+            for k in _survivors(rows[:dim], candidates, tol):
+                dim = _orthonormalize(rows, dim, candidates[k], tol)
+        fresh = elems[start:dim]
+    return dim
 
 
 def lie_closure(operators: list[HermitianOperator], tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
@@ -133,13 +193,7 @@ def lie_closure(operators: list[HermitianOperator], tol: float = RANK_TOL) -> tu
         if grown > dim:
             accepted.append(g)
         dim = grown
-    fresh = np.array(accepted)
-    while len(fresh):
-        start = dim
-        for x in elems[excluded:start]:
-            for candidate in _commutators(x, fresh, layout).view(np.float64):
-                dim = _orthonormalize(rows, dim, candidate, tol)
-        fresh = elems[start:dim]
+    dim = _grow(elems, excluded, dim, np.array(accepted), layout, tol)
     found = elems[excluded:dim]
 
     size = blocks.slots.shape[1]
@@ -160,11 +214,19 @@ def block_trace_rank(j_max: int, kind: str) -> int:
     check_process_kind(kind)
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
+    return _trace_rank(*_generators(j_max, kind))
+
+
+def _generators(j_max: int, kind: str) -> tuple[HermitianOperator, HermitianOperator]:
+    """H0 and the observable of the process, both on the observable's blocks."""
     basis = build_basis(j_max)
-    blocks = block_decomposition(basis, kind)
-    h0 = h0_matrix(basis)
     obs = observable_matrix(basis, kind)
-    t = np.array([[h0.block_trace(b), obs.block_trace(b)] for b in blocks.blocks])
+    return h0_matrix(basis).regroup(obs.blocks), obs
+
+
+def _trace_rank(h0: HermitianOperator, obs: HermitianOperator) -> int:
+    """Rank of [Tr H0 | Tr O] over the blocks the two operators share, read off their stack diagonals."""
+    t = np.trace(np.array([h0.stack, obs.stack]), axis1=-2, axis2=-1).real.T
     s = np.linalg.svd(t, compute_uv=False)
     return int(np.sum(s > RANK_TOL * s[0]))
 
@@ -224,11 +286,9 @@ def controllability_report(j_max: int, kind: str) -> LieAlgebraReport:
     D' bounds the dimension from above, so a larger computed dimension is a
     numerical failure and raises NumericalError.
     """
-    basis = build_basis(j_max)
-    h0 = h0_matrix(basis)
-    obs = observable_matrix(basis, kind)
-    dim_l, _ = lie_closure([h0.regroup(obs.blocks), obs])
-    r = block_trace_rank(j_max, kind)
+    h0, obs = _generators(j_max, kind)
+    dim_l, _ = lie_closure([h0, obs])
+    r = _trace_rank(h0, obs)
     d, d_prime = dims_required(j_max, r, kind)
     if dim_l > d_prime:
         raise NumericalError(

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 PERIOD = np.pi  # free-evolution period in units of 1/B (even integer level spacings)
 
 FLAT_TOL = 1e-14
@@ -55,6 +57,7 @@ class TraceSeries:
     them.  coef[k + kmax] is the coefficient of exp(-2ikt).  Point
     evaluations (values, value, derivative) sum over the nonzero
     coefficients only; grid_values folds the whole lattice into one FFT.
+    A NaN or infinite coefficient raises NumericalError.
     """
 
     def __init__(self, rho_matrix: np.ndarray, b_matrix: np.ndarray, energies):
@@ -64,6 +67,8 @@ class TraceSeries:
         self.kmax = lattice.kmax
         self.freqs = lattice.freqs
         self.coef = np.bincount(lattice.index, g.real, n) + 1j * np.bincount(lattice.index, g.imag, n)
+        if not np.isfinite(self.coef).all():
+            raise NumericalError("trace series has a non-finite coefficient")
         terms = np.flatnonzero(self.coef)
         self._terms = (self.coef[terms], self.freqs[terms])
 

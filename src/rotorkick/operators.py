@@ -156,9 +156,6 @@ class HermitianOperator:
             raise ValueError("h0 must be diagonal in the stored basis")
         return self.diagonal
 
-    def block_trace(self, block) -> float:
-        return float(self.diagonal[list(block.members)].sum())
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(HermitianOperator):

@@ -2,11 +2,14 @@
 
 These deliberately avoid the package's own code paths: matrix elements come
 from quadrature over associated Legendre functions, pairings from exhaustive
-permutation search, and partition sums from direct summation.
+permutation search, and partition sums from direct summation.  The
+exception is sequential_lie_closure, a reference loop compared bit for bit,
+which shares the package's arithmetic.
 """
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 from scipy.special import lpmv
@@ -221,3 +224,39 @@ def block_diagonal_part(matrix, blocks):
         idx = list(block.members)
         out[np.ix_(idx, idx)] = matrix[np.ix_(idx, idx)]
     return out
+
+
+def _commutators_with(x, ys, layout):
+    """Compact [x, y] for one row x and every row y of ys, x broadcast over one batched matmul per block."""
+    out = np.empty_like(ys)
+    for lo, hi, size, scale in layout:
+        ab = scale * (x[lo:hi].reshape(size, size) @ ys[:, lo:hi].reshape(-1, size, size))
+        out[:, lo:hi] = (ab - ab.conj().transpose(0, 2, 1)).reshape(len(ys), hi - lo)
+    return out
+
+
+def _sequential_grow(elems, excluded, dim, fresh, layout, tol):
+    from rotorkick.controllability import _orthonormalize
+
+    rows = elems.view(np.float64)
+    while len(fresh):
+        start = dim
+        for x in elems[excluded:start]:
+            for candidate in _commutators_with(x, fresh, layout).view(np.float64):
+                dim = _orthonormalize(rows, dim, candidate, tol)
+        fresh = elems[start:dim]
+    return dim
+
+
+def sequential_lie_closure(operators):
+    """lie_closure with its rounds run one candidate at a time, as before candidates were screened in groups.
+
+    Every commutator [x, f] of a basis element x with a new element f of
+    the previous round goes through _orthonormalize on its own, x-major,
+    f-minor.  The seeding, the Gram-Schmidt step and the returned stacks
+    are the package's own, so the basis must agree bit for bit.
+    """
+    from rotorkick import controllability
+
+    with mock.patch.object(controllability, "_grow", _sequential_grow):
+        return controllability.lie_closure(operators)

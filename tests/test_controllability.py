@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from oracles import haar_unitary, sampled_slope_span
+from oracles import haar_unitary, sampled_slope_span, sequential_lie_closure
+
+from rotorkick import controllability
 
 from rotorkick.basis import ALIGNMENT, ORIENTATION, Basis, BasisIndex, build_basis
 from rotorkick.controllability import (
@@ -188,6 +190,74 @@ def test_closure_basis_is_closed_under_commutators():
             assert np.linalg.norm(v - (q @ v) @ q) < 1e-9
 
 
+def _same_closure(operators):
+    dim, stacks = lie_closure(operators)
+    dim_sequential, stacks_sequential = sequential_lie_closure(operators)
+    return dim == dim_sequential and stacks.shape == stacks_sequential.shape and stacks.tobytes() == stacks_sequential.tobytes()
+
+
+@pytest.mark.parametrize("kind, j_max", [(ORIENTATION, j) for j in range(1, 7)] + [(ALIGNMENT, j) for j in range(1, 8)])
+def test_screened_closure_matches_sequential_oracle(kind, j_max):
+    basis = build_basis(j_max)
+    obs = observable_matrix(basis, kind)
+    assert _same_closure([h0_matrix(basis).regroup(obs.blocks), obs])
+
+
+def test_screened_closure_matches_sequential_oracle_on_generic_blocks():
+    rng = np.random.default_rng(13)
+    a = [_random_hermitian(rng, 6), _random_hermitian(rng, 6)]
+    assert _same_closure(_operators(_line_basis(6), a))  # u(6): 36 elements, groups of up to GROUP candidates
+    pair = Basis(j_max=4, states=tuple(BasisIndex(j, m) for m in (-1, 1) for j in (1, 2, 3, 4)))
+    blocks = block_decomposition(pair, ORIENTATION)
+    assert _same_closure(_operators(pair, [_block_diag(g[:4, :4], g[:4, :4]) for g in a], blocks))
+
+
+def test_screen_draws_the_line_of_the_sequential_step():
+    # candidates in the span of q plus 2e-10, 5e-11 and 0 of their norm outside it
+    rng = np.random.default_rng(19)
+    q = np.linalg.qr(rng.normal(size=(12, 5)))[0].T
+    outside = rng.normal(size=12)
+    outside -= (q @ outside) @ q
+    outside /= np.linalg.norm(outside)
+    inside = rng.normal(size=5) @ q
+    candidates = np.array([inside + r * np.linalg.norm(inside) * outside for r in (2e-10, 5e-11, 0.0)] + [np.zeros(12)])
+    assert controllability._survivors(q, candidates, controllability.RANK_TOL).tolist() == [0]
+    for k, candidate in enumerate(candidates):
+        rows = np.zeros((12, 12))
+        rows[:5] = q
+        assert controllability._orthonormalize(rows, 5, candidate, controllability.RANK_TOL) == (6 if k == 0 else 5)
+
+
+def test_survivor_in_the_span_of_an_earlier_one_of_its_group_is_rejected(monkeypatch):
+    # With x and y the rows of the generators a (diagonal) and b, the first
+    # group is [x, a] = 0, [x, b], [y, a] and [y, b]; y is b less its part
+    # along x, so the last two are parallel to [x, b].  The screen passes
+    # all three, the sequential step keeps only the first.
+    rng = np.random.default_rng(17)
+    operators = _operators(_line_basis(3), [np.diag([1.0, 2.0, 4.0]), _random_hermitian(rng, 3)])
+    events = []
+    survivors, orthonormalize = controllability._survivors, controllability._orthonormalize
+
+    def screen(q, candidates, tol):
+        kept = survivors(q, candidates, tol)
+        events.append(("screen", kept.tolist()))
+        return kept
+
+    def step(rows, dim, candidate, tol):
+        grown = orthonormalize(rows, dim, candidate, tol)
+        events.append(("step", grown > dim))
+        return grown
+
+    monkeypatch.setattr(controllability, "_survivors", screen)
+    monkeypatch.setattr(controllability, "_orthonormalize", step)
+    dim, _ = lie_closure(operators)
+    assert dim == 9
+    assert events[:2] == [("step", True), ("step", True)]  # the generators seed the basis
+    assert events[2:6] == [("screen", [1, 2, 3]), ("step", True), ("step", False), ("step", False)]
+    monkeypatch.undo()
+    assert _same_closure(operators)
+
+
 @pytest.mark.parametrize("j_max", range(1, 7))
 def test_block_trace_ranks(j_max):
     assert block_trace_rank(j_max, ORIENTATION) == 1
@@ -199,11 +269,12 @@ def test_orientation_trace_entries():
     basis = build_basis(j_max)
     h0 = h0_matrix(basis)
     c = cos_theta_matrix(basis)
-    blocks = block_decomposition(basis, ORIENTATION)
-    for block in blocks.blocks:
+    assert h0.blocks == c.blocks == block_decomposition(basis, ORIENTATION)
+    traces = np.trace(np.array([h0.stack, c.stack]), axis1=-2, axis2=-1).real
+    for b, block in enumerate(h0.blocks.blocks):
         expected = float(sum(k * (k + 1) for k in range(abs(block.m), j_max + 1)))
-        assert h0.block_trace(block) == pytest.approx(expected, abs=1e-12)
-        assert c.block_trace(block) == 0.0
+        assert traces[0, b] == pytest.approx(expected, abs=1e-12)
+        assert traces[1, b] == 0.0
 
 
 def test_dims_required_tables_and_validation():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rotorkick.basis import ORIENTATION, build_basis
 from rotorkick.dynamics import apply_kick, free_propagate, make_kick
+from rotorkick.errors import NumericalError
 from rotorkick.evolution import PERIOD, TraceSeries, _roots, global_max, grid_size, measure_above
 from rotorkick.operators import cos_theta_matrix, h0_matrix, thermal_state
 
@@ -26,6 +27,22 @@ def test_series_matches_direct_propagation():
     ts = np.linspace(0.0, 2 * PERIOD, 97)
     direct = np.array([free_propagate(rho, h0, t).expectation(obs) for t in ts])
     assert np.max(np.abs(series.values(ts) - direct)) < 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")  # inf times a zero of b
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "search",
+    [lambda series: global_max(series, 0.0), lambda series: measure_above(series, 0.1)],
+    ids=["global_max", "measure_above"],
+)
+def test_non_finite_series_fails_before_the_search(search, bad):
+    # a 2 x 2 state whose coherence is not finite: the series it would feed
+    # global_max or measure_above is refused when it is built
+    rho = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
+    b = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(NumericalError, match="non-finite"):
+        search(TraceSeries(rho, b, np.array([0.0, 2.0])))
 
 
 def test_point_evaluations_of_a_sparse_series():
