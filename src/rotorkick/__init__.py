@@ -35,7 +35,6 @@ from .dynamics import (
     PulseTrainRecord,
     TimeSeries,
     apply_kick,
-    find_next_global_max,
     free_propagate,
     leakage,
     make_kick,

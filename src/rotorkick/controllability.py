@@ -111,19 +111,24 @@ def _grow(elems: np.ndarray, excluded: int, dim: int, fresh: np.ndarray, layout,
 
     Rounds run until one adds nothing.  Within a round the candidates
     [x, f] come x-major, f-minor, GROUP at a time: a group is built by one
-    batched commutator and screened against the rows found before it, and
-    only its survivors go through _orthonormalize one by one, in order, so
-    every accepted row is the one the one-at-a-time loop would accept.
-    Returns the new number of rows.
+    batched commutator, and a candidate no larger than tol |x| |f| is
+    rounding noise (|[x, f]| <= 2 |x| |f|) and dropped.  The rest are
+    screened against the rows found before them, and only the survivors go
+    through _orthonormalize one by one, in order, so every accepted row is
+    the one the one-at-a-time loop would accept.  Returns the new number of
+    rows.
     """
     rows = elems.view(np.float64)
     while len(fresh):
         start = dim
         count = (start - excluded) * len(fresh)
+        norms = np.linalg.norm(rows[excluded:start], axis=1), np.linalg.norm(fresh.view(np.float64), axis=1)
+        floor = tol * np.outer(*norms)  # floor[x, f] = tol |x| |f|
         for first in range(0, count, GROUP):
             x, f = np.divmod(np.arange(first, min(first + GROUP, count)), len(fresh))
             candidates = _commutators(elems[excluded + x], fresh[f], layout).view(np.float64)
-            for k in _survivors(rows[:dim], candidates, tol):
+            live = np.flatnonzero(np.linalg.norm(candidates, axis=1) > floor[x, f])
+            for k in live[_survivors(rows[:dim], candidates[live], tol)]:
                 dim = _orthonormalize(rows, dim, candidates[k], tol)
         fresh = elems[start:dim]
     return dim

@@ -28,6 +28,7 @@ from .operators import DensityMatrix, HermitianOperator, kick_unitary, observabl
 from .target import TargetState
 
 SLOPE_TOL = 1e-10
+SERIES_POINTS = 2048  # samples per free-evolution period in the TimeSeries of a train
 
 S1 = "S1"
 S2 = "S2"
@@ -50,8 +51,15 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(a * np.swapaxes(b, -1, -2)))
 
 
+def _slope(rho_matrix: np.ndarray, commutator: np.ndarray) -> float:
+    # d/dt Tr[B rho(t)] = Re( i Tr[rho [H0, B]] ) under free evolution
+    return (1j * _trace_product(rho_matrix, commutator)).real
+
+
 def free_propagate(rho: DensityMatrix, h0: HermitianOperator, t: float) -> DensityMatrix:
     """Exact free evolution: rho_ab -> rho_ab * exp(-i (E_a - E_b) t)."""
+    if h0.dim != rho.dim:
+        raise ValueError(f"h0 on {h0.dim} states cannot propagate a state on {rho.dim} states")
     return replace(rho, stack=_rotate(rho.stack, rho.blocks.gather_diagonal(h0.energies()), t))
 
 
@@ -91,20 +99,6 @@ def apply_kick(rho: DensityMatrix, kick: KickSpec, amplitude: float | None = Non
     return rho.conjugated(kick.operator.blocks, kick_unitary(kick.operator, a))
 
 
-def _seen_by(rho: DensityMatrix, functional: HermitianOperator) -> DensityMatrix:
-    """rho on the functional's blocks, as far as Tr[functional rho(t)] sees it.
-
-    Entries of rho coupling two of those blocks never meet an entry of the
-    functional, and free evolution keeps them apart, so they are dropped.
-    """
-    return rho.regroup(functional.blocks, "state", np.inf)
-
-
-def _slope(rho_matrix: np.ndarray, commutator: np.ndarray) -> float:
-    # d/dt Tr[B rho(t)] = Re( i Tr[rho [H0, B]] ) under free evolution
-    return (1j * _trace_product(rho_matrix, commutator)).real
-
-
 def post_kick_slope(
     rho: DensityMatrix,
     kick: KickSpec,
@@ -112,28 +106,12 @@ def post_kick_slope(
     functional: HermitianOperator,
     amplitude: float | None = None,
 ) -> float:
-    """Time derivative of Tr[functional rho(t)] immediately after kicking rho."""
-    comm = _commutator(functional.blocks.gather_diagonal(h0.energies()), functional.stack)
-    return _slope(_seen_by(apply_kick(rho, kick, amplitude), functional).stack, comm)
+    """Time derivative of Tr[functional rho(t)] immediately after kicking rho.
 
-
-def find_next_global_max(
-    rho: DensityMatrix,
-    functional: HermitianOperator,
-    h0: HermitianOperator,
-    t_start: float = 0.0,
-    n_samples: int = 4096,
-) -> tuple[float, float, bool]:
-    """Earliest global maximum of Tr[functional rho(t)] in [t_start, t_start + pi).
-
-    rho is the state at t_start; the functional is an observable or a target
-    state.  Returns (t_star, value, flat); a functional flat to 1e-14 reports
-    t_start with the flag set.
+    Entries of the kicked state coupling two of the functional's blocks never meet it, so they are dropped.
     """
-    energies = functional.blocks.gather_diagonal(h0.energies())
-    series = TraceSeries(_seen_by(rho, functional).stack, functional.stack, energies)
-    res = global_max(series, 0.0, n_samples=n_samples)
-    return t_start + res.t, res.value, res.flat
+    comm = _commutator(functional.blocks.gather_diagonal(h0.energies()), functional.stack)
+    return _slope(apply_kick(rho, kick, amplitude).regroup(functional.blocks, "state", np.inf).stack, comm)
 
 
 def leakage(rho: DensityMatrix, j_max: int) -> float:
@@ -197,17 +175,16 @@ class TimeSeries:
 class _SeriesAccumulator:
     """Collect samples segment by segment; each segment has its own series origin.
 
-    Grid samples sit at the times k * PERIOD / points_per_period.  A segment
-    spans at most one period, so its samples are one FFT grid of the series.
+    Grid samples sit at the times k * PERIOD / points.  A segment spans at
+    most one period, so its samples are one FFT grid of each series in the
+    list that _Train.series returns.
     """
 
-    def __init__(self, points_per_period: int, track_projection: bool):
-        self.points = points_per_period
-        self.step = PERIOD / points_per_period
-        self.track_projection = track_projection
+    def __init__(self, points: int):
+        self.points = points
+        self.step = PERIOD / points
         self.times: list[float] = []
-        self.expect: list[float] = []
-        self.project: list[float] = []
+        self.samples: list[np.ndarray] = []  # (number of series, samples) per segment or event
         self.flags: list[int] = []
         self._next_k = 0
 
@@ -219,7 +196,7 @@ class _SeriesAccumulator:
             return k - 1
         return k + 1 if k * self.step < bound else k
 
-    def segment(self, origin: float, t_to: float, exp_series, proj_series) -> None:
+    def segment(self, origin: float, t_to: float, series: list[TraceSeries]) -> None:
         """Grid samples in [origin, t_to) not taken yet, evaluated from the state valid at origin."""
         start = max(self._next_k, self._first_k(origin))
         self._next_k = max(self._next_k, self._first_k(t_to))
@@ -229,26 +206,90 @@ class _SeriesAccumulator:
         wrap = np.arange(n) % self.points
         tau0 = start * self.step - origin
         self.times.extend((np.arange(start, self._next_k) * self.step).tolist())
-        self.expect.extend(exp_series.grid_values(tau0, self.points)[wrap])
-        self.project.extend(
-            proj_series.grid_values(tau0, self.points)[wrap] if proj_series is not None else [np.nan] * n
-        )
+        self.samples.append(np.array([s.grid_values(tau0, self.points)[wrap] for s in series]))
         self.flags.extend([0] * n)
 
-    def event(self, t: float, origin: float, exp_series, proj_series, flag: int) -> None:
-        tau = t - origin
+    def event(self, t: float, origin: float, series: list[TraceSeries], flag: int) -> None:
         self.times.append(t)
-        self.expect.append(exp_series.value(tau))
-        self.project.append(proj_series.value(tau) if proj_series is not None else np.nan)
+        self.samples.append(np.array([[s.value(t - origin)] for s in series]))
         self.flags.append(flag)
 
     def build(self) -> TimeSeries:
+        samples = np.concatenate(self.samples, axis=1)
         return TimeSeries(
             times=np.array(self.times),
-            expectation=np.array(self.expect),
-            projection=np.array(self.project) if self.track_projection else None,
+            expectation=samples[0],
+            projection=samples[1] if len(samples) > 1 else None,
             kick_flags=np.array(self.flags, dtype=int),
         )
+
+
+class _Train:
+    """What a greedy train derives once from its inputs, with one method per step.
+
+    It runs on one copy of each group of the kick's blocks on which every
+    input agrees bit for bit (see run_strategy); fold() and unfold() move a
+    state between all blocks and the kept ones.  functionals holds the
+    copy-weighted observable and, with a target, its projector; drive picks
+    the one the strategy drives on.  The train holds no state.
+    """
+
+    def __init__(self, start: DensityMatrix, strategy, kick, h0, target, observable, leak_guard_j):
+        blocks = kick.operator.blocks
+        energies = blocks.gather_diagonal(h0.energies())
+        stacks = [(kick.operator if observable is None else observable).regroup(blocks, "observable").stack]
+        if target is not None:
+            stacks.append(target.rho.regroup(blocks, "target state").stack / target.rho.purity())
+        basis = start.basis
+        inputs = [start.stack, stacks[0], kick.operator.stack, energies, blocks.gather_diagonal(basis.j_values)]
+        self.keep, source = blocks.copies(inputs + stacks[1:])
+        copies = np.bincount(source)  # how many blocks each kept block stands for
+
+        # the kept states, in basis order, have the kept blocks in the same order
+        kept = blocks.slots[self.keep][blocks.filled[self.keep]]
+        kept_basis = Basis(basis.j_max, tuple(basis.states[a] for a in np.sort(kept)))
+        kept_blocks = block_decomposition(kept_basis, blocks.kind)
+        kept_kick = HermitianOperator(kept_basis, kept_blocks, kick.operator.stack[self.keep])
+        self.kick = KickSpec(kick.amplitude, kick.kind, kept_kick)
+        self.energies = energies[self.keep]
+        self.lattice = FrequencyLattice(self.energies)
+        self.functionals = [copies[:, None, None] * stack[self.keep] for stack in stacks]
+        self.drive = 0 if strategy == S1 else 1
+        self.comm = _commutator(self.energies, self.functionals[self.drive])
+        if leak_guard_j is not None:  # the population above the guard, each kept state weighed by its copies
+            self.leak_weights = (kept_basis.j_values > leak_guard_j) * copies[kept_blocks.places[0][:-1]]
+        self.unfolded = (basis, blocks, start.trace_target)
+        block, slot = blocks.places  # every block reads the kept block it stands for
+        self.index = kept_blocks.slots[source[block[:-1]], slot[:-1]]
+
+    def fold(self, start: DensityMatrix) -> DensityMatrix:
+        """The kept blocks of the initial state; they declare their own trace."""
+        dropped = float(np.trace(start.stack[~self.keep], axis1=-2, axis2=-1).sum().real)
+        op = self.kick.operator
+        return DensityMatrix(op.basis, op.blocks, start.stack[self.keep], trace_target=start.trace_target - dropped)
+
+    def unfold(self, rho: DensityMatrix) -> DensityMatrix:
+        """A kept state on all blocks of the kick's process."""
+        basis, blocks, trace = self.unfolded
+        try:
+            return DensityMatrix(basis, blocks, blocks.restack(rho.stack, rho.blocks, self.index), trace_target=trace)
+        except ValueError as exc:
+            raise NumericalError(f"final state: {exc}") from exc
+
+    def series(self, rho: DensityMatrix) -> list[TraceSeries]:
+        """The series of every functional, the observable's first, with rho at their origin."""
+        return [TraceSeries(rho.stack, functional, self.lattice) for functional in self.functionals]
+
+    def propagate(self, rho: DensityMatrix, t: float) -> DensityMatrix:
+        return replace(rho, stack=_rotate(rho.stack, self.energies, t))
+
+    def kicked(self, rho: DensityMatrix, amplitude: float) -> tuple[DensityMatrix, float]:
+        """rho kicked with the amplitude, and the drive's slope right after."""
+        kicked = apply_kick(rho, self.kick, amplitude)
+        return kicked, _slope(kicked.stack, self.comm)
+
+    def leakage(self, rho: DensityMatrix) -> float:
+        return float(rho.diagonal @ self.leak_weights)
 
 
 def run_strategy(
@@ -262,7 +303,6 @@ def run_strategy(
     gain_tol: float = 1e-4,
     duration_threshold: float = 0.5,
     leak_guard_j: int | None = None,
-    points_per_period: int = 2048,
 ) -> tuple[PulseTrainRecord, TimeSeries]:
     """Run a greedy pulse train and sample the resulting dynamics.
 
@@ -272,8 +312,8 @@ def run_strategy(
     larger post-kick slope.  The train stops at max_kicks, or earlier when
     the gain between consecutive maxima falls below gain_tol (relative) while
     no kick sign can produce a slope above 1e-10, i.e. at a fixed point of
-    the iteration.  The returned series extends one full period past the last
-    kick.
+    the iteration.  The returned series holds SERIES_POINTS samples per
+    period and extends one full period past the last kick.
 
     `observable` is the operator the strategy drives on and the efficiency is
     measured with; it defaults to the kick generator.  When the dynamics runs
@@ -302,76 +342,42 @@ def run_strategy(
         raise ValueError("strategy S2 requires a target state")
     if max_kicks < 0:
         raise ValueError("max_kicks must be non-negative")
-    if target is not None and target.rho.basis.dim != rho0.dim:
-        raise ValueError("target state and initial state live on different bases")
+    for name, op in (("target state", None if target is None else target.rho), ("observable", observable), ("h0", h0)):
+        if op is not None and op.dim != rho0.dim:
+            raise ValueError(f"{name} on {op.dim} states and initial state on {rho0.dim} live on different bases")
 
-    obs = observable if observable is not None else kick.operator
-    if obs.dim != rho0.dim:
-        raise ValueError("observable and initial state live on different bases")
     # every input must respect the kick's invariant blocks; regroup raises otherwise
-    blocks = kick.operator.blocks
-    block_energies = blocks.gather_diagonal(h0.energies())
-    start = rho0.regroup(blocks, "state")
-    obs_stack = obs.regroup(blocks, "observable").stack
-    proj_stack = None
-    if target is not None:
-        proj_stack = target.rho.regroup(blocks, "target state").stack / target.rho.purity()
-    basis = rho0.basis
-    inputs = [start.stack, obs_stack, kick.operator.stack, block_energies, blocks.gather_diagonal(basis.j_values)]
-    keep, source = blocks.copies(inputs if proj_stack is None else [*inputs, proj_stack])
-    copies = np.bincount(source)  # how many blocks each kept block stands for
-
-    # the kept states, in basis order, have the kept blocks in the same order
-    kept_basis = Basis(basis.j_max, tuple(basis.states[a] for a in np.sort(blocks.slots[keep][blocks.filled[keep]])))
-    kept_blocks = block_decomposition(kept_basis, blocks.kind)
-    kick = KickSpec(kick.amplitude, kick.kind, HermitianOperator(kept_basis, kept_blocks, kick.operator.stack[keep]))
-    dropped = float(np.trace(start.stack[~keep], axis1=-2, axis2=-1).sum().real)
-    rho = DensityMatrix(kept_basis, kept_blocks, start.stack[keep], trace_target=start.trace_target - dropped)
-    block_energies = block_energies[keep]
-    lattice = FrequencyLattice(block_energies)
-    obs_stack = copies[:, None, None] * obs_stack[keep]
-    if proj_stack is not None:
-        proj_stack = copies[:, None, None] * proj_stack[keep]
-    drive_stack = obs_stack if strategy == S1 else proj_stack
-    comm = _commutator(block_energies, drive_stack)
-
-    def series_pair(state: DensityMatrix):
-        exp_s = TraceSeries(state.stack, obs_stack, lattice)
-        proj_s = TraceSeries(state.stack, proj_stack, lattice) if proj_stack is not None else None
-        return exp_s, proj_s
-
+    start = rho0.regroup(kick.operator.blocks, "state")
+    train = _Train(start, strategy, kick, h0, target, observable, leak_guard_j)
+    rho = train.fold(start)
     record = PulseTrainRecord(strategy=strategy)
-    acc = _SeriesAccumulator(points_per_period, track_projection=proj_stack is not None)
-    if leak_guard_j is not None:
-        above = (kept_basis.j_values > leak_guard_j) * copies[kept_blocks.places[0][:-1]]
+    acc = _SeriesAccumulator(SERIES_POINTS)
     t_now = 0.0
-    prev_max = _trace_product(rho.stack, drive_stack).real
-    exp_s, proj_s = series_pair(rho)
+    prev_max = _trace_product(rho.stack, train.functionals[train.drive]).real
+    series = train.series(rho)
 
     for _ in range(max_kicks):
-        res = global_max(exp_s if strategy == S1 else proj_s, 0.0, n_samples=4096)
+        res = global_max(series[train.drive])
         t_star = t_now + res.t
         if record.kick_times and t_star <= record.kick_times[-1]:
             t_star = record.kick_times[-1] + 1e-9  # keep kick times strictly increasing
         record.maxima.append(res.value)
 
-        at_max = replace(rho, stack=_rotate(rho.stack, block_energies, t_star - t_now))
+        at_max = train.propagate(rho, t_star - t_now)
         try:
-            kicked_plus = apply_kick(at_max, kick, kick.amplitude)
-            kicked_minus = apply_kick(at_max, kick, -kick.amplitude)
+            kicked_plus, slope_plus = train.kicked(at_max, kick.amplitude)
+            kicked_minus, slope_minus = train.kicked(at_max, -kick.amplitude)
         except NumericalError as exc:
             raise NumericalError(f"kick {record.n_kicks + 1}: {exc}") from exc
-        slope_plus = _slope(kicked_plus.stack, comm)
-        slope_minus = _slope(kicked_minus.stack, comm)
+        steep = max(abs(slope_plus), abs(slope_minus)) >= SLOPE_TOL
 
-        gain = res.value - prev_max
-        if gain < gain_tol * max(abs(prev_max), 1e-30) and max(abs(slope_plus), abs(slope_minus)) < SLOPE_TOL:
+        if res.value - prev_max < gain_tol * max(abs(prev_max), 1e-30) and not steep:
             record.stop_reason = "converged"
             break
 
-        acc.segment(t_now, t_star, exp_s, proj_s)
+        acc.segment(t_now, t_star, series)
 
-        if slope_minus > slope_plus and max(abs(slope_plus), abs(slope_minus)) >= SLOPE_TOL:
+        if slope_minus > slope_plus and steep:
             amplitude, rho, slope = -kick.amplitude, kicked_minus, slope_minus
         else:
             amplitude, rho, slope = kick.amplitude, kicked_plus, slope_plus
@@ -383,11 +389,11 @@ def run_strategy(
         record.pre_kick_values.append(res.value)
         record.post_kick_slopes.append(slope)
 
-        exp_s, proj_s = series_pair(rho)
-        acc.event(t_star, t_star, exp_s, proj_s, flag=1)
+        series = train.series(rho)
+        acc.event(t_star, t_star, series, flag=1)
 
         if leak_guard_j is not None:
-            shell = float(rho.diagonal @ above)
+            shell = train.leakage(rho)
             if shell > 1e-4:
                 record.warnings.append(
                     f"population {shell:.3e} above j={leak_guard_j} after kick {record.n_kicks}"
@@ -396,22 +402,16 @@ def run_strategy(
         record.stop_reason = "max_kicks"
 
     # post-train window: one full period beyond the last event
-    acc.segment(t_now, t_now + PERIOD, exp_s, proj_s)
-    acc.event(t_now + PERIOD, t_now, exp_s, proj_s, flag=0)
+    acc.segment(t_now, t_now + PERIOD, series)
+    acc.event(t_now + PERIOD, t_now, series, flag=0)
 
-    final_max = global_max(exp_s, 0.0)
-    block, slot = blocks.places
-    try:  # every block reads the kept block it stands for
-        record.final_state = replace(
-            start, stack=blocks.restack(rho.stack, kept_blocks, kept_blocks.slots[source[block[:-1]], slot[:-1]])
-        )
-    except ValueError as exc:
-        raise NumericalError(f"final state: {exc}") from exc
+    final_max = global_max(series[0])
+    record.final_state = train.unfold(rho)
     record.final_efficiency = final_max.value
     record.final_efficiency_time = t_now + final_max.t
-    if proj_s is not None:
-        record.final_projection = global_max(proj_s, 0.0).value
-    record.final_duration = measure_above(exp_s, duration_threshold, t_anchor=final_max.t)
+    if target is not None:
+        record.final_projection = global_max(series[1]).value
+    record.final_duration = measure_above(series[0], duration_threshold, t_anchor=final_max.t)
     # close the maxima sequence with the post-train maximum of the driving functional
     record.maxima.append(final_max.value if strategy == S1 else record.final_projection)
     return record, acc.build()

@@ -24,6 +24,8 @@ FLAT_TOL = 1e-14
 TIE_TOL = 1e-12
 REFINE_TOL = 1e-10
 ROOT_TOL = 1e-14
+MAX_SAMPLES = 4096  # fewest samples per period of the global-maximum search
+LEVEL_SAMPLES = 8192  # fewest samples per period of a level-set measure
 
 
 class FrequencyLattice:
@@ -154,39 +156,39 @@ def grid_size(kmax: int, n_min: int) -> int:
 
 @dataclass(frozen=True)
 class MaxResult:
-    t: float  # absolute time of the earliest global maximum
+    t: float  # time of the earliest global maximum, in [0, PERIOD)
     value: float
     flat: bool
 
 
-def global_max(series: TraceSeries, t_start: float, n_samples: int = 4096) -> MaxResult:
-    """Earliest global maximum of the series in [t_start, t_start + PERIOD).
+def global_max(series: TraceSeries) -> MaxResult:
+    """Earliest global maximum of the series in [0, PERIOD).
 
-    The slope is sampled on grid_size(kmax, n_samples) points; every grid
+    The slope is sampled on grid_size(kmax, MAX_SAMPLES) points; every grid
     step over which it turns from positive to non-positive holds a local
     maximum, and all of them are refined at once to a root of the slope
     (_roots, on the exact series).  Ties within TIE_TOL resolve to the
-    earliest time, the window start included.  A functional flat to within
-    FLAT_TOL is flagged and reported at t_start.
+    earliest time, t = 0 included.  A functional flat to within FLAT_TOL
+    is flagged and reported at t = 0.
     """
-    n_samples = grid_size(series.kmax, n_samples)
-    vals = series.grid_values(t_start, n_samples)
+    n_samples = grid_size(series.kmax, MAX_SAMPLES)
+    vals = series.grid_values(0.0, n_samples)
     if float(vals.max() - vals.min()) < FLAT_TOL:
-        return MaxResult(t=t_start, value=float(vals[0]), flat=True)
+        return MaxResult(t=0.0, value=float(vals[0]), flat=True)
 
     h = PERIOD / n_samples
-    slope = series.grid_values(t_start, n_samples, order=1)
+    slope = series.grid_values(0.0, n_samples, order=1)
     nxt = np.roll(slope, -1)
     k = np.flatnonzero((slope > 0) & (nxt <= 0))
-    taus = (_roots(series, 1, 0.0, t_start + k * h, t_start + (k + 1) * h, slope[k], nxt[k]) - t_start) % PERIOD
+    taus = _roots(series, 1, 0.0, k * h, (k + 1) * h, slope[k], nxt[k]) % PERIOD
     taus[PERIOD - taus < REFINE_TOL] = 0.0  # peak straddling the window start
-    ys = series.values(t_start + taus)
+    ys = series.values(taus)
     # the window start itself wins any tie (earliest admissible time)
-    v0 = series.value(t_start)
+    v0 = series.value(0.0)
     if v0 >= ys.max(initial=-np.inf) - TIE_TOL:
-        return MaxResult(t=t_start, value=v0, flat=False)
-    tau_star = float(taus[ys >= ys.max() - TIE_TOL].min())
-    return MaxResult(t=t_start + tau_star, value=series.value(t_start + tau_star), flat=False)
+        return MaxResult(t=0.0, value=v0, flat=False)
+    t_star = float(taus[ys >= ys.max() - TIE_TOL].min())
+    return MaxResult(t=t_star, value=series.value(t_star), flat=False)
 
 
 @dataclass(frozen=True)
@@ -195,21 +197,16 @@ class LevelSetMeasure:
     longest: float  # longest contiguous super-threshold interval (circular), / PERIOD
 
 
-def measure_above(
-    series: TraceSeries,
-    threshold: float,
-    t_anchor: float = 0.0,
-    n_samples: int = 8192,
-) -> LevelSetMeasure:
+def measure_above(series: TraceSeries, threshold: float, t_anchor: float = 0.0) -> LevelSetMeasure:
     """Fraction of one free-evolution period where the series stays at or above threshold.
 
-    Sampled on grid_size(kmax, n_samples) points of [t_anchor, t_anchor +
+    Sampled on grid_size(kmax, LEVEL_SAMPLES) points of [t_anchor, t_anchor +
     PERIOD); every grid step over which the series crosses threshold is
     refined to the crossing on the exact series (_roots), so the edges are
     exact to roundoff.  The window is circular, so intervals touching both
     window edges merge when computing the longest stretch.
     """
-    n_samples = grid_size(series.kmax, n_samples)
+    n_samples = grid_size(series.kmax, LEVEL_SAMPLES)
     h = PERIOD / n_samples
     g = series.grid_values(t_anchor, n_samples) - threshold
     above = g >= 0

@@ -200,10 +200,13 @@ class DensityMatrix(HermitianOperator):
     def conjugated(self, blocks: BlockDecomposition, u: np.ndarray) -> "DensityMatrix":
         """u rho u+ for a stack u of unitaries on blocks, with the roundoff asymmetry scrubbed.
 
-        A state on other blocks, which may couple those, is conjugated on one
-        block of all states.  NumericalError when the trace drifts from
+        A state on other blocks of its basis, which may couple those, is
+        conjugated on one block of all states; blocks of another basis size
+        raise ValueError.  NumericalError when the trace drifts from
         trace_target beyond HERM_TOL.
         """
+        if blocks.dim != self.dim:
+            raise ValueError(f"unitaries on {blocks.dim} states cannot conjugate a state on {self.dim} states")
         state = self
         if blocks != self.blocks:
             whole = single_block(self.dim)

@@ -109,11 +109,7 @@ def build_target(
 
 
 def duration_above(
-    rho: DensityMatrix,
-    obs: HermitianOperator,
-    h0: HermitianOperator,
-    threshold: float,
-    n_samples: int = 8192,
+    rho: DensityMatrix, obs: HermitianOperator, h0: HermitianOperator, threshold: float
 ) -> LevelSetMeasure:
     """Fraction of a free-evolution period with Tr[obs rho(t)] at or above threshold.
 
@@ -130,11 +126,11 @@ def duration_above(
     # entries of rho coupling two blocks of obs never meet an entry of obs, so they are dropped
     state = rho.regroup(obs.blocks, "state", np.inf)
     series = TraceSeries(state.stack, obs.stack, obs.blocks.gather_diagonal(h0.energies()))
-    peak = global_max(series, 0.0)
+    peak = global_max(series)
     if peak.flat:
         hit = 1.0 if peak.value >= threshold else 0.0
         return LevelSetMeasure(total=hit, longest=hit)
-    return measure_above(series, threshold, t_anchor=peak.t, n_samples=n_samples)
+    return measure_above(series, threshold, t_anchor=peak.t)
 
 
 @dataclass(frozen=True)

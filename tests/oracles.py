@@ -122,7 +122,7 @@ def dense_train(rho0, strategy, kick, h0, target=None, observable=None, max_kick
     t_now = 0.0
     prev_max = float(np.sum(rho * drive.T).real)
     for _ in range(max_kicks):
-        res = global_max(TraceSeries(rho, drive, energies), 0.0, n_samples=4096)
+        res = global_max(TraceSeries(rho, drive, energies))
         t_star = t_now + res.t
         if out["kick_times"] and t_star <= out["kick_times"][-1]:
             t_star = out["kick_times"][-1] + 1e-9
@@ -142,9 +142,9 @@ def dense_train(rho0, strategy, kick, h0, target=None, observable=None, max_kick
         out["amplitudes"].append(amplitude)
 
     exp_s = TraceSeries(rho, obs, energies)
-    final = global_max(exp_s, 0.0)
+    final = global_max(exp_s)
     out["final_efficiency"] = final.value
-    out["final_projection"] = None if proj is None else global_max(TraceSeries(rho, proj, energies), 0.0).value
+    out["final_projection"] = None if proj is None else global_max(TraceSeries(rho, proj, energies)).value
     duration = measure_above(exp_s, duration_threshold, t_anchor=final.t)
     out["final_duration"] = (duration.total, duration.longest)
     out["maxima"].append(final.value if strategy == S1 else out["final_projection"])
@@ -241,9 +241,14 @@ def _sequential_grow(elems, excluded, dim, fresh, layout, tol):
     rows = elems.view(np.float64)
     while len(fresh):
         start = dim
-        for x in elems[excluded:start]:
-            for candidate in _commutators_with(x, fresh, layout).view(np.float64):
-                dim = _orthonormalize(rows, dim, candidate, tol)
+        # the package's noise floor: [x, f] no larger than tol |x| |f| is dropped
+        norms = np.linalg.norm(rows[excluded:start], axis=1), np.linalg.norm(fresh.view(np.float64), axis=1)
+        floor = tol * np.outer(*norms)
+        for i, x in enumerate(elems[excluded:start]):
+            candidates = _commutators_with(x, fresh, layout).view(np.float64)
+            for candidate, size, bound in zip(candidates, np.linalg.norm(candidates, axis=1), floor[i]):
+                if size > bound:
+                    dim = _orthonormalize(rows, dim, candidate, tol)
         fresh = elems[start:dim]
     return dim
 

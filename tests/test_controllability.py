@@ -151,8 +151,12 @@ def _block_diag(a, b):
 
 def test_closure_of_generic_pair_is_all_of_u_n():
     rng = np.random.default_rng(3)
-    dim, _ = lie_closure(_operators(_line_basis(4), [_random_hermitian(rng, 4), _random_hermitian(rng, 4)]))
+    h, g = _random_hermitian(rng, 4), _random_hermitian(rng, 4)
+    dim, _ = lie_closure(_operators(_line_basis(4), [h, g]))
     assert dim == 16
+    # [h, h] and [h, h^2] vanish but for rounding, which the noise floor rejects
+    assert lie_closure(_operators(_line_basis(4), [h]))[0] == 1
+    assert lie_closure(_operators(_line_basis(4), [h, h @ h]))[0] == 2
 
 
 def test_closure_counts_identical_blocks_once():
@@ -231,8 +235,9 @@ def test_screen_draws_the_line_of_the_sequential_step():
 def test_survivor_in_the_span_of_an_earlier_one_of_its_group_is_rejected(monkeypatch):
     # With x and y the rows of the generators a (diagonal) and b, the first
     # group is [x, a] = 0, [x, b], [y, a] and [y, b]; y is b less its part
-    # along x, so the last two are parallel to [x, b].  The screen passes
-    # all three, the sequential step keeps only the first.
+    # along x, so the last two are parallel to [x, b].  The noise floor
+    # drops [x, a] before the screen, the screen passes the other three,
+    # and the sequential step keeps only the first of them.
     rng = np.random.default_rng(17)
     operators = _operators(_line_basis(3), [np.diag([1.0, 2.0, 4.0]), _random_hermitian(rng, 3)])
     events = []
@@ -253,7 +258,7 @@ def test_survivor_in_the_span_of_an_earlier_one_of_its_group_is_rejected(monkeyp
     dim, _ = lie_closure(operators)
     assert dim == 9
     assert events[:2] == [("step", True), ("step", True)]  # the generators seed the basis
-    assert events[2:6] == [("screen", [1, 2, 3]), ("step", True), ("step", False), ("step", False)]
+    assert events[2:6] == [("screen", [0, 1, 2]), ("step", True), ("step", False), ("step", False)]
     monkeypatch.undo()
     assert _same_closure(operators)
 

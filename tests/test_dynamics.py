@@ -8,14 +8,13 @@ from rotorkick.dynamics import (
     KickSpec,
     _SeriesAccumulator,
     apply_kick,
-    find_next_global_max,
     free_propagate,
     leakage,
     make_kick,
     post_kick_slope,
     run_strategy,
 )
-from rotorkick.evolution import PERIOD
+from rotorkick.evolution import PERIOD, TraceSeries, global_max
 from rotorkick.operators import (
     DensityMatrix,
     HermitianOperator,
@@ -75,12 +74,20 @@ def test_free_propagate_requires_diagonal_h0():
         free_propagate(rho, c, 0.1)
 
 
+def _next_max(rho, functional, h0):
+    """(t, value, flat) of the earliest global maximum of Tr[functional rho(t)] in [0, pi)."""
+    state = rho.regroup(functional.blocks, "state", np.inf)
+    energies = functional.blocks.gather_diagonal(h0.energies())
+    res = global_max(TraceSeries(state.stack, functional.stack, energies))
+    return res.t, res.value, res.flat
+
+
 def test_find_max_flat_flag():
     basis = build_basis(2)
     h0 = h0_matrix(basis)
     obs = cos_theta_matrix(basis)
     rho = thermal_state(basis, beta=0.5)
-    t, value, flat = find_next_global_max(rho, obs, h0, t_start=0.0)
+    t, value, flat = _next_max(rho, obs, h0)
     assert flat
     assert t == 0.0
     assert value == pytest.approx(0.0, abs=1e-14)
@@ -94,7 +101,7 @@ def test_find_max_matches_analytic_cosine():
         rho = _coherent_pair(basis, phase=phase)
         # the coherence rotates as exp(+2it), so Tr[O rho(t)] = (1/sqrt3) cos(2t + phase)
         # with its earliest maximum at t* = (-phase/2) mod pi
-        t, value, flat = find_next_global_max(rho, obs, h0, t_start=0.0)
+        t, value, flat = _next_max(rho, obs, h0)
         assert not flat
         expected_t = (-phase / 2) % math.pi
         assert t == pytest.approx(expected_t, abs=1e-9)
@@ -106,11 +113,11 @@ def test_find_max_periodicity():
     h0 = h0_matrix(basis)
     obs = cos_theta_matrix(basis)
     rho = _coherent_pair(basis, phase=1.1)
-    t1, v1, _ = find_next_global_max(rho, obs, h0, t_start=0.0)
-    # state one full period later is identical: the search reproduces t1 + pi
+    t1, v1, _ = _next_max(rho, obs, h0)
+    # the state one full period later is identical: the search finds the same maximum
     rho_later = free_propagate(rho, h0, PERIOD)
-    t2, v2, _ = find_next_global_max(rho_later, obs, h0, t_start=PERIOD)
-    assert t2 - (t1 + PERIOD) == pytest.approx(0.0, abs=1e-9)
+    t2, v2, _ = _next_max(rho_later, obs, h0)
+    assert t2 - t1 == pytest.approx(0.0, abs=1e-9)
     assert v2 == pytest.approx(v1, abs=1e-10)
 
 
@@ -190,7 +197,7 @@ def test_post_kick_slope_zero_cases():
     # A = 0 at a free-evolution maximum: the pre-kick slope vanishes there
     rho = thermal_state(basis, beta=0.5)
     rho = apply_kick(rho, kick)
-    t, _, _ = find_next_global_max(rho, obs, h0)
+    t, _, _ = _next_max(rho, obs, h0)
     at_max = free_propagate(rho, h0, t)
     assert post_kick_slope(at_max, kick, h0, obs, amplitude=0.0) == pytest.approx(0.0, abs=1e-10)
 
@@ -300,7 +307,7 @@ def test_find_max_accepts_target_state_functional():
     rho0 = thermal_state(basis, beta=0.5)
     target = build_target(rho0, obs, blocks)
     # overlap with the target is maximal at t = 0 when starting from the target itself
-    t, value, flat = find_next_global_max(target.rho, target.rho, h0, t_start=0.0)
+    t, value, flat = _next_max(target.rho, target.rho, h0)
     assert t == 0.0
     assert value == pytest.approx(target.rho.purity(), abs=1e-12)
 
@@ -361,6 +368,30 @@ def test_run_strategy_input_validation():
         run_strategy(rho0, "S2", kick, h0)  # S2 without target
     with pytest.raises(ValueError):
         run_strategy(rho0, "S1", kick, h0, max_kicks=-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda small, big: apply_kick(thermal_state(big, 0.5), make_kick(small, ORIENTATION, 1.0)),
+        lambda small, big: apply_kick(thermal_state(small, 0.5), make_kick(big, ORIENTATION, 1.0)),
+        lambda small, big: free_propagate(thermal_state(small, 0.5), h0_matrix(big), 0.1),
+        lambda small, big: free_propagate(thermal_state(big, 0.5), h0_matrix(small), 0.1),
+        lambda small, big: run_strategy(thermal_state(small, 0.5), "S1", make_kick(small, ORIENTATION, 1.0), h0_matrix(big)),
+        lambda small, big: run_strategy(thermal_state(big, 0.5), "S1", make_kick(big, ORIENTATION, 1.0), h0_matrix(small)),
+    ],
+    ids=[
+        "kick-on-smaller-basis",
+        "kick-on-larger-basis",
+        "propagate-with-larger-h0",
+        "propagate-with-smaller-h0",
+        "train-with-larger-h0",
+        "train-with-smaller-h0",
+    ],
+)
+def test_inputs_on_another_basis_size_fail_naming_both_sizes(call):
+    with pytest.raises(ValueError, match="4 states.* 9 |9 states.* 4 "):
+        call(build_basis(1), build_basis(2))
 
 
 def test_kick_spec_validation():
@@ -540,6 +571,13 @@ def test_folded_final_state_and_leak_warnings_match_the_unfolded_train(kind):
         if shell > 1e-4:
             expected.append(f"population {shell:.3e} above j=3 after kick {n}")
     assert record.warnings == expected
+    # every recorded slope is the public post_kick_slope of the replayed pre-kick state on the S2 drive
+    projector = HermitianOperator(target.rho.basis, target.rho.blocks, target.rho.stack / target.rho.purity())
+    for n, (t, amplitude) in enumerate(zip(record.kick_times, record.amplitudes)):
+        before = _replayed(record, rho0, h0, kick, n)
+        pre_kick = free_propagate(before, h0, t - (record.kick_times[n - 1] if n else 0.0))
+        slope = post_kick_slope(pre_kick, kick, h0, projector, amplitude)
+        assert record.post_kick_slopes[n] == pytest.approx(slope, rel=1e-12, abs=0.0)
 
 
 class _ZeroSeries:
@@ -559,7 +597,7 @@ def test_segment_takes_the_grid_indices_of_the_per_sample_loop(points):
         return ks, next_k
 
     rng = np.random.default_rng(1)
-    acc = _SeriesAccumulator(points, track_projection=False)
+    acc = _SeriesAccumulator(points)
     step, next_k, t = acc.step, 0, 0.0
     for _ in range(400):
         k = int(rng.integers(0, 3 * points))
@@ -568,7 +606,7 @@ def test_segment_takes_the_grid_indices_of_the_per_sample_loop(points):
         t_to = rng.choice([k * step, k * step + off, rng.uniform(0.0, 3.0 * PERIOD)])
         ks, next_k = loop(next_k, step, t, t_to)
         before = len(acc.times)
-        acc.segment(t, t_to, _ZeroSeries(), None)
+        acc.segment(t, t_to, [_ZeroSeries()])
         assert acc.times[before:] == [k * step for k in ks]
         assert acc._next_k == next_k
         t = max(t, t_to)

@@ -33,7 +33,7 @@ def test_series_matches_direct_propagation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize(
     "search",
-    [lambda series: global_max(series, 0.0), lambda series: measure_above(series, 0.1)],
+    [lambda series: global_max(series), lambda series: measure_above(series, 0.1)],
     ids=["global_max", "measure_above"],
 )
 def test_non_finite_series_fails_before_the_search(search, bad):
@@ -80,7 +80,7 @@ def test_global_max_dominates_dense_grid():
     h0 = h0_matrix(basis)
     obs = cos_theta_matrix(basis)
     series = TraceSeries(rho.matrix, obs.matrix, np.diag(h0.matrix).real)
-    res = global_max(series, 0.0)
+    res = global_max(series)
     dense = series.values(np.linspace(0.0, PERIOD, 200001))
     assert res.value >= float(dense.max()) - 1e-10
     assert 0.0 <= res.t < PERIOD
@@ -172,7 +172,7 @@ def test_global_max_finds_a_peak_the_fixed_grid_aliases():
     local = np.nonzero((fixed >= np.roll(fixed, 1)) & (fixed >= np.roll(fixed, -1)))[0]
     assert np.min(np.abs(taus[local] - t_star)) > h
 
-    res = global_max(series, 0.0)
+    res = global_max(series)
     assert res.value == pytest.approx(peak, abs=1e-10)
     assert res.t == pytest.approx(t_star, abs=1e-9)
 
@@ -236,7 +236,7 @@ def _kicked_series(j_max, amplitude):
 )
 def test_global_max_is_a_critical_point(make):
     series = make()
-    res = global_max(series, 0.0)
+    res = global_max(series)
     assert not res.flat
     scale = np.abs(series.freqs * series.coef).sum()  # bounds |F'| at any t
     assert abs(series.derivative(res.t)) <= 1e-12 * scale
@@ -262,7 +262,7 @@ def test_global_max_at_a_grid_point_converges_fast(monkeypatch):
         return values(self, ts, order)
 
     monkeypatch.setattr(TraceSeries, "values", counted)
-    res = global_max(series, 0.0)
+    res = global_max(series)
     assert res.t == 0.0 and not res.flat
     assert res.value == pytest.approx(np.sum(rho * rho), abs=1e-14)
     assert len(calls) <= 40
