@@ -63,7 +63,13 @@ class Basis:
 
     @cached_property
     def j_values(self) -> np.ndarray:
-        return np.array([s.j for s in self.states], dtype=int)
+        """j of every state, read-only: a basis is shared by everything built on it."""
+        return _read_only(np.array([s.j for s in self.states], dtype=int))
+
+    @cached_property
+    def _decompositions(self) -> dict[str, BlockDecomposition]:
+        """The block decompositions of this basis, keyed by process kind; filled by block_decomposition."""
+        return {}
 
     def to_json(self) -> str:
         """Serialize as {"j_max": ..., "states": [[j, m], ...]} with stable ordering."""
@@ -77,16 +83,25 @@ class Basis:
         return cls(j_max=payload["j_max"], states=states)
 
 
+_BASES: dict[int, Basis] = {}
+
+
 def build_basis(j_max: int) -> Basis:
-    """Enumerate all |j, m> with |m| <= j <= j_max; dimension is (j_max + 1)**2."""
+    """Enumerate all |j, m> with |m| <= j <= j_max; dimension is (j_max + 1)**2.
+
+    One basis is built per cutoff and returned to every later call, so
+    everything built on it shares its cached index maps and decompositions.
+    """
     if j_max < 0:
         raise ValueError(f"j_max must be non-negative, got {j_max}")
-    states = tuple(
-        BasisIndex(j, m)
-        for m in range(-j_max, j_max + 1)
-        for j in range(abs(m), j_max + 1)
-    )
-    return Basis(j_max=j_max, states=states)
+    if j_max not in _BASES:
+        states = tuple(
+            BasisIndex(j, m)
+            for m in range(-j_max, j_max + 1)
+            for j in range(abs(m), j_max + 1)
+        )
+        _BASES[j_max] = Basis(j_max=int(j_max), states=states)  # a numpy integer would leak to later callers
+    return _BASES[j_max]
 
 
 @dataclass(frozen=True)
@@ -224,9 +239,12 @@ def block_decomposition(basis: Basis, kind: str) -> BlockDecomposition:
     """Group basis states into invariant blocks: by m, and by parity of j for alignment.
 
     Blocks are ordered by ascending m, with the even-j sub-block before the
-    odd-j one.  Empty sub-blocks are omitted.
+    odd-j one.  Empty sub-blocks are omitted.  The decomposition is built
+    once per basis and kind and kept with the basis.
     """
     check_process_kind(kind)
+    if kind in basis._decompositions:
+        return basis._decompositions[kind]
     groups: dict[tuple[int, int | None], list[int]] = {}
     for k, s in enumerate(basis.states):
         key = (s.m, s.j % 2 if kind == ALIGNMENT else None)
@@ -234,4 +252,5 @@ def block_decomposition(basis: Basis, kind: str) -> BlockDecomposition:
     # enumeration order already ascends in j within each group
     ordered = sorted(groups, key=lambda key: (key[0], key[1] if key[1] is not None else 0))
     blocks = tuple(Block(m=m, parity=p, members=tuple(groups[(m, p)])) for m, p in ordered)
-    return BlockDecomposition(kind=kind, blocks=blocks)
+    basis._decompositions[kind] = BlockDecomposition(kind=kind, blocks=blocks)
+    return basis._decompositions[kind]

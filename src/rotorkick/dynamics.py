@@ -17,7 +17,7 @@ copy of the pair and weighs it twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +60,8 @@ def free_propagate(rho: DensityMatrix, h0: HermitianOperator, t: float) -> Densi
     """Exact free evolution: rho_ab -> rho_ab * exp(-i (E_a - E_b) t)."""
     if h0.dim != rho.dim:
         raise ValueError(f"h0 on {h0.dim} states cannot propagate a state on {rho.dim} states")
-    return replace(rho, stack=_rotate(rho.stack, rho.blocks.gather_diagonal(h0.energies()), t))
+    stack = _rotate(rho.stack, rho.blocks.gather_diagonal(h0.energies()), t)
+    return DensityMatrix._exact(rho.basis, rho.blocks, stack, rho.trace_target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +282,7 @@ class _Train:
         return [TraceSeries(rho.stack, functional, self.lattice) for functional in self.functionals]
 
     def propagate(self, rho: DensityMatrix, t: float) -> DensityMatrix:
-        return replace(rho, stack=_rotate(rho.stack, self.energies, t))
+        return DensityMatrix._exact(rho.basis, rho.blocks, _rotate(rho.stack, self.energies, t), rho.trace_target)
 
     def kicked(self, rho: DensityMatrix, amplitude: float) -> tuple[DensityMatrix, float]:
         """rho kicked with the amplitude, and the drive's slope right after."""

@@ -12,7 +12,6 @@ operator carries; BlockDecomposition.restack moves a stack between them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -34,6 +33,8 @@ HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 CLUSTER_TOL = 1e-12  # relative gap below which eigenvalues or frequencies coincide
+_HEEVD_RMIN = 2.0**-485  # sqrt(safe minimum / precision); LAPACK's heevd rescales a matrix whose largest
+# entry lies below it or above its inverse
 
 
 def _dagger(stack: np.ndarray) -> np.ndarray:
@@ -68,15 +69,35 @@ class HermitianOperator:
         stack = np.array(self.stack, dtype=complex)
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
-        size = self.blocks.slots.shape[1]
-        expected = (self.blocks.n_blocks, size, size)
-        if self.blocks.dim != self.basis.dim or stack.shape != expected:
-            raise ValueError(
-                f"stack shape {stack.shape} does not match the blocks {expected} of a {self.basis.dim}-state basis"
-            )
+        self._check_shape()
         dev = float(np.max(np.abs(stack - _dagger(stack)), initial=0.0))
         if not dev <= HERM_TOL:  # NaN included
             raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
+
+    def _check_shape(self) -> None:
+        size = self.blocks.slots.shape[1]
+        expected = (self.blocks.n_blocks, size, size)
+        if self.blocks.dim != self.basis.dim or self.stack.shape != expected:
+            raise ValueError(
+                f"stack shape {self.stack.shape} does not match the blocks {expected} of a {self.basis.dim}-state basis"
+            )
+
+    @classmethod
+    def _exact(cls, basis: Basis, blocks: BlockDecomposition, stack: np.ndarray, **fields):
+        """An operator on a complex stack that is Hermitian by construction.
+
+        Such a stack is filled symmetrically, symmetrized exactly as in
+        conjugated, or a Hermitian one scaled entrywise by unit phases
+        p_a conj(p_b), which moves |s - s+| by rounding only.  It is taken
+        as it is, made read-only and not copied, and its Hermiticity is not
+        checked again; its shape (and a state's trace) is.
+        """
+        op = object.__new__(cls)
+        for name, value in {"basis": basis, "blocks": blocks, "stack": stack, **fields}.items():
+            object.__setattr__(op, name, value)
+        stack.flags.writeable = False
+        op._check_shape()
+        return op
 
     @classmethod
     def from_matrix(cls, basis: Basis, matrix, blocks: BlockDecomposition | None = None, **fields):
@@ -121,15 +142,36 @@ class HermitianOperator:
         """Per block (eigenvalues ascending, eigenvector columns).
 
         Padding slots get eigenvalue 0 and unit eigenvectors, so every
-        function of the operator acts as f(0) times the identity there.
+        function of the operator acts as f(0) times the identity there.  A
+        stack with no off-diagonal entry, such as a thermal state or H0,
+        reads its eigensystem off the diagonal, bit for bit what eigh
+        returns; blocks that are copies of one another
+        (BlockDecomposition.copies) are solved once.
         """
         n_blocks, size = self.stack.shape[:2]
         w = np.zeros((n_blocks, size))
         v = np.zeros((n_blocks, size, size), dtype=complex)
-        v[:] = np.eye(size)
-        for b, block in enumerate(self.blocks.blocks):
-            k = block.size
+        diagonal = np.diagonal(self.stack, axis1=-2, axis2=-1).real
+        if np.count_nonzero(self.stack) == np.count_nonzero(diagonal):
+            # no off-diagonal entry: the sorted diagonal, bit for bit eigh's eigenvalues, and permutation columns
+            order = np.argsort(np.where(self.blocks.filled, diagonal, np.inf), axis=-1, kind="stable")
+            w[:] = np.take_along_axis(diagonal, order, axis=-1)
+            v[np.arange(n_blocks)[:, None], order, np.arange(size)] = 1.0
+            # except where LAPACK's heevd first rescales a block, moving the last bits of its eigenvalues
+            scale = np.max(np.abs(diagonal), axis=-1, initial=0.0)
+            solve = (scale > 0.0) & ((scale < _HEEVD_RMIN) | (scale > 1.0 / _HEEVD_RMIN))
+        else:
+            v[:] = np.eye(size)
+            solve = np.ones(n_blocks, dtype=bool)
+        if not solve.any():
+            return w, v
+        keep, source = self.blocks.copies([self.stack])
+        kept = np.flatnonzero(keep)
+        for b in kept[solve[kept]]:
+            k = self.blocks.blocks[b].size
             w[b, :k], v[b, :k, :k] = _eigh(self.stack[b, :k, :k])
+        copy = ~keep  # a block identical to a kept one has its eigensystem
+        w[copy], v[copy] = w[kept[source[copy]]], v[kept[source[copy]]]
         return w, v
 
     @cached_property
@@ -171,9 +213,18 @@ class DensityMatrix(HermitianOperator):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self._check_trace()
+
+    def _check_trace(self) -> None:
         tr = float(np.trace(self.stack, axis1=-2, axis2=-1).sum().real)
         if not abs(tr - self.trace_target) <= HERM_TOL * max(1.0, abs(self.trace_target)):  # NaN included
             raise ValueError(f"trace {tr!r} deviates from declared value {self.trace_target!r}")
+
+    @classmethod
+    def _exact(cls, basis: Basis, blocks: BlockDecomposition, stack: np.ndarray, trace_target: float = 1.0):
+        state = super()._exact(basis, blocks, stack, trace_target=trace_target)
+        state._check_trace()
+        return state
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -213,7 +264,7 @@ class DensityMatrix(HermitianOperator):
             state, u = self.regroup(whole), whole.restack(u, blocks)
         mat = u @ state.stack @ _dagger(u)
         try:
-            return replace(state, stack=0.5 * (mat + _dagger(mat)))
+            return DensityMatrix._exact(state.basis, state.blocks, 0.5 * (mat + _dagger(mat)), state.trace_target)
         except ValueError as exc:  # a unitary keeps the trace, so a deviation is numerical drift
             raise NumericalError(f"kicked state: {exc}") from exc
 
@@ -221,37 +272,42 @@ class DensityMatrix(HermitianOperator):
 def _on_m_blocks(basis: Basis, values: np.ndarray) -> tuple[BlockDecomposition, np.ndarray]:
     """The m blocks of the basis, which every operator of the package conserves, and diag(values) on them."""
     blocks = block_decomposition(basis, ORIENTATION)
-    d = np.append(values, 0.0)[blocks.slots]  # padding slots read the appended zero
-    return blocks, d[..., None] * np.eye(d.shape[-1])
+    n_blocks, size = blocks.slots.shape
+    stack = np.zeros((n_blocks, size, size), dtype=complex)
+    diagonal = np.arange(size)
+    stack[:, diagonal, diagonal] = np.append(values, 0.0)[blocks.slots]  # padding slots read the appended zero
+    return blocks, stack
 
 
 def _ladder(basis: Basis, kind: str, diagonal, step: int, coupling) -> HermitianOperator:
     """Operator on the blocks of a process kind with closed-form entries.
 
     <j m|X|j m> = diagonal(j, m) and <j+step m|X|j m> = <j m|X|j+step m> =
-    coupling(j, m); step keeps both states in one block.
+    coupling(j, m), both evaluated on arrays of (j, m); step keeps both
+    states in one block, so the partner of |j m>, when the basis holds it,
+    is the member of its block with j + step.
     """
     blocks = block_decomposition(basis, kind)
-    block_of, slot_of = (p.tolist() for p in blocks.places)
-    size = blocks.slots.shape[1]
-    stack = np.zeros((blocks.n_blocks, size, size))
-    for a, s in enumerate(basis.states):
-        b, k = block_of[a], slot_of[a]
-        stack[b, k, k] = diagonal(s.j, s.m)
-        if basis.contains(s.j + step, s.m):
-            l = slot_of[basis.index_of(s.j + step, s.m)]
-            stack[b, k, l] = stack[b, l, k] = coupling(s.j, s.m)
-    return HermitianOperator(basis, blocks, stack)
+    n_blocks, size = blocks.slots.shape
+    j_slots = np.append(basis.j_values, -1)[blocks.slots]  # padding slots read the appended -1
+    b, k = np.nonzero(blocks.filled)
+    j, m = j_slots[b, k], np.array([block.m for block in blocks.blocks], dtype=int)[b]
+    stack = np.zeros((n_blocks, size, size), dtype=complex)
+    stack[b, k, k] = diagonal(j, m)
+    row, l = np.nonzero(j_slots[b] == (j + step)[:, None])
+    b, k, j, m = b[row], k[row], j[row], m[row]
+    stack[b, k, l] = stack[b, l, k] = coupling(j, m)
+    return HermitianOperator._exact(basis, blocks, stack)
 
 
 def h0_matrix(basis: Basis) -> HermitianOperator:
     """Field-free Hamiltonian: diagonal j(j+1) in units of B, on the m blocks."""
-    return HermitianOperator(basis, *_on_m_blocks(basis, basis.j_values * (basis.j_values + 1.0)))
+    return HermitianOperator._exact(basis, *_on_m_blocks(basis, basis.j_values * (basis.j_values + 1.0)))
 
 
-def cos_theta_element(j: int, m: int) -> float:
-    """<j+1, m|cos(theta)|j, m> between spherical harmonics of equal m."""
-    return math.sqrt(((j + 1) ** 2 - m**2) / ((2 * j + 1) * (2 * j + 3)))
+def cos_theta_element(j, m):
+    """<j+1, m|cos(theta)|j, m> between spherical harmonics of equal m; j and m may be integer arrays."""
+    return np.sqrt(((j + 1) ** 2 - m**2) / ((2 * j + 1) * (2 * j + 3)))
 
 
 def cos_theta_matrix(basis: Basis) -> HermitianOperator:
@@ -268,9 +324,10 @@ def cos2_theta_matrix(basis: Basis) -> HermitianOperator:
     j > |m|) and <j+2 m|cos^2|j m> = c(j, m) c(j+1, m).
     """
 
-    def diagonal(j: int, m: int) -> float:
-        below = cos_theta_element(j - 1, m) if j > abs(m) else 0.0
-        return below**2 + cos_theta_element(j, m) ** 2
+    def diagonal(j, m):
+        below = np.where(j > abs(m), cos_theta_element(j - 1, m), 0.0)
+        # float_power is C pow(), as Python's ** on a float; it is not always the correctly rounded x * x
+        return np.float_power(below, 2) + np.float_power(cos_theta_element(j, m), 2)
 
     return _ladder(
         basis, ALIGNMENT, diagonal, 2, lambda j, m: cos_theta_element(j, m) * cos_theta_element(j + 1, m)
@@ -286,10 +343,18 @@ def observable_matrix(basis: Basis, kind: str) -> HermitianOperator:
     raise ValueError(f"unknown process kind {kind!r}")
 
 
+_PARTITION_SUMS: dict[float, float] = {}
+
+
 def partition_function(beta: float) -> float:
-    """Untruncated rotational partition sum over all (j, m), converged to relative 1e-12."""
+    """Untruncated rotational partition sum over all (j, m), converged to relative 1e-12.
+
+    Each beta is summed once; later calls return the same sum.
+    """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if beta in _PARTITION_SUMS:
+        return _PARTITION_SUMS[beta]
     total = 0.0
     j0 = 0
     chunk = 4096
@@ -299,6 +364,7 @@ def partition_function(beta: float) -> float:
         total += float(terms.sum())
         # terms decay super-exponentially once past the peak near 1/sqrt(beta)
         if terms[-1] < total * 1e-18:
+            _PARTITION_SUMS[beta] = total
             return total
         j0 += chunk
         if j0 > 20_000_000:
@@ -330,7 +396,7 @@ def thermal_state(
     if renormalize:
         weights = weights / trace
         trace = 1.0
-    return DensityMatrix(basis, *_on_m_blocks(basis, weights), trace_target=trace)
+    return DensityMatrix._exact(basis, *_on_m_blocks(basis, weights), trace_target=trace)
 
 
 def hermitian_function(op: HermitianOperator, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -263,15 +263,29 @@ def test_copies_match_every_mirror_pair_of_the_presets(preset, monkeypatch):
     real = BlockDecomposition.copies
 
     def recording(self, stacks):
-        found.append((self, real(self, stacks)))
-        return found[-1][1]
+        found.append((self, len(stacks), real(self, stacks)))
+        return found[-1][2]
 
     monkeypatch.setattr(BlockDecomposition, "copies", recording)
     config = PRESETS[preset].with_overrides(j_sim=12)
     for mode in ("idealized", "physical"):
         cli._run_one_mode(config, mode)
     controllability_report(3, config.process)
-    assert len(found) == 3
-    for blocks, (keep, source) in found:
+    # two trains and one Lie closure fold several stacks; each eigensystem folds its operator's one
+    assert sum(n > 1 for _, n, _ in found) == 3
+    assert len(found) > 3
+    for blocks, _, (keep, source) in found:
         where = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
         assert np.flatnonzero(keep)[source].tolist() == [where[abs(block.m), block.parity] for block in blocks.blocks]
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_shared_bases_and_decompositions_are_built_once_and_read_only(kind):
+    basis = build_basis(3)
+    assert build_basis(3) is basis and build_basis(np.int64(3)) is basis and type(basis.j_max) is int
+    assert block_decomposition(basis, kind) is block_decomposition(basis, kind)
+    assert block_decomposition(build_basis(3), kind) is block_decomposition(basis, kind)
+    before = basis.j_values.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        basis.j_values[0] = 5
+    assert np.array_equal(build_basis(3).j_values, before)

@@ -356,7 +356,7 @@ def test_eigensolver_failure_wrapped(monkeypatch):
     from rotorkick.operators import HermitianOperator
 
     basis = build_basis(1)
-    op = HermitianOperator.from_matrix(basis, np.eye(4))
+    op = HermitianOperator.from_matrix(basis, np.ones((4, 4)))  # not diagonal, so the eigensolver runs
 
     def fail(mat):
         raise np.linalg.LinAlgError("did not converge")
@@ -364,3 +364,15 @@ def test_eigensolver_failure_wrapped(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericalError, match="4x4"):
         op.eigensystem
+
+
+@pytest.mark.parametrize(
+    "argv", [["bounds", "--preset", "licl-5K-alignment"], ["simulate", "--preset", "licl-5K"]], ids=lambda a: a[0]
+)
+def test_repeated_in_process_runs_write_identical_bytes(argv, tmp_path):
+    # bases, decompositions and partition sums are shared between runs; none may carry state into the next
+    written = []
+    for _ in range(2):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        written.append({path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())})
+    assert len(written[0]) >= 2 and written[0] == written[1]

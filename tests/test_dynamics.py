@@ -7,6 +7,7 @@ from rotorkick.basis import ALIGNMENT, ORIENTATION, block_decomposition, build_b
 from rotorkick.dynamics import (
     KickSpec,
     _SeriesAccumulator,
+    _Train,
     apply_kick,
     free_propagate,
     leakage,
@@ -513,8 +514,9 @@ def test_train_builds_the_kick_exponential_once(monkeypatch):
     kick = make_kick(basis, ALIGNMENT, 1.5)
     record, _ = run_strategy(thermal_state(basis, beta=0.3), "S1", kick, h0_matrix(basis), max_kicks=6)
     assert record.n_kicks == 6  # 12 candidate kicks, six with each sign
-    kept = [block for block in kick.operator.blocks.blocks if block.m >= 0]
-    assert len(eighs) == len(kept)  # one eigensystem per kept block
+    stack = kick.operator.stack
+    kept = {(block.size, stack[b].tobytes()) for b, block in enumerate(kick.operator.blocks.blocks) if block.m >= 0}
+    assert len(eighs) == len(kept)  # one eigensystem per distinct kept block
     assert len(builds) == 1  # one exponential, checked once; -A is its conjugate
 
 
@@ -610,3 +612,35 @@ def test_segment_takes_the_grid_indices_of_the_per_sample_loop(points):
         assert acc.times[before:] == [k * step for k in ks]
         assert acc._next_k == next_k
         t = max(t, t_to)
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_kicked_states_are_exactly_hermitian_and_rotated_ones_to_rounding(kind, monkeypatch):
+    # the train's states skip the constructor's Hermiticity pass; this runs it
+    deviations = {"kicked": [], "rotated": []}
+    real_kicked, real_propagate = _Train.kicked, _Train.propagate
+
+    def record(name, rho):
+        dev = np.max(np.abs(rho.stack - np.swapaxes(rho.stack.conj(), -1, -2)))
+        deviations[name].append(dev / np.max(np.abs(rho.stack)))
+
+    def kicked(train, rho, amplitude):
+        result = real_kicked(train, rho, amplitude)
+        record("kicked", result[0])
+        return result
+
+    def propagate(train, rho, t):
+        result = real_propagate(train, rho, t)
+        record("rotated", result)
+        return result
+
+    monkeypatch.setattr(_Train, "kicked", kicked)
+    monkeypatch.setattr(_Train, "propagate", propagate)
+    basis = build_basis(8)
+    rho0, h0, kick = thermal_state(basis, 0.1), h0_matrix(basis), make_kick(basis, kind, 1.3)
+    train, _ = run_strategy(rho0, "S1", kick, h0, max_kicks=8)
+    assert train.n_kicks == 8 and len(deviations["kicked"]) == 16
+    assert max(deviations["kicked"]) == 0.0  # symmetrized exactly
+    # a phase product p_a conj(p_b) need not be the exact conjugate of p_b conj(p_a) (fused multiply-add)
+    record("rotated", free_propagate(apply_kick(rho0.regroup(kick.operator.blocks), kick), h0, 0.7))
+    assert len(deviations["rotated"]) == 9 and max(deviations["rotated"]) <= 4 * np.finfo(float).eps

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from oracles import direct_partition_sum, quadrature_cos_power_element
-from rotorkick.basis import ALIGNMENT, ORIENTATION, block_decomposition, build_basis, single_block
+from rotorkick.basis import (
+    ALIGNMENT,
+    ORIENTATION,
+    BlockDecomposition,
+    block_decomposition,
+    build_basis,
+    single_block,
+)
+from rotorkick.config import PRESETS
+from rotorkick.dynamics import S1, _Train, make_kick
+from rotorkick.errors import NumericalError
 from rotorkick.operators import (
     DensityMatrix,
     HermitianOperator,
@@ -266,7 +276,8 @@ def test_layout_round_trip_and_regroup(kind):
     dense[_coupling_mask(blocks)] = 0
     op = HermitianOperator.from_matrix(basis, dense, blocks)
     assert np.array_equal(op.matrix, dense)
-    assert op.regroup(block_decomposition(basis, kind)) is op  # equal blocks, not the same object
+    assert op.regroup(block_decomposition(basis, kind)) is op  # the same blocks, kept with the basis
+    assert op.regroup(BlockDecomposition(kind, blocks.blocks)) is op  # equal blocks, not the same object
     whole = op.regroup(single_block(basis.dim))
     assert whole.blocks.n_blocks == 1 and np.array_equal(whole.matrix, dense)
     assert np.array_equal(whole.regroup(blocks).stack, op.stack)
@@ -373,3 +384,97 @@ def test_regroup_onto_blocks_of_another_basis_size(j_other):
     other = block_decomposition(build_basis(j_other), ALIGNMENT)
     with pytest.raises(ValueError, match=f"state on 9 states cannot move onto the blocks of a {other.dim}-state basis"):
         rho.regroup(other, "state")
+
+
+def test_exact_stacks_keep_the_shape_and_trace_checks():
+    basis = build_basis(2)
+    rho = thermal_state(basis, beta=0.5)
+    doubled = np.broadcast_to(2 * np.eye(rho.stack.shape[-1]), rho.stack.shape)  # not unitary: trace times 4
+    with pytest.raises(NumericalError, match="kicked state: trace"):
+        rho.conjugated(rho.blocks, doubled)
+    with pytest.raises(ValueError, match="stack shape"):
+        DensityMatrix._exact(basis, rho.blocks, rho.stack[:-1].copy(), rho.trace_target)
+    with pytest.raises(ValueError, match="deviates from declared value"):
+        DensityMatrix._exact(basis, rho.blocks, rho.stack.copy(), 2 * rho.trace_target)
+
+
+def _per_block_eigh(op):
+    """The eigensystem of every block from its own eigh call, laid out like HermitianOperator.eigensystem."""
+    n_blocks, size = op.stack.shape[:2]
+    w, v = np.zeros((n_blocks, size)), np.zeros((n_blocks, size, size), dtype=complex)
+    v[:] = np.eye(size)
+    for b, block in enumerate(op.blocks.blocks):
+        k = block.size
+        w[b, :k], v[b, :k, :k] = np.linalg.eigh(op.stack[b, :k, :k])
+    return w, v
+
+
+@pytest.mark.parametrize("j_sim", [16, 96])
+def test_diagonal_eigenvalues_are_those_eigh_returns(j_sim):
+    # at j_sim 96 beta j (j + 1) reaches 1893, so many thermal weights underflow to 0
+    basis = build_basis(j_sim)
+    modes = {(config.beta, config.z_mode, config.renormalize) for config in PRESETS.values()}
+    ops = [thermal_state(basis, *mode) for mode in sorted(modes)] + [h0_matrix(basis)]
+    if j_sim == 96:
+        assert any(np.any(op.diagonal == 0.0) for op in ops[:-1])
+    for op in ops:
+        w, v = op.eigensystem
+        assert w.tobytes() == _per_block_eigh(op)[0].tobytes()
+        # the columns are a permutation; blocks below 2**-485, which eigh rescales, rebuild to rounding
+        assert np.array_equal(v @ np.swapaxes(v.conj(), -1, -2), np.broadcast_to(np.eye(v.shape[-1]), v.shape))
+        assert np.allclose(op.with_eigenvalues(w), op.stack, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_kick_eigensystem_solves_each_mirror_pair_once_with_the_loop_bits(preset, monkeypatch):
+    import rotorkick.operators as operators
+
+    config = PRESETS[preset]
+    calls = []
+    real = operators._eigh
+    monkeypatch.setattr(operators, "_eigh", lambda matrix: calls.append(1) or real(matrix))
+    for j in (config.j_max, config.j_sim):
+        op = make_kick(build_basis(j), config.process, config.kick_amplitude).operator
+        calls.clear()
+        w, v = op.eigensystem
+        assert len(calls) == sum(block.m >= 0 for block in op.blocks.blocks)
+        expected_w, expected_v = _per_block_eigh(op)
+        assert w.tobytes() == expected_w.tobytes() and v.tobytes() == expected_v.tobytes()
+
+
+def _scalar_ladder(basis, kind):
+    """The observable's stack filled one state at a time from the scalar formula."""
+
+    def c(j, m):
+        return math.sqrt(((j + 1) ** 2 - m**2) / ((2 * j + 1) * (2 * j + 3)))
+
+    blocks = block_decomposition(basis, kind)
+    block_of, slot_of = blocks.places
+    size = blocks.slots.shape[1]
+    stack = np.zeros((blocks.n_blocks, size, size), dtype=complex)
+    for a, s in enumerate(basis.states):
+        b, k = block_of[a], slot_of[a]
+        if kind == ALIGNMENT:
+            below = c(s.j - 1, s.m) if s.j > abs(s.m) else 0.0
+            stack[b, k, k] = below**2 + c(s.j, s.m) ** 2
+        step = 1 if kind == ORIENTATION else 2
+        if basis.contains(s.j + step, s.m):
+            l = slot_of[basis.index_of(s.j + step, s.m)]
+            stack[b, k, l] = stack[b, l, k] = c(s.j, s.m) if kind == ORIENTATION else c(s.j, s.m) * c(s.j + 1, s.m)
+    return stack
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_ladder_entries_equal_the_scalar_formula(kind):
+    # at j_max 96 Python's ** (C pow) and a correctly rounded square differ in a few cos^2 entries
+    for j_max in [*range(13), 96]:
+        basis = build_basis(j_max)
+        assert observable_matrix(basis, kind).stack.tobytes() == _scalar_ladder(basis, kind).tobytes()
+    # the train's basis of one copy of each +-m pair holds only m >= 0
+    basis = build_basis(6)
+    kick = make_kick(basis, kind, 1.0)
+    start = thermal_state(basis, 0.3).regroup(kick.operator.blocks)
+    kept = _Train(start, S1, kick, h0_matrix(basis), None, None, None).kick.operator
+    assert kept.dim < basis.dim
+    assert observable_matrix(kept.basis, kind).stack.tobytes() == _scalar_ladder(kept.basis, kind).tobytes()
+    assert observable_matrix(kept.basis, kind).stack.tobytes() == kept.stack.tobytes()
