@@ -412,7 +412,7 @@ def run_strategy(
     record.final_efficiency_time = t_now + final_max.t
     if target is not None:
         record.final_projection = global_max(series[1]).value
-    record.final_duration = measure_above(series[0], duration_threshold, t_anchor=final_max.t)
+    record.final_duration = measure_above(series[0], duration_threshold)
     # close the maxima sequence with the post-train maximum of the driving functional
     record.maxima.append(final_max.value if strategy == S1 else record.final_projection)
     return record, acc.build()

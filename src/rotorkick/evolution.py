@@ -5,14 +5,18 @@ t -> Tr[B rho(t)] of a freely evolving state is a finite sum of terms
 c * exp(-i (E_a - E_b) t).  The rotor's differences E_a - E_b are even
 integers 2k, so the coefficients live on the integer lattice of k, and the
 series sampled on a uniform grid over one period pi is one FFT of them.
-The grid brackets the maxima (roots of F') and the level-set edges (roots
-of F - threshold), and one Newton root finder on the exact derivatives
-refines them.
+The searches sample F and F' on a grid sized to the series' bandwidth.  A
+curvature bound proves which grid steps can hold neither the global
+maximum nor a level-set edge, the few steps it cannot clear are
+subdivided, and one Newton root finder on the exact derivatives refines
+the maxima (roots of F') and the level-set edges (roots of F - threshold).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +26,11 @@ PERIOD = np.pi  # free-evolution period in units of 1/B (even integer level spac
 
 FLAT_TOL = 1e-14
 TIE_TOL = 1e-12
-REFINE_TOL = 1e-10
 ROOT_TOL = 1e-14
-MAX_SAMPLES = 4096  # fewest samples per period of the global-maximum search
-LEVEL_SAMPLES = 8192  # fewest samples per period of a level-set measure
+SAMPLES_PER_OSCILLATION = 16  # search-grid samples per period of the fastest nonzero term
+
+# A set of grid steps is one (6, n) array with these rows: both ends, F at both ends, F' at both ends.
+_LO, _HI, _F_LO, _F_HI, _S_LO, _S_HI = range(6)
 
 
 class FrequencyLattice:
@@ -51,6 +56,15 @@ class FrequencyLattice:
         self.freqs = 2.0 * np.arange(-self.kmax, self.kmax + 1)
 
 
+@dataclass(frozen=True)
+class _SearchGrid:
+    """The n steps [i h, (i + 1) h], h = PERIOD / n, of a search grid, and bounds on F'' and F'''."""
+
+    steps: np.ndarray
+    m2: float  # sum |c| w^2 >= |F''| everywhere
+    m3: float  # sum |c| |w|^3 >= |F'''| everywhere
+
+
 class TraceSeries:
     """t -> Tr[B rho(t)] with rho(0) given and rho evolving freely under diag(energies).
 
@@ -73,13 +87,38 @@ class TraceSeries:
             raise NumericalError("trace series has a non-finite coefficient")
         terms = np.flatnonzero(self.coef)
         self._terms = (self.coef[terms], self.freqs[terms])
+        self._rates: dict = {}
 
-    def values(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
-        """The series, or its order-th time derivative, at every time in ts."""
-        coef, freqs = self._terms
-        if order:
-            coef = coef * _rate(freqs, order)
-        return (coef @ np.exp(-1j * np.outer(freqs, ts))).real
+    def values(self, ts: np.ndarray, order=0) -> np.ndarray:
+        """The series, or its order-th time derivative, at every time in ts.
+
+        order may also be a sequence of orders: the result then has one row
+        per order, all taken from one phase matrix.  Each time sums its
+        terms in real arithmetic, in one fixed order along the terms axis,
+        so a value does not depend on which other times share the call.
+        """
+        re, im = self._rated(order)
+        phases = np.exp(np.multiply.outer(ts, -1j * self._terms[1]))
+        return (re[..., None, :] * phases.real - im[..., None, :] * phases.imag).sum(axis=-1)
+
+    def _rated(self, order) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of c (-i w)^order over the nonzero terms; one row per order of a sequence.
+
+        Formed once per series and order, by real products only: a complex
+        product can round differently from one call to the next.
+        """
+        key = order if np.ndim(order) == 0 else tuple(order)
+        if key not in self._rates:
+            coef, freqs = self._terms
+            rows = []
+            for o in np.atleast_1d(order):
+                re, im = coef.real * freqs**o, coef.imag * freqs**o
+                for _ in range(o % 4):  # times -i
+                    re, im = im, -re
+                rows.append((re, im))
+            re, im = zip(*rows)
+            self._rates[key] = rows[0] if np.ndim(order) == 0 else (np.array(re), np.array(im))
+        return self._rates[key]
 
     def grid_values(self, t_start: float, n_samples: int, order: int = 0) -> np.ndarray:
         """The series (or its order-th derivative) at t_start + i * PERIOD / n_samples for i < n_samples, by one FFT.
@@ -89,7 +128,7 @@ class TraceSeries:
         """
         shifted = self.coef * np.exp(-1j * self.freqs * t_start)
         if order:
-            shifted *= _rate(self.freqs, order)
+            shifted *= (1, -1j, -1, 1j)[order % 4] * self.freqs**order
         slot = np.arange(-self.kmax, self.kmax + 1) % n_samples
         folded = np.bincount(slot, shifted.real, n_samples) + 1j * np.bincount(slot, shifted.imag, n_samples)
         return np.fft.fft(folded).real
@@ -100,10 +139,31 @@ class TraceSeries:
     def derivative(self, t: float, order: int = 1) -> float:
         return float(self.values(np.array([t]), order)[0])
 
+    @cached_property
+    def _search(self) -> _SearchGrid:
+        """The search grid: grid_size(bandwidth) steps over [0, PERIOD), sampled by one FFT, shared by both searches.
 
-def _rate(freqs: np.ndarray, order: int) -> np.ndarray:
-    """(-i freqs)^order, the factor the order-th time derivative puts on each exp(-i freqs t)."""
-    return (1, -1j, -1, 1j)[order % 4] * freqs**order
+        The series is the real part of the lattice sum, which is the sum of
+        the Hermitian part (c_k + conj(c_-k)) / 2, real at every t.  So F'
+        rides in the imaginary part of the same transform, scaled by a power
+        of two s <= 1 / max|w|: the transform of c (1 + s w) is F + i s F'.
+        """
+        c = 0.5 * (self.coef + self.coef[::-1].conj())
+        terms = np.flatnonzero(c)
+        c, w = c[terms], self.freqs[terms]
+        w_max = float(np.abs(w).max(initial=0.0))
+        n = grid_size(int(w_max) // 2)
+        s = math.ldexp(1.0, -math.frexp(w_max)[1])
+        a = c * (1.0 + s * w)
+        slot = (terms - self.kmax) % n
+        z = np.fft.fft(np.bincount(slot, a.real, n) + 1j * np.bincount(slot, a.imag, n))
+        ends = np.empty((3, n + 1))  # time, F and F' at the grid points, and again at PERIOD
+        ends[0] = np.arange(n + 1) * (PERIOD / n)
+        ends[1, :n], ends[2, :n] = z.real, z.imag / s
+        ends[1:, n] = ends[1:, 0]
+        c2 = np.abs(c) * w**2
+        steps = np.stack((ends[:, :-1], ends[:, 1:]), axis=1).reshape(6, n)
+        return _SearchGrid(steps=steps, m2=float(c2.sum()), m3=float(c2 @ np.abs(w)))
 
 
 def _roots(
@@ -114,15 +174,15 @@ def _roots(
     g_lo and g_hi are F^(order) - level sampled at the bracket ends, one of
     them negative and the other not.  Every bracket starts at the secant
     point of its samples and runs safeguarded Newton on the exact next
-    derivative, all at once.  Each evaluation shrinks the bracket around
-    the sign change.  A Newton point that is not strictly inside the
-    bracket, or a step longer than half the previous move, is replaced by
-    the bracket's midpoint, so the moves shrink at least geometrically.  A
-    bracket is done when its Newton step or its width falls below tol =
-    ROOT_TOL * max(1, |t|).  The check on the step comes first: on a root
-    that sits on a grid point, roundoff puts the converged Newton point
-    just past the bracket end, and refusing it would crawl there by
-    bisection.
+    derivative, all at once; both derivatives come from one evaluation.
+    Each evaluation shrinks the bracket around the sign change.  A Newton
+    point that is not strictly inside the bracket, or a step longer than
+    half the previous move, is replaced by the bracket's midpoint, so the
+    moves shrink at least geometrically.  A bracket is done when its Newton
+    step or its width falls below tol = ROOT_TOL * max(1, |t|).  The check
+    on the step comes first: on a root that sits on a grid point, roundoff
+    puts the converged Newton point just past the bracket end, and refusing
+    it would crawl there by bisection.
     """
     lo, hi = lo.astype(float), hi.astype(float)
     sign = np.where(g_lo < 0, 1.0, -1.0)  # g rises through zero where g_lo < 0
@@ -131,9 +191,10 @@ def _roots(
     live = np.arange(t.size)
     while live.size:
         tl, l, h = t[live], lo[live], hi[live]
-        g = series.values(tl, order) - level
+        g, slope = series.values(tl, (order, order + 1))
+        g = g - level
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = g / series.values(tl, order + 1)
+            step = g / slope
         past = sign[live] * g >= 0
         h = np.where(past, tl, h)
         l = np.where(past, l, tl)
@@ -149,9 +210,37 @@ def _roots(
     return t
 
 
-def grid_size(kmax: int, n_min: int) -> int:
-    """Samples per period: n_min, or the power of two giving 8 per fastest oscillation if larger."""
-    return max(n_min, 1 << max(8 * kmax - 1, 0).bit_length())
+def grid_size(kmax: int) -> int:
+    """Search-grid points per period: the power of two giving SAMPLES_PER_OSCILLATION per period of exp(-2i kmax t)."""
+    return 1 << max(SAMPLES_PER_OSCILLATION * kmax - 1, 0).bit_length()
+
+
+def _halved(series: TraceSeries, steps: np.ndarray) -> np.ndarray:
+    """Both halves of every step, with F and F' at the midpoints from one evaluation."""
+    lo, hi, f_lo, f_hi, s_lo, s_hi = steps
+    mid = 0.5 * (lo + hi)
+    f_mid, s_mid = series.values(mid, (0, 1))
+    return np.hstack([np.stack([lo, mid, f_lo, f_mid, s_lo, s_mid]), np.stack([mid, hi, f_mid, f_hi, s_mid, s_hi])])
+
+
+def _slack(steps: np.ndarray, m: float) -> np.ndarray:
+    """m h^2 / 8 on every step: F strays at most M2 h^2 / 8 from its linear interpolant, and F' M3 h^2 / 8."""
+    return (0.125 * m) * (steps[_HI] - steps[_LO]) ** 2
+
+
+def _settled(steps: np.ndarray, m3: float) -> np.ndarray:
+    """Steps over which F' provably keeps one sign (both end slopes beyond M3 h^2 / 8), or too narrow to resolve."""
+    bound = _slack(steps, m3)
+    s_lo, s_hi = steps[_S_LO], steps[_S_HI]
+    one_signed = (np.minimum(s_lo, s_hi) > bound) | (np.maximum(s_lo, s_hi) < -bound)
+    return one_signed | (steps[_HI] - steps[_LO] <= ROOT_TOL * np.maximum(1.0, steps[_HI]))
+
+
+def _within(steps: np.ndarray, taus: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Steps that lie, circularly, inside (tau - radius, tau + radius) of some tau."""
+    lo, width = steps[_LO][:, None], (steps[_HI] - steps[_LO])[:, None]
+    offset = (lo - taus + 0.5 * PERIOD) % PERIOD - 0.5 * PERIOD
+    return ((offset > -radius) & (offset + width < radius)).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -159,36 +248,69 @@ class MaxResult:
     t: float  # time of the earliest global maximum, in [0, PERIOD)
     value: float
     flat: bool
+    refined: int  # grid steps the certificate subdivided
 
 
 def global_max(series: TraceSeries) -> MaxResult:
     """Earliest global maximum of the series in [0, PERIOD).
 
-    The slope is sampled on grid_size(kmax, MAX_SAMPLES) points; every grid
-    step over which it turns from positive to non-positive holds a local
-    maximum, and all of them are refined at once to a root of the slope
-    (_roots, on the exact series).  Ties within TIE_TOL resolve to the
-    earliest time, t = 0 included.  A functional flat to within FLAT_TOL
-    is flagged and reported at t = 0.
+    F and F' are sampled on the series' search grid.  A step over which F'
+    turns from positive to non-positive brackets a local maximum; every such
+    step that can reach the best sample within TIE_TOL is refined, all at
+    once, to a root of F' (_roots, on the exact series).  A step is cleared,
+    proved to hold no maximum within TIE_TOL of the best value found, if
+      * max(F_i, F_i+1) + M2 h^2 / 8 < best - TIE_TOL,
+      * F' provably keeps one sign on it, or
+      * it lies, circularly, within r = 3 |F''(tau)| / M3 of a refined peak
+        tau with F''(tau) < 0, since near tau
+        F(t) <= F(tau) + (t - tau)^2 (F''(tau) / 2 + M3 |t - tau| / 6).
+    Every step left is halved, all at once, and its halves are bracketed or
+    cleared in turn.  A step narrower than ROOT_TOL * max(1, |t|) is
+    settled, and so is one too short to hide more than TIE_TOL above its
+    ends (M2 h^2 / 8 <= TIE_TOL) that cannot beat best by more than
+    TIE_TOL: that ends the search on a degenerate maximum, F''(tau) = 0.
+    Ties within TIE_TOL resolve to the earliest time, t = 0 included.  A
+    functional flat to within FLAT_TOL is flagged and reported at t = 0.
     """
-    n_samples = grid_size(series.kmax, MAX_SAMPLES)
-    vals = series.grid_values(0.0, n_samples)
-    if float(vals.max() - vals.min()) < FLAT_TOL:
-        return MaxResult(t=0.0, value=float(vals[0]), flat=True)
+    grid = series._search
+    steps = grid.steps
+    best = steps[_F_LO].max()  # a sampled value: a lower bound on the maximum
+    if float(best - steps[_F_LO].min()) < FLAT_TOL:
+        return MaxResult(t=0.0, value=float(steps[_F_LO, 0]), flat=True, refined=0)
 
-    h = PERIOD / n_samples
-    slope = series.grid_values(0.0, n_samples, order=1)
-    nxt = np.roll(slope, -1)
-    k = np.flatnonzero((slope > 0) & (nxt <= 0))
-    taus = _roots(series, 1, 0.0, k * h, (k + 1) * h, slope[k], nxt[k]) % PERIOD
-    taus[PERIOD - taus < REFINE_TOL] = 0.0  # peak straddling the window start
-    ys = series.values(taus)
+    taus = ys = radius = np.zeros(0)
+    refined = 0
+    while True:
+        top = np.maximum(steps[_F_LO], steps[_F_HI]) + _slack(steps, grid.m2)
+        up = (top >= best - TIE_TOL) & (steps[_S_LO] > 0) & (steps[_S_HI] <= 0)
+        if taus.size:
+            up[up] = ~_within(steps[:, up], taus, radius)
+        new = _roots(series, 1, 0.0, steps[_LO, up], steps[_HI, up], steps[_S_LO, up], steps[_S_HI, up]) % PERIOD
+        if not taus.size:
+            new = np.concatenate(([0.0], new))  # the window start is a candidate too
+        if new.size:
+            f, curvature = series.values(new, (0, 2))
+            r = np.where(curvature < 0, -3.0 * curvature / grid.m3, 0.0)
+            if not taus.size:
+                r[0] = 0.0  # F'(0) is not 0 in general, so t = 0 covers no step
+            taus, ys, radius = np.append(taus, new), np.append(ys, f), np.append(radius, r)
+            best = max(best, ys.max())
+
+        short = _slack(steps, grid.m2) <= TIE_TOL
+        left = ~((top < best - TIE_TOL) | (short & (top <= best + TIE_TOL)) | _settled(steps, grid.m3))
+        left[left] = ~_within(steps[:, left], taus, radius)
+        if not left.any():
+            break
+        refined += int(np.count_nonzero(left))
+        steps = _halved(series, steps[:, left])
+
     # the window start itself wins any tie (earliest admissible time)
-    v0 = series.value(0.0)
-    if v0 >= ys.max(initial=-np.inf) - TIE_TOL:
-        return MaxResult(t=0.0, value=v0, flat=False)
-    t_star = float(taus[ys >= ys.max() - TIE_TOL].min())
-    return MaxResult(t=t_star, value=series.value(t_star), flat=False)
+    best = ys.max()
+    if ys[0] >= best - TIE_TOL:
+        return MaxResult(t=0.0, value=float(ys[0]), flat=False, refined=refined)
+    tie = np.flatnonzero(ys >= best - TIE_TOL)
+    i = tie[np.argmin(taus[tie])]
+    return MaxResult(t=float(taus[i]), value=float(ys[i]), flat=False, refined=refined)
 
 
 @dataclass(frozen=True)
@@ -197,44 +319,43 @@ class LevelSetMeasure:
     longest: float  # longest contiguous super-threshold interval (circular), / PERIOD
 
 
-def measure_above(series: TraceSeries, threshold: float, t_anchor: float = 0.0) -> LevelSetMeasure:
+def measure_above(series: TraceSeries, threshold: float) -> LevelSetMeasure:
     """Fraction of one free-evolution period where the series stays at or above threshold.
 
-    Sampled on grid_size(kmax, LEVEL_SAMPLES) points of [t_anchor, t_anchor +
-    PERIOD); every grid step over which the series crosses threshold is
-    refined to the crossing on the exact series (_roots), so the edges are
-    exact to roundoff.  The window is circular, so intervals touching both
-    window edges merge when computing the longest stretch.
+    F and F' are sampled on the series' search grid over [0, PERIOD).  A
+    step over which F - threshold keeps its sign holds no crossing if both
+    ends lie more than M2 h^2 / 8 - TIE_TOL from the threshold (any
+    excursion it hides stays within TIE_TOL of the threshold) or F'
+    provably keeps one sign on it; a step over which the sign flips holds
+    exactly one crossing where F' keeps one sign.  Every other step is
+    halved, all at once, until one of these holds or it is narrower than
+    ROOT_TOL * max(1, |t|).  Each crossing is then refined on the exact
+    series (_roots), so the edges are exact to roundoff.  The measure and
+    the longest run do not depend on where the period starts; the window is
+    circular, so the runs touching both window edges merge into one for the
+    longest stretch.
     """
-    n_samples = grid_size(series.kmax, LEVEL_SAMPLES)
-    h = PERIOD / n_samples
-    g = series.grid_values(t_anchor, n_samples) - threshold
-    above = g >= 0
-    if bool(above.all()):
-        return LevelSetMeasure(total=1.0, longest=1.0)
-    if not bool(above.any()):
+    grid = series._search
+    steps = grid.steps
+    brackets = []
+    while steps.size:
+        g_lo, g_hi = steps[_F_LO] - threshold, steps[_F_HI] - threshold
+        flip = (g_lo < 0) != (g_hi < 0)
+        settled = _settled(steps, grid.m3)
+        far = np.minimum(np.abs(g_lo), np.abs(g_hi)) + TIE_TOL > _slack(steps, grid.m2)
+        brackets.append(steps[:, flip & settled])
+        left = ~(settled | (far & ~flip))
+        steps = _halved(series, steps[:, left]) if left.any() else steps[:, :0]
+    lo, hi, f_lo, f_hi = np.hstack(brackets)[:4]
+    crossings = np.sort(_roots(series, 0, threshold, lo, hi, f_lo - threshold, f_hi - threshold))
+
+    # alternating runs from the state at t = 0; the total adds the runs in time order
+    above = bool(grid.steps[_F_LO, 0] >= threshold)
+    lengths = np.diff(np.concatenate(([0.0], crossings, [PERIOD])))
+    runs = lengths[(np.arange(lengths.size) % 2 == 0) == above]
+    if not runs.size:
         return LevelSetMeasure(total=0.0, longest=0.0)
-
-    # grid steps over which the sign flips, circularly (F has period PERIOD)
-    nxt = np.roll(g, -1)
-    k = np.flatnonzero(above != (nxt >= 0))
-    crossings = np.sort(_roots(series, 0, threshold, t_anchor + k * h, t_anchor + (k + 1) * h, g[k], nxt[k]))
-
-    # walk alternating intervals starting from the state at t_anchor
-    edges = [t_anchor] + crossings.tolist() + [t_anchor + PERIOD]
-    state = bool(above[0])
-    lengths = []
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if state:
-            total += hi - lo
-            lengths.append((lo, hi))
-        state = not state
-    longest = max(hi - lo for lo, hi in lengths) if lengths else 0.0
-    # merge across the circular wrap when both window edges are super-threshold
-    if bool(above[0]) and len(lengths) >= 2:
-        first_lo, first_hi = lengths[0]
-        last_lo, last_hi = lengths[-1]
-        if first_lo == t_anchor and last_hi == t_anchor + PERIOD:
-            longest = max(longest, (first_hi - first_lo) + (last_hi - last_lo))
-    return LevelSetMeasure(total=total / PERIOD, longest=longest / PERIOD)
+    longest = runs.max()
+    if above and runs.size >= 2 and lengths.size % 2:  # the first and the last run meet across t = 0
+        longest = max(longest, runs[0] + runs[-1])
+    return LevelSetMeasure(total=float(np.cumsum(runs)[-1]) / PERIOD, longest=float(longest) / PERIOD)

@@ -122,11 +122,11 @@ def duration_above(
 ) -> LevelSetMeasure:
     """Fraction of a free-evolution period with Tr[obs rho(t)] at or above threshold.
 
-    Measured over one period anchored at the time of maximum expectation;
-    crossings are roots of the exact series, refined to roundoff by the
-    Newton root finder of evolution.measure_above.  Returns both the
-    summed measure and the longest contiguous stretch, in units of the
-    rotational period.
+    Measured over one period; the measure and the longest circular run do
+    not depend on where it starts.  Crossings are roots of the exact series,
+    refined to roundoff by the Newton root finder of evolution.measure_above.
+    Returns both the summed measure and the longest contiguous stretch, in
+    units of the rotational period.
     """
     eig = obs.eigensystem[0][obs.blocks.filled]
     lo, hi = eig.min(), eig.max()
@@ -139,7 +139,7 @@ def duration_above(
     if peak.flat:
         hit = 1.0 if peak.value >= threshold else 0.0
         return LevelSetMeasure(total=hit, longest=hit)
-    return measure_above(series, threshold, t_anchor=peak.t)
+    return measure_above(series, threshold)
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ def dense_train(rho0, strategy, kick, h0, target=None, observable=None, max_kick
     final = global_max(exp_s)
     out["final_efficiency"] = final.value
     out["final_projection"] = None if proj is None else global_max(TraceSeries(rho, proj, energies)).value
-    duration = measure_above(exp_s, duration_threshold, t_anchor=final.t)
+    duration = measure_above(exp_s, duration_threshold)
     out["final_duration"] = (duration.total, duration.longest)
     out["maxima"].append(final.value if strategy == S1 else out["final_projection"])
     return out

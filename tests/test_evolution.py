@@ -92,9 +92,9 @@ def test_measure_above_matches_dense_count():
     obs = cos_theta_matrix(basis)
     series = TraceSeries(rho.matrix, obs.matrix, np.diag(h0.matrix).real)
     threshold = 0.2
-    res = measure_above(series, threshold, t_anchor=0.1234)
+    res = measure_above(series, threshold)
     n = 400001
-    dense = series.values(0.1234 + np.arange(n) * (PERIOD / n))
+    dense = series.values(0.1234 + np.arange(n) * (PERIOD / n))  # the measure does not depend on the window start
     fraction = float(np.count_nonzero(dense >= threshold)) / n
     assert res.total == pytest.approx(fraction, abs=2e-4)
     assert res.longest <= res.total + 1e-12
@@ -136,9 +136,19 @@ def test_fft_grid_matches_direct_evaluation(n_samples):
 
 
 def test_grid_size_follows_the_bandwidth():
-    # j_sim = 31 and 44 are the largest cutoffs that keep the 4096 and 8192 grids
-    for j_sim, n_min, expected in [(24, 4096, 4096), (31, 4096, 4096), (32, 4096, 8192), (44, 8192, 8192), (45, 8192, 16384)]:
-        assert grid_size(j_sim * (j_sim + 1) // 2, n_min) == expected
+    # 16 samples per period of the fastest term, rounded up to a power of two, with no floor
+    for kmax, expected in [(0, 1), (1, 16), (2, 32), (3, 64), (36, 1024), (78, 2048), (2080, 65536)]:
+        assert grid_size(kmax) == expected
+    # the search grid follows the nonzero coefficients, not the lattice: one
+    # coherence between j = 0 and j = 1 on the j <= 20 ladder (lattice kmax 210)
+    j = np.arange(21.0)
+    rho = np.diag(np.full(21, 1 / 21)).astype(complex)
+    rho[0, 1] = rho[1, 0] = 0.2
+    b = np.zeros((21, 21))
+    b[0, 1] = b[1, 0] = 1.0
+    series = TraceSeries(rho, b, j * (j + 1))
+    assert series.kmax == 210 and series._search.steps.shape[1] == grid_size(1) == 16
+    assert global_max(series).value == pytest.approx(0.4, abs=1e-15)
 
 
 def _aliasing_series():
@@ -190,10 +200,9 @@ def _crossings_from_polynomial(series, threshold):
     return np.sort((-np.angle(on_circle) / 2.0) % PERIOD)
 
 
-def _measure_from_crossings(series, threshold, crossings, t_anchor):
-    edges = np.sort((crossings - t_anchor) % PERIOD)
-    edges = np.concatenate([[0.0], edges, [PERIOD]])
-    mids = t_anchor + 0.5 * (edges[:-1] + edges[1:])
+def _measure_from_crossings(series, threshold, crossings):
+    edges = np.concatenate([[0.0], np.sort(crossings % PERIOD), [PERIOD]])
+    mids = 0.5 * (edges[:-1] + edges[1:])
     above = series.values(mids) >= threshold
     lengths = np.diff(edges)
     runs, run = [], 0.0
@@ -219,9 +228,8 @@ def test_measure_above_matches_polynomial_roots(j_max, fraction):
     threshold = samples.min() + fraction * (samples.max() - samples.min())
     crossings = _crossings_from_polynomial(series, threshold)
     assert crossings.size >= 2
-    t_anchor = 0.1234
-    total, longest = _measure_from_crossings(series, threshold, crossings, t_anchor)
-    res = measure_above(series, threshold, t_anchor=t_anchor)
+    total, longest = _measure_from_crossings(series, threshold, crossings)
+    res = measure_above(series, threshold)
     assert abs(res.total - total) < 1e-12
     assert abs(res.longest - longest) < 1e-12
 
@@ -277,9 +285,8 @@ class _NoisyLine:
     def values(self, ts, order=0):
         self.calls += 1
         assert self.calls <= 400, "root finder does not terminate"
-        if order == 1:
-            return np.full(ts.shape, self.slope)
-        return self.slope * (ts - self.root) + self.noise * np.sin(1e15 * ts)
+        rows = {0: self.slope * (ts - self.root) + self.noise * np.sin(1e15 * ts), 1: np.full(ts.shape, self.slope)}
+        return np.array([rows[o] for o in order]) if np.ndim(order) else rows[order]
 
 
 @pytest.mark.parametrize("slope, noise", [(1e-3, 1e-12), (-0.13, 1e-15), (-0.13, 3e-15), (-0.13, 1e-14)])
@@ -292,3 +299,108 @@ def test_roots_end_when_roundoff_hides_the_root(slope, noise):
         hi = lo + PERIOD / 4096
         t = _roots(series, 0, 0.0, lo, hi, series.values(lo), series.values(hi))
         assert np.all(np.abs(t - root) < 10 * noise / abs(slope) + 1e-13)
+
+
+def test_point_values_do_not_depend_on_their_batch():
+    # each time sums its terms in one fixed order, so a value is the same bits
+    # alone, in any batch, and in a joint evaluation of several orders
+    series = _kicked_series(4, 2.0)
+    ts = np.random.default_rng(3).uniform(-1.0, 2.0 * PERIOD, 257)
+    batch = series.values(ts)
+    for i in range(0, ts.size, 16):
+        assert series.values(ts[i:]).tolist()[0] == batch[i] == series.value(ts[i])
+    for orders in [(0, 1), (1, 2), (0, 2)]:
+        joint = series.values(ts, orders)
+        assert joint.shape == (2, ts.size)
+        for row, order in zip(joint, orders):
+            assert row.tolist() == series.values(ts, order).tolist()
+    assert [series.derivative(t) for t in ts[:8]] == series.values(ts[:8], (0, 1))[1].tolist()
+
+
+def _series_from(amplitudes, t0=0.0):
+    """F(t) = sum over k of Re(a_k exp(-2ik (t - t0))): a coherence between level 0 and each level k, E_k = 2k."""
+    kmax = max(amplitudes)
+    rho = np.zeros((kmax + 1, kmax + 1), dtype=complex)
+    b = np.zeros((kmax + 1, kmax + 1))
+    for k, a in amplitudes.items():
+        rho[k, 0] = 0.5 * a * np.exp(2j * k * t0)
+        rho[0, k] = np.conj(rho[k, 0])
+        b[0, k] = b[k, 0] = 1.0
+    return TraceSeries(rho, b, 2.0 * np.arange(kmax + 1))
+
+
+def _twin_peaks(t0, tilt):
+    # 3.99 cos 2u - cos 4u + tilt sin 2u, u = t - t0: F''(0) = 0.04 > 0, so two
+    # peaks sit at u = +-0.035, closer together than one step (pi / 32) of the
+    # 32-point search grid; tilt > 0 lifts the later one by about 0.14 tilt
+    return _series_from({1: 3.99 + 1j * tilt, 2: -1.0}, t0)
+
+
+def _dense_max(series, lo, hi):
+    ts = np.linspace(lo, hi, 200001)
+    f = series.values(ts)
+    return ts[np.argmax(f)], f.max()
+
+
+def test_certificate_finds_the_higher_of_two_peaks_inside_one_grid_step():
+    h = PERIOD / 32
+    series = _twin_peaks(7.45 * h, 1e-6)
+    assert series._search.steps.shape[1] == 32
+    t_peak, peak = _dense_max(series, 7 * h, 8 * h)
+    res = global_max(series)
+    assert res.refined > 0
+    assert res.value == pytest.approx(peak, abs=1e-13)
+    assert res.t == pytest.approx(t_peak, abs=1e-4)
+    assert abs(series.derivative(res.t)) < 1e-13
+
+
+def test_certificate_finds_twin_peaks_straddling_the_window_start():
+    # the lower peak sits just before the window end, in the step that closes
+    # the period; the higher one shares the first step with the dip
+    h = PERIOD / 32
+    series = _twin_peaks(0.3 * h, 1e-6)
+    t_peak, peak = _dense_max(series, -h, h)
+    assert 0.0 < t_peak < h
+    res = global_max(series)
+    assert res.refined > 0
+    assert res.value == pytest.approx(peak, abs=1e-13)
+    assert res.t == pytest.approx(t_peak, abs=1e-4)
+
+
+def test_certificate_clears_the_steps_around_a_peak_on_a_grid_point():
+    # the radius rule clears both steps next to the peak without subdividing,
+    # across the wrap for the peak at t = 0; on a kicked thermal state nothing
+    # needs subdividing either
+    h = PERIOD / 32
+    for t0 in (5 * h, 0.0):
+        res = global_max(_series_from({1: 1.0, 2: 0.3}, t0))
+        assert res.refined == 0
+        assert res.t == pytest.approx(t0, abs=1e-14)
+        assert res.value == pytest.approx(1.3, abs=1e-15)
+    assert global_max(_kicked_series(4, 2.0)).refined == 0
+
+
+def test_certificate_finds_a_narrow_excursion_between_two_samples():
+    # cos 2(t - t0) on its 16-point grid: t0 is mid-step, so both samples of
+    # that step read cos(pi / 16) = 0.981, below the 0.99 threshold, and the
+    # stretch above it lies wholly between them
+    h = PERIOD / 16
+    series = _series_from({1: 1.0}, 3.5 * h)
+    threshold = 0.99
+    steps = series._search.steps
+    assert steps.shape[1] == 16 and steps[2].max() < threshold
+    res = measure_above(series, threshold)
+    assert res.total == pytest.approx(np.arccos(threshold) / PERIOD, abs=1e-15)
+    assert res.longest == res.total
+
+
+def test_certificate_ends_on_a_degenerate_maximum():
+    # 4 cos 2t - cos 4t has F'' = 0 at its maximum, so no radius clears the
+    # steps around it; steps too short to hide more than TIE_TOL end the search
+    series = _series_from({1: 4.0, 2: -1.0})
+    res = global_max(series)
+    assert res.t == 0.0 and res.value == 3.0
+    assert 0 < res.refined < 5000
+    # F >= 3 - d where (cos 2t - 1)^2 <= d / 2
+    for d in (1e-3, 1e-6):
+        assert measure_above(series, 3.0 - d).total == pytest.approx(np.arccos(1.0 - np.sqrt(d / 2)) / PERIOD, rel=1e-9)
