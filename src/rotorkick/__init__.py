@@ -21,6 +21,7 @@ from .controllability import (
     LieAlgebraReport,
     TwoLevelReport,
     block_trace_rank,
+    check_cutoff,
     controllability_report,
     dims_required,
     fixed_point_analysis,

@@ -15,9 +15,9 @@ import numpy as np
 
 from .basis import block_decomposition, build_basis
 from .config import PRESETS, RunConfig, load_config
-from .controllability import controllability_report, fixed_point_analysis, is_kick_stationary
+from .controllability import check_cutoff, controllability_report, fixed_point_analysis, is_kick_stationary
 from .dynamics import PERIOD, TimeSeries, make_kick, run_strategy
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .operators import (
     DensityMatrix,
     embed_density,
@@ -148,8 +148,8 @@ def cmd_simulate(config: RunConfig) -> list[str]:
 def cmd_controllability(config: RunConfig, j_values: list[int] | None = None) -> list[str]:
     """Lie-algebra dimension reports; the CSV reproduces the reference table layout."""
     values = j_values if j_values else [1, 2, 3]
-    if any(j < 1 for j in values):
-        raise ConfigError(f"controllability needs j_max >= 1, got {values}")
+    for j in values:  # every cutoff before any is computed
+        check_cutoff(j)
     reports = [controllability_report(j, config.process) for j in values]
     chash = config.config_hash()
     json_path = os.path.join(config.out_dir, f"controllability_{config.process}.json")

@@ -9,8 +9,9 @@ the greedy kick iteration: states commuting with the driving functional are
 the only fixed points exactly when the span of the kick-rotated slope
 operators saturates its commutant-complement bound.  That span is read off
 in closed form from the frequency components of the slope operator in the
-functional's eigenbasis.  Both work block by block on the operators'
-invariant-block stacks.
+functional's eigenbasis, block by block on the operators' invariant-block
+stacks.  The algebra's dimension is counted exactly, by row reduction mod
+a prime of rational forms of the generators.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ORIENTATION, block_decomposition, build_basis, check_process_kind
-from .errors import NumericalError
+from .basis import ALIGNMENT, ORIENTATION, block_decomposition, build_basis, check_process_kind
+from .errors import ConfigError, NumericalError
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -32,180 +33,171 @@ from .operators import (
 
 RANK_TOL = 1e-10
 STATIONARY_TOL = 1e-10
-# Lie-closure candidates built and screened together: enough to spread the
-# Python work of a group thin, few enough to keep its temporaries small.
-GROUP = 64
-# The most multiply-adds in one matrix product of the screen.  OpenBLAS runs
-# a product this small on the calling thread (65536 times its
-# GEMM_MULTITHREAD_THRESHOLD of 4).  A threaded product waits for every core
-# it was split over, so on a virtual machine that loses one core for a while
-# a closure stalls for up to a second.
-SERIAL_PRODUCT = 2**18
+# The prime of the exact Lie-algebra count.  Every denominator of the
+# generators' entries has prime factors no larger than 2 j_max + 3.
+MODULUS = 1_000_003
 
 
-def _commutators(xs: np.ndarray, ys: np.ndarray, layout) -> np.ndarray:
-    """Compact [xs[i], ys[i]] for every row i, one batched matmul per distinct block.
+def check_cutoff(j_max: int) -> None:
+    """Reject a cutoff the count mod MODULUS cannot serve, with ConfigError, before anything is built.
 
-    For skew-Hermitian x and y, y x = (x y)+, so [x, y] = x y - (x y)+, which
-    is skew-Hermitian to the last bit.
+    The reduction needs a prime above 2 j_max + 5, and each reduction
+    product sums at most (j_max + 1)^3 terms below (MODULUS - 1)^2, which
+    must stay below 2^63 in int64.
     """
-    out = np.empty_like(ys)
-    for lo, hi, size, scale in layout:
-        a = xs[:, lo:hi].reshape(-1, size, size)
-        b = ys[:, lo:hi].reshape(-1, size, size)
-        # rows hold sqrt(copies) times the block, so the weighted commutator is [a, b] / sqrt(copies)
-        ab = scale * (a @ b)
-        out[:, lo:hi] = (ab - ab.conj().transpose(0, 2, 1)).reshape(len(ys), hi - lo)
+    if j_max < 1:
+        raise ConfigError(f"controllability needs j_max >= 1, got {j_max}")
+    if MODULUS <= 2 * j_max + 5:
+        raise ConfigError(f"j_max={j_max} needs a prime above 2 j_max + 5 = {2 * j_max + 5}, the count works mod {MODULUS}")
+    if (j_max + 1) ** 3 * (MODULUS - 1) ** 2 >= 2**63:
+        raise ConfigError(f"j_max={j_max} is too large for the count mod {MODULUS}: its products would overflow int64")
+
+
+def _squared_coupling(j: int, m: int) -> tuple[int, int]:
+    """cos_theta_element(j, m)^2 = ((j+1)^2 - m^2) / ((2j+1)(2j+3)), as numerator and denominator."""
+    return (j + 1) ** 2 - m * m, (2 * j + 1) * (2 * j + 3)
+
+
+def _rational_observable(j_max: int, kind: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """T O T^-1 on every block with m >= 0, as (j values, integer numerators, integer denominators).
+
+    Blocks come in the order of block_decomposition.  O couples each state
+    only to its neighbours in the block, symmetrically: with c the
+    coupling of slots k and k+1 (cos theta: c(j, m); cos^2 theta: the
+    product c(j, m) c(j+1, m)), the diagonal T with
+    T[k+1] = T[k] / c turns the pair (c, c) into (c^2 above, 1 below).
+    The diagonal, c(j-1, m)^2 + c(j, m)^2 for cos^2 theta, and H0 stay
+    as they are, so every entry is rational.
+    """
+    out = []
+    for m in range(j_max + 1):
+        if kind == ORIENTATION:
+            starts, step = [m], 1
+        else:  # the even-j block first
+            starts, step = sorted((s for s in (m, m + 1) if s <= j_max), key=lambda s: s % 2), 2
+        for first in starts:
+            js = np.arange(first, j_max + 1, step)
+            num = np.zeros((len(js), len(js)), dtype=np.int64)
+            den = np.ones_like(num)
+            for k, j in enumerate(js.tolist()):
+                if kind == ALIGNMENT:
+                    a, b = _squared_coupling(j, m)
+                    if j > m:
+                        a0, b0 = _squared_coupling(j - 1, m)
+                        a, b = a * b0 + a0 * b, b * b0
+                    num[k, k], den[k, k] = a, b
+                if k + 1 < len(js):
+                    a, b = _squared_coupling(j, m)
+                    if kind == ALIGNMENT:
+                        a1, b1 = _squared_coupling(j + 1, m)
+                        a, b = a * a1, b * b1
+                    num[k, k + 1], den[k, k + 1] = a, b
+                    num[k + 1, k] = 1
+            out.append((js, num, den))
     return out
 
 
-def _residuals(candidates: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The candidates less their projections onto the orthonormal rows q, by classical Gram-Schmidt.
+def _generators_mod_p(j_max: int, kind: str) -> tuple[list[int], np.ndarray]:
+    """Block sizes and the rows of H0 and T O T^-1 mod MODULUS, the m >= 0 blocks flattened one after another."""
+    sizes, h0, obs = [], [], []
+    for js, num, den in _rational_observable(j_max, kind):
+        inverse = {d: pow(d, -1, MODULUS) for d in set(den.ravel().tolist())}
+        sizes.append(len(js))
+        h0.append(np.diag(js * (js + 1)).ravel())
+        obs.append(num.ravel() % MODULUS * np.array([inverse[d] for d in den.ravel().tolist()]) % MODULUS)
+    return sizes, np.array([np.concatenate(h0), np.concatenate(obs)], dtype=np.int64)
 
-    q is taken a few rows at a time, so that each product stays within
-    SERIAL_PRODUCT multiply-adds where one row allows it.
+
+def _brackets(x: np.ndarray, rows: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """[x, f] mod MODULUS for the row x and every row f, one batched product per block."""
+    out = np.empty_like(rows)
+    lo = 0
+    for n in sizes:
+        hi = lo + n * n
+        a = x[lo:hi].reshape(n, n)
+        f = rows[:, lo:hi].reshape(-1, n, n)
+        out[:, lo:hi] = ((a @ f - f @ a) % MODULUS).reshape(len(rows), hi - lo)
+        lo = hi
+    return out
+
+
+def _echelon(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced echelon form mod MODULUS of the rows, taken in order: (independent rows, their pivot columns).
+
+    A row's pivot is its first nonzero column.
     """
-    res = candidates.copy()
-    step = max(1, SERIAL_PRODUCT // max(1, candidates.size))
-    for lo in range(0, len(q), step):
-        part = q[lo : lo + step]
-        res -= (candidates @ part.T) @ part
-    return res
+    rows = rows.copy()
+    kept, pivots = [], []
+    for i in range(len(rows)):
+        nonzero = np.flatnonzero(rows[i])
+        if not len(nonzero):
+            continue  # in the span of the rows before it
+        c = nonzero[0]
+        rows[i] = rows[i] * pow(int(rows[i, c]), -1, MODULUS) % MODULUS
+        column = rows[:, c].copy()
+        column[i] = 0
+        rows = (rows - np.outer(column, rows[i]) % MODULUS) % MODULUS
+        kept.append(i)
+        pivots.append(c)
+    return rows[kept], np.array(pivots, dtype=np.intp)
 
 
-def _survivors(q: np.ndarray, candidates: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the candidates whose residual against the rows q passes the test of _orthonormalize.
+def _extend(rows: np.ndarray, pivots: np.ndarray, candidates: np.ndarray):
+    """Add the span of the candidates to the reduced echelon rows: (rows, pivots, the rows added).
 
-    The same classical Gram-Schmidt applied twice, on all candidates at
-    once.  Another pass, or more rows, can only shrink a residual, so a
-    candidate that fails here fails there, and the second pass runs only on
-    the candidates that pass the first.
+    The rows are zero at every pivot but their own, so one product reduces
+    the whole group against them.  Only the candidates left nonzero go
+    through the pivoting of _echelon, and one more product clears the new
+    pivot columns from the old rows.
     """
-    bound = tol * np.linalg.norm(candidates, axis=1)
-    res = _residuals(candidates, q)
-    live = np.flatnonzero(np.linalg.norm(res, axis=1) > bound)
-    return live[np.linalg.norm(_residuals(res[live], q), axis=1) > bound[live]]
+    residual = (candidates - (candidates[:, pivots] @ rows) % MODULUS) % MODULUS
+    new, new_pivots = _echelon(residual[residual.any(axis=1)])
+    rows = (rows - (rows[:, new_pivots] @ new) % MODULUS) % MODULUS
+    return np.concatenate([rows, new]), np.concatenate([pivots, new_pivots]), new
 
 
-def _orthonormalize(rows: np.ndarray, dim: int, candidate: np.ndarray, tol: float) -> int:
-    """Store the normalized residual of candidate against rows[:dim] unless it is negligible.
+def _close(generators: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Reduced echelon basis mod MODULUS, rows in pivot order, of the Lie algebra the generator rows generate.
 
-    Classical Gram-Schmidt applied twice; the residual is judged relative to
-    the candidate's own norm.  Returns the new number of rows.
+    The algebra generated by a set X is spanned by the right-normed
+    brackets [x1, [x2, ... [x_k-1, x_k]]] with every x_i in X, in any
+    characteristic, so a space that holds X and [x, f] for every x in X
+    and f in it is the algebra.  Each round therefore brackets only the
+    generators with the rows the previous round added, as they were
+    added; those rows span the basis, and the rounds stop when one adds
+    nothing.  The reduced echelon form of a space is unique, so the basis
+    does not depend on the order of the work.
     """
-    scale = np.sqrt(candidate @ candidate)
-    if scale == 0.0:
-        return dim
-    q = rows[:dim]
-    res = candidate - (q @ candidate) @ q
-    res -= (q @ res) @ q
-    norm = np.sqrt(res @ res)
-    if norm <= tol * scale:
-        return dim
-    rows[dim] = res / norm
-    return dim + 1
+    rows = np.zeros((0, generators.shape[1]), dtype=np.int64)
+    pivots = np.zeros(0, dtype=np.intp)
+    candidates = generators % MODULUS
+    while len(candidates):
+        rows, pivots, fresh = _extend(rows, pivots, candidates)
+        candidates = np.concatenate([_brackets(x, fresh, sizes) for x in generators])
+    return rows[np.argsort(pivots)]
 
 
-def _grow(elems: np.ndarray, excluded: int, dim: int, fresh: np.ndarray, layout, tol: float) -> int:
-    """Add to elems every independent commutator of an element with the previous round's new ones.
+def lie_closure(j_max: int, kind: str) -> tuple[int, np.ndarray]:
+    """Dimension of the real Lie algebra L generated by i H0 and i O, counted exactly, with its basis mod MODULUS.
 
-    Rounds run until one adds nothing.  Within a round the candidates
-    [x, f] come x-major, f-minor, GROUP at a time: a group is built by one
-    batched commutator, and a candidate no larger than tol |x| |f| is
-    rounding noise (|[x, f]| <= 2 |x| |f|) and dropped.  The rest are
-    screened against the rows found before them, and only the survivors go
-    through _orthonormalize one by one, in order, so every accepted row is
-    the one the one-at-a-time loop would accept.  Returns the new number of
-    rows.
+    dim_R L is the complex dimension of the algebra generated by H0 and O,
+    since L and i L meet only in 0 inside u(N), and a similarity T leaves
+    that dimension alone.  The m and -m blocks of H0 and O are equal, so
+    the count runs on the blocks with m >= 0 of the process's
+    decomposition, where the diagonal T of _rational_observable makes
+    every entry rational, with denominators prime to MODULUS.  The rank
+    mod MODULUS of the rational brackets never exceeds their rank over
+    the rationals, so the result is a lower bound on dim_L, and equal to
+    it when it reaches the upper bound D'.  Returns (dim_L, rows): rows is
+    the unique reduced echelon basis mod MODULUS, int64, one row per
+    element, each the m >= 0 blocks of T X T^-1 flattened row-major one
+    after another.
     """
-    rows = elems.view(np.float64)
-    while len(fresh):
-        start = dim
-        count = (start - excluded) * len(fresh)
-        norms = np.linalg.norm(rows[excluded:start], axis=1), np.linalg.norm(fresh.view(np.float64), axis=1)
-        floor = tol * np.outer(*norms)  # floor[x, f] = tol |x| |f|
-        for first in range(0, count, GROUP):
-            x, f = np.divmod(np.arange(first, min(first + GROUP, count)), len(fresh))
-            candidates = _commutators(elems[excluded + x], fresh[f], layout).view(np.float64)
-            live = np.flatnonzero(np.linalg.norm(candidates, axis=1) > floor[x, f])
-            for k in live[_survivors(rows[:dim], candidates[live], tol)]:
-                dim = _orthonormalize(rows, dim, candidates[k], tol)
-        fresh = elems[start:dim]
-    return dim
-
-
-def lie_closure(operators: list[HermitianOperator], tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
-    """Dimension and orthonormal basis of the real Lie algebra generated by i H for the operators H.
-
-    Repeatedly commutes every basis element with the elements found in the
-    previous round, orthonormalizes under the trace inner product
-    Re Tr[X+ Y], and keeps residuals whose relative norm exceeds tol.  The
-    count is a real dimension, as for u(N).  The operators must share one
-    block decomposition (ValueError otherwise), on whose blocks every
-    commutator stays.  Blocks on which every operator is the same
-    (BlockDecomposition.copies), such as the m and -m blocks of the rotor,
-    carry the same restriction of the whole algebra, so the arithmetic runs
-    on one copy of each, weighted by the square root of its number of
-    copies so that inner products equal those of the full matrices.  The
-    skew-Hermitian basis elements are returned as block stacks laid out
-    like the operators' stacks, with a leading axis of length dim.
-    """
-    if not operators:
-        return 0, np.zeros((0, 0, 0, 0), dtype=complex)
-    blocks = operators[0].blocks
-    if any(op.blocks != blocks for op in operators):
-        raise ValueError("lie_closure needs operators on one block decomposition; regroup them first")
-    keep, source = blocks.copies([op.stack for op in operators])
-    distinct = np.flatnonzero(keep)
-    weights = np.sqrt(np.bincount(source))
-    sizes = blocks.filled[keep].sum(axis=1)
-    layout = []
-    width = 0
-    for size, weight in zip(sizes, weights):
-        layout.append((width, width + size * size, size, 1.0 / weight))
-        width += size * size
-    compact = np.array(
-        [
-            np.concatenate([w * (1j * op.stack[b, :k, :k]).ravel() for b, k, w in zip(distinct, sizes, weights)])
-            for op in operators
-        ]
-    )
-    # Basis rows in compact complex form; the float view interleaves [Re, Im],
-    # so a dot product of two rows is Re Tr[X+ Y].  No more than 2 * width
-    # real vectors can be orthonormal.
-    elems = np.zeros((2 * width, width), dtype=complex)
-    rows = elems.view(np.float64)
-
-    # Commutators are traceless on every block, so the block traces of any
-    # element lie in the span of the generators' block traces.  The other
-    # trace directions lead the rows as fixed, excluded directions.  Left in,
-    # the rounding along them grows each time a small residual is normalized:
-    # rejected residuals at orientation j_max = 7 reach 6e-11, and alignment
-    # j_max = 8 closes at 133, above D' = 130.
-    traces = np.zeros((len(distinct), width), dtype=complex)
-    for b, (lo, hi, size, _) in enumerate(layout):
-        traces[b, lo:hi] = 1j * np.eye(size).ravel() / np.sqrt(size)
-    units = traces.view(np.float64)
-    left, s, _ = np.linalg.svd(units @ compact.view(np.float64).T)
-    rank = int(np.sum(s > tol * s[0]))
-    excluded = len(distinct) - rank
-    rows[:excluded] = left[:, rank:].T @ units
-
-    dim = excluded
-    accepted = []
-    for g in compact:  # the first round commutes with the raw, unnormalized generators
-        grown = _orthonormalize(rows, dim, g.view(np.float64), tol)
-        if grown > dim:
-            accepted.append(g)
-        dim = grown
-    dim = _grow(elems, excluded, dim, np.array(accepted), layout, tol)
-    found = elems[excluded:dim]
-
-    size = blocks.slots.shape[1]
-    one_copy = np.zeros((len(found), len(distinct), size, size), dtype=complex)
-    for d, (lo, hi, k, scale) in enumerate(layout):
-        one_copy[:, d, :k, :k] = scale * found[:, lo:hi].reshape(-1, k, k)
-    return len(found), one_copy[:, source]
+    check_process_kind(kind)
+    check_cutoff(j_max)
+    sizes, generators = _generators_mod_p(j_max, kind)
+    rows = _close(generators, sizes)
+    return len(rows), rows
 
 
 def block_trace_rank(j_max: int, kind: str) -> int:
@@ -286,14 +278,14 @@ class LieAlgebraReport:
 
 
 def controllability_report(j_max: int, kind: str) -> LieAlgebraReport:
-    """Close the algebra of the rotor generators and compare with the required counts.
+    """Count the algebra of the rotor generators exactly and compare with the required counts.
 
-    D' bounds the dimension from above, so a larger computed dimension is a
-    numerical failure and raises NumericalError.
+    D' bounds the dimension from above and the count mod MODULUS bounds it
+    from below, so a count equal to D' proves dim_L = D'.  A count above
+    D' breaks that invariant and raises NumericalError.
     """
-    h0, obs = _generators(j_max, kind)
-    dim_l, _ = lie_closure([h0, obs])
-    r = _trace_rank(h0, obs)
+    dim_l, _ = lie_closure(j_max, kind)
+    r = _trace_rank(*_generators(j_max, kind))
     d, d_prime = dims_required(j_max, r, kind)
     if dim_l > d_prime:
         raise NumericalError(

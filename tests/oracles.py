@@ -2,14 +2,13 @@
 
 These deliberately avoid the package's own code paths: matrix elements come
 from quadrature over associated Legendre functions, pairings from exhaustive
-permutation search, and partition sums from direct summation.  The
-exception is sequential_lie_closure, a reference loop compared bit for bit,
-which shares the package's arithmetic.
+permutation search, partition sums from direct summation, and Lie
+algebras from brackets of every pair of elements.  float_lie_closure is the
+floating-point closure the package used before its exact count.
 """
 
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 from scipy.special import lpmv
@@ -235,13 +234,83 @@ def _commutators_with(x, ys, layout):
     return out
 
 
-def _sequential_grow(elems, excluded, dim, fresh, layout, tol):
-    from rotorkick.controllability import _orthonormalize
+def _orthonormalize(rows, dim, candidate, tol):
+    """Store the normalized residual of candidate against rows[:dim] unless it is negligible.
 
+    Classical Gram-Schmidt applied twice; the residual is judged relative to
+    the candidate's own norm.  Returns the new number of rows.
+    """
+    scale = np.sqrt(candidate @ candidate)
+    if scale == 0.0:
+        return dim
+    q = rows[:dim]
+    res = candidate - (q @ candidate) @ q
+    res -= (q @ res) @ q
+    norm = np.sqrt(res @ res)
+    if norm <= tol * scale:
+        return dim
+    rows[dim] = res / norm
+    return dim + 1
+
+
+def float_lie_closure(operators, tol=1e-10):
+    """Dimension and orthonormal basis of the real Lie algebra generated by i H for the operators H, in floats.
+
+    The floating-point closure the exact count replaced, one candidate at a
+    time.  Every round commutes every basis element with every element the
+    previous round added and orthonormalizes each commutator under
+    Re Tr[X+ Y], keeping residuals above tol of its norm; a commutator no
+    larger than tol |x| |f| is rounding noise and dropped.  The operators
+    share one block decomposition (ValueError otherwise), and the work runs
+    on one copy of each distinct block (BlockDecomposition.copies),
+    weighted by the square root of its number of copies.  The block trace
+    directions the generators do not reach are excluded up front: the
+    rounding along them grows with every normalized small residual.  The
+    basis comes back as block stacks with a leading axis of length dim.
+    Its margins are wide up to orientation j_max 5 and alignment j_max 6.
+    """
+    if not operators:
+        return 0, np.zeros((0, 0, 0, 0), dtype=complex)
+    blocks = operators[0].blocks
+    if any(op.blocks != blocks for op in operators):
+        raise ValueError("float_lie_closure needs operators on one block decomposition; regroup them first")
+    keep, source = blocks.copies([op.stack for op in operators])
+    distinct = np.flatnonzero(keep)
+    weights = np.sqrt(np.bincount(source))
+    sizes = blocks.filled[keep].sum(axis=1)
+    layout = []
+    width = 0
+    for size, weight in zip(sizes, weights):
+        layout.append((width, width + size * size, size, 1.0 / weight))
+        width += size * size
+    compact = np.array(
+        [
+            np.concatenate([w * (1j * op.stack[b, :k, :k]).ravel() for b, k, w in zip(distinct, sizes, weights)])
+            for op in operators
+        ]
+    )
+    # the float view interleaves [Re, Im], so a dot product of two rows is Re Tr[X+ Y]
+    elems = np.zeros((2 * width, width), dtype=complex)
     rows = elems.view(np.float64)
+    traces = np.zeros((len(distinct), width), dtype=complex)
+    for b, (lo, hi, size, _) in enumerate(layout):
+        traces[b, lo:hi] = 1j * np.eye(size).ravel() / np.sqrt(size)
+    units = traces.view(np.float64)
+    left, s, _ = np.linalg.svd(units @ compact.view(np.float64).T)
+    rank = int(np.sum(s > tol * s[0]))
+    excluded = len(distinct) - rank
+    rows[:excluded] = left[:, rank:].T @ units
+
+    dim = excluded
+    accepted = []
+    for g in compact:  # the first round commutes with the raw, unnormalized generators
+        grown = _orthonormalize(rows, dim, g.view(np.float64), tol)
+        if grown > dim:
+            accepted.append(g)
+        dim = grown
+    fresh = np.array(accepted)
     while len(fresh):
         start = dim
-        # the package's noise floor: [x, f] no larger than tol |x| |f| is dropped
         norms = np.linalg.norm(rows[excluded:start], axis=1), np.linalg.norm(fresh.view(np.float64), axis=1)
         floor = tol * np.outer(*norms)
         for i, x in enumerate(elems[excluded:start]):
@@ -250,18 +319,50 @@ def _sequential_grow(elems, excluded, dim, fresh, layout, tol):
                 if size > bound:
                     dim = _orthonormalize(rows, dim, candidate, tol)
         fresh = elems[start:dim]
-    return dim
+    found = elems[excluded:dim]
+
+    size = blocks.slots.shape[1]
+    one_copy = np.zeros((len(found), len(distinct), size, size), dtype=complex)
+    for d, (lo, hi, k, scale) in enumerate(layout):
+        one_copy[:, d, :k, :k] = scale * found[:, lo:hi].reshape(-1, k, k)
+    return len(found), one_copy[:, source]
 
 
-def sequential_lie_closure(operators):
-    """lie_closure with its rounds run one candidate at a time, as before candidates were screened in groups.
+def sequential_exact_closure(generators, sizes, p):
+    """Reduced echelon basis mod the prime p, rows in pivot order, of the Lie algebra the rows generate.
 
-    Every commutator [x, f] of a basis element x with a new element f of
-    the previous round goes through _orthonormalize on its own, x-major,
-    f-minor.  The seeding, the Gram-Schmidt step and the returned stacks
-    are the package's own, so the basis must agree bit for bit.
+    Each row holds blocks of the given sizes, flattened row-major one after
+    another.  Every round brackets every element found so far with every
+    element the previous round added, and reduces each bracket on its own
+    against the basis, which is kept fully reduced.
     """
-    from rotorkick import controllability
+    width = generators.shape[1]
+    basis = np.zeros((0, width), dtype=np.int64)
+    pivots = []
+    elements = []
 
-    with mock.patch.object(controllability, "_grow", _sequential_grow):
-        return controllability.lie_closure(operators)
+    def bracket(x, y):
+        out, lo = [], 0
+        for n in sizes:
+            a, b = x[lo : lo + n * n].reshape(n, n), y[lo : lo + n * n].reshape(n, n)
+            out.append(((a @ b - b @ a) % p).ravel())
+            lo += n * n
+        return np.concatenate(out)
+
+    def insert(v):
+        nonlocal basis
+        v = (v - (v[pivots] @ basis) % p) % p
+        nonzero = np.flatnonzero(v)
+        if not len(nonzero):
+            return False
+        c = nonzero[0]
+        v = v * pow(int(v[c]), -1, p) % p
+        basis = np.vstack([(basis - np.outer(basis[:, c], v) % p) % p, v])
+        pivots.append(c)
+        return True
+
+    fresh = [g % p for g in generators if insert(g % p)]
+    while fresh:
+        elements += fresh
+        fresh = [c for c in (bracket(x, f) for x in elements for f in fresh) if insert(c)]
+    return basis[np.argsort(pivots)]

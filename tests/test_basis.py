@@ -16,7 +16,6 @@ from rotorkick.basis import (
     single_block,
 )
 from rotorkick.config import PRESETS
-from rotorkick.controllability import controllability_report
 from rotorkick.operators import cos2_theta_matrix, kick_unitary, thermal_state
 
 
@@ -270,10 +269,9 @@ def test_copies_match_every_mirror_pair_of_the_presets(preset, monkeypatch):
     config = PRESETS[preset].with_overrides(j_sim=12)
     for mode in ("idealized", "physical"):
         cli._run_one_mode(config, mode)
-    controllability_report(3, config.process)
-    # two trains and one Lie closure fold several stacks; each eigensystem folds its operator's one
-    assert sum(n > 1 for _, n, _ in found) == 3
-    assert len(found) > 3
+    # the two trains fold several stacks; each eigensystem folds its operator's one
+    assert sum(n > 1 for _, n, _ in found) == 2
+    assert len(found) > 2
     for blocks, _, (keep, source) in found:
         where = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
         assert np.flatnonzero(keep)[source].tolist() == [where[abs(block.m), block.parity] for block in blocks.blocks]

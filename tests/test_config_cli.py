@@ -310,13 +310,31 @@ def test_cli_lie_dimension_above_bound_is_numerical_failure(tmp_path, capsys, mo
     import rotorkick.controllability as controllability
     from rotorkick.controllability import dims_required
 
-    def inflated(generators, tol=controllability.RANK_TOL):
-        return dims_required(2, 1)[1] + 1, []
+    def inflated(j_max, kind):
+        return dims_required(j_max, 1, kind)[1] + 1, []
 
     monkeypatch.setattr(controllability, "lie_closure", inflated)
     assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), "--j-max", "2"]) == 3
     assert "above the bound" in capsys.readouterr().err
     assert not (tmp_path / "controllability_orientation.json").exists()
+
+
+@pytest.mark.parametrize("modulus, cutoffs, message", [(None, ["1", "209"], "overflow"), (13, ["1", "4"], "prime above")])
+def test_cli_cutoff_outside_the_modulus_range_is_config_error(tmp_path, capsys, monkeypatch, modulus, cutoffs, message):
+    import rotorkick.basis as basis
+    import rotorkick.cli as cli
+    import rotorkick.controllability as controllability
+
+    def computed(j_max, kind):
+        raise AssertionError(f"j_max={j_max} was computed")
+
+    if modulus is not None:
+        monkeypatch.setattr(controllability, "MODULUS", modulus)
+    monkeypatch.setattr(cli, "controllability_report", computed)
+    assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), "--j-max", *cutoffs]) == 2
+    assert message in capsys.readouterr().err
+    assert 209 not in basis._BASES
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_state_drift_is_numerical_failure(tmp_path, capsys, monkeypatch):

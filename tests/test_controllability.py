@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import haar_unitary, sampled_slope_span, sequential_lie_closure
+from oracles import float_lie_closure, haar_unitary, sampled_slope_span, sequential_exact_closure
 
 from rotorkick import controllability
 
@@ -14,6 +14,7 @@ from rotorkick.controllability import (
     lie_closure,
     two_level_obstruction,
 )
+from rotorkick.errors import ConfigError
 from rotorkick.dynamics import KickSpec, apply_kick, free_propagate, make_kick
 from rotorkick.operators import (
     DensityMatrix,
@@ -36,6 +37,17 @@ ALIGNMENT_TABLE = {
     4: (22, 78, 22),
     5: (38, 137, 38),
     6: (61, 220, 61),
+}
+# D' at the cutoffs past the reference tables; the exact count reaches it at each
+RESTRICTED = {
+    (ORIENTATION, 6): 134,
+    (ORIENTATION, 7): 197,
+    (ORIENTATION, 8): 277,
+    (ORIENTATION, 9): 376,
+    (ALIGNMENT, 7): 91,
+    (ALIGNMENT, 8): 130,
+    (ALIGNMENT, 9): 178,
+    (ALIGNMENT, 10): 237,
 }
 
 
@@ -64,31 +76,31 @@ def _dense_elements(blocks, elements):
 def test_closure_of_commuting_diagonals():
     basis = _line_basis(3)
     d1, d2, d3 = _operators(basis, [np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 4.0, 6.0]), np.diag([1.0, 0.0, -1.0])])
-    dim, _ = lie_closure([d1, d2])  # d2 is parallel to d1
+    dim, _ = float_lie_closure([d1, d2])  # d2 is parallel to d1
     assert dim == 1
-    dim, _ = lie_closure([d1, d3])
+    dim, _ = float_lie_closure([d1, d3])
     assert dim == 2
 
 
 def test_closure_rejects_non_skew_input():
     # i H is skew-Hermitian exactly when H is Hermitian, which the operator checks
     with pytest.raises(ValueError, match="not Hermitian"):
-        lie_closure(_operators(_line_basis(2), [1j * np.eye(2)]))
+        float_lie_closure(_operators(_line_basis(2), [1j * np.eye(2)]))
 
 
 def test_closure_rejects_operators_on_different_blocks():
     basis = build_basis(2)
     h0 = h0_matrix(basis)
     with pytest.raises(ValueError, match="one block decomposition"):
-        lie_closure([h0, observable_matrix(basis, ALIGNMENT)])
+        float_lie_closure([h0, observable_matrix(basis, ALIGNMENT)])
 
 
 def test_closure_scaling_invariance():
     basis = build_basis(2)
     h0 = h0_matrix(basis)
     c = cos_theta_matrix(basis)
-    dim_a, _ = lie_closure([h0, c])
-    dim_b, _ = lie_closure([HermitianOperator(basis, h0.blocks, 2 * h0.stack), c])
+    dim_a, _ = float_lie_closure([h0, c])
+    dim_b, _ = float_lie_closure([HermitianOperator(basis, h0.blocks, 2 * h0.stack), c])
     assert dim_a == dim_b == 12
 
 
@@ -96,8 +108,8 @@ def test_closure_deterministic():
     basis = build_basis(2)
     h0 = h0_matrix(basis)
     c = cos_theta_matrix(basis)
-    dim1, elems1 = lie_closure([h0, c])
-    dim2, elems2 = lie_closure([h0, c])
+    dim1, elems1 = float_lie_closure([h0, c])
+    dim2, elems2 = float_lie_closure([h0, c])
     assert dim1 == dim2
     assert elems1.shape == (dim1, *h0.stack.shape)
     basis1, basis2 = _dense_elements(h0.blocks, elems1), _dense_elements(h0.blocks, elems2)
@@ -129,12 +141,10 @@ def test_alignment_reference_dimensions(j_max):
     assert not report.simultaneous
 
 
-@pytest.mark.parametrize("kind, j_max, r", [(ORIENTATION, 6, 1), (ALIGNMENT, 7, 2)])
+@pytest.mark.parametrize("kind, j_max, r", [(kind, j, 1 if kind == ORIENTATION else 2) for kind, j in RESTRICTED])
 def test_closure_reaches_restricted_count_at_larger_cutoffs(kind, j_max, r):
-    basis = build_basis(j_max)
-    obs = observable_matrix(basis, kind)
-    dim, _ = lie_closure([h0_matrix(basis).regroup(obs.blocks), obs])
-    assert dim == dims_required(j_max, r, kind)[1]
+    dim, rows = lie_closure(j_max, kind)
+    assert dim == len(rows) == RESTRICTED[kind, j_max] == dims_required(j_max, r, kind)[1]
 
 
 def _random_hermitian(rng, n):
@@ -152,38 +162,38 @@ def _block_diag(a, b):
 def test_closure_of_generic_pair_is_all_of_u_n():
     rng = np.random.default_rng(3)
     h, g = _random_hermitian(rng, 4), _random_hermitian(rng, 4)
-    dim, _ = lie_closure(_operators(_line_basis(4), [h, g]))
+    dim, _ = float_lie_closure(_operators(_line_basis(4), [h, g]))
     assert dim == 16
     # [h, h] and [h, h^2] vanish but for rounding, which the noise floor rejects
-    assert lie_closure(_operators(_line_basis(4), [h]))[0] == 1
-    assert lie_closure(_operators(_line_basis(4), [h, h @ h]))[0] == 2
+    assert float_lie_closure(_operators(_line_basis(4), [h]))[0] == 1
+    assert float_lie_closure(_operators(_line_basis(4), [h, h @ h]))[0] == 2
 
 
 def test_closure_counts_identical_blocks_once():
     rng = np.random.default_rng(5)
     a = [_random_hermitian(rng, 3), _random_hermitian(rng, 3)]
     other = [_random_hermitian(rng, 3), _random_hermitian(rng, 3)]
-    dim_a, _ = lie_closure(_operators(_line_basis(3), a))
+    dim_a, _ = float_lie_closure(_operators(_line_basis(3), a))
     assert dim_a == 9
     # two blocks of three states, at m = -1 and m = 1
     pair = Basis(j_max=3, states=tuple(BasisIndex(j, m) for m in (-1, 1) for j in (1, 2, 3)))
     blocks = block_decomposition(pair, ORIENTATION)
     assert [block.size for block in blocks.blocks] == [3, 3]
-    dim_copies, elems = lie_closure(_operators(pair, [_block_diag(g, g) for g in a], blocks))
+    dim_copies, elems = float_lie_closure(_operators(pair, [_block_diag(g, g) for g in a], blocks))
     assert dim_copies == dim_a
     assert np.array_equal(elems[:, 0], elems[:, 1])  # both copies carry the same element
     dense = _dense_elements(blocks, elems)
     gram = np.array([[np.vdot(x, y).real for y in dense] for x in dense])
     assert np.max(np.abs(gram - np.eye(dim_copies))) < 1e-12
     # two generic blocks: su(3) + su(3) plus a two-dimensional trace part
-    dim_distinct, _ = lie_closure(_operators(pair, [_block_diag(g, h) for g, h in zip(a, other)], blocks))
+    dim_distinct, _ = float_lie_closure(_operators(pair, [_block_diag(g, h) for g, h in zip(a, other)], blocks))
     assert dim_distinct == 18
 
 
 def test_closure_basis_is_closed_under_commutators():
     basis = build_basis(3)
     h0 = h0_matrix(basis)
-    dim, stacks = lie_closure([h0, cos_theta_matrix(basis)])
+    dim, stacks = float_lie_closure([h0, cos_theta_matrix(basis)])
     assert dim == 27
     elems = _dense_elements(h0.blocks, stacks)
     q = np.array([np.concatenate([e.real.ravel(), e.imag.ravel()]) for e in elems])
@@ -194,73 +204,114 @@ def test_closure_basis_is_closed_under_commutators():
             assert np.linalg.norm(v - (q @ v) @ q) < 1e-9
 
 
-def _same_closure(operators):
-    dim, stacks = lie_closure(operators)
-    dim_sequential, stacks_sequential = sequential_lie_closure(operators)
-    return dim == dim_sequential and stacks.shape == stacks_sequential.shape and stacks.tobytes() == stacks_sequential.tobytes()
-
-
 @pytest.mark.parametrize("kind, j_max", [(ORIENTATION, j) for j in range(1, 7)] + [(ALIGNMENT, j) for j in range(1, 8)])
 def test_screened_closure_matches_sequential_oracle(kind, j_max):
-    basis = build_basis(j_max)
-    obs = observable_matrix(basis, kind)
-    assert _same_closure([h0_matrix(basis).regroup(obs.blocks), obs])
+    # brackets with the generators only, screened in groups, against all pairs one at a time
+    sizes, generators = controllability._generators_mod_p(j_max, kind)
+    rows = lie_closure(j_max, kind)[1]
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, sequential_exact_closure(generators, sizes, controllability.MODULUS))
+
+
+def _random_rows(rng, sizes, copies=1):
+    """Two random generator rows mod p on blocks of the given sizes, each block repeated copies times."""
+    p = controllability.MODULUS
+    rows = []
+    for _ in range(2):
+        blocks = [rng.integers(0, p, size=(n, n)) for n in sizes]
+        rows.append(np.concatenate([b.ravel() for b in blocks for _ in range(copies)]))
+    return np.array(rows, dtype=np.int64)
 
 
 def test_screened_closure_matches_sequential_oracle_on_generic_blocks():
     rng = np.random.default_rng(13)
-    a = [_random_hermitian(rng, 6), _random_hermitian(rng, 6)]
-    assert _same_closure(_operators(_line_basis(6), a))  # u(6): 36 elements, groups of up to GROUP candidates
-    pair = Basis(j_max=4, states=tuple(BasisIndex(j, m) for m in (-1, 1) for j in (1, 2, 3, 4)))
-    blocks = block_decomposition(pair, ORIENTATION)
-    assert _same_closure(_operators(pair, [_block_diag(g[:4, :4], g[:4, :4]) for g in a], blocks))
+    p = controllability.MODULUS
+    for sizes, copies, dim in (([6], 1, 36), ([4, 3], 1, 25), ([3], 2, 9)):
+        generators = _random_rows(rng, sizes, copies)
+        blocks = [n for n in sizes for _ in range(copies)]
+        rows = controllability._close(generators, blocks)
+        assert len(rows) == dim  # gl(6); gl(4) + gl(3); two equal copies of gl(3) count once
+        assert np.array_equal(rows, sequential_exact_closure(generators, blocks, p))
 
 
-def test_screen_draws_the_line_of_the_sequential_step():
-    # candidates in the span of q plus 2e-10, 5e-11 and 0 of their norm outside it
-    rng = np.random.default_rng(19)
-    q = np.linalg.qr(rng.normal(size=(12, 5)))[0].T
-    outside = rng.normal(size=12)
-    outside -= (q @ outside) @ q
-    outside /= np.linalg.norm(outside)
-    inside = rng.normal(size=5) @ q
-    candidates = np.array([inside + r * np.linalg.norm(inside) * outside for r in (2e-10, 5e-11, 0.0)] + [np.zeros(12)])
-    assert controllability._survivors(q, candidates, controllability.RANK_TOL).tolist() == [0]
-    for k, candidate in enumerate(candidates):
-        rows = np.zeros((12, 12))
-        rows[:5] = q
-        assert controllability._orthonormalize(rows, 5, candidate, controllability.RANK_TOL) == (6 if k == 0 else 5)
-
-
-def test_survivor_in_the_span_of_an_earlier_one_of_its_group_is_rejected(monkeypatch):
-    # With x and y the rows of the generators a (diagonal) and b, the first
-    # group is [x, a] = 0, [x, b], [y, a] and [y, b]; y is b less its part
-    # along x, so the last two are parallel to [x, b].  The noise floor
-    # drops [x, a] before the screen, the screen passes the other three,
-    # and the sequential step keeps only the first of them.
+def test_survivor_in_the_span_of_an_earlier_one_of_its_group_is_rejected():
+    # the group [c, 3 c + r, r] against the rows r: c and 3 c + r both pass
+    # the screen, and pivoting keeps only the first
+    p = controllability.MODULUS
     rng = np.random.default_rng(17)
-    operators = _operators(_line_basis(3), [np.diag([1.0, 2.0, 4.0]), _random_hermitian(rng, 3)])
-    events = []
-    survivors, orthonormalize = controllability._survivors, controllability._orthonormalize
+    basis, pivots = controllability._echelon(rng.integers(0, p, size=(3, 8)))
+    c = rng.integers(0, p, size=8)
+    r = (5 * basis[0] + 7 * basis[2]) % p
+    group = np.array([c, (3 * c + r) % p, r])
+    assert ((group - (group[:, pivots] @ basis) % p) % p).any(axis=1).tolist() == [True, True, False]
+    rows, grown, new = controllability._extend(basis, pivots, group)
+    assert len(new) == 1 and len(rows) == 4
+    residual = (c - (c[pivots] @ basis) % p) % p
+    lead = np.flatnonzero(residual)[0]
+    assert np.array_equal(new[0], residual * pow(int(residual[lead]), -1, p) % p)
+    # still reduced: every row is 1 at its own pivot and 0 at the others
+    assert np.array_equal(rows[:, grown], np.eye(4, dtype=np.int64))
 
-    def screen(q, candidates, tol):
-        kept = survivors(q, candidates, tol)
-        events.append(("screen", kept.tolist()))
-        return kept
 
-    def step(rows, dim, candidate, tol):
-        grown = orthonormalize(rows, dim, candidate, tol)
-        events.append(("step", grown > dim))
-        return grown
+@pytest.mark.parametrize("kind, j_max", [(ORIENTATION, j) for j in range(1, 6)] + [(ALIGNMENT, j) for j in range(1, 7)])
+def test_exact_count_matches_float_oracle(kind, j_max):
+    basis = build_basis(j_max)
+    obs = observable_matrix(basis, kind)
+    assert lie_closure(j_max, kind)[0] == float_lie_closure([h0_matrix(basis).regroup(obs.blocks), obs])[0]
 
-    monkeypatch.setattr(controllability, "_survivors", screen)
-    monkeypatch.setattr(controllability, "_orthonormalize", step)
-    dim, _ = lie_closure(operators)
-    assert dim == 9
-    assert events[:2] == [("step", True), ("step", True)]  # the generators seed the basis
-    assert events[2:6] == [("screen", [0, 1, 2]), ("step", True), ("step", False), ("step", False)]
-    monkeypatch.undo()
-    assert _same_closure(operators)
+
+@pytest.mark.parametrize("kind, j_max", [(ORIENTATION, 5), (ALIGNMENT, 6), (ORIENTATION, 8)])
+def test_exact_basis_is_closed_under_brackets_with_the_generators(kind, j_max):
+    p = controllability.MODULUS
+    sizes, generators = controllability._generators_mod_p(j_max, kind)
+    dim, rows = lie_closure(j_max, kind)
+    pivots = np.array([np.flatnonzero(row)[0] for row in rows])
+    assert np.all(np.diff(pivots) > 0) and np.array_equal(rows[:, pivots], np.eye(dim, dtype=np.int64))
+    for x in generators:
+        brackets = []
+        for f in rows:
+            lo, parts = 0, []
+            for n in sizes:
+                a, b = x[lo : lo + n * n].reshape(n, n), f[lo : lo + n * n].reshape(n, n)
+                parts.append((a @ b - b @ a).ravel())
+                lo += n * n
+            brackets.append(np.concatenate(parts) % p)
+        brackets = np.array(brackets)
+        assert not np.any((brackets - (brackets[:, pivots] @ rows) % p) % p)
+    assert not np.any((generators - (generators[:, pivots] @ rows) % p) % p)
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+@pytest.mark.parametrize("j_max", [1, 2, 5, 12])
+def test_rational_generators_match_the_float_operators(kind, j_max):
+    # T F T^-1, with T built from the float couplings, against the exact entries
+    basis = build_basis(j_max)
+    obs = observable_matrix(basis, kind)
+    h0 = h0_matrix(basis).regroup(obs.blocks)
+    kept = [b for b, block in enumerate(obs.blocks.blocks) if block.m >= 0]
+    exact = controllability._rational_observable(j_max, kind)
+    assert len(exact) == len(kept)
+    for b, (js, num, den) in zip(kept, exact):
+        n = len(js)
+        assert np.array_equal(basis.j_values[list(obs.blocks.blocks[b].members)], js)
+        f = obs.stack[b, :n, :n].real
+        t = np.cumprod(np.concatenate([[1.0], 1.0 / np.diag(f, 1)]))
+        similar = t[:, None] * f / t[None, :]
+        rational = num / den
+        assert np.all(np.abs(similar - rational) <= 1e-15 * np.abs(rational))
+        assert np.array_equal(h0.stack[b, :n, :n].real, np.diag(js * (js + 1.0)))
+
+
+def test_cutoffs_outside_the_modulus_range_are_config_errors(monkeypatch):
+    controllability.check_cutoff(208)  # 209^3 (p - 1)^2 < 2^63
+    with pytest.raises(ConfigError, match="overflow"):
+        lie_closure(209, ORIENTATION)
+    with pytest.raises(ConfigError, match="j_max >= 1"):
+        lie_closure(0, ALIGNMENT)
+    monkeypatch.setattr(controllability, "MODULUS", 13)
+    controllability.check_cutoff(3)
+    with pytest.raises(ConfigError, match="prime above"):
+        controllability_report(4, ORIENTATION)  # p = 13 is not above 2 j_max + 5 = 13
 
 
 @pytest.mark.parametrize("j_max", range(1, 7))
