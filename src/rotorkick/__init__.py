@@ -53,7 +53,6 @@ from .operators import (
     embed_density,
     embed_operator,
     h0_matrix,
-    hermitian_function,
     kick_unitary,
     observable_matrix,
     partition_function,

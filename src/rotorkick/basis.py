@@ -90,7 +90,7 @@ def build_basis(j_max: int) -> Basis:
     """Enumerate all |j, m> with |m| <= j <= j_max; dimension is (j_max + 1)**2.
 
     One basis is built per cutoff and returned to every later call, so
-    everything built on it shares its cached index maps and decompositions.
+    everything built on it shares its cached lookup and decompositions.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be non-negative, got {j_max}")
@@ -111,10 +111,16 @@ class Block:
     m: int | None  # None for the one block of a decomposition that resolves no symmetry
     parity: int | None  # j mod 2 shared by all members; None when parity is not resolved
     members: tuple[int, ...]  # flattened basis indices, ascending j
+    offset: int = 0  # slot of the first member in a block stack
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @property
+    def span(self) -> slice:
+        """The slots of the members, which are consecutive."""
+        return slice(self.offset, self.offset + self.size)
 
 
 @dataclass(frozen=True)
@@ -134,91 +140,122 @@ class BlockDecomposition:
 
     @cached_property
     def slots(self) -> np.ndarray:
-        """(n_blocks, largest block size) basis indices of the block members, read-only.
+        """(n_blocks, width) basis indices of the block members, read-only.
 
         This is the layout of a block stack: block b of a block-diagonal
-        matrix sits zero-padded in stack[b].  Padding slots hold the basis
-        dimension, one past the last state.
+        matrix sits zero-padded in stack[b], its members on the slots
+        block.span.  Padding slots hold the basis dimension, one past the
+        last state.
         """
-        size = max((block.size for block in self.blocks), default=0)
-        slots = np.full((self.n_blocks, size), self.dim, dtype=np.intp)
+        width = max((block.offset + block.size for block in self.blocks), default=0)
+        slots = np.full((self.n_blocks, width), self.dim, dtype=np.intp)
         for b, block in enumerate(self.blocks):
-            slots[b, : block.size] = block.members
+            slots[b, block.span] = block.members
         return _read_only(slots)
 
     @cached_property
     def filled(self) -> np.ndarray:
-        """(n_blocks, largest block size) mask of the slots holding a basis state, False at padding."""
+        """(n_blocks, width) mask of the slots holding a basis state, False at padding."""
         return _read_only(self.slots < self.dim)
 
     @cached_property
-    def places(self) -> tuple[np.ndarray, np.ndarray]:
-        """(block, slot) of every basis index; the padding index dim is slot 0 of a zero block past the last."""
-        block = np.full(self.dim + 1, self.n_blocks, dtype=np.intp)
-        slot = np.zeros(self.dim + 1, dtype=np.intp)
-        block[self.slots[self.filled]], slot[self.slots[self.filled]] = np.nonzero(self.filled)
-        return _read_only(block), _read_only(slot)
+    def classes(self) -> np.ndarray:
+        """The class of every block, read-only: the parity of its j, 0 where parity is not resolved."""
+        return _read_only(np.array([block.parity or 0 for block in self.blocks], dtype=np.intp))
+
+    @cached_property
+    def _row_index(self) -> np.ndarray:
+        """The basis index each (class, slot) reads: a member of the class on the slot, else the row's first."""
+        b, s = np.nonzero(self.filled)
+        index = np.full((int(self.classes.max(initial=0)) + 1, self.slots.shape[1]), -1, dtype=np.intp)
+        index[self.classes[b], s] = self.slots[b, s]
+        return np.where(index >= 0, index, index[np.arange(len(index)), (index >= 0).argmax(axis=1)][:, None])
+
+    def rows(self, vector: np.ndarray) -> np.ndarray:
+        """(classes, width) entries of a basis vector, such as the energies: block b holds row classes[b] on its slots.
+
+        ValueError if two blocks of one class differ on a slot.  A slot no
+        block of a class fills repeats the row's first entry, so it adds no
+        difference between the entries of a row.
+        """
+        vector = np.asarray(vector)
+        out = vector[self._row_index]
+        if not np.array_equal(out[self.classes][self.filled], vector[self.slots[self.filled]]):
+            raise ValueError("entries differ between blocks of one class")
+        return out
 
     def copies(self, stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Fold blocks of one size whose entries are bit-identical in every stack onto one copy: (keep, source).
+        """Fold blocks on the same slots whose entries are bit-identical in every stack onto one copy: (keep, source).
 
         Each stack holds per-block entries laid out like slots, as a block
-        stack or gather_diagonal does.  Blocks that are copies evolve alike
-        under operators built from the stacks, so one of each suffices.
-        keep marks the last block of each group, the one with m >= 0 of a
-        +-m pair; source[b] is the position among the kept blocks of the
-        copy that block b stands for.
+        stack does.  Blocks that are copies evolve alike under operators
+        built from the stacks, so one of each suffices.  keep marks the last
+        block of each group, the one with m >= 0 of a +-m pair; source[b]
+        is the position among the kept blocks of the copy that block b
+        stands for.
         """
-        keys = [(block.size, b"".join(s[b].tobytes() for s in stacks)) for b, block in enumerate(self.blocks)]
+        keys = [
+            (block.offset, block.size, b"".join(s[b].tobytes() for s in stacks)) for b, block in enumerate(self.blocks)
+        ]
         last_of = {key: b for b, key in enumerate(keys)}
         last = np.array([last_of[key] for key in keys], dtype=np.intp)
         keep = last == np.arange(self.n_blocks)
         return keep, (np.cumsum(keep) - 1)[last]
 
-    def restack(
-        self,
-        stack: np.ndarray,
-        source: BlockDecomposition,
-        index: np.ndarray | None = None,
-        what: str = "matrix",
-        tol: float = 0.0,
-    ) -> np.ndarray:
-        """This decomposition's stack of the operator held as stack on the source blocks.
+    def restack(self, stack: np.ndarray, source: BlockDecomposition, what="matrix", tol=0.0) -> np.ndarray:
+        """This decomposition's stack of the operator held as stack on source blocks of one basis, via a dense matrix.
 
-        index maps every basis index here to one of the source, source.dim
-        for a state the source lacks; by default both share one basis.  Each
-        entry is read through source.places, never from a padding slot.
-        Source entries that land in no block here are dropped when none
-        exceeds tol in magnitude (NaN does); otherwise ValueError.
+        It moves a stack to and from one block of all states.  Entries that
+        land in no block here are dropped when none exceeds tol in
+        magnitude (NaN does); otherwise ValueError.  Padding is never read.
         """
-        index = np.append(np.arange(self.dim) if index is None else index, source.dim)
-        block, slot = (p[index[self.slots]] for p in source.places)
-        block = np.where(block[:, :, None] == block[:, None, :], block[:, :, None], source.n_blocks)
-        out = np.concatenate([stack, np.zeros_like(stack[:1])])[block, slot[:, :, None], slot[:, None, :]]
-        home = np.full(source.dim + 1, -1, dtype=np.intp)  # block here of each source index, -1 for none
-        home[index[:-1]] = self.places[0][:-1]
-        home = home[source.slots]  # padding slots are masked out below
-        kept = (home[:, :, None] == home[:, None, :]) & (home[:, :, None] >= 0)
-        dropped = source.filled[:, :, None] & source.filled[:, None, :] & ~kept
-        dev = float(np.max(np.abs(stack[dropped]), initial=0.0))
+        dense = np.pad(source.scatter(stack), (0, 1))  # padding slots read the zero last row and column
+        here = (self.slots[:, :, None], self.slots[:, None, :])
+        out = dense[here]
+        dense[here] = 0.0
+        dev = float(np.max(np.abs(dense), initial=0.0))
         if not dev <= tol:  # NaN included
             raise ValueError(f"{what} couples states in different invariant blocks ({dev:.3e})")
         return out
 
-    def scatter(self, stack: np.ndarray) -> np.ndarray:
-        """The (dim, dim) block-diagonal matrix of a block stack."""
-        return single_block(self.dim).restack(stack, self)[0]
+    def reslice(self, stack: np.ndarray, source: BlockDecomposition, what="matrix", tol=0.0) -> np.ndarray:
+        """This decomposition's stack of a Hermitian operator held as stack on source blocks, by strided slices.
 
-    def gather_diagonal(self, vector: np.ndarray) -> np.ndarray:
-        """(n_blocks, size) per-block entries of a basis vector, such as the energies.
-
-        Padding slots repeat the block's first entry, so they add no new
-        differences between entries of one block.
+        One of the two is the m blocks and the other the (m, parity) blocks
+        of one basis: block (m, p) is the slice [p::2, p::2] of block m.
+        Entries between the two parities of an m block are dropped when
+        none exceeds tol in magnitude (NaN does); otherwise ValueError.
+        Padding is never read.
         """
-        return np.asarray(vector)[np.where(self.slots < self.dim, self.slots, self.slots[:, :1])]
+        split = source.kind == ORIENTATION
+        coarse, fine = (source, self) if split else (self, source)
+        if split:
+            f = source.filled
+            dev = float(np.max(np.abs(stack[:, 0::2, 1::2][f[:, 0::2, None] & f[:, None, 1::2]]), initial=0.0))
+            if not dev <= tol:  # NaN included
+                raise ValueError(f"{what} couples states in different invariant blocks ({dev:.3e})")
+        of_m = {block.m: b for b, block in enumerate(coarse.blocks)}
+        out = np.zeros((self.n_blocks,) + 2 * self.slots.shape[1:], dtype=stack.dtype)
+        for p in (0, 1):
+            parts = [b for b, block in enumerate(fine.blocks) if block.parity == p]
+            wide = [of_m[fine.blocks[b].m] for b in parts]
+            n = len(range(p, coarse.slots.shape[1], 2))
+            if split:
+                out[parts, :n, :n] = stack[wide, p::2, p::2]
+            else:
+                out[wide, p::2, p::2] = stack[parts, :n, :n]
+        f = self.filled
+        out[~(f[:, :, None] & f[:, None, :])] = 0.0  # whatever the source held on its padding
+        return out
+
+    def scatter(self, stack: np.ndarray) -> np.ndarray:
+        """The (dim, dim) block-diagonal matrix of a block stack; padding is never read."""
+        dense = np.zeros((self.dim + 1, self.dim + 1), dtype=stack.dtype)
+        dense[self.slots[:, :, None], self.slots[:, None, :]] = stack  # padding lands on the last row and column
+        return np.ascontiguousarray(dense[:-1, :-1])
 
     def scatter_diagonal(self, values: np.ndarray) -> np.ndarray:
-        """The basis vector of per-block entries laid out as by gather_diagonal."""
+        """The basis vector of per-block entries laid out like slots."""
         out = np.zeros(self.dim + 1, dtype=values.dtype)
         out[self.slots] = values
         return out[: self.dim]
@@ -239,8 +276,9 @@ def block_decomposition(basis: Basis, kind: str) -> BlockDecomposition:
     """Group basis states into invariant blocks: by m, and by parity of j for alignment.
 
     Blocks are ordered by ascending m, with the even-j sub-block before the
-    odd-j one.  Empty sub-blocks are omitted.  The decomposition is built
-    once per basis and kind and kept with the basis.
+    odd-j one.  Empty sub-blocks are omitted.  The member |j, m> sits on
+    slot j of an m block and on slot j // 2 of an (m, parity) block.  The
+    decomposition is built once per basis and kind and kept with the basis.
     """
     check_process_kind(kind)
     if kind in basis._decompositions:
@@ -251,6 +289,10 @@ def block_decomposition(basis: Basis, kind: str) -> BlockDecomposition:
         groups.setdefault(key, []).append(k)
     # enumeration order already ascends in j within each group
     ordered = sorted(groups, key=lambda key: (key[0], key[1] if key[1] is not None else 0))
-    blocks = tuple(Block(m=m, parity=p, members=tuple(groups[(m, p)])) for m, p in ordered)
+    step = 1 if kind == ORIENTATION else 2
+    blocks = tuple(
+        Block(m=m, parity=p, members=tuple(groups[(m, p)]), offset=basis.states[groups[(m, p)][0]].j // step)
+        for m, p in ordered
+    )
     basis._decompositions[kind] = BlockDecomposition(kind=kind, blocks=blocks)
     return basis._decompositions[kind]

@@ -10,6 +10,8 @@ Every operator of a train conserves m (and, for alignment, the parity of
 j), so the train runs on the invariant blocks of the kick's process: kicks,
 free evolution, slopes and trace series all act on block stacks (see
 BlockDecomposition.slots), and no step costs more than one block's cube.
+Every block of one class holds the same j on a slot, so the energies are
+one row per class (BlockDecomposition.rows).
 Where every input holds the same entries in the -m block as in the m block,
 as the thermal state, cos(theta) and cos^2(theta) do, the train keeps one
 copy of the pair and weighs it twice.
@@ -35,15 +37,15 @@ S2 = "S2"
 STRATEGIES = (S1, S2)
 
 
-def _rotate(matrix: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
-    """rho_ab -> rho_ab * exp(-i (E_a - E_b) t) for a block stack and its per-block energies."""
+def _rotate(matrix: np.ndarray, energies: np.ndarray, classes: np.ndarray, t: float) -> np.ndarray:
+    """rho_ab -> rho_ab * exp(-i (E_a - E_b) t) for a block stack whose block b has the energies of row classes[b]."""
     phase = np.exp(-1j * energies * t)
-    return matrix * (phase[..., :, None] * phase.conj()[..., None, :])
+    return matrix * (phase[:, :, None] * phase.conj()[:, None, :])[classes]
 
 
-def _commutator(energies: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[H0, B]_ab = (E_a - E_b) B_ab for H0 = diag(energies); a matrix or a block stack."""
-    return (energies[..., :, None] - energies[..., None, :]) * b
+def _commutator(energies: np.ndarray, classes: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[H0, B]_ab = (E_a - E_b) B_ab for H0 = diag(energies) and a block stack whose block b has row classes[b]."""
+    return (energies[:, :, None] - energies[:, None, :])[classes] * b
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
@@ -60,7 +62,7 @@ def free_propagate(rho: DensityMatrix, h0: HermitianOperator, t: float) -> Densi
     """Exact free evolution: rho_ab -> rho_ab * exp(-i (E_a - E_b) t)."""
     if h0.dim != rho.dim:
         raise ValueError(f"h0 on {h0.dim} states cannot propagate a state on {rho.dim} states")
-    stack = _rotate(rho.stack, rho.blocks.gather_diagonal(h0.energies()), t)
+    stack = _rotate(rho.stack, rho.blocks.rows(h0.energies()), rho.blocks.classes, t)
     return DensityMatrix._exact(rho.basis, rho.blocks, stack, rho.trace_target)
 
 
@@ -111,7 +113,8 @@ def post_kick_slope(
 
     Entries of the kicked state coupling two of the functional's blocks never meet it, so they are dropped.
     """
-    comm = _commutator(functional.blocks.gather_diagonal(h0.energies()), functional.stack)
+    blocks = functional.blocks
+    comm = _commutator(blocks.rows(h0.energies()), blocks.classes, functional.stack)
     return _slope(apply_kick(rho, kick, amplitude).regroup(functional.blocks, "state", np.inf).stack, comm)
 
 
@@ -237,14 +240,14 @@ class _Train:
 
     def __init__(self, start: DensityMatrix, strategy, kick, h0, target, observable, leak_guard_j):
         blocks = kick.operator.blocks
-        energies = blocks.gather_diagonal(h0.energies())
+        energies, j = blocks.rows(h0.energies()), blocks.rows(start.basis.j_values)
         stacks = [(kick.operator if observable is None else observable).regroup(blocks, "observable").stack]
         if target is not None:
             stacks.append(target.rho.regroup(blocks, "target state").stack / target.rho.purity())
         basis = start.basis
-        inputs = [start.stack, stacks[0], kick.operator.stack, energies, blocks.gather_diagonal(basis.j_values)]
-        self.keep, source = blocks.copies(inputs + stacks[1:])
-        copies = np.bincount(source)  # how many blocks each kept block stands for
+        inputs = [start.stack, stacks[0], kick.operator.stack, energies[blocks.classes], j[blocks.classes]]
+        self.keep, self.source = blocks.copies(inputs + stacks[1:])
+        copies = np.bincount(self.source)  # how many blocks each kept block stands for
 
         # the kept states, in basis order, have the kept blocks in the same order
         kept = blocks.slots[self.keep][blocks.filled[self.keep]]
@@ -252,16 +255,14 @@ class _Train:
         kept_blocks = block_decomposition(kept_basis, blocks.kind)
         kept_kick = HermitianOperator(kept_basis, kept_blocks, kick.operator.stack[self.keep])
         self.kick = KickSpec(kick.amplitude, kick.kind, kept_kick)
-        self.energies = energies[self.keep]
-        self.lattice = FrequencyLattice(self.energies)
+        self.energies, self.classes = energies, kept_blocks.classes
+        self.lattice = FrequencyLattice(energies, self.classes)
         self.functionals = [copies[:, None, None] * stack[self.keep] for stack in stacks]
         self.drive = 0 if strategy == S1 else 1
-        self.comm = _commutator(self.energies, self.functionals[self.drive])
+        self.comm = _commutator(energies, self.classes, self.functionals[self.drive])
         if leak_guard_j is not None:  # the population above the guard, each kept state weighed by its copies
-            self.leak_weights = (kept_basis.j_values > leak_guard_j) * copies[kept_blocks.places[0][:-1]]
+            self.leak_weights = (j[self.classes] > leak_guard_j) * kept_blocks.filled * copies[:, None]
         self.unfolded = (basis, blocks, start.trace_target)
-        block, slot = blocks.places  # every block reads the kept block it stands for
-        self.index = kept_blocks.slots[source[block[:-1]], slot[:-1]]
 
     def fold(self, start: DensityMatrix) -> DensityMatrix:
         """The kept blocks of the initial state; they declare their own trace."""
@@ -270,10 +271,10 @@ class _Train:
         return DensityMatrix(op.basis, op.blocks, start.stack[self.keep], trace_target=start.trace_target - dropped)
 
     def unfold(self, rho: DensityMatrix) -> DensityMatrix:
-        """A kept state on all blocks of the kick's process."""
+        """A kept state on all blocks of the kick's process: every block reads the kept block it stands for."""
         basis, blocks, trace = self.unfolded
         try:
-            return DensityMatrix(basis, blocks, blocks.restack(rho.stack, rho.blocks, self.index), trace_target=trace)
+            return DensityMatrix._exact(basis, blocks, rho.stack[self.source], trace_target=trace)
         except ValueError as exc:
             raise NumericalError(f"final state: {exc}") from exc
 
@@ -282,7 +283,8 @@ class _Train:
         return [TraceSeries(rho.stack, functional, self.lattice) for functional in self.functionals]
 
     def propagate(self, rho: DensityMatrix, t: float) -> DensityMatrix:
-        return DensityMatrix._exact(rho.basis, rho.blocks, _rotate(rho.stack, self.energies, t), rho.trace_target)
+        stack = _rotate(rho.stack, self.energies, self.classes, t)
+        return DensityMatrix._exact(rho.basis, rho.blocks, stack, rho.trace_target)
 
     def kicked(self, rho: DensityMatrix, amplitude: float) -> tuple[DensityMatrix, float]:
         """rho kicked with the amplitude, and the drive's slope right after."""
@@ -290,7 +292,7 @@ class _Train:
         return kicked, _slope(kicked.stack, self.comm)
 
     def leakage(self, rho: DensityMatrix) -> float:
-        return float(rho.diagonal @ self.leak_weights)
+        return float(np.sum(np.diagonal(rho.stack, axis1=-2, axis2=-1).real * self.leak_weights))
 
 
 def run_strategy(

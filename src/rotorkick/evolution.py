@@ -34,26 +34,42 @@ _LO, _HI, _F_LO, _F_HI, _S_LO, _S_HI = range(6)
 
 
 class FrequencyLattice:
-    """Lattice index k = (E_a - E_b) / 2 of every matrix entry over states with given energies.
+    """Lattice index k = (E_a - E_b) / 2 of every entry of a row of energies.
 
     energies is the diagonal of H0, shape (N,) for N x N matrices, or one
-    row per block, shape (n_blocks, size), for block stacks.  Built once
-    per basis or train and shared by the series on it.  Energies whose
-    differences are not all even integers raise ValueError: the period
-    would not be pi.
+    row per class, shape (n_classes, size), for block stacks whose block b
+    has the energies of row classes[b] (see BlockDecomposition.rows); by
+    default every row is a block of its own.  Built once per basis or train
+    and shared by the series on it.  Energies whose differences are not all
+    even integers raise ValueError: the period would not be pi.
     """
 
-    def __init__(self, energies: np.ndarray):
-        energies = np.asarray(energies, dtype=float)
+    def __init__(self, energies: np.ndarray, classes: np.ndarray | None = None):
+        energies = np.atleast_2d(np.asarray(energies, dtype=float))
         half = 0.5 * (energies - energies.min(initial=np.inf))
         k = np.rint(half)
         if np.any(k != half):
             raise ValueError("energy differences are not all even integers; the free-evolution period is not pi")
         k = k.astype(np.int64)
-        diffs = k[..., :, None] - k[..., None, :]
+        diffs = k[:, :, None] - k[:, None, :]
         self.kmax = int(diffs.max(initial=0))
-        self.index = (diffs + self.kmax).ravel()
+        self.index = (diffs + self.kmax).reshape(len(k), -1)
+        self.classes = classes
         self.freqs = 2.0 * np.arange(-self.kmax, self.kmax + 1)
+
+    def sums(self, g: np.ndarray) -> np.ndarray:
+        """The entries of a matrix or block stack summed over the blocks of each row, shaped like index.
+
+        A numpy reduction adds the blocks one after another, so the sums do
+        not depend on a BLAS thread count.
+        """
+        rows = len(self.index)
+        if self.classes is None:  # a matrix, or every row a block of its own
+            return g.reshape(rows, -1)
+        if rows == 1:
+            return g.sum(axis=0).reshape(1, -1)
+        sums = [np.sum(g, axis=0, where=(self.classes == c)[:, None, None]) for c in range(rows)]
+        return np.array(sums).reshape(rows, -1)
 
 
 @dataclass(frozen=True)
@@ -69,20 +85,21 @@ class TraceSeries:
     """t -> Tr[B rho(t)] with rho(0) given and rho evolving freely under diag(energies).
 
     rho_matrix and b_matrix are N x N matrices or block stacks, and
-    energies their diagonal energies or the FrequencyLattice built from
-    them.  coef[k + kmax] is the coefficient of exp(-2ikt).  Point
-    evaluations (values, value, derivative) sum over the nonzero
-    coefficients only; grid_values folds the whole lattice into one FFT.
-    A NaN or infinite coefficient raises NumericalError.
+    energies their diagonal energies (one row per block) or the
+    FrequencyLattice built from them.  coef[k + kmax] is the coefficient
+    of exp(-2ikt).  Point evaluations (values, value, derivative) sum
+    over the nonzero coefficients only; grid_values folds the whole
+    lattice into one FFT.  A NaN or infinite coefficient raises
+    NumericalError.
     """
 
     def __init__(self, rho_matrix: np.ndarray, b_matrix: np.ndarray, energies):
         lattice = energies if isinstance(energies, FrequencyLattice) else FrequencyLattice(energies)
-        g = (rho_matrix * np.swapaxes(b_matrix, -1, -2)).ravel()
+        g, index = lattice.sums(rho_matrix * np.swapaxes(b_matrix, -1, -2)).ravel(), lattice.index.ravel()
         n = lattice.freqs.size
         self.kmax = lattice.kmax
         self.freqs = lattice.freqs
-        self.coef = np.bincount(lattice.index, g.real, n) + 1j * np.bincount(lattice.index, g.imag, n)
+        self.coef = np.bincount(index, g.real, n) + 1j * np.bincount(index, g.imag, n)
         if not np.isfinite(self.coef).all():
             raise NumericalError("trace series has a non-finite coefficient")
         terms = np.flatnonzero(self.coef)

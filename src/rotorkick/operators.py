@@ -7,14 +7,15 @@ integer level spacings, so free evolution is periodic with period pi.
 Every operator of the package conserves m, and cos^2(theta) also the parity
 of j, so an operator is stored as the stack of its invariant blocks (see
 BlockDecomposition.slots).  This module alone decides which blocks an
-operator carries; BlockDecomposition.restack moves a stack between them.
+operator carries; BlockDecomposition.reslice moves a stack between the m and
+the (m, parity) blocks, and BlockDecomposition.restack to and from one block
+of all states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -56,8 +57,8 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class HermitianOperator:
     """Hermitian operator over a basis, kept as the stack of its invariant blocks.
 
-    stack[b] holds block b of `blocks`, zero-padded to the largest block
-    (see BlockDecomposition.slots), so no entry couples two blocks.
+    stack[b] holds block b of `blocks` on its slots, zero-padded (see
+    BlockDecomposition.slots), so no entry couples two blocks.
     from_matrix() restacks a dense matrix; .matrix is the dense view.
     """
 
@@ -114,7 +115,7 @@ class HermitianOperator:
         return cls(basis, blocks, blocks.restack(matrix[None], whole), **fields)
 
     def regroup(self, blocks: BlockDecomposition, what: str = "operator", tol: float = 0.0):
-        """The same operator on other blocks of its basis: self when they are equal, else restacked.
+        """The same operator on other blocks of its basis: self when they are equal, else resliced or restacked.
 
         Entries coupling two of the new blocks are dropped when none exceeds
         tol in magnitude; otherwise ValueError naming `what`, as for blocks
@@ -124,7 +125,8 @@ class HermitianOperator:
             raise ValueError(f"{what} on {self.dim} states cannot move onto the blocks of a {blocks.dim}-state basis")
         if blocks == self.blocks:
             return self
-        return replace(self, blocks=blocks, stack=blocks.restack(self.stack, self.blocks, what=what, tol=tol))
+        move = blocks.reslice if {blocks.kind, self.blocks.kind} == set(PROCESS_KINDS) else blocks.restack
+        return replace(self, blocks=blocks, stack=move(self.stack, self.blocks, what=what, tol=tol))
 
     @property
     def dim(self) -> int:
@@ -141,6 +143,7 @@ class HermitianOperator:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Per block (eigenvalues ascending, eigenvector columns).
 
+        Each block's eigenvalues and eigenvectors sit on its own slots.
         Padding slots get eigenvalue 0 and unit eigenvectors, so every
         function of the operator acts as f(0) times the identity there.  A
         stack with no off-diagonal entry, such as a thermal state or H0,
@@ -154,7 +157,9 @@ class HermitianOperator:
         diagonal = np.diagonal(self.stack, axis1=-2, axis2=-1).real
         if np.count_nonzero(self.stack) == np.count_nonzero(diagonal):
             # no off-diagonal entry: the sorted diagonal, bit for bit eigh's eigenvalues, and permutation columns
-            order = np.argsort(np.where(self.blocks.filled, diagonal, np.inf), axis=-1, kind="stable")
+            filled = self.blocks.filled
+            ahead = np.cumsum(filled, axis=-1) == 0  # padding before the members sorts first, the rest last
+            order = np.argsort(np.where(filled, diagonal, np.where(ahead, -np.inf, np.inf)), axis=-1, kind="stable")
             w[:] = np.take_along_axis(diagonal, order, axis=-1)
             v[np.arange(n_blocks)[:, None], order, np.arange(size)] = 1.0
             # except where LAPACK's heevd first rescales a block, moving the last bits of its eigenvalues
@@ -168,8 +173,8 @@ class HermitianOperator:
         keep, source = self.blocks.copies([self.stack])
         kept = np.flatnonzero(keep)
         for b in kept[solve[kept]]:
-            k = self.blocks.blocks[b].size
-            w[b, :k], v[b, :k, :k] = _eigh(self.stack[b, :k, :k])
+            span = self.blocks.blocks[b].span
+            w[b, span], v[b, span, span] = _eigh(self.stack[b, span, span])
         copy = ~keep  # a block identical to a kept one has its eigensystem
         w[copy], v[copy] = w[kept[source[copy]]], v[kept[source[copy]]]
         return w, v
@@ -261,7 +266,7 @@ class DensityMatrix(HermitianOperator):
         state = self
         if blocks != self.blocks:
             whole = single_block(self.dim)
-            state, u = self.regroup(whole), whole.restack(u, blocks)
+            state, u = self.regroup(whole), blocks.scatter(u)[None]
         mat = u @ state.stack @ _dagger(u)
         try:
             return DensityMatrix._exact(state.basis, state.blocks, 0.5 * (mat + _dagger(mat)), state.trace_target)
@@ -284,19 +289,18 @@ def _ladder(basis: Basis, kind: str, diagonal, step: int, coupling) -> Hermitian
 
     <j m|X|j m> = diagonal(j, m) and <j+step m|X|j m> = <j m|X|j+step m> =
     coupling(j, m), both evaluated on arrays of (j, m); step keeps both
-    states in one block, so the partner of |j m>, when the basis holds it,
-    is the member of its block with j + step.
+    states in one block, on neighbouring slots, so the partner of the
+    member on slot k is the member on slot k + 1.
     """
     blocks = block_decomposition(basis, kind)
     n_blocks, size = blocks.slots.shape
-    j_slots = np.append(basis.j_values, -1)[blocks.slots]  # padding slots read the appended -1
-    b, k = np.nonzero(blocks.filled)
-    j, m = j_slots[b, k], np.array([block.m for block in blocks.blocks], dtype=int)[b]
+    j = blocks.rows(basis.j_values)[blocks.classes]
+    m = np.array([block.m for block in blocks.blocks], dtype=int)
     stack = np.zeros((n_blocks, size, size), dtype=complex)
-    stack[b, k, k] = diagonal(j, m)
-    row, l = np.nonzero(j_slots[b] == (j + step)[:, None])
-    b, k, j, m = b[row], k[row], j[row], m[row]
-    stack[b, k, l] = stack[b, l, k] = coupling(j, m)
+    b, k = np.nonzero(blocks.filled)
+    stack[b, k, k] = diagonal(j[b, k], m[b])
+    b, k = np.nonzero(blocks.filled[:, :-1] & blocks.filled[:, 1:])
+    stack[b, k, k + 1] = stack[b, k + 1, k] = coupling(j[b, k], m[b])
     return HermitianOperator._exact(basis, blocks, stack)
 
 
@@ -399,15 +403,6 @@ def thermal_state(
     return DensityMatrix._exact(basis, *_on_m_blocks(basis, weights), trace_target=trace)
 
 
-def hermitian_function(op: HermitianOperator, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian operator through its spectral decomposition; the dense result."""
-    w = op.eigensystem[0]
-    filled = op.blocks.filled
-    values = np.zeros(w.shape, dtype=complex)
-    values[filled] = f(w[filled])
-    return op.blocks.scatter(op.with_eigenvalues(values))
-
-
 def kick_unitary(op: HermitianOperator, amplitude: float) -> np.ndarray:
     """exp(i * amplitude * op) as the read-only stack of its block unitaries, laid out like op.stack.
 
@@ -436,24 +431,30 @@ def _embedded(x: HermitianOperator, big_basis: Basis) -> tuple[BlockDecompositio
     """x's stack zero-padded into a larger basis holding all of x's states.
 
     The result lives on the big basis's blocks of the same kind as x's, one
-    block of all states if x resolves no symmetry.  KeyError if the big
-    basis lacks one of x's states.
+    block of all states if x resolves no symmetry.  A state keeps its slot,
+    so each block of x is copied onto the leading slots of the big block of
+    the same (m, parity).  KeyError if the big basis lacks one of x's states.
     """
-    kind = x.blocks.kind
-    blocks = block_decomposition(big_basis, kind) if kind in PROCESS_KINDS else single_block(big_basis.dim)
-    index = np.full(big_basis.dim, x.dim)  # big-basis states outside x's basis read zeros
-    index[[big_basis.index_of(s.j, s.m) for s in x.basis.states]] = np.arange(x.dim)
-    return blocks, blocks.restack(x.stack, x.blocks, index)
+    if x.blocks.kind not in PROCESS_KINDS:  # through the dense matrix
+        big = np.zeros((1, big_basis.dim, big_basis.dim), dtype=complex)
+        big[0][np.ix_(*2 * [[big_basis.index_of(s.j, s.m) for s in x.basis.states]])] = x.matrix
+        return single_block(big_basis.dim), big
+    blocks = block_decomposition(big_basis, x.blocks.kind)
+    of = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
+    big = np.zeros((blocks.n_blocks,) + 2 * blocks.slots.shape[1:], dtype=complex)
+    size = x.stack.shape[1]
+    big[[of[block.m, block.parity] for block in x.blocks.blocks], :size, :size] = x.stack
+    return blocks, big
 
 
 def embed_density(rho: DensityMatrix, big_basis: Basis) -> DensityMatrix:
     """Zero-pad a state into a larger basis containing all of its states."""
-    return DensityMatrix(big_basis, *_embedded(rho, big_basis), trace_target=rho.trace_target)
+    return DensityMatrix._exact(big_basis, *_embedded(rho, big_basis), trace_target=rho.trace_target)
 
 
 def embed_operator(op: HermitianOperator, big_basis: Basis) -> HermitianOperator:
     """Zero-pad an operator into a larger basis: the projected operator P op P."""
-    return HermitianOperator(big_basis, *_embedded(op, big_basis))
+    return HermitianOperator._exact(big_basis, *_embedded(op, big_basis))
 
 
 def cluster_labels(values: np.ndarray, scale: float, rel_tol: float = CLUSTER_TOL) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BlockDecomposition, block_decomposition, build_basis
-from .evolution import LevelSetMeasure, TraceSeries, global_max, measure_above
+from .evolution import FrequencyLattice, LevelSetMeasure, TraceSeries, global_max, measure_above
 from .operators import DensityMatrix, HermitianOperator, h0_matrix, observable_matrix, thermal_state
 
 GLOBAL_SCOPE = "global"
@@ -134,7 +134,8 @@ def duration_above(
         raise ValueError(f"threshold {threshold} outside the observable range [{lo:.6f}, {hi:.6f}]")
     # entries of rho coupling two blocks of obs never meet an entry of obs, so they are dropped
     state = rho.regroup(obs.blocks, "state", np.inf)
-    series = TraceSeries(state.stack, obs.stack, obs.blocks.gather_diagonal(h0.energies()))
+    blocks = obs.blocks
+    series = TraceSeries(state.stack, obs.stack, FrequencyLattice(blocks.rows(h0.energies()), blocks.classes))
     peak = global_max(series)
     if peak.flat:
         hit = 1.0 if peak.value >= threshold else 0.0

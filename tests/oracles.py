@@ -205,14 +205,15 @@ def block_stack(matrix, blocks):
     """The block stack of a dense matrix from the layout's definition alone.
 
     Block b is matrix[np.ix_(members, members)] for the members of the b-th
-    block, zero-padded to the largest block; entries coupling two blocks are
-    left out.
+    block, on the slots from its offset on, zero-padded to the widest
+    block; entries coupling two blocks are left out.
     """
-    size = max(len(block.members) for block in blocks.blocks)
+    size = max(block.offset + len(block.members) for block in blocks.blocks)
     stack = np.zeros((len(blocks.blocks), size, size), dtype=complex)
     for b, block in enumerate(blocks.blocks):
         idx = list(block.members)
-        stack[b, : len(idx), : len(idx)] = matrix[np.ix_(idx, idx)]
+        span = slice(block.offset, block.offset + len(idx))
+        stack[b, span, span] = matrix[np.ix_(idx, idx)]
     return stack
 
 
@@ -277,7 +278,8 @@ def float_lie_closure(operators, tol=1e-10):
     keep, source = blocks.copies([op.stack for op in operators])
     distinct = np.flatnonzero(keep)
     weights = np.sqrt(np.bincount(source))
-    sizes = blocks.filled[keep].sum(axis=1)
+    spans = [blocks.blocks[b].span for b in distinct]
+    sizes = [span.stop - span.start for span in spans]
     layout = []
     width = 0
     for size, weight in zip(sizes, weights):
@@ -285,7 +287,7 @@ def float_lie_closure(operators, tol=1e-10):
         width += size * size
     compact = np.array(
         [
-            np.concatenate([w * (1j * op.stack[b, :k, :k]).ravel() for b, k, w in zip(distinct, sizes, weights)])
+            np.concatenate([w * (1j * op.stack[b, span, span]).ravel() for b, span, w in zip(distinct, spans, weights)])
             for op in operators
         ]
     )
@@ -323,8 +325,8 @@ def float_lie_closure(operators, tol=1e-10):
 
     size = blocks.slots.shape[1]
     one_copy = np.zeros((len(found), len(distinct), size, size), dtype=complex)
-    for d, (lo, hi, k, scale) in enumerate(layout):
-        one_copy[:, d, :k, :k] = scale * found[:, lo:hi].reshape(-1, k, k)
+    for d, ((lo, hi, k, scale), span) in enumerate(zip(layout, spans)):
+        one_copy[:, d, span, span] = scale * found[:, lo:hi].reshape(-1, k, k)
     return len(found), one_copy[:, source]
 
 

@@ -16,7 +16,15 @@ from rotorkick.basis import (
     single_block,
 )
 from rotorkick.config import PRESETS
-from rotorkick.operators import cos2_theta_matrix, kick_unitary, thermal_state
+from rotorkick.operators import (
+    DensityMatrix,
+    HermitianOperator,
+    cos2_theta_matrix,
+    embed_density,
+    embed_operator,
+    kick_unitary,
+    thermal_state,
+)
 
 
 def test_dimension_examples():
@@ -81,13 +89,18 @@ def test_alignment_blocks_j2_m0():
 
 
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
-@pytest.mark.parametrize("j_max", range(13))
+@pytest.mark.parametrize("j_max", range(14))
 def test_blocks_partition_basis(j_max, kind):
     basis = build_basis(j_max)
     blocks = block_decomposition(basis, kind)
     members = [k for b in blocks.blocks for k in b.members]
     assert sorted(members) == list(range(basis.dim))
     assert sum(b.size for b in blocks.blocks) == basis.dim
+    # |j, m> sits on slot j of its m block, on slot j // 2 of its (m, parity) block
+    step = 1 if kind == ORIENTATION else 2
+    b, slot = np.nonzero(blocks.filled)
+    assert np.array_equal(slot, basis.j_values[blocks.slots[b, slot]] // step)
+    assert blocks.slots.shape[1] == j_max // step + 1
 
 
 @pytest.mark.parametrize("j_max", range(1, 9))
@@ -134,6 +147,12 @@ def _decomposition(basis, name):
     return block_decomposition(basis, ORIENTATION if name == "m" else ALIGNMENT)
 
 
+def _move(target, stack, source, **kwargs):
+    """The stack moved onto the target layout as HermitianOperator.regroup moves it."""
+    move = target.reslice if {source.kind, target.kind} == {ORIENTATION, ALIGNMENT} else target.restack
+    return move(stack, source, **kwargs)
+
+
 def _random_operator(basis, blocks, rng):
     """A random Hermitian matrix that couples no two of the given blocks."""
     z = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
@@ -152,7 +171,11 @@ def test_restack_matches_dense_oracle(j_max, source, target, seed):
     src, dst = _decomposition(basis, source), _decomposition(basis, target)
     # an operator on the (m, parity) blocks is block diagonal in every layout
     dense = _random_operator(basis, _decomposition(basis, "m-parity"), np.random.default_rng(seed))
-    assert np.array_equal(dst.restack(block_stack(dense, src), src), block_stack(dense, dst))
+    stack = block_stack(dense, src)
+    assert np.array_equal(dst.restack(stack, src), block_stack(dense, dst))
+    moved = _move(dst, stack, src)
+    assert np.array_equal(moved, block_stack(dense, dst))
+    assert np.array_equal(_move(src, moved, dst), stack)  # and back, exactly
 
 
 def test_restack_moves_the_thermal_state_and_back():
@@ -164,22 +187,27 @@ def test_restack_moves_the_thermal_state_and_back():
     stack, blocks = rho.stack, rho.blocks
     for name in ("m-parity", "one", "m"):
         target = _decomposition(basis, name)
-        stack, blocks = target.restack(stack, blocks), target
+        stack, blocks = _move(target, stack, blocks), target
         assert np.max(np.abs(stack - block_stack(dense, blocks))) <= 1e-15
     assert blocks == rho.blocks and np.array_equal(stack, rho.stack)
 
 
 @pytest.mark.parametrize("name", LAYOUTS)
-def test_restack_embeds_a_small_basis(name):
-    small, big = build_basis(3), build_basis(6)
-    src, dst = _decomposition(small, name), _decomposition(big, name)
-    dense = _random_operator(small, src, np.random.default_rng(7))
-    idx = [big.states.index(s) for s in small.states]
-    index = np.full(big.dim, small.dim)  # states of the big basis only read zeros
-    index[idx] = np.arange(small.dim)
-    lifted = np.zeros((big.dim, big.dim), dtype=complex)
-    lifted[np.ix_(idx, idx)] = dense
-    assert np.array_equal(dst.restack(block_stack(dense, src), src, index), block_stack(lifted, dst))
+def test_embedding_matches_the_dense_lift(name):
+    # odd and even cutoffs on both sides: trailing padding in the odd-j alignment blocks of an even cutoff
+    for j_max, j_sim in ((2, 3), (3, 4), (7, 13), (8, 16)):
+        small, big = build_basis(j_max), build_basis(j_sim)
+        src, dst = _decomposition(small, name), _decomposition(big, name)
+        dense = _random_operator(small, src, np.random.default_rng(j_sim))
+        op = HermitianOperator(small, src, block_stack(dense, src))
+        idx = [big.states.index(s) for s in small.states]
+        lifted = np.zeros((big.dim, big.dim), dtype=complex)
+        lifted[np.ix_(idx, idx)] = dense
+        embedded = embed_operator(op, big)
+        assert embedded.blocks == dst and np.array_equal(embedded.stack, block_stack(lifted, dst))
+        assert np.array_equal(embedded.matrix, lifted)
+        rho = DensityMatrix(small, src, block_stack(np.eye(small.dim) / small.dim, src))
+        assert np.array_equal(embed_density(rho, big).matrix[np.ix_(idx, idx)], rho.matrix)
 
 
 def test_restack_never_reads_padding():
@@ -196,6 +224,7 @@ def test_restack_never_reads_padding():
     for name in LAYOUTS:
         target = _decomposition(basis, name)
         assert np.array_equal(target.restack(poisoned, op.blocks), block_stack(dense, target))
+        assert np.array_equal(_move(target, poisoned, op.blocks), block_stack(dense, target))
 
 
 # (source layout, target layout, pair of states whose entry lands in no target block)
@@ -216,10 +245,10 @@ def test_restack_drops_or_raises_on_entries_coupling_blocks(source, target, firs
     coupled[a, b] = coupled[b, a] = value
     stack = block_stack(coupled, src)
     if drops:
-        assert np.array_equal(dst.restack(stack, src, what="observable", tol=tol), block_stack(dense, dst))
+        assert np.array_equal(_move(dst, stack, src, what="observable", tol=tol), block_stack(dense, dst))
     else:
         with pytest.raises(ValueError, match="observable couples states in different invariant blocks"):
-            dst.restack(stack, src, what="observable", tol=tol)
+            _move(dst, stack, src, what="observable", tol=tol)
 
 
 def test_single_block_is_shared_and_read_only():
@@ -227,7 +256,7 @@ def test_single_block_is_shared_and_read_only():
     assert single_block(9) is whole
     blocks = block_decomposition(build_basis(2), ALIGNMENT)
     for layout in (whole, blocks):
-        for array in (layout.slots, layout.filled, *layout.places):
+        for array in (layout.slots, layout.filled, layout.classes):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -252,6 +281,13 @@ def test_copies_group_bit_identical_blocks_of_one_size():
     assert folded() == ([1, 2, 3], [1, 0, 1, 2])
     diagonal[0, 0] = 1.0  # one entry of one stack
     assert folded() == ([0, 1, 2, 3], [0, 1, 2, 3])
+    # alignment at j_max 8: (m=2, even) on slots 1-4 and (m=1, odd) on slots 0-3 both hold 4 states
+    blocks = block_decomposition(build_basis(8), ALIGNMENT)
+    where = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
+    even, odd = where[2, 0], where[1, 1]
+    assert blocks.blocks[even].size == blocks.blocks[odd].size == 4
+    keep, source = blocks.copies([np.zeros(blocks.slots.shape)])
+    assert source[even] != source[odd] and keep[even] and keep[odd]  # each the last block on its slots
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

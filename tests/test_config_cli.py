@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rotorkick
 from rotorkick.basis import build_basis
 from rotorkick.cli import main
 from rotorkick.config import (
@@ -157,6 +162,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         payload = json.loads((tmp_path / "fixedpoints_orientation.json").read_text())
         assert payload["N"] == 81
         assert payload["dim_span"] == 140
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # `python -m rotorkick.cli` runs main(): a bad preset exits 2 and --help prints the usage
+    src = str(pathlib.Path(rotorkick.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        argv = [sys.executable, "-m", "rotorkick.cli", *args]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+
+    bad = run("bounds", "--preset", "nope")
+    assert bad.returncode == 2 and bad.stderr.startswith("error:") and not bad.stdout
+    usage = run("--help")
+    assert usage.returncode == 0 and usage.stdout.startswith("usage:")
 
 
 def test_cli_fixedpoints_small(tmp_path, capsys):

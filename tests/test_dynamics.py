@@ -15,7 +15,7 @@ from rotorkick.dynamics import (
     post_kick_slope,
     run_strategy,
 )
-from rotorkick.evolution import PERIOD, TraceSeries, global_max
+from rotorkick.evolution import PERIOD, FrequencyLattice, TraceSeries, global_max
 from rotorkick.operators import (
     DensityMatrix,
     HermitianOperator,
@@ -73,13 +73,18 @@ def test_free_propagate_requires_diagonal_h0():
     rho = thermal_state(basis, beta=1.0)
     with pytest.raises(ValueError):
         free_propagate(rho, c, 0.1)
+    # every m block holds j = 1 on slot 1, so the energies cannot depend on m
+    tilted = HermitianOperator.from_matrix(basis, np.diag([4.0, 0.0, 2.0, 2.0]), rho.blocks)
+    with pytest.raises(ValueError, match="differ between blocks of one class"):
+        free_propagate(rho, tilted, 0.1)
 
 
 def _next_max(rho, functional, h0):
     """(t, value, flat) of the earliest global maximum of Tr[functional rho(t)] in [0, pi)."""
     state = rho.regroup(functional.blocks, "state", np.inf)
-    energies = functional.blocks.gather_diagonal(h0.energies())
-    res = global_max(TraceSeries(state.stack, functional.stack, energies))
+    blocks = functional.blocks
+    lattice = FrequencyLattice(blocks.rows(h0.energies()), blocks.classes)
+    res = global_max(TraceSeries(state.stack, functional.stack, lattice))
     return res.t, res.value, res.flat
 
 
@@ -435,18 +440,24 @@ def test_run_strategy_rejects_inputs_coupling_blocks():
 
 
 # (preset, j_sim): the preset's own j_sim once per process, a smaller one elsewhere
+# (preset, j_sim, j_max or None for the preset's 8): odd cutoffs leave the odd-j alignment blocks no trailing padding
 ORACLE_CASES = [
-    ("licl-5K", 16),
-    ("licl-5K-alignment", 16),
-    ("licl-10K", 12),
-    ("licl-5K-s2", 12),
-    ("licl-5K-alignment-s2", 12),
+    ("licl-5K", 16, None),
+    ("licl-5K-alignment", 16, None),
+    ("licl-10K", 12, None),
+    ("licl-5K-s2", 12, None),
+    ("licl-5K-alignment-s2", 12, None),
+    ("licl-5K", 13, None),
+    ("licl-5K-alignment", 13, 7),
 ]
 
 
-@pytest.mark.parametrize("preset, j_sim", ORACLE_CASES)
+@pytest.mark.parametrize(
+    "preset, j_sim, j_max",
+    [pytest.param(*case, id="-".join(str(x) for x in case if x is not None)) for case in ORACLE_CASES],
+)
 @pytest.mark.parametrize("mode", ["idealized", "physical"])
-def test_block_train_matches_dense_oracle(preset, j_sim, mode, monkeypatch):
+def test_block_train_matches_dense_oracle(preset, j_sim, j_max, mode, monkeypatch):
     import rotorkick.cli as cli
     from rotorkick.config import PRESETS
 
@@ -457,7 +468,8 @@ def test_block_train_matches_dense_oracle(preset, j_sim, mode, monkeypatch):
         return run_strategy(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_strategy", recording)
-    record, _, _ = cli._run_one_mode(PRESETS[preset].with_overrides(j_sim=j_sim), mode)
+    config = PRESETS[preset].with_overrides(j_sim=j_sim)
+    record, _, _ = cli._run_one_mode(config if j_max is None else config.with_overrides(j_max=j_max), mode)
     args, kwargs = calls[0]
     kwargs.pop("leak_guard_j")
     dense = dense_train(*args, **kwargs)

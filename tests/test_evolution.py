@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorkick.basis import ORIENTATION, build_basis
+from rotorkick.basis import ALIGNMENT, ORIENTATION, build_basis
 from rotorkick.dynamics import apply_kick, free_propagate, make_kick
 from rotorkick.errors import NumericalError
-from rotorkick.evolution import PERIOD, TraceSeries, _roots, global_max, grid_size, measure_above
-from rotorkick.operators import cos_theta_matrix, h0_matrix, thermal_state
+from rotorkick.evolution import PERIOD, FrequencyLattice, TraceSeries, _roots, global_max, grid_size, measure_above
+from rotorkick.operators import cos_theta_matrix, h0_matrix, observable_matrix, thermal_state
 
 
 def _kicked_state(j_max=3, beta=0.3, amplitude=1.7):
@@ -111,6 +111,25 @@ def test_free_propagation_composes(t1, t2):
     one_step = free_propagate(rho, h0, t1 + t2)
     two_step = free_propagate(free_propagate(rho, h0, t1), h0, t2)
     assert np.max(np.abs(one_step.matrix - two_step.matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+@pytest.mark.parametrize("j_max", [7, 8, 13, 16])
+def test_block_lattice_spans_the_largest_gap_within_a_block(kind, j_max):
+    # one energy row per class; the trailing padding slot of the odd-j alignment row adds no frequency
+    basis = build_basis(j_max)
+    h0 = h0_matrix(basis)
+    rho = apply_kick(thermal_state(basis, 0.3), make_kick(basis, kind, 1.7))
+    obs = observable_matrix(basis, kind)
+    blocks = obs.blocks
+    lattice = FrequencyLattice(blocks.rows(h0.energies()), blocks.classes)
+    energies = basis.j_values * (basis.j_values + 1)
+    assert lattice.kmax == max(np.ptp(energies[list(block.members)]) // 2 for block in blocks.blocks)
+    assert lattice.index.shape == (len(set(blocks.classes.tolist())), blocks.slots.shape[1] ** 2)
+    series = TraceSeries(rho.regroup(blocks).stack, obs.stack, lattice)
+    dense = TraceSeries(rho.matrix, obs.matrix, h0.energies())
+    ts = np.linspace(0.0, PERIOD, 31)
+    assert np.max(np.abs(series.values(ts) - dense.values(ts))) <= 1e-14
 
 
 def test_series_rejects_energies_off_the_even_lattice():

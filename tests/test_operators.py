@@ -24,7 +24,6 @@ from rotorkick.operators import (
     embed_operator,
     eigenvalue_multiplicities,
     h0_matrix,
-    hermitian_function,
     kick_unitary,
     observable_matrix,
     thermal_state,
@@ -33,7 +32,9 @@ from rotorkick.operators import (
 
 def _coupling_mask(blocks):
     """(dim, dim) mask, True where an entry couples two different blocks."""
-    block_of = blocks.places[0][: blocks.dim]
+    block_of = np.empty(blocks.dim, dtype=int)
+    for b, block in enumerate(blocks.blocks):
+        block_of[list(block.members)] = b
     return block_of[:, None] != block_of[None, :]
 
 
@@ -194,14 +195,6 @@ def test_thermal_invalid_beta():
         thermal_state(basis, beta=1.0, z_mode="bogus")
 
 
-def test_hermitian_function_identity_and_zero():
-    basis = build_basis(2)
-    c = cos_theta_matrix(basis)
-    assert np.max(np.abs(hermitian_function(c, lambda w: w) - c.matrix)) < 1e-12
-    u0 = c.blocks.scatter(kick_unitary(c, 0.0))
-    assert np.max(np.abs(u0 - np.eye(basis.dim))) < 1e-12
-
-
 def test_kick_exponential_two_level_closed_form():
     # on the 2x2 m=0 block of j_max=1 with off-diagonal c:
     # exp(iA C) = cos(Ac) I + i sin(Ac)/c * C, eigenvalues +-c
@@ -218,6 +211,8 @@ def test_kick_exponential_two_level_closed_form():
         for m in (-1, 1):
             k = basis.index_of(1, m)
             assert u[k, k] == pytest.approx(1.0, abs=1e-12)
+    # a kick of amplitude zero is the identity
+    assert np.max(np.abs(cmat.blocks.scatter(kick_unitary(cmat, 0.0)) - np.eye(basis.dim))) < 1e-12
 
 
 @pytest.mark.parametrize("amp", [0.5, 1.0, 2.0, 5.0])
@@ -404,8 +399,7 @@ def _per_block_eigh(op):
     w, v = np.zeros((n_blocks, size)), np.zeros((n_blocks, size, size), dtype=complex)
     v[:] = np.eye(size)
     for b, block in enumerate(op.blocks.blocks):
-        k = block.size
-        w[b, :k], v[b, :k, :k] = np.linalg.eigh(op.stack[b, :k, :k])
+        w[b, block.span], v[b, block.span, block.span] = np.linalg.eigh(op.stack[b, block.span, block.span])
     return w, v
 
 
@@ -449,7 +443,9 @@ def _scalar_ladder(basis, kind):
         return math.sqrt(((j + 1) ** 2 - m**2) / ((2 * j + 1) * (2 * j + 3)))
 
     blocks = block_decomposition(basis, kind)
-    block_of, slot_of = blocks.places
+    block_of, slot_of = np.empty(basis.dim, dtype=int), np.empty(basis.dim, dtype=int)
+    for b, block in enumerate(blocks.blocks):
+        block_of[list(block.members)], slot_of[list(block.members)] = b, range(block.offset, block.offset + block.size)
     size = blocks.slots.shape[1]
     stack = np.zeros((blocks.n_blocks, size, size), dtype=complex)
     for a, s in enumerate(basis.states):
