@@ -8,13 +8,16 @@ maxima, slopes) and the post-train figures of merit.
 
 With --j-sim J [J ...] every preset is rerun with each enlarged cutoff J in
 place of the preset's j_sim = 16, and the wall time of each run (both
-modes) is printed, e.g. `scripts/run_trains.py --j-sim 16 24 32 48`.
+modes) is printed with the process's peak RSS so far (ru_maxrss), e.g.
+`scripts/run_trains.py --j-sim 16 24 32 48`.  The first line is the peak of
+one licl-5K run; later lines include every run before them.
 """
 
 import argparse
 import contextlib
 import io
 import os
+import resource
 import time
 
 from rotorkick.cli import main
@@ -44,7 +47,9 @@ def run(out_dir: str, j_sims: list[int] | None = None) -> None:
             start = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()):  # the output paths
                 _simulate(["--config", path])
-            print(f"j_sim={j_sim} {preset}: {time.perf_counter() - start:.2f} s", flush=True)
+            elapsed = time.perf_counter() - start
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+            print(f"j_sim={j_sim} {preset}: {elapsed:.2f} s, peak RSS {peak_mb:.1f} MB", flush=True)
 
 
 if __name__ == "__main__":

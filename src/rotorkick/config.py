@@ -7,7 +7,6 @@ units never leak into the numerical core.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 
@@ -15,6 +14,15 @@ import numpy as np
 
 from .basis import ALIGNMENT, ORIENTATION, PROCESS_KINDS
 from .errors import ConfigError
+
+# The interpreter's builtin SHA-256 gives hashlib's digest without loading OpenSSL, as random.py does for sha512.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 KB_CM_PER_K = 0.6950348  # Boltzmann constant in wavenumbers per kelvin (overridable per config)
 C_CM_PER_PS = 0.0299792458  # speed of light, cm per picosecond
@@ -175,7 +183,7 @@ class RunConfig:
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return sha256(canonical.encode()).hexdigest()[:16]
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)

@@ -373,17 +373,18 @@ def run_strategy(
         except NumericalError as exc:
             raise NumericalError(f"kick {record.n_kicks + 1}: {exc}") from exc
         steep = max(abs(slope_plus), abs(slope_minus)) >= SLOPE_TOL
+        if slope_minus > slope_plus and steep:
+            amplitude, kicked, slope = -kick.amplitude, kicked_minus, slope_minus
+        else:
+            amplitude, kicked, slope = kick.amplitude, kicked_plus, slope_plus
+        del at_max, kicked_plus, kicked_minus  # the other candidate is dead; keep one kicked stack, not three
 
         if res.value - prev_max < gain_tol * max(abs(prev_max), 1e-30) and not steep:
             record.stop_reason = "converged"
             break
 
         acc.segment(t_now, t_star, series)
-
-        if slope_minus > slope_plus and steep:
-            amplitude, rho, slope = -kick.amplitude, kicked_minus, slope_minus
-        else:
-            amplitude, rho, slope = kick.amplitude, kicked_plus, slope_plus
+        rho = kicked
         t_now = t_star
         prev_max = res.value
 

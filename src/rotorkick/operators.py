@@ -10,6 +10,11 @@ BlockDecomposition.slots).  This module alone decides which blocks an
 operator carries; BlockDecomposition.reslice moves a stack between the m and
 the (m, parity) blocks, and BlockDecomposition.restack to and from one block
 of all states.
+
+It also decides a stack's dtype, which follows the math: H0, the thermal
+state, cos(theta), cos^2(theta) and whatever is built from their
+eigenvectors are real symmetric and kept as float64 stacks; only the kick
+unitaries and the states they conjugate are complex128.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ class HermitianOperator:
     """Hermitian operator over a basis, kept as the stack of its invariant blocks.
 
     stack[b] holds block b of `blocks` on its slots, zero-padded (see
-    BlockDecomposition.slots), so no entry couples two blocks.
+    BlockDecomposition.slots), so no entry couples two blocks.  A real
+    stack is kept as float64, a complex one as complex128.
     from_matrix() restacks a dense matrix; .matrix is the dense view.
     """
 
@@ -67,7 +73,7 @@ class HermitianOperator:
     stack: np.ndarray
 
     def __post_init__(self) -> None:
-        stack = np.array(self.stack, dtype=complex)
+        stack = np.array(self.stack, dtype=complex if np.iscomplexobj(self.stack) else float)
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
         self._check_shape()
@@ -85,7 +91,7 @@ class HermitianOperator:
 
     @classmethod
     def _exact(cls, basis: Basis, blocks: BlockDecomposition, stack: np.ndarray, **fields):
-        """An operator on a complex stack that is Hermitian by construction.
+        """An operator on a real or complex stack that is Hermitian by construction.
 
         Such a stack is filled symmetrically, symmetrized exactly as in
         conjugated, or a Hermitian one scaled entrywise by unit phases
@@ -145,15 +151,16 @@ class HermitianOperator:
 
         Each block's eigenvalues and eigenvectors sit on its own slots.
         Padding slots get eigenvalue 0 and unit eigenvectors, so every
-        function of the operator acts as f(0) times the identity there.  A
-        stack with no off-diagonal entry, such as a thermal state or H0,
-        reads its eigensystem off the diagonal, bit for bit what eigh
-        returns; blocks that are copies of one another
+        function of the operator acts as f(0) times the identity there.  The
+        eigenvectors take the stack's dtype, so a real block goes to the real
+        symmetric solver.  A stack with no off-diagonal entry, such as a
+        thermal state or H0, reads its eigensystem off the diagonal, bit for
+        bit what eigh returns; blocks that are copies of one another
         (BlockDecomposition.copies) are solved once.
         """
         n_blocks, size = self.stack.shape[:2]
         w = np.zeros((n_blocks, size))
-        v = np.zeros((n_blocks, size, size), dtype=complex)
+        v = np.zeros((n_blocks, size, size), dtype=self.stack.dtype)
         diagonal = np.diagonal(self.stack, axis1=-2, axis2=-1).real
         if np.count_nonzero(self.stack) == np.count_nonzero(diagonal):
             # no off-diagonal entry: the sorted diagonal, bit for bit eigh's eigenvalues, and permutation columns
@@ -185,7 +192,7 @@ class HermitianOperator:
         return {}
 
     def with_eigenvalues(self, values: np.ndarray) -> np.ndarray:
-        """The stack with this operator's eigenvectors and eigenvalues values[b, k] in block b."""
+        """The stack with this operator's eigenvectors and eigenvalues values[b, k] in block b; real for real both."""
         v = self.eigensystem[1]
         return (v * values[..., None, :]) @ _dagger(v)
 
@@ -278,7 +285,7 @@ def _on_m_blocks(basis: Basis, values: np.ndarray) -> tuple[BlockDecomposition, 
     """The m blocks of the basis, which every operator of the package conserves, and diag(values) on them."""
     blocks = block_decomposition(basis, ORIENTATION)
     n_blocks, size = blocks.slots.shape
-    stack = np.zeros((n_blocks, size, size), dtype=complex)
+    stack = np.zeros((n_blocks, size, size))
     diagonal = np.arange(size)
     stack[:, diagonal, diagonal] = np.append(values, 0.0)[blocks.slots]  # padding slots read the appended zero
     return blocks, stack
@@ -296,7 +303,7 @@ def _ladder(basis: Basis, kind: str, diagonal, step: int, coupling) -> Hermitian
     n_blocks, size = blocks.slots.shape
     j = blocks.rows(basis.j_values)[blocks.classes]
     m = np.array([block.m for block in blocks.blocks], dtype=int)
-    stack = np.zeros((n_blocks, size, size), dtype=complex)
+    stack = np.zeros((n_blocks, size, size))
     b, k = np.nonzero(blocks.filled)
     stack[b, k, k] = diagonal(j[b, k], m[b])
     b, k = np.nonzero(blocks.filled[:, :-1] & blocks.filled[:, 1:])
@@ -431,17 +438,18 @@ def _embedded(x: HermitianOperator, big_basis: Basis) -> tuple[BlockDecompositio
     """x's stack zero-padded into a larger basis holding all of x's states.
 
     The result lives on the big basis's blocks of the same kind as x's, one
-    block of all states if x resolves no symmetry.  A state keeps its slot,
-    so each block of x is copied onto the leading slots of the big block of
-    the same (m, parity).  KeyError if the big basis lacks one of x's states.
+    block of all states if x resolves no symmetry, in the dtype of x's stack.
+    A state keeps its slot, so each block of x is copied onto the leading
+    slots of the big block of the same (m, parity).  KeyError if the big
+    basis lacks one of x's states.
     """
     if x.blocks.kind not in PROCESS_KINDS:  # through the dense matrix
-        big = np.zeros((1, big_basis.dim, big_basis.dim), dtype=complex)
+        big = np.zeros((1, big_basis.dim, big_basis.dim), dtype=x.stack.dtype)
         big[0][np.ix_(*2 * [[big_basis.index_of(s.j, s.m) for s in x.basis.states]])] = x.matrix
         return single_block(big_basis.dim), big
     blocks = block_decomposition(big_basis, x.blocks.kind)
     of = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
-    big = np.zeros((blocks.n_blocks,) + 2 * blocks.slots.shape[1:], dtype=complex)
+    big = np.zeros((blocks.n_blocks,) + 2 * blocks.slots.shape[1:], dtype=x.stack.dtype)
     size = x.stack.shape[1]
     big[[of[block.m, block.parity] for block in x.blocks.blocks], :size, :size] = x.stack
     return blocks, big

@@ -56,6 +56,31 @@ def test_config_hash_stability():
     assert cfg.config_hash() != cfg.with_overrides(j_max=7).config_hash()
 
 
+@pytest.mark.parametrize(
+    "preset, digest",
+    [
+        ("licl-5K", "eb9ad2161df7e93a"),
+        ("licl-10K", "d087fc9b5551c5d1"),
+        ("licl-5K-s2", "f6ea23adc2d9bd53"),
+        ("licl-5K-alignment", "bced0abf47c58604"),
+        ("licl-5K-alignment-s2", "bf67b11b9c3bf663"),
+    ],
+)
+def test_preset_config_hashes_are_pinned(preset, digest):
+    # the leading 16 hex digits of SHA-256 over the canonical JSON, whichever module computes it
+    assert PRESETS[preset].config_hash() == digest
+
+
+def test_importing_the_cli_loads_no_openssl():
+    # the config hash comes from the interpreter's builtin SHA-256, so hashlib's OpenSSL backend stays unloaded
+    src = str(pathlib.Path(rotorkick.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, rotorkick.cli; print('_hashlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_config_validation_errors():
     molecule = MoleculeParams(b_cm=0.70652, temperature_k=5.0)
     with pytest.raises(ConfigError):
@@ -241,6 +266,25 @@ def test_simulate_and_bounds_build_no_dense_matrix(preset, tmp_path, monkeypatch
     for command, *extra in (("simulate",), ("bounds",), ("controllability", "--j-max", "1", "2", "3"), ("fixedpoints",)):
         assert main([command, "--preset", preset, "--out", str(tmp_path / command), *extra]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("preset, limit_mb", [("licl-5K", 4.6), ("licl-5K-alignment", 3.0)])
+def test_physical_run_allocates_a_few_stacks(preset, limit_mb):
+    # real inputs, target and functionals stay float64 and the unchosen kick candidate is released:
+    # complex stacks throughout and three kept candidates peaked at 6.29 and 4.21 MB
+    import tracemalloc
+
+    from rotorkick.cli import _run_one_mode
+
+    config = PRESETS[preset].with_overrides(j_sim=24)
+    _run_one_mode(config, "physical")  # bases, decompositions and partition sums are cached from here on
+    tracemalloc.start()
+    try:
+        _run_one_mode(config, "physical")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6
 
 
 def test_cli_bounds_empty_range(tmp_path, capsys):

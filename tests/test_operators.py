@@ -13,7 +13,7 @@ from rotorkick.basis import (
     single_block,
 )
 from rotorkick.config import PRESETS
-from rotorkick.dynamics import S1, _Train, make_kick
+from rotorkick.dynamics import S1, _Train, apply_kick, make_kick
 from rotorkick.errors import NumericalError
 from rotorkick.operators import (
     DensityMatrix,
@@ -28,6 +28,7 @@ from rotorkick.operators import (
     observable_matrix,
     thermal_state,
 )
+from rotorkick.target import build_target
 
 
 def _coupling_mask(blocks):
@@ -334,6 +335,27 @@ def test_eigenvalue_multiplicities():
 
 
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_stack_dtypes_follow_the_math(kind):
+    # H0, the thermal state, the observable and the target are real symmetric; only kicks make states complex
+    small, big = build_basis(3), build_basis(5)
+    rho = thermal_state(small, beta=0.4)
+    obs = observable_matrix(small, kind)
+    target = build_target(rho, obs, block_decomposition(small, kind))
+    real = [h0_matrix(small), rho, obs, embed_operator(obs, big), embed_density(rho, big), target.rho]
+    real.append(HermitianOperator.from_matrix(small, np.eye(small.dim, dtype=int)))
+    assert all(op.stack.dtype == np.float64 for op in real)
+    assert obs.eigensystem[1].dtype == np.float64 and obs.eigensystem[0].dtype == np.float64
+    assert obs.with_eigenvalues(obs.eigensystem[0]).dtype == np.float64
+    kick = make_kick(small, kind, 1.3)
+    assert kick_unitary(kick.operator, 1.3).dtype == kick_unitary(kick.operator, -1.3).dtype == np.complex128
+    kicked = apply_kick(rho, kick)
+    assert kicked.stack.dtype == np.complex128
+    # a complex stack stays complex, even with no imaginary part, and so do its eigenvectors
+    whole = HermitianOperator.from_matrix(small, obs.matrix.astype(complex))
+    assert whole.stack.dtype == whole.eigensystem[1].dtype == np.complex128
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
 def test_kick_unitary_is_built_once_and_conjugated_for_the_opposite_sign(kind):
     op = observable_matrix(build_basis(8), kind)
     u = kick_unitary(op, 1.7)
@@ -394,9 +416,12 @@ def test_exact_stacks_keep_the_shape_and_trace_checks():
 
 
 def _per_block_eigh(op):
-    """The eigensystem of every block from its own eigh call, laid out like HermitianOperator.eigensystem."""
+    """The eigensystem of every block from its own eigh call, laid out like HermitianOperator.eigensystem.
+
+    The eigenvectors take the stack's dtype, as eigh's do on each block.
+    """
     n_blocks, size = op.stack.shape[:2]
-    w, v = np.zeros((n_blocks, size)), np.zeros((n_blocks, size, size), dtype=complex)
+    w, v = np.zeros((n_blocks, size)), np.zeros((n_blocks, size, size), dtype=op.stack.dtype)
     v[:] = np.eye(size)
     for b, block in enumerate(op.blocks.blocks):
         w[b, block.span], v[b, block.span, block.span] = np.linalg.eigh(op.stack[b, block.span, block.span])
@@ -437,7 +462,7 @@ def test_kick_eigensystem_solves_each_mirror_pair_once_with_the_loop_bits(preset
 
 
 def _scalar_ladder(basis, kind):
-    """The observable's stack filled one state at a time from the scalar formula."""
+    """The observable's real stack filled one state at a time from the scalar formula."""
 
     def c(j, m):
         return math.sqrt(((j + 1) ** 2 - m**2) / ((2 * j + 1) * (2 * j + 3)))
@@ -447,7 +472,7 @@ def _scalar_ladder(basis, kind):
     for b, block in enumerate(blocks.blocks):
         block_of[list(block.members)], slot_of[list(block.members)] = b, range(block.offset, block.offset + block.size)
     size = blocks.slots.shape[1]
-    stack = np.zeros((blocks.n_blocks, size, size), dtype=complex)
+    stack = np.zeros((blocks.n_blocks, size, size))
     for a, s in enumerate(basis.states):
         b, k = block_of[a], slot_of[a]
         if kind == ALIGNMENT:
