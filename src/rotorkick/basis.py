@@ -9,7 +9,6 @@ which splits every m block into an even-j and an odd-j sub-block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -70,17 +69,6 @@ class Basis:
     def _decompositions(self) -> dict[str, BlockDecomposition]:
         """The block decompositions of this basis, keyed by process kind; filled by block_decomposition."""
         return {}
-
-    def to_json(self) -> str:
-        """Serialize as {"j_max": ..., "states": [[j, m], ...]} with stable ordering."""
-        payload = {"j_max": self.j_max, "states": [[s.j, s.m] for s in self.states]}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Basis":
-        payload = json.loads(text)
-        states = tuple(BasisIndex(j, m) for j, m in payload["states"])
-        return cls(j_max=payload["j_max"], states=states)
 
 
 _BASES: dict[int, Basis] = {}

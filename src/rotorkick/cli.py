@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .operators import (
     thermal_state,
 )
 from .output import write_csv, write_json
-from .target import TargetState, bound_sweep, build_target
+from .target import bound_sweep, build_target
 
 BOUNDS_HEADER = [
     "process",
@@ -103,13 +104,7 @@ def _run_one_mode(config: RunConfig, mode: str):
         rho0 = thermal_state(basis, config.beta, z_mode=config.z_mode, renormalize=config.renormalize)
         observable = embed_operator(control_obs, basis)
         leak_guard = config.j_sim - 2
-        target = TargetState(
-            rho=embed_density(target.rho, basis),
-            scope=target.scope,
-            observable=observable,
-            achieved=target.achieved,
-            blocks=None,
-        )
+        target = replace(target, rho=embed_density(target.rho, basis))
     h0 = h0_matrix(basis)
     kick = make_kick(basis, config.process, config.kick_amplitude)
 

@@ -86,6 +86,11 @@ _LICL_B_CM = 0.70652
 _LICL_TAU_PS = 0.01 / b_rad_per_ps(_LICL_B_CM)
 
 
+def _is_int(value) -> bool:
+    """True for an int, such as JSON's integers; False for a bool, a float or anything else."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Complete, hashable description of one CLI run."""
@@ -107,6 +112,11 @@ class RunConfig:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("j_max", "j_sim", "max_kicks"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.renormalize, bool):
+            raise ConfigError(f"renormalize must be true or false, got {self.renormalize!r}")
         if self.process not in PROCESS_KINDS:
             raise ConfigError(f"process must be one of {PROCESS_KINDS}, got {self.process!r}")
         if self.strategy not in ("S1", "S2"):
@@ -125,11 +135,11 @@ class RunConfig:
             raise ConfigError(f"gain_tol must be positive, got {self.gain_tol}")
         if self.kb_cm_per_k <= 0:
             raise ConfigError(f"kb_cm_per_k must be positive, got {self.kb_cm_per_k}")
-        if len(self.j_max_range) != 2:
-            raise ConfigError(f"j_max_range must be a [lo, hi] pair, got {self.j_max_range!r}")
+        if len(self.j_max_range) != 2 or not all(map(_is_int, self.j_max_range)):
+            raise ConfigError(f"j_max_range must be a [lo, hi] pair of integers, got {self.j_max_range!r}")
         if any(t <= 0 for t in self.temperatures_k):
             raise ConfigError(f"temperatures must be positive, got {self.temperatures_k!r}")
-        object.__setattr__(self, "j_max_range", tuple(int(v) for v in self.j_max_range))
+        object.__setattr__(self, "j_max_range", tuple(self.j_max_range))
         object.__setattr__(self, "temperatures_k", tuple(float(t) for t in self.temperatures_k))
         names = [f"{t:g}" for t in self.temperatures_k]  # bounds names one file per temperature T{t:g}K
         for k, name in enumerate(names):

@@ -11,7 +11,9 @@ operators saturates its commutant-complement bound.  That span is read off
 in closed form from the frequency components of the slope operator in the
 functional's eigenbasis, block by block on the operators' invariant-block
 stacks.  The algebra's dimension is counted exactly, by row reduction mod
-a prime of rational forms of the generators.
+a prime of rational forms of the generators, and the rank of the blocks'
+traces, from which the required counts follow, in integers from the same
+rational forms: the controllability report builds no float operator.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from .operators import (
     eigenvalue_multiplicities,
     h0_matrix,
     observable_matrix,
+    squared_cos_theta_element,
 )
 
-RANK_TOL = 1e-10
+RANK_TOL = 1e-10  # relative norm above which a frequency component adds to the fixed-point span
 STATIONARY_TOL = 1e-10
 # The prime of the exact Lie-algebra count.  Every denominator of the
 # generators' entries has prime factors no larger than 2 j_max + 3.
@@ -53,47 +56,39 @@ def check_cutoff(j_max: int) -> None:
         raise ConfigError(f"j_max={j_max} is too large for the count mod {MODULUS}: its products would overflow int64")
 
 
-def _squared_coupling(j: int, m: int) -> tuple[int, int]:
-    """cos_theta_element(j, m)^2 = ((j+1)^2 - m^2) / ((2j+1)(2j+3)), as numerator and denominator."""
-    return (j + 1) ** 2 - m * m, (2 * j + 1) * (2 * j + 3)
-
-
 def _rational_observable(j_max: int, kind: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """T O T^-1 on every block with m >= 0, as (j values, integer numerators, integer denominators).
+    """T O T^-1 on the blocks with m >= 0 of block_decomposition, as (j values, integer numerators, denominators).
 
-    Blocks come in the order of block_decomposition.  O couples each state
-    only to its neighbours in the block, symmetrically: with c the
-    coupling of slots k and k+1 (cos theta: c(j, m); cos^2 theta: the
-    product c(j, m) c(j+1, m)), the diagonal T with
+    O couples each state only to its neighbours in the block, symmetrically:
+    with c the coupling of slots k and k+1 (cos theta: c(j, m); cos^2
+    theta: the product c(j, m) c(j+1, m)), the diagonal T with
     T[k+1] = T[k] / c turns the pair (c, c) into (c^2 above, 1 below).
     The diagonal, c(j-1, m)^2 + c(j, m)^2 for cos^2 theta, and H0 stay
     as they are, so every entry is rational.
     """
+    basis = build_basis(j_max)
     out = []
-    for m in range(j_max + 1):
-        if kind == ORIENTATION:
-            starts, step = [m], 1
-        else:  # the even-j block first
-            starts, step = sorted((s for s in (m, m + 1) if s <= j_max), key=lambda s: s % 2), 2
-        for first in starts:
-            js = np.arange(first, j_max + 1, step)
-            num = np.zeros((len(js), len(js)), dtype=np.int64)
-            den = np.ones_like(num)
-            for k, j in enumerate(js.tolist()):
+    for block in block_decomposition(basis, kind).blocks:
+        if block.m < 0:
+            continue
+        m, js = block.m, basis.j_values[list(block.members)]
+        num = np.zeros((len(js), len(js)), dtype=np.int64)
+        den = np.ones_like(num)
+        for k, j in enumerate(js.tolist()):
+            if kind == ALIGNMENT:
+                a, b = squared_cos_theta_element(j, m)
+                if j > m:
+                    a0, b0 = squared_cos_theta_element(j - 1, m)
+                    a, b = a * b0 + a0 * b, b * b0
+                num[k, k], den[k, k] = a, b
+            if k + 1 < len(js):
+                a, b = squared_cos_theta_element(j, m)
                 if kind == ALIGNMENT:
-                    a, b = _squared_coupling(j, m)
-                    if j > m:
-                        a0, b0 = _squared_coupling(j - 1, m)
-                        a, b = a * b0 + a0 * b, b * b0
-                    num[k, k], den[k, k] = a, b
-                if k + 1 < len(js):
-                    a, b = _squared_coupling(j, m)
-                    if kind == ALIGNMENT:
-                        a1, b1 = _squared_coupling(j + 1, m)
-                        a, b = a * a1, b * b1
-                    num[k, k + 1], den[k, k + 1] = a, b
-                    num[k + 1, k] = 1
-            out.append((js, num, den))
+                    a1, b1 = squared_cos_theta_element(j + 1, m)
+                    a, b = a * a1, b * b1
+                num[k, k + 1], den[k, k + 1] = a, b
+                num[k + 1, k] = 1
+        out.append((js, num, den))
     return out
 
 
@@ -201,31 +196,31 @@ def lie_closure(j_max: int, kind: str) -> tuple[int, np.ndarray]:
 
 
 def block_trace_rank(j_max: int, kind: str) -> int:
-    """Rank of the per-block trace matrix [Tr H0 | Tr O] over the invariant blocks.
+    """Rank of the per-block trace matrix [Tr H0 | Tr O] over the invariant blocks, counted exactly.
 
     Orientation blocks are the m subspaces; alignment additionally resolves
-    the parity of j.  cos(theta) is traceless in every block, so the
-    orientation rank is 1; the alignment matrix carries two independent
-    columns.
+    the parity of j.  The similarity T of _rational_observable leaves the
+    traces alone and the m and -m blocks are equal, so the rows of the
+    m >= 0 blocks span the matrix's row space.  Each row, scaled to the
+    integers (Tr H0 * q, p) with Tr O = p / q, is tested against the first
+    nonzero one by a 2 x 2 minor in Python integers.  cos(theta) is
+    traceless in every block, so the orientation rank is 1; the alignment
+    matrix carries two independent columns.
     """
     check_process_kind(kind)
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
-    return _trace_rank(*_generators(j_max, kind))
-
-
-def _generators(j_max: int, kind: str) -> tuple[HermitianOperator, HermitianOperator]:
-    """H0 and the observable of the process, both on the observable's blocks."""
-    basis = build_basis(j_max)
-    obs = observable_matrix(basis, kind)
-    return h0_matrix(basis).regroup(obs.blocks), obs
-
-
-def _trace_rank(h0: HermitianOperator, obs: HermitianOperator) -> int:
-    """Rank of [Tr H0 | Tr O] over the blocks the two operators share, read off their stack diagonals."""
-    t = np.trace(np.array([h0.stack, obs.stack]), axis1=-2, axis2=-1).real.T
-    s = np.linalg.svd(t, compute_uv=False)
-    return int(np.sum(s > RANK_TOL * s[0]))
+    rows = []
+    for js, num, den in _rational_observable(j_max, kind):
+        p, q = 0, 1
+        for a, b in zip(np.diag(num).tolist(), np.diag(den).tolist()):
+            p, q = p * b + a * q, q * b
+        rows.append((sum(j * (j + 1) for j in js.tolist()) * q, p))
+    nonzero = [row for row in rows if row != (0, 0)]
+    if not nonzero:
+        return 0
+    x0, y0 = nonzero[0]
+    return 2 if any(x * y0 != y * x0 for x, y in nonzero) else 1
 
 
 def dims_required(j_max: int, r: int, kind: str = ORIENTATION) -> tuple[int, int]:
@@ -285,7 +280,7 @@ def controllability_report(j_max: int, kind: str) -> LieAlgebraReport:
     D' breaks that invariant and raises NumericalError.
     """
     dim_l, _ = lie_closure(j_max, kind)
-    r = _trace_rank(*_generators(j_max, kind))
+    r = block_trace_rank(j_max, kind)
     d, d_prime = dims_required(j_max, r, kind)
     if dim_l > d_prime:
         raise NumericalError(
@@ -404,25 +399,22 @@ class FixedPointReport:
         }
 
 
-def fixed_point_analysis(
-    h0: HermitianOperator,
-    functional: HermitianOperator,
-    tol: float = RANK_TOL,
-) -> FixedPointReport:
+def fixed_point_analysis(h0: HermitianOperator, functional: HermitianOperator) -> FixedPointReport:
     """Dimension of span{ U(a)+ i[H0, B] U(a) : a real } against N^2 - sum of squared multiplicities.
 
     B is the driving functional and U(a) = exp(i a B) the kick it generates.
     The span is the real span of the frequency components C_w of the slope
     operator: each w > 0 with C_w != 0 contributes C_w + C_w+ and
     i(C_w - C_w+), and C_0 vanishes.  A component counts when its norm
-    exceeds tol times the norm of C.  B-commuting states annihilate every
-    spanning operator, so the span can never exceed the complement of B's
-    commutant; saturation means those states are the only stationary ones.
+    exceeds RANK_TOL times the norm of C.  B-commuting states annihilate
+    every spanning operator, so the span can never exceed the complement
+    of B's commutant; saturation means those states are the only
+    stationary ones.
     """
     c, labels, zero, _ = _slope_frequencies(h0, functional)
     norms = np.sqrt(np.bincount(labels, weights=np.abs(c) ** 2))
     total = float(np.linalg.norm(c))
-    dim_span = 2 * int(np.sum(norms[zero + 1 :] > tol * total)) if total > 0 else 0
+    dim_span = 2 * int(np.sum(norms[zero + 1 :] > RANK_TOL * total)) if total > 0 else 0
     n = functional.dim
     mult = tuple(eigenvalue_multiplicities(functional))
     commutant = int(sum(k**2 for k in mult))
@@ -435,22 +427,17 @@ def fixed_point_analysis(
     )
 
 
-def is_kick_stationary(
-    rho: DensityMatrix,
-    h0: HermitianOperator,
-    functional: HermitianOperator,
-    tol: float = STATIONARY_TOL,
-) -> bool:
+def is_kick_stationary(rho: DensityMatrix, h0: HermitianOperator, functional: HermitianOperator) -> bool:
     """True when the functional slope of rho vanishes after every kick of the family exp(i a B).
 
     The slope after a kick of amplitude a is Tr[rho U(a)+ C U(a)] =
     sum_w exp(-i a w) Tr[rho C_w], which vanishes for every a exactly when
-    |Tr[rho C_w]| <= tol at every frequency w.  Fixed points of the greedy
-    iteration all pass this test.
+    |Tr[rho C_w]| <= STATIONARY_TOL at every frequency w.  Fixed points of
+    the greedy iteration all pass this test.
     """
     c, labels, _, pairs = _slope_frequencies(h0, functional)
     v = functional.eigensystem[1]
     seen = rho.regroup(functional.blocks, "state", np.inf).stack  # C couples no two blocks of B
     terms = (v.conj().transpose(0, 2, 1) @ seen @ v).transpose(0, 2, 1)[pairs] * c  # rho_lk C_kl
     traces = np.bincount(labels, weights=terms.real) + 1j * np.bincount(labels, weights=terms.imag)
-    return bool(np.all(np.abs(traces) <= tol))
+    return bool(np.all(np.abs(traces) <= STATIONARY_TOL))

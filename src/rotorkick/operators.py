@@ -316,9 +316,15 @@ def h0_matrix(basis: Basis) -> HermitianOperator:
     return HermitianOperator._exact(basis, *_on_m_blocks(basis, basis.j_values * (basis.j_values + 1.0)))
 
 
+def squared_cos_theta_element(j, m):
+    """cos_theta_element(j, m)^2 as (numerator, denominator) = ((j+1)^2 - m^2, (2j+1)(2j+3)); integer arrays allowed."""
+    return (j + 1) ** 2 - m**2, (2 * j + 1) * (2 * j + 3)
+
+
 def cos_theta_element(j, m):
     """<j+1, m|cos(theta)|j, m> between spherical harmonics of equal m; j and m may be integer arrays."""
-    return np.sqrt(((j + 1) ** 2 - m**2) / ((2 * j + 1) * (2 * j + 3)))
+    num, den = squared_cos_theta_element(j, m)
+    return np.sqrt(num / den)
 
 
 def cos_theta_matrix(basis: Basis) -> HermitianOperator:
@@ -465,21 +471,21 @@ def embed_operator(op: HermitianOperator, big_basis: Basis) -> HermitianOperator
     return HermitianOperator._exact(big_basis, *_embedded(op, big_basis))
 
 
-def cluster_labels(values: np.ndarray, scale: float, rel_tol: float = CLUSTER_TOL) -> np.ndarray:
+def cluster_labels(values: np.ndarray, scale: float) -> np.ndarray:
     """Cluster index of every value, numbered in ascending order of value.
 
     Neighbours in sorted order share a cluster when their gap is at most
-    rel_tol * max(scale, 1), so a cluster is a chain of such gaps.
+    CLUSTER_TOL * max(scale, 1), so a cluster is a chain of such gaps.
     """
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     labels = np.empty(values.size, dtype=np.int64)
-    labels[order] = np.cumsum(np.diff(ordered, prepend=ordered[:1]) > rel_tol * max(scale, 1.0))
+    labels[order] = np.cumsum(np.diff(ordered, prepend=ordered[:1]) > CLUSTER_TOL * max(scale, 1.0))
     return labels
 
 
-def eigenvalue_multiplicities(op: HermitianOperator, rel_tol: float = CLUSTER_TOL) -> list[int]:
-    """Multiplicities of the eigenvalues, clustering gaps below rel_tol * max(||op||, 1)."""
+def eigenvalue_multiplicities(op: HermitianOperator) -> list[int]:
+    """Multiplicities of the eigenvalues, clustering gaps below CLUSTER_TOL * max(||op||, 1)."""
     w = op.eigensystem[0][op.blocks.filled]
-    return np.bincount(cluster_labels(w, np.max(np.abs(w), initial=0.0), rel_tol)).tolist()
+    return np.bincount(cluster_labels(w, np.max(np.abs(w), initial=0.0))).tolist()

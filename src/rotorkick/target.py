@@ -60,9 +60,7 @@ class TargetState:
 
     rho: DensityMatrix
     scope: str  # "global" (any unitary) or "blockwise" (block-respecting unitaries)
-    observable: HermitianOperator
     achieved: float
-    blocks: BlockDecomposition | None = None
 
 
 def _paired_weights(
@@ -114,7 +112,7 @@ def build_target(
     stack = 0.5 * (stack + np.swapaxes(stack.conj(), -1, -2))  # Hermitian bit for bit
     rho_f = DensityMatrix._exact(rho0.basis, form.blocks, stack, trace_target=rho0.trace_target)
     scope = GLOBAL_SCOPE if blocks is None else BLOCKWISE_SCOPE
-    return TargetState(rho=rho_f, scope=scope, observable=obs, achieved=float(np.sum(w * chi)), blocks=blocks)
+    return TargetState(rho=rho_f, scope=scope, achieved=float(np.sum(w * chi)))
 
 
 def duration_above(

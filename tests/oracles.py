@@ -4,7 +4,9 @@ These deliberately avoid the package's own code paths: matrix elements come
 from quadrature over associated Legendre functions, pairings from exhaustive
 permutation search, partition sums from direct summation, and Lie
 algebras from brackets of every pair of elements.  float_lie_closure is the
-floating-point closure the package used before its exact count.
+floating-point closure the package used before its exact count, and
+float_trace_rank the SVD rank of the block traces it used before its
+integer count.
 """
 
 import itertools
@@ -252,6 +254,13 @@ def _orthonormalize(rows, dim, candidate, tol):
         return dim
     rows[dim] = res / norm
     return dim + 1
+
+
+def float_trace_rank(h0, obs, tol=1e-10):
+    """Rank of [Tr H0 | Tr O] over the blocks of obs, from an SVD of the float block traces cut at tol."""
+    t = np.trace(np.array([h0.regroup(obs.blocks).stack, obs.stack]), axis1=-2, axis2=-1).real.T
+    s = np.linalg.svd(t, compute_uv=False)
+    return int(np.sum(s > tol * s[0]))
 
 
 def float_lie_closure(operators, tol=1e-10):

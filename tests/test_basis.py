@@ -7,7 +7,6 @@ from oracles import block_diagonal_part, block_stack, direct_partition_sum
 from rotorkick.basis import (
     ALIGNMENT,
     ORIENTATION,
-    Basis,
     BasisIndex,
     Block,
     BlockDecomposition,
@@ -123,14 +122,6 @@ def test_block_ordering_deterministic():
     blocks = block_decomposition(build_basis(3), ALIGNMENT)
     keys = [(b.m, b.parity) for b in blocks.blocks]
     assert keys == sorted(keys)
-
-
-def test_serialization_roundtrip_and_stability():
-    a = build_basis(5)
-    b = build_basis(5)
-    assert a.to_json() == b.to_json()  # byte-identical across runs
-    restored = Basis.from_json(a.to_json())
-    assert restored == a
 
 
 def test_unknown_kind_rejected():

@@ -72,13 +72,14 @@ def test_preset_config_hashes_are_pinned(preset, digest):
 
 
 def test_importing_the_cli_loads_no_openssl():
-    # the config hash comes from the interpreter's builtin SHA-256, so hashlib's OpenSSL backend stays unloaded
+    # the config hash comes from the interpreter's builtin SHA-256, so hashlib's OpenSSL backend stays unloaded;
+    # the exact counts work in Python integers, so fractions and the decimal module it imports stay unloaded too
     src = str(pathlib.Path(rotorkick.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, rotorkick.cli; print('_hashlib' in sys.modules)"
+    code = "import sys, rotorkick.cli; print([m for m in ('_hashlib', 'fractions', 'decimal') if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_config_validation_errors():
@@ -153,12 +154,6 @@ def test_write_csv_matches_fmt_per_cell(tmp_path):
     write_csv(str(path), list("abcdef"), rows)
     lines = path.read_text().splitlines()
     assert lines[1:] == [",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows]
-
-
-def test_basis_json_schema():
-    basis = build_basis(1)
-    payload = json.loads(basis.to_json())
-    assert payload == {"j_max": 1, "states": [[1, -1], [0, 0], [1, 0], [1, 1]]}
 
 
 def test_load_config_errors(tmp_path):
@@ -345,6 +340,28 @@ def test_cli_invalid_parameter_exit_code(tmp_path, capsys):
     path = _raw_config_file(tmp_path, j_max_range=[0, 1])
     assert main(["bounds", "--config", str(path)]) == 2
     assert "j_max_range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("simulate", "j_max", 1.5),
+        ("fixedpoints", "j_max", 1.5),
+        ("bounds", "j_max", 1.5),
+        ("simulate", "j_sim", 2.5),
+        ("simulate", "j_sim", True),
+        ("simulate", "max_kicks", 2.5),
+        ("bounds", "j_max_range", [1.5, 3]),
+        ("bounds", "j_max_range", [True, 2]),
+        ("simulate", "renormalize", "no"),
+        ("bounds", "renormalize", 0),
+    ],
+)
+def test_cli_mistyped_config_value_is_config_error(tmp_path, capsys, command, field, value):
+    path = _raw_config_file(tmp_path, **{field: value})
+    assert main([command, "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize(

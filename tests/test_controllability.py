@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import float_lie_closure, haar_unitary, sampled_slope_span, sequential_exact_closure
+from oracles import float_lie_closure, float_trace_rank, haar_unitary, sampled_slope_span, sequential_exact_closure
 
 from rotorkick import controllability
 
@@ -318,6 +318,24 @@ def test_cutoffs_outside_the_modulus_range_are_config_errors(monkeypatch):
 def test_block_trace_ranks(j_max):
     assert block_trace_rank(j_max, ORIENTATION) == 1
     assert block_trace_rank(j_max, ALIGNMENT) == 2
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_block_trace_rank_matches_the_float_rank(kind):
+    for j_max in range(1, 41):
+        basis = build_basis(j_max)
+        assert block_trace_rank(j_max, kind) == float_trace_rank(h0_matrix(basis), observable_matrix(basis, kind))
+
+
+@pytest.mark.parametrize("kind, j_max", [(ORIENTATION, 5), (ALIGNMENT, 6)])
+def test_controllability_report_builds_no_float_operator(kind, j_max, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("the report built a float operator")
+
+    expected = controllability_report(j_max, kind)
+    monkeypatch.setattr(controllability, "h0_matrix", built)
+    monkeypatch.setattr(controllability, "observable_matrix", built)
+    assert controllability_report(j_max, kind) == expected
 
 
 def test_orientation_trace_entries():
