@@ -9,8 +9,8 @@ maxima, slopes) and the post-train figures of merit.
 With --j-sim J [J ...] every preset is rerun with each enlarged cutoff J in
 place of the preset's j_sim = 16, and the wall time of each run (both
 modes) is printed with the process's peak RSS so far (ru_maxrss), e.g.
-`scripts/run_trains.py --j-sim 16 24 32 48`.  The first line is the peak of
-one licl-5K run; later lines include every run before them.
+`scripts/run_trains.py --j-sim 16 24 32 48 96 128 256`.  The first line
+is the peak of one licl-5K run; later lines include every run before them.
 """
 
 import argparse

@@ -71,25 +71,26 @@ class Basis:
         return {}
 
 
-_BASES: dict[int, Basis] = {}
+_BASES: dict[tuple[int, int], Basis] = {}
 
 
-def build_basis(j_max: int) -> Basis:
-    """Enumerate all |j, m> with |m| <= j <= j_max; dimension is (j_max + 1)**2.
+def build_basis(j_max: int, m_max: int | None = None) -> Basis:
+    """Enumerate all |j, m> with |m| <= j <= j_max and |m| <= m_max, in ascending m, then ascending j.
 
-    One basis is built per cutoff and returned to every later call, so
-    everything built on it shares its cached lookup and decompositions.
+    Without m_max the dimension is (j_max + 1)**2.  A cut m_max keeps the
+    shells |m| <= m_max, a contiguous run of the states of build_basis(j_max),
+    such as the m blocks that a control space with j <= m_max reaches.  One
+    basis is built per cutoff pair and returned to every later call, so
+    build_basis(j, j) is build_basis(j), and everything built on it shares
+    its cached lookup and decompositions.
     """
-    if j_max < 0:
-        raise ValueError(f"j_max must be non-negative, got {j_max}")
-    if j_max not in _BASES:
-        states = tuple(
-            BasisIndex(j, m)
-            for m in range(-j_max, j_max + 1)
-            for j in range(abs(m), j_max + 1)
-        )
-        _BASES[j_max] = Basis(j_max=int(j_max), states=states)  # a numpy integer would leak to later callers
-    return _BASES[j_max]
+    if j_max < 0 or (m_max is not None and m_max < 0):
+        raise ValueError(f"j_max and m_max must be non-negative, got {j_max} and {m_max}")
+    m_cut = int(j_max if m_max is None else min(m_max, j_max))  # a numpy integer would leak to later callers
+    if (j_max, m_cut) not in _BASES:
+        states = tuple(BasisIndex(j, m) for m in range(-m_cut, m_cut + 1) for j in range(abs(m), j_max + 1))
+        _BASES[j_max, m_cut] = Basis(j_max=int(j_max), states=states)
+    return _BASES[j_max, m_cut]
 
 
 @dataclass(frozen=True)

@@ -81,40 +81,28 @@ def _series_rows(series: TimeSeries):
 def _run_one_mode(config: RunConfig, mode: str):
     """One strategy run: control space ("idealized") or enlarged space ("physical").
 
-    Both modes drive on, and report, the control-space observable, so the
-    pair of runs measures how well the truncated propagation tracks the
-    enlarged one.  Only the kick differs: in physical mode it is the
-    exponential of the observable built on the enlarged basis.
+    Both modes drive on, and report, the control-space observable and target,
+    zero-padded into the basis the train runs on.  They differ only in its
+    cutoff j_cut, j_max or j_sim, and in the leak guard.  H0 and the kick
+    conserve m, and both functionals vanish on every m block with
+    |m| > j_max, which therefore never moves an output: the basis holds the
+    m shells |m| <= j_max of all states with j <= j_cut, and the thermal
+    state is normalized over all of those states, seen or not.
     """
+    j_cut, leak_guard = (config.j_max, None) if mode == "idealized" else (config.j_sim, config.j_sim - 2)
     control_basis = build_basis(config.j_max)
-    control_rho0 = thermal_state(
-        control_basis, config.beta, z_mode=config.z_mode, renormalize=config.renormalize
-    )
+    control_rho0 = thermal_state(control_basis, config.beta, z_mode=config.z_mode, renormalize=config.renormalize)
     control_obs = observable_matrix(control_basis, config.process)
-    blocks = block_decomposition(control_basis, config.process)
-    target = build_target(control_rho0, control_obs, blocks)
+    target = build_target(control_rho0, control_obs, block_decomposition(control_basis, config.process))
 
-    if mode == "idealized":
-        basis = control_basis
-        rho0 = control_rho0
-        observable = control_obs
-        leak_guard = None
-    else:
-        basis = build_basis(config.j_sim)
-        rho0 = thermal_state(basis, config.beta, z_mode=config.z_mode, renormalize=config.renormalize)
-        observable = embed_operator(control_obs, basis)
-        leak_guard = config.j_sim - 2
-        target = replace(target, rho=embed_density(target.rho, basis))
-    h0 = h0_matrix(basis)
-    kick = make_kick(basis, config.process, config.kick_amplitude)
-
+    basis = build_basis(j_cut, config.j_max)
     record, series = run_strategy(
-        rho0,
+        thermal_state(basis, config.beta, z_mode=config.z_mode, renormalize=config.renormalize),
         config.strategy,
-        kick,
-        h0,
-        target=target,
-        observable=observable,
+        make_kick(basis, config.process, config.kick_amplitude),
+        h0_matrix(basis),
+        target=replace(target, rho=embed_density(target.rho, basis)),
+        observable=embed_operator(control_obs, basis),
         max_kicks=config.max_kicks,
         gain_tol=config.gain_tol,
         duration_threshold=config.threshold,

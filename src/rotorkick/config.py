@@ -8,7 +8,9 @@ units never leak into the numerical core.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,6 +64,7 @@ class MoleculeParams:
     pulse_duration_ps: float | None = None
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.b_cm <= 0:
             raise ConfigError(f"rotational constant must be positive, got {self.b_cm}")
         if self.temperature_k <= 0:
@@ -86,9 +89,32 @@ _LICL_B_CM = 0.70652
 _LICL_TAU_PS = 0.01 / b_rad_per_ps(_LICL_B_CM)
 
 
-def _is_int(value) -> bool:
-    """True for an int, such as JSON's integers; False for a bool, a float or anything else."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _conforms(value, hint) -> bool:
+    """Whether value has the annotated type: an int is a float and a list a tuple, a bool neither int nor float."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (tuple, list)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_conforms(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if args:  # a union such as float | None
+        return any(_conforms(value, arm) for arm in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+_type_hints = cache(get_type_hints)  # evaluating the annotations takes about 0.3 ms per class
+
+
+def _check_types(config) -> None:
+    """ConfigError naming the first field of a config dataclass whose value does not have the declared type."""
+    hints = _type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _conforms(value, hints[f.name]):
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,11 +138,7 @@ class RunConfig:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("j_max", "j_sim", "max_kicks"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not isinstance(self.renormalize, bool):
-            raise ConfigError(f"renormalize must be true or false, got {self.renormalize!r}")
+        _check_types(self)
         if self.process not in PROCESS_KINDS:
             raise ConfigError(f"process must be one of {PROCESS_KINDS}, got {self.process!r}")
         if self.strategy not in ("S1", "S2"):
@@ -135,8 +157,6 @@ class RunConfig:
             raise ConfigError(f"gain_tol must be positive, got {self.gain_tol}")
         if self.kb_cm_per_k <= 0:
             raise ConfigError(f"kb_cm_per_k must be positive, got {self.kb_cm_per_k}")
-        if len(self.j_max_range) != 2 or not all(map(_is_int, self.j_max_range)):
-            raise ConfigError(f"j_max_range must be a [lo, hi] pair of integers, got {self.j_max_range!r}")
         if any(t <= 0 for t in self.temperatures_k):
             raise ConfigError(f"temperatures must be positive, got {self.temperatures_k!r}")
         object.__setattr__(self, "j_max_range", tuple(self.j_max_range))
@@ -176,7 +196,10 @@ class RunConfig:
     def from_dict(cls, payload: dict) -> "RunConfig":
         data = dict(payload)
         try:
-            molecule = MoleculeParams(**data.pop("molecule"))
+            molecule = MoleculeParams(**data.pop("molecule", {}))
+        except (TypeError, ConfigError) as exc:
+            raise ConfigError(f"molecule: {exc}") from exc
+        try:
             return cls(molecule=molecule, **data)
         except TypeError as exc:
             raise ConfigError(f"malformed config: {exc}") from exc

@@ -322,8 +322,10 @@ def run_strategy(
     measured with; it defaults to the kick generator.  When the dynamics runs
     in an enlarged simulation space, pass the control-space observable zero-
     padded into that space, so that both propagations chase the same figure
-    of merit.  leak_guard_j, when set, attaches a warning whenever the shells
-    above it hold more than 1e-4 population after a kick.
+    of merit.  leak_guard_j, when set, attaches a warning whenever the states
+    of the basis with j above it hold more than 1e-4 population after a
+    kick; on a basis of some m shells (build_basis with m_max) that counts
+    those shells only.
 
     The train runs on the invariant blocks of the kick's process: an input
     state, observable or target that couples two of them raises ValueError,
@@ -337,7 +339,7 @@ def run_strategy(
     observable, target and slope weigh each kept block by its number of
     copies, as do the leakage warnings.  A state that breaks one +-m pair
     runs that pair on both copies and still folds the others.  final_state
-    is unfolded onto all blocks of the kick's process.
+    is unfolded onto all blocks of the kick's process, on the basis of rho0.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")

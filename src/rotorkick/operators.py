@@ -398,14 +398,18 @@ def thermal_state(
 
     z_mode="full" normalizes with the untruncated partition sum, so the
     projected state carries trace below one (the deficit is the population
-    excluded by the cutoff); z_mode="truncated" sums Z over the basis only.
-    With renormalize=True the projected state is rescaled to unit trace.
+    excluded by the cutoff); z_mode="truncated" sums Z over every state with
+    j <= basis.j_max.  With renormalize=True the weights are rescaled so that
+    those states hold unit trace.  Both sums run over all of them in the
+    order of build_basis(basis.j_max), also for a basis that holds only some
+    m shells of them; such a state declares the trace of its own states.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if z_mode not in ("full", "truncated"):
         raise ValueError(f"unknown z_mode {z_mode!r}")
-    j = basis.j_values.astype(float)
+    top = basis.j_max
+    j = np.concatenate([np.arange(abs(m), top + 1.0) for m in range(-top, top + 1)])
     boltzmann = np.exp(-beta * j * (j + 1))
     z = partition_function(beta) if z_mode == "full" else float(boltzmann.sum())
     weights = boltzmann / z
@@ -413,6 +417,9 @@ def thermal_state(
     if renormalize:
         weights = weights / trace
         trace = 1.0
+    weights = weights[top * (top + 1) // 2 + basis.j_values]  # the m = 0 run holds j = 0..top; a weight depends on j
+    if basis.dim < j.size:  # some states with j <= top are not in the basis
+        trace = float(weights.sum())
     return DensityMatrix._exact(basis, *_on_m_blocks(basis, weights), trace_target=trace)
 
 

@@ -4,9 +4,11 @@ These deliberately avoid the package's own code paths: matrix elements come
 from quadrature over associated Legendre functions, pairings from exhaustive
 permutation search, partition sums from direct summation, and Lie
 algebras from brackets of every pair of elements.  float_lie_closure is the
-floating-point closure the package used before its exact count, and
+floating-point closure the package used before its exact count,
 float_trace_rank the SVD rank of the block traces it used before its
-integer count.
+integer count, and full_basis_physical_run the physical-mode train on every
+state with j <= j_sim, as the CLI ran it before it kept only the m shells
+that the control space sees.
 """
 
 import itertools
@@ -150,6 +152,52 @@ def dense_train(rho0, strategy, kick, h0, target=None, observable=None, max_kick
     out["final_duration"] = (duration.total, duration.longest)
     out["maxima"].append(final.value if strategy == S1 else out["final_projection"])
     return out
+
+
+def _summed_thermal_state(basis, config):
+    """The thermal state of a config on every state of the basis, its weights summed here in the basis's order."""
+    from rotorkick.basis import ORIENTATION, block_decomposition
+    from rotorkick.operators import DensityMatrix
+
+    j = basis.j_values.astype(float)
+    boltzmann = np.exp(-config.beta * j * (j + 1))
+    weights = boltzmann / (direct_partition_sum(config.beta) if config.z_mode == "full" else boltzmann.sum())
+    if config.renormalize:
+        weights = weights / weights.sum()
+    blocks = block_decomposition(basis, ORIENTATION)
+    return DensityMatrix.from_matrix(basis, np.diag(weights), blocks, trace_target=float(weights.sum()))
+
+
+def full_basis_physical_run(config):
+    """run_strategy's (record, series) for the physical mode of a config, on the whole build_basis(j_sim).
+
+    The control-space target and observable are zero-padded into all
+    (j_sim + 1)**2 states, and both thermal states are summed by
+    _summed_thermal_state; the rest is the package's.
+    """
+    from dataclasses import replace
+
+    from rotorkick.basis import block_decomposition, build_basis
+    from rotorkick.dynamics import make_kick, run_strategy
+    from rotorkick.operators import embed_density, embed_operator, h0_matrix, observable_matrix
+    from rotorkick.target import build_target
+
+    control = build_basis(config.j_max)
+    obs = observable_matrix(control, config.process)
+    target = build_target(_summed_thermal_state(control, config), obs, block_decomposition(control, config.process))
+    basis = build_basis(config.j_sim)
+    return run_strategy(
+        _summed_thermal_state(basis, config),
+        config.strategy,
+        make_kick(basis, config.process, config.kick_amplitude),
+        h0_matrix(basis),
+        target=replace(target, rho=embed_density(target.rho, basis)),
+        observable=embed_operator(obs, basis),
+        max_kicks=config.max_kicks,
+        gain_tol=config.gain_tol,
+        duration_threshold=config.threshold,
+        leak_guard_j=config.j_sim - 2,
+    )
 
 
 def dense_target(rho0, obs, blocks=None):

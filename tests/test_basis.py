@@ -52,6 +52,14 @@ def test_enumeration_complete_and_unique(j_max):
         assert basis.index_of(s.j, s.m) == k
 
 
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=14))
+def test_m_shells_are_the_states_of_the_full_basis_with_small_m(j_max, m_max):
+    shells = build_basis(j_max, m_max)
+    assert shells.states == tuple(s for s in build_basis(j_max).states if abs(s.m) <= m_max)
+    assert shells.j_max == j_max and build_basis(j_max, m_max) is shells
+    assert (shells is build_basis(j_max)) == (m_max >= j_max)
+
+
 def test_invalid_states_rejected():
     with pytest.raises(ValueError):
         BasisIndex(-1, 0)
@@ -59,6 +67,8 @@ def test_invalid_states_rejected():
         BasisIndex(1, 2)
     with pytest.raises(ValueError):
         build_basis(-1)
+    with pytest.raises(ValueError):
+        build_basis(3, -1)
 
 
 def test_orientation_blocks_j1():

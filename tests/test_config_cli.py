@@ -355,12 +355,28 @@ def test_cli_invalid_parameter_exit_code(tmp_path, capsys):
         ("bounds", "j_max_range", [True, 2]),
         ("simulate", "renormalize", "no"),
         ("bounds", "renormalize", 0),
+        ("bounds", "out_dir", 5),
+        ("simulate", "kick_amplitude", True),
+        ("bounds", "temperatures_k", [True]),
+        ("simulate", "threshold", "0.5"),
+        ("simulate", "gain_tol", "1e-4"),
+        ("bounds", "molecule", {"b_cm": "0.7", "temperature_k": 5.0}),
+        ("bounds", "molecule", {"b_cm": 0.7, "temperature_k": 5.0, "dipole_debye": False}),
+        ("bounds", "molecule", [0.7, 5.0]),
     ],
 )
 def test_cli_mistyped_config_value_is_config_error(tmp_path, capsys, command, field, value):
     path = _raw_config_file(tmp_path, **{field: value})
     assert main([command, "--config", str(path)]) == 2
     assert field in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_config_without_molecule_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"process": "orientation", "out_dir": str(tmp_path)}))
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert "molecule" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 

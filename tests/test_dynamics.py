@@ -27,7 +27,7 @@ from rotorkick.operators import (
 )
 from rotorkick.target import build_target
 
-from oracles import dense_train
+from oracles import dense_train, full_basis_physical_run
 
 
 def _coherent_pair(basis, phase=0.0):
@@ -504,13 +504,39 @@ def test_presets_fold_onto_one_copy_of_each_mirror_pair(preset, mode, monkeypatc
     import rotorkick.cli as cli
     from rotorkick.config import PRESETS
 
+    config = PRESETS[preset].with_overrides(j_sim=12)
     seen = _recorded_kick_operators(monkeypatch)
-    record, _, _ = cli._run_one_mode(PRESETS[preset].with_overrides(j_sim=12), mode)
+    record, _, _ = cli._run_one_mode(config, mode)
     assert seen and all(op is seen[0] for op in seen)
-    assert min(s.m for s in seen[0].basis.states) == 0
+    # the kept blocks are the m shells the control space sees, m = 0..j_max, each parity that holds a state
+    j_cut = config.j_sim if mode == "physical" else config.j_max
+    alignment = config.process == ALIGNMENT
+    held = {(m, j % 2 if alignment else None) for m in range(config.j_max + 1) for j in range(m, j_cut + 1)}
+    shells = [(m, p) for m in range(config.j_max + 1) for p in ((0, 1) if alignment else (None,)) if (m, p) in held]
+    assert [(block.m, block.parity) for block in seen[0].blocks.blocks] == shells
+    assert build_basis(config.j_max, config.j_max) is build_basis(config.j_max)
     full = block_decomposition(record.final_state.basis, PRESETS[preset].process)
     assert record.final_state.blocks == full
     assert seen[0].blocks.n_blocks == sum(block.m >= 0 for block in full.blocks)
+
+
+@pytest.mark.parametrize("preset", ["licl-5K", "licl-5K-alignment"])
+@pytest.mark.parametrize("setting", [{"z_mode": "truncated"}, {"renormalize": True}])
+def test_physical_mode_on_the_seen_shells_matches_the_full_basis_train(preset, setting):
+    # the thermal state keeps its normalization over every state with j <= j_sim, also the unseen shells
+    import rotorkick.cli as cli
+    from rotorkick.config import PRESETS
+
+    config = PRESETS[preset].with_overrides(j_max=2, j_sim=10, **setting)
+    record, series, _ = cli._run_one_mode(config, "physical")
+    reference, reference_series = full_basis_physical_run(config)
+    assert record.final_state.basis is build_basis(10, 2)
+    got, want = record.to_jsonable(), reference.to_jsonable()
+    assert got["amplitudes"] == want["amplitudes"] and got["stop_reason"] == want["stop_reason"]
+    numbers = ["times_over_Trot", "post_kick_slopes", "maxima", "pre_kick_values", "final_efficiency"]
+    for key in numbers + ["final_efficiency_time_over_Trot", "final_duration_above"]:
+        assert got[key] == pytest.approx(want[key], rel=0.0, abs=1e-14), key
+    assert np.max(np.abs(series.expectation - reference_series.expectation)) <= 1e-14
 
 
 def test_train_builds_the_kick_exponential_once(monkeypatch):

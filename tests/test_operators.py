@@ -186,6 +186,16 @@ def test_thermal_modes_and_renormalize():
     assert np.max(np.abs(renorm.matrix - trunc.matrix)) < 1e-14
 
 
+@pytest.mark.parametrize("settings", [{}, {"z_mode": "truncated"}, {"renormalize": True}])
+def test_thermal_state_on_m_shells_is_the_full_state_restricted(settings):
+    # weights and normalization are those of every state with j <= j_max, bit for bit, seen or not
+    full, shells = build_basis(10), build_basis(10, 2)
+    whole, part = thermal_state(full, 0.3, **settings), thermal_state(shells, 0.3, **settings)
+    seen = [full.index_of(s.j, s.m) for s in shells.states]
+    assert np.array_equal(part.diagonal, whole.diagonal[seen])
+    assert part.trace_target == pytest.approx(whole.diagonal[seen].sum(), rel=1e-15)
+
+
 def test_thermal_invalid_beta():
     basis = build_basis(1)
     with pytest.raises(ValueError):
