@@ -194,9 +194,9 @@ class BlockDecomposition:
     def restack(self, stack: np.ndarray, source: BlockDecomposition, what="matrix", tol=0.0) -> np.ndarray:
         """This decomposition's stack of the operator held as stack on source blocks of one basis, via a dense matrix.
 
-        It moves a stack to and from one block of all states.  Entries that
-        land in no block here are dropped when none exceeds tol in
-        magnitude (NaN does); otherwise ValueError.  Padding is never read.
+        Entries that land in no block here are dropped when none exceeds
+        tol in magnitude (NaN does); otherwise ValueError.  Padding is never
+        read.
         """
         dense = np.pad(source.scatter(stack), (0, 1))  # padding slots read the zero last row and column
         here = (self.slots[:, :, None], self.slots[:, None, :])
@@ -205,36 +205,6 @@ class BlockDecomposition:
         dev = float(np.max(np.abs(dense), initial=0.0))
         if not dev <= tol:  # NaN included
             raise ValueError(f"{what} couples states in different invariant blocks ({dev:.3e})")
-        return out
-
-    def reslice(self, stack: np.ndarray, source: BlockDecomposition, what="matrix", tol=0.0) -> np.ndarray:
-        """This decomposition's stack of a Hermitian operator held as stack on source blocks, by strided slices.
-
-        One of the two is the m blocks and the other the (m, parity) blocks
-        of one basis: block (m, p) is the slice [p::2, p::2] of block m.
-        Entries between the two parities of an m block are dropped when
-        none exceeds tol in magnitude (NaN does); otherwise ValueError.
-        Padding is never read.
-        """
-        split = source.kind == ORIENTATION
-        coarse, fine = (source, self) if split else (self, source)
-        if split:
-            f = source.filled
-            dev = float(np.max(np.abs(stack[:, 0::2, 1::2][f[:, 0::2, None] & f[:, None, 1::2]]), initial=0.0))
-            if not dev <= tol:  # NaN included
-                raise ValueError(f"{what} couples states in different invariant blocks ({dev:.3e})")
-        of_m = {block.m: b for b, block in enumerate(coarse.blocks)}
-        out = np.zeros((self.n_blocks,) + 2 * self.slots.shape[1:], dtype=stack.dtype)
-        for p in (0, 1):
-            parts = [b for b, block in enumerate(fine.blocks) if block.parity == p]
-            wide = [of_m[fine.blocks[b].m] for b in parts]
-            n = len(range(p, coarse.slots.shape[1], 2))
-            if split:
-                out[parts, :n, :n] = stack[wide, p::2, p::2]
-            else:
-                out[wide, p::2, p::2] = stack[parts, :n, :n]
-        f = self.filled
-        out[~(f[:, :, None] & f[:, None, :])] = 0.0  # whatever the source held on its padding
         return out
 
     def scatter(self, stack: np.ndarray) -> np.ndarray:

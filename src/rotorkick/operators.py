@@ -7,9 +7,10 @@ integer level spacings, so free evolution is periodic with period pi.
 Every operator of the package conserves m, and cos^2(theta) also the parity
 of j, so an operator is stored as the stack of its invariant blocks (see
 BlockDecomposition.slots).  This module alone decides which blocks an
-operator carries; BlockDecomposition.reslice moves a stack between the m and
-the (m, parity) blocks, and BlockDecomposition.restack to and from one block
-of all states.
+operator carries.  HermitianOperator.regroup moves an operator with no
+off-diagonal entry, such as H0 or a thermal state, onto other blocks by its
+diagonal, and any other operator through a dense matrix
+(BlockDecomposition.restack).
 
 It also decides a stack's dtype, which follows the math: H0, the thermal
 state, cos(theta), cos^2(theta) and whatever is built from their
@@ -121,18 +122,23 @@ class HermitianOperator:
         return cls(basis, blocks, blocks.restack(matrix[None], whole), **fields)
 
     def regroup(self, blocks: BlockDecomposition, what: str = "operator", tol: float = 0.0):
-        """The same operator on other blocks of its basis: self when they are equal, else resliced or restacked.
+        """The same operator on other blocks of its basis, in the same dtype: self when they are equal.
 
-        Entries coupling two of the new blocks are dropped when none exceeds
-        tol in magnitude; otherwise ValueError naming `what`, as for blocks
-        of a basis of another size.
+        An operator with no off-diagonal entry is rebuilt on the new blocks
+        from its diagonal, bit for bit what restack gives; any other is
+        restacked.  Entries coupling two of the new blocks are dropped when
+        none exceeds tol in magnitude; otherwise ValueError naming `what`,
+        as for blocks of a basis of another size.
         """
         if blocks.dim != self.dim:
             raise ValueError(f"{what} on {self.dim} states cannot move onto the blocks of a {blocks.dim}-state basis")
         if blocks == self.blocks:
             return self
-        move = blocks.reslice if {blocks.kind, self.blocks.kind} == set(PROCESS_KINDS) else blocks.restack
-        return replace(self, blocks=blocks, stack=move(self.stack, self.blocks, what=what, tol=tol))
+        if self._is_diagonal:
+            stack = _diagonal_stack(blocks, self.blocks.scatter_diagonal(np.diagonal(self.stack, axis1=-2, axis2=-1)))
+        else:
+            stack = blocks.restack(self.stack, self.blocks, what=what, tol=tol)
+        return replace(self, blocks=blocks, stack=stack)
 
     @property
     def dim(self) -> int:
@@ -144,6 +150,11 @@ class HermitianOperator:
         mat = self.blocks.scatter(self.stack)
         mat.flags.writeable = False
         return mat
+
+    @cached_property
+    def _is_diagonal(self) -> bool:
+        """True if the stack holds no nonzero (or NaN) entry off its diagonal."""
+        return np.count_nonzero(self.stack) == np.count_nonzero(np.diagonal(self.stack, axis1=-2, axis2=-1))
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +172,8 @@ class HermitianOperator:
         n_blocks, size = self.stack.shape[:2]
         w = np.zeros((n_blocks, size))
         v = np.zeros((n_blocks, size, size), dtype=self.stack.dtype)
-        diagonal = np.diagonal(self.stack, axis1=-2, axis2=-1).real
-        if np.count_nonzero(self.stack) == np.count_nonzero(diagonal):
+        if self._is_diagonal:
+            diagonal = np.diagonal(self.stack, axis1=-2, axis2=-1).real
             # no off-diagonal entry: the sorted diagonal, bit for bit eigh's eigenvalues, and permutation columns
             filled = self.blocks.filled
             ahead = np.cumsum(filled, axis=-1) == 0  # padding before the members sorts first, the rest last
@@ -206,7 +217,7 @@ class HermitianOperator:
 
         ValueError if any off-diagonal entry is nonzero.
         """
-        if np.count_nonzero(self.stack) != np.count_nonzero(np.diagonal(self.stack, axis1=-2, axis2=-1)):
+        if not self._is_diagonal:
             raise ValueError("h0 must be diagonal in the stored basis")
         return self.diagonal
 
@@ -281,14 +292,13 @@ class DensityMatrix(HermitianOperator):
             raise NumericalError(f"kicked state: {exc}") from exc
 
 
-def _on_m_blocks(basis: Basis, values: np.ndarray) -> tuple[BlockDecomposition, np.ndarray]:
-    """The m blocks of the basis, which every operator of the package conserves, and diag(values) on them."""
-    blocks = block_decomposition(basis, ORIENTATION)
+def _diagonal_stack(blocks: BlockDecomposition, values: np.ndarray) -> np.ndarray:
+    """The stack of diag(values) on blocks, for a basis vector values, in its dtype."""
     n_blocks, size = blocks.slots.shape
-    stack = np.zeros((n_blocks, size, size))
+    stack = np.zeros((n_blocks, size, size), dtype=values.dtype)
     diagonal = np.arange(size)
-    stack[:, diagonal, diagonal] = np.append(values, 0.0)[blocks.slots]  # padding slots read the appended zero
-    return blocks, stack
+    stack[:, diagonal, diagonal] = np.append(values, 0)[blocks.slots]  # padding slots read the appended zero
+    return stack
 
 
 def _ladder(basis: Basis, kind: str, diagonal, step: int, coupling) -> HermitianOperator:
@@ -313,7 +323,8 @@ def _ladder(basis: Basis, kind: str, diagonal, step: int, coupling) -> Hermitian
 
 def h0_matrix(basis: Basis) -> HermitianOperator:
     """Field-free Hamiltonian: diagonal j(j+1) in units of B, on the m blocks."""
-    return HermitianOperator._exact(basis, *_on_m_blocks(basis, basis.j_values * (basis.j_values + 1.0)))
+    blocks = block_decomposition(basis, ORIENTATION)
+    return HermitianOperator._exact(basis, blocks, _diagonal_stack(blocks, basis.j_values * (basis.j_values + 1.0)))
 
 
 def squared_cos_theta_element(j, m):
@@ -420,7 +431,8 @@ def thermal_state(
     weights = weights[top * (top + 1) // 2 + basis.j_values]  # the m = 0 run holds j = 0..top; a weight depends on j
     if basis.dim < j.size:  # some states with j <= top are not in the basis
         trace = float(weights.sum())
-    return DensityMatrix._exact(basis, *_on_m_blocks(basis, weights), trace_target=trace)
+    blocks = block_decomposition(basis, ORIENTATION)
+    return DensityMatrix._exact(basis, blocks, _diagonal_stack(blocks, weights), trace_target=trace)
 
 
 def kick_unitary(op: HermitianOperator, amplitude: float) -> np.ndarray:

@@ -19,12 +19,19 @@ def fmt(value) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temporary file in the same directory, then rename into place."""
+    """Write via a temporary file in the same directory, then rename into place.
+
+    The file gets mode 0o666 & ~umask, as open(path, "w") would create it;
+    mkstemp alone would leave it 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            umask = os.umask(0)  # the only way to read it sets it; it is restored at once
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

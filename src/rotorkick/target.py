@@ -76,12 +76,10 @@ def _paired_weights(
         form = obs
         chi = form.eigensystem[0]
         filled = form.blocks.filled
-        # eigenvalues flattened in block order: the stable sort keeps basis order on ties
-        order = np.argsort(-chi[filled], kind="stable")
-        paired = np.empty(order.size)
-        paired[order] = rho0.eigenvalues  # descending
+        weights = rho0.eigenvalues
+        # eigenvalues flattened in block order: the stable pairing keeps basis order on ties
         w = np.zeros_like(chi)
-        w[filled] = paired
+        w[filled] = weights[list(optimal_pairing(weights, chi[filled]).permutation)]
     else:
         form = obs.regroup(blocks, "observable", _OFF_BLOCK_TOL)
         chi = form.eigensystem[0]

@@ -148,12 +148,6 @@ def _decomposition(basis, name):
     return block_decomposition(basis, ORIENTATION if name == "m" else ALIGNMENT)
 
 
-def _move(target, stack, source, **kwargs):
-    """The stack moved onto the target layout as HermitianOperator.regroup moves it."""
-    move = target.reslice if {source.kind, target.kind} == {ORIENTATION, ALIGNMENT} else target.restack
-    return move(stack, source, **kwargs)
-
-
 def _random_operator(basis, blocks, rng):
     """A random Hermitian matrix that couples no two of the given blocks."""
     z = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
@@ -173,10 +167,9 @@ def test_restack_matches_dense_oracle(j_max, source, target, seed):
     # an operator on the (m, parity) blocks is block diagonal in every layout
     dense = _random_operator(basis, _decomposition(basis, "m-parity"), np.random.default_rng(seed))
     stack = block_stack(dense, src)
-    assert np.array_equal(dst.restack(stack, src), block_stack(dense, dst))
-    moved = _move(dst, stack, src)
+    moved = dst.restack(stack, src)
     assert np.array_equal(moved, block_stack(dense, dst))
-    assert np.array_equal(_move(src, moved, dst), stack)  # and back, exactly
+    assert np.array_equal(src.restack(moved, dst), stack)  # and back, exactly
 
 
 def test_restack_moves_the_thermal_state_and_back():
@@ -185,12 +178,26 @@ def test_restack_moves_the_thermal_state_and_back():
     rho = thermal_state(basis, beta)
     weights = np.array([np.exp(-beta * s.j * (s.j + 1)) for s in basis.states]) / direct_partition_sum(beta)
     dense = np.diag(weights).astype(complex)
-    stack, blocks = rho.stack, rho.blocks
+    state = rho
     for name in ("m-parity", "one", "m"):
-        target = _decomposition(basis, name)
-        stack, blocks = _move(target, stack, blocks), target
-        assert np.max(np.abs(stack - block_stack(dense, blocks))) <= 1e-15
-    assert blocks == rho.blocks and np.array_equal(stack, rho.stack)
+        state = state.regroup(_decomposition(basis, name))
+        assert np.max(np.abs(state.stack - block_stack(dense, state.blocks))) <= 1e-15
+    assert state.blocks == rho.blocks and np.array_equal(state.stack, rho.stack)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("source", LAYOUTS)
+@pytest.mark.parametrize("target", LAYOUTS)
+def test_regroup_moves_a_diagonal_stack_as_restack_does(source, target, dtype):
+    basis = build_basis(4)
+    src, dst = _decomposition(basis, source), _decomposition(basis, target)
+    weights = np.random.default_rng(5).random(basis.dim) / basis.dim
+    stack = np.asarray(block_stack(np.diag(weights), src).real, dtype=dtype)
+    rho = DensityMatrix(basis, src, stack, trace_target=float(weights.sum()))
+    moved = rho.regroup(dst)
+    assert moved.stack.dtype == np.dtype(dtype) and moved.trace_target == rho.trace_target
+    assert moved.stack.tobytes() == dst.restack(rho.stack, src).tobytes()
+    assert not moved.stack.flags.writeable
 
 
 @pytest.mark.parametrize("name", LAYOUTS)
@@ -225,7 +232,6 @@ def test_restack_never_reads_padding():
     for name in LAYOUTS:
         target = _decomposition(basis, name)
         assert np.array_equal(target.restack(poisoned, op.blocks), block_stack(dense, target))
-        assert np.array_equal(_move(target, poisoned, op.blocks), block_stack(dense, target))
 
 
 # (source layout, target layout, pair of states whose entry lands in no target block)
@@ -246,10 +252,10 @@ def test_restack_drops_or_raises_on_entries_coupling_blocks(source, target, firs
     coupled[a, b] = coupled[b, a] = value
     stack = block_stack(coupled, src)
     if drops:
-        assert np.array_equal(_move(dst, stack, src, what="observable", tol=tol), block_stack(dense, dst))
+        assert np.array_equal(dst.restack(stack, src, what="observable", tol=tol), block_stack(dense, dst))
     else:
         with pytest.raises(ValueError, match="observable couples states in different invariant blocks"):
-            _move(dst, stack, src, what="observable", tol=tol)
+            dst.restack(stack, src, what="observable", tol=tol)
 
 
 def test_single_block_is_shared_and_read_only():

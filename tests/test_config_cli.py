@@ -20,7 +20,7 @@ from rotorkick.config import (
     load_config,
 )
 from rotorkick.errors import ConfigError
-from rotorkick.output import fmt, write_csv
+from rotorkick.output import fmt, write_csv, write_json
 
 
 def _small_config(**overrides):
@@ -154,6 +154,20 @@ def test_write_csv_matches_fmt_per_cell(tmp_path):
     write_csv(str(path), list("abcdef"), rows)
     lines = path.read_text().splitlines()
     assert lines[1:] == [",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows]
+
+
+def test_written_files_get_the_mode_the_umask_gives(tmp_path):
+    csv_path, json_path = tmp_path / "table.csv", tmp_path / "report.json"
+    saved = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600), (0o022, 0o644)):  # the last pass replaces 0o600 files
+            os.umask(umask)
+            write_csv(str(csv_path), ["a"], [[1]])
+            write_json(str(json_path), {"a": 1})
+            assert [p.stat().st_mode & 0o777 for p in (csv_path, json_path)] == [mode, mode]
+    finally:
+        os.umask(saved)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "table.csv"]  # no temporary file left
 
 
 def test_load_config_errors(tmp_path):
