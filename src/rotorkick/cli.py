@@ -18,7 +18,7 @@ from .basis import block_decomposition, build_basis
 from .config import PRESETS, RunConfig, load_config
 from .controllability import check_cutoff, controllability_report, fixed_point_analysis, is_kick_stationary
 from .dynamics import PERIOD, TimeSeries, make_kick, run_strategy
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .operators import (
     DensityMatrix,
     embed_density,
@@ -131,8 +131,10 @@ def cmd_simulate(config: RunConfig) -> list[str]:
 def cmd_controllability(config: RunConfig, j_values: list[int] | None = None) -> list[str]:
     """Lie-algebra dimension reports; the CSV reproduces the reference table layout."""
     values = j_values if j_values else [1, 2, 3]
-    for j in values:  # every cutoff before any is computed
+    for k, j in enumerate(values):  # every cutoff before any is computed
         check_cutoff(j)
+        if j in values[:k]:
+            raise ConfigError(f"cutoff j_max={j} is listed more than once")
     reports = [controllability_report(j, config.process) for j in values]
     chash = config.config_hash()
     json_path = os.path.join(config.out_dir, f"controllability_{config.process}.json")

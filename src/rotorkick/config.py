@@ -157,6 +157,8 @@ class RunConfig:
             raise ConfigError(f"gain_tol must be positive, got {self.gain_tol}")
         if self.kb_cm_per_k <= 0:
             raise ConfigError(f"kb_cm_per_k must be positive, got {self.kb_cm_per_k}")
+        if not self.temperatures_k:
+            raise ConfigError("temperatures_k must list at least one temperature")
         if any(t <= 0 for t in self.temperatures_k):
             raise ConfigError(f"temperatures must be positive, got {self.temperatures_k!r}")
         object.__setattr__(self, "j_max_range", tuple(self.j_max_range))

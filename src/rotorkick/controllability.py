@@ -1,19 +1,48 @@
 """Lie-algebra controllability tests and fixed-point diagnostics.
 
-The dynamical Lie algebra generated by i*H0 and i*O decides whether every
+The dynamical Lie algebra L generated by i*H0 and i*O decides whether every
 invariant block can be steered independently by the one shared control
 field.  Simultaneous controllability of all blocks requires one dimension
 count; exploiting the identical dynamics of the m and -m blocks relaxes it
-to a smaller count.  A separate count characterizes the fixed points of
+to a smaller count, D'.  A separate count characterizes the fixed points of
 the greedy kick iteration: states commuting with the driving functional are
 the only fixed points exactly when the span of the kick-rotated slope
 operators saturates its commutant-complement bound.  That span is read off
 in closed form from the frequency components of the slope operator in the
 functional's eigenbasis, block by block on the operators' invariant-block
-stacks.  The algebra's dimension is counted exactly, by row reduction mod
-a prime of rational forms of the generators, and the rank of the blocks'
-traces, from which the required counts follow, in integers from the same
-rational forms: the controllability report builds no float operator.
+stacks.
+
+dim_L is certified in closed form, in Python integers, from rational forms
+of the generators on the blocks with m >= 0.  On such a block of n states,
+H0 = diag(E_k), and T O T^-1, similar to the observable O, is tridiagonal.
+Edge e joins slots k and k+1; its frequency is w_e = E_k+1 - E_k (2(j+1)
+for cos(theta), 4j+6 for cos^2(theta)) and its coupling c_e^2 is the
+product of its two off-diagonal entries.
+
+- Block check.  Let every c_e^2 be nonzero and the |w_e| nonzero and
+  pairwise distinct.  Z_q = ad_H0^2q O = sum_e w_e^2q P_e, with
+  P_e = c_e^2 E_k,k+1 + E_k+1,k, so Z_1 .. Z_n-1 give every P_e (a
+  Vandermonde system in w_e^2).  [H0, P_e] = w_e (c_e^2 E_k,k+1 - E_k+1,k)
+  then gives both elementary matrices of the edge, and those of a
+  connected chain generate sl(n).  So L maps onto sl(n) on the block.
+- Pair check.  L lies in u(N), so [L, L] is semisimple; it lies in the
+  sum of the blocks' sl(n_b) and, by the block check, maps onto each.
+  By Goursat's lemma it is the whole sum unless an isomorphism links two
+  factors, and sl(n) is not isomorphic to sl(n') for n != n', so only
+  blocks of equal size can be linked (alignment has such pairs,
+  orientation none).  Every automorphism of sl(n) keeps Tr X^2, and Z_q
+  lies in [L, L], so blocks b and b' are unlinked when
+  Tr (pi_b Z_q)^2 = 2 sum_e w_e^4q c_e^2 differs from that of b' for some
+  q >= 1.
+- Result.  Brackets are traceless, so once [L, L] is the whole sum, the
+  rest of L has the dimension r of the span of the blocks' traces of H0
+  and O (block_trace_rank), and dim_L = sum_b (n_b^2 - 1) + r = D'.
+
+When either check fails, dim_L is counted instead, by row reduction mod a
+prime of the same rational generators.  That count bounds dim_L from
+below, so it certifies dim_L = D' when it reaches D'.  The rank of the
+blocks' traces is counted in integers from the same rational forms: the
+controllability report builds no float operator.
 """
 
 from __future__ import annotations
@@ -44,9 +73,12 @@ MODULUS = 1_000_003
 def check_cutoff(j_max: int) -> None:
     """Reject a cutoff the count mod MODULUS cannot serve, with ConfigError, before anything is built.
 
-    The reduction needs a prime above 2 j_max + 5, and each reduction
-    product sums at most (j_max + 1)^3 terms below (MODULUS - 1)^2, which
-    must stay below 2^63 in int64.
+    The closed form of lie_closure needs none of these bounds; they serve
+    its fallback, the count.  The reduction needs a prime above
+    2 j_max + 5, and each reduction product sums at most (j_max + 1)^3
+    terms below (MODULUS - 1)^2, which must stay below 2^63 in int64.
+    Every cutoff is held to them, so that whether a cutoff is accepted does
+    not depend on which route computes it.
     """
     if j_max < 1:
         raise ConfigError(f"controllability needs j_max >= 1, got {j_max}")
@@ -172,27 +204,80 @@ def _close(generators: np.ndarray, sizes: list[int]) -> np.ndarray:
     return rows[np.argsort(pivots)]
 
 
-def lie_closure(j_max: int, kind: str) -> tuple[int, np.ndarray]:
-    """Dimension of the real Lie algebra L generated by i H0 and i O, counted exactly, with its basis mod MODULUS.
+def _count(j_max: int, kind: str) -> tuple[int, np.ndarray]:
+    """dim_L counted mod MODULUS, with the unique reduced echelon basis mod MODULUS the count ends with.
+
+    The rank mod MODULUS of the rational brackets never exceeds their rank
+    over the rationals, so the count is a lower bound on dim_L, and equal
+    to it when it reaches the upper bound D'.  rows is int64, one row per
+    element, each the m >= 0 blocks of T X T^-1 flattened row-major one
+    after another.
+    """
+    sizes, generators = _generators_mod_p(j_max, kind)
+    rows = _close(generators, sizes)
+    return len(rows), rows
+
+
+def _edges(js: np.ndarray, num: np.ndarray, den: np.ndarray) -> list[tuple[int, int, int]] | None:
+    """(w_e, a_e, b_e) per edge of a block of _rational_observable, c_e^2 = a_e / b_e; None if it is not tridiagonal."""
+    if np.any(np.triu(num, 2)) or np.any(np.tril(num, -2)):
+        return None
+    energies = (js * (js + 1)).tolist()
+    entries = zip(*(np.diag(x, k).tolist() for x in (num, den) for k in (1, -1)))  # above, below; numerators first
+    return [(e1 - e0, a * c, b * d) for e0, e1, (a, c, b, d) in zip(energies, energies[1:], entries)]
+
+
+def _square_trace(edges: list[tuple[int, int, int]], q: int) -> tuple[int, int]:
+    """sum_e w_e^4q c_e^2, half of Tr (pi_b ad_H0^2q O)^2 on the block, as (numerator, denominator)."""
+    p, d = 0, 1
+    for w, a, b in edges:
+        p, d = p * b + w ** (4 * q) * a * d, d * b
+    return p, d
+
+
+def _certified_dimension(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> int | None:
+    """dim_L = sum_b (n_b^2 - 1) + r by the block and pair checks of the module docstring, or None if one fails.
+
+    Two blocks of n states are compared at q = 1 .. 2(n - 1): their
+    difference is a sum of x^q over at most 2(n - 1) distinct nonzero
+    x = w^4, which vanishes at all these q only when it vanishes at every q
+    (Vandermonde), so no further q could tell them apart.
+    """
+    by_size: dict[int, list] = {}
+    dim = _trace_rank(blocks)
+    for js, num, den in blocks:
+        n = len(js)
+        if n < 2:
+            continue
+        edges = _edges(js, num, den)
+        if edges is None or any(a == 0 or w == 0 for w, a, _ in edges) or len({abs(w) for w, _, _ in edges}) < n - 1:
+            return None
+        for other in by_size.get(n, []):
+            traces = ((_square_trace(edges, q), _square_trace(other, q)) for q in range(1, 2 * n - 1))
+            if all(p * d_other == p_other * d for (p, d), (p_other, d_other) in traces):
+                return None  # possibly linked
+        by_size.setdefault(n, []).append(edges)
+        dim += n * n - 1
+    return dim
+
+
+def lie_closure(j_max: int, kind: str) -> tuple[int, np.ndarray | None]:
+    """Dimension of the real Lie algebra L generated by i H0 and i O, exact: (dim_L, rows).
 
     dim_R L is the complex dimension of the algebra generated by H0 and O,
     since L and i L meet only in 0 inside u(N), and a similarity T leaves
     that dimension alone.  The m and -m blocks of H0 and O are equal, so
-    the count runs on the blocks with m >= 0 of the process's
-    decomposition, where the diagonal T of _rational_observable makes
-    every entry rational, with denominators prime to MODULUS.  The rank
-    mod MODULUS of the rational brackets never exceeds their rank over
-    the rationals, so the result is a lower bound on dim_L, and equal to
-    it when it reaches the upper bound D'.  Returns (dim_L, rows): rows is
-    the unique reduced echelon basis mod MODULUS, int64, one row per
-    element, each the m >= 0 blocks of T X T^-1 flattened row-major one
-    after another.
+    L is taken on the blocks with m >= 0 of the process's decomposition,
+    where the diagonal T of _rational_observable makes every entry
+    rational.  The closed form of the module docstring certifies dim_L
+    there, and rows is None.  When its block or pair check fails, dim_L is
+    counted mod MODULUS instead (_count), and rows is the reduced echelon
+    basis that count ends with.
     """
     check_process_kind(kind)
     check_cutoff(j_max)
-    sizes, generators = _generators_mod_p(j_max, kind)
-    rows = _close(generators, sizes)
-    return len(rows), rows
+    dim = _certified_dimension(_rational_observable(j_max, kind))
+    return (dim, None) if dim is not None else _count(j_max, kind)
 
 
 def block_trace_rank(j_max: int, kind: str) -> int:
@@ -210,8 +295,13 @@ def block_trace_rank(j_max: int, kind: str) -> int:
     check_process_kind(kind)
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
+    return _trace_rank(_rational_observable(j_max, kind))
+
+
+def _trace_rank(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> int:
+    """block_trace_rank on the blocks of _rational_observable."""
     rows = []
-    for js, num, den in _rational_observable(j_max, kind):
+    for js, num, den in blocks:
         p, q = 0, 1
         for a, b in zip(np.diag(num).tolist(), np.diag(den).tolist()):
             p, q = p * b + a * q, q * b
@@ -273,11 +363,12 @@ class LieAlgebraReport:
 
 
 def controllability_report(j_max: int, kind: str) -> LieAlgebraReport:
-    """Count the algebra of the rotor generators exactly and compare with the required counts.
+    """Take the dimension of the rotor generators' algebra exactly and compare it with the required counts.
 
-    D' bounds the dimension from above and the count mod MODULUS bounds it
-    from below, so a count equal to D' proves dim_L = D'.  A count above
-    D' breaks that invariant and raises NumericalError.
+    The closed form of lie_closure gives D' itself.  Where it falls back to
+    the count mod MODULUS, D' bounds the dimension from above and the count
+    from below, so a count equal to D' proves dim_L = D'.  A dimension
+    above D' breaks that invariant and raises NumericalError.
     """
     dim_l, _ = lie_closure(j_max, kind)
     r = block_trace_rank(j_max, kind)

@@ -250,6 +250,14 @@ def test_cli_bounds_one_table_per_listed_temperature(tmp_path, capsys):
     assert not list(tmp_path.glob("bounds_*.csv"))
 
 
+def test_cli_bounds_rejects_an_empty_temperature_list(tmp_path, capsys):
+    # with no temperature, bounds would sweep nothing, write nothing and exit 0
+    path = _raw_config_file(tmp_path, temperatures_k=[])
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert "temperatures_k" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_cli_bounds_rejects_temperatures_sharing_a_file_name(tmp_path, capsys):
     # both print as 5 under %g, so their tables would both be bounds_orientation_T5K.csv
     path = _raw_config_file(tmp_path, temperatures_k=[5.0, 5.0000001])
@@ -505,3 +513,16 @@ def test_repeated_in_process_runs_write_identical_bytes(argv, tmp_path):
         assert main([*argv, "--out", str(tmp_path)]) == 0
         written.append({path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())})
     assert len(written[0]) >= 2 and written[0] == written[1]
+
+
+def test_cli_cutoff_listed_twice_is_config_error(tmp_path, capsys, monkeypatch):
+    # j_max 3 would be computed twice and written as two identical rows
+    import rotorkick.cli as cli
+
+    def computed(j_max, kind):
+        raise AssertionError(f"j_max={j_max} was computed")
+
+    monkeypatch.setattr(cli, "controllability_report", computed)
+    assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), "--j-max", "3", "3", "1"]) == 2
+    assert "j_max=3 is listed more than once" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

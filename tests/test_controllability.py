@@ -143,8 +143,70 @@ def test_alignment_reference_dimensions(j_max):
 
 @pytest.mark.parametrize("kind, j_max, r", [(kind, j, 1 if kind == ORIENTATION else 2) for kind, j in RESTRICTED])
 def test_closure_reaches_restricted_count_at_larger_cutoffs(kind, j_max, r):
-    dim, rows = lie_closure(j_max, kind)
+    dim, rows = controllability._count(j_max, kind)
     assert dim == len(rows) == RESTRICTED[kind, j_max] == dims_required(j_max, r, kind)[1]
+
+
+@pytest.mark.parametrize("kind, j_max", [(ORIENTATION, j) for j in range(1, 11)] + [(ALIGNMENT, j) for j in range(1, 12)])
+def test_closed_form_equals_the_count(kind, j_max):
+    dim, rows = lie_closure(j_max, kind)
+    assert rows is None
+    assert dim == controllability._count(j_max, kind)[0]
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_closed_form_certifies_every_cutoff_to_40_without_the_count(kind, monkeypatch):
+    def counted(j_max, kind):
+        raise AssertionError(f"j_max={j_max} fell back to the count")
+
+    monkeypatch.setattr(controllability, "_count", counted)
+    for j_max in range(1, 41):
+        r = block_trace_rank(j_max, kind)
+        assert lie_closure(j_max, kind) == (dims_required(j_max, r, kind)[1], None)
+
+
+def _orientation_block(change=None):
+    """The m = 0 block of orientation j_max = 2 from _rational_observable, with its arrays changed in place."""
+    js, num, den = (x.copy() for x in controllability._rational_observable(2, ORIENTATION)[0])
+    if change is not None:
+        change(js, num, den)
+    return js, num, den
+
+
+def _decoupled(js, num, den):
+    num[0, 1] = num[1, 0] = 0  # slot 0 on its own
+
+
+def _equal_frequencies(js, num, den):
+    # H0 = diag(2, 6, 2) and O = all ones beside the diagonal both commute with swapping slots 0 and 2
+    js[:] = [1, 2, 1]
+    num[:], den[:] = np.eye(3, k=1, dtype=np.int64) + np.eye(3, k=-1, dtype=np.int64), 1
+
+
+@pytest.mark.parametrize(
+    "blocks, counted",
+    [
+        # two copies of one block: the algebra is the diagonal copy of gl(3) on them, not sl(3) + sl(3) + r
+        ([_orientation_block(), _orientation_block()], 9),
+        # a zero coupling splits the block: gl(2) on slots 1 and 2, where H0 is 2 + diag(0, 4), not sl(3) + r
+        ([_orientation_block(_decoupled)], 4),
+        # equal |w|: gl(2) on the states even under the swap, O and H0 - 2 vanish on the odd one
+        ([_orientation_block(_equal_frequencies)], 4),
+    ],
+    ids=["linked-copies", "zero-coupling", "equal-frequencies"],
+)
+def test_a_failed_certificate_falls_back_to_the_count(monkeypatch, blocks, counted):
+    monkeypatch.setattr(controllability, "_rational_observable", lambda j_max, kind: blocks)
+    calls = []
+    count = controllability._count
+    monkeypatch.setattr(controllability, "_count", lambda *args: calls.append(args) or count(*args))
+    assert controllability._certified_dimension(blocks) is None
+    if len(blocks) == 2:
+        assert controllability._certified_dimension(blocks[:1]) == counted  # one copy passes: the pair check fails
+    closed_form = sum(len(js) ** 2 - 1 for js, _, _ in blocks) + controllability._trace_rank(blocks)
+    dim, rows = lie_closure(2, ORIENTATION)
+    assert calls == [(2, ORIENTATION)]
+    assert dim == len(rows) == counted < closed_form
 
 
 def _random_hermitian(rng, n):
@@ -208,7 +270,7 @@ def test_closure_basis_is_closed_under_commutators():
 def test_screened_closure_matches_sequential_oracle(kind, j_max):
     # brackets with the generators only, screened in groups, against all pairs one at a time
     sizes, generators = controllability._generators_mod_p(j_max, kind)
-    rows = lie_closure(j_max, kind)[1]
+    rows = controllability._count(j_max, kind)[1]
     assert rows.dtype == np.int64
     assert np.array_equal(rows, sequential_exact_closure(generators, sizes, controllability.MODULUS))
 
@@ -264,7 +326,7 @@ def test_exact_count_matches_float_oracle(kind, j_max):
 def test_exact_basis_is_closed_under_brackets_with_the_generators(kind, j_max):
     p = controllability.MODULUS
     sizes, generators = controllability._generators_mod_p(j_max, kind)
-    dim, rows = lie_closure(j_max, kind)
+    dim, rows = controllability._count(j_max, kind)
     pivots = np.array([np.flatnonzero(row)[0] for row in rows])
     assert np.all(np.diff(pivots) > 0) and np.array_equal(rows[:, pivots], np.eye(dim, dtype=np.int64))
     for x in generators:
