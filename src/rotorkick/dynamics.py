@@ -360,6 +360,7 @@ def run_strategy(
     t_now = 0.0
     prev_max = _trace_product(rho.stack, train.functionals[train.drive]).real
     series = train.series(rho)
+    peaks = {}  # functional index -> its global_max on the final series, when the last pass found it
 
     for _ in range(max_kicks):
         res = global_max(series[train.drive])
@@ -383,6 +384,7 @@ def run_strategy(
 
         if res.value - prev_max < gain_tol * max(abs(prev_max), 1e-30) and not steep:
             record.stop_reason = "converged"
+            peaks[train.drive] = res
             break
 
         acc.segment(t_now, t_star, series)
@@ -411,12 +413,12 @@ def run_strategy(
     acc.segment(t_now, t_now + PERIOD, series)
     acc.event(t_now + PERIOD, t_now, series, flag=0)
 
-    final_max = global_max(series[0])
+    final_max = peaks.get(0) or global_max(series[0])
     record.final_state = train.unfold(rho)
     record.final_efficiency = final_max.value
     record.final_efficiency_time = t_now + final_max.t
     if target is not None:
-        record.final_projection = global_max(series[1]).value
+        record.final_projection = (peaks.get(1) or global_max(series[1])).value
     record.final_duration = measure_above(series[0], duration_threshold)
     # close the maxima sequence with the post-train maximum of the driving functional
     record.maxima.append(final_max.value if strategy == S1 else record.final_projection)

@@ -150,6 +150,16 @@ class TraceSeries:
         folded = np.bincount(slot, shifted.real, n_samples) + 1j * np.bincount(slot, shifted.imag, n_samples)
         return np.fft.fft(folded).real
 
+    def flat_value(self) -> float | None:
+        """F at t = 0 if the series is flat, else None.
+
+        The series counts as flat when its search-grid samples spread less
+        than FLAT_TOL; global_max then reports this value at t = 0 without
+        searching, and a level set of it is all or nothing.
+        """
+        f = self._search.steps[_F_LO]
+        return float(f[0]) if float(f.max() - f.min()) < FLAT_TOL else None
+
     def value(self, t: float) -> float:
         return float(self.values(np.array([t]))[0])
 
@@ -287,13 +297,15 @@ def global_max(series: TraceSeries) -> MaxResult:
     ends (M2 h^2 / 8 <= TIE_TOL) that cannot beat best by more than
     TIE_TOL: that ends the search on a degenerate maximum, F''(tau) = 0.
     Ties within TIE_TOL resolve to the earliest time, t = 0 included.  A
-    functional flat to within FLAT_TOL is flagged and reported at t = 0.
+    flat functional (TraceSeries.flat_value) is flagged and reported at
+    t = 0.
     """
+    flat = series.flat_value()
+    if flat is not None:
+        return MaxResult(t=0.0, value=flat, flat=True, refined=0)
     grid = series._search
     steps = grid.steps
     best = steps[_F_LO].max()  # a sampled value: a lower bound on the maximum
-    if float(best - steps[_F_LO].min()) < FLAT_TOL:
-        return MaxResult(t=0.0, value=float(steps[_F_LO, 0]), flat=True, refined=0)
 
     taus = ys = radius = np.zeros(0)
     refined = 0

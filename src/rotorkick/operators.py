@@ -414,13 +414,18 @@ def thermal_state(
     those states hold unit trace.  Both sums run over all of them in the
     order of build_basis(basis.j_max), also for a basis that holds only some
     m shells of them; such a state declares the trace of its own states.
+    A basis of all of them sums in its own order, its cached j_values,
+    which is that order for build_basis(basis.j_max) itself.  A basis of
+    some m shells lays the order out per call rather than build the full
+    basis, whose states cost far more than the layout at large cutoffs.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if z_mode not in ("full", "truncated"):
         raise ValueError(f"unknown z_mode {z_mode!r}")
     top = basis.j_max
-    j = np.concatenate([np.arange(abs(m), top + 1.0) for m in range(-top, top + 1)])
+    full = basis.dim == (top + 1) ** 2  # every state with j <= top is in the basis
+    j = basis.j_values if full else np.concatenate([np.arange(abs(m), top + 1.0) for m in range(-top, top + 1)])
     boltzmann = np.exp(-beta * j * (j + 1))
     z = partition_function(beta) if z_mode == "full" else float(boltzmann.sum())
     weights = boltzmann / z
@@ -429,7 +434,7 @@ def thermal_state(
         weights = weights / trace
         trace = 1.0
     weights = weights[top * (top + 1) // 2 + basis.j_values]  # the m = 0 run holds j = 0..top; a weight depends on j
-    if basis.dim < j.size:  # some states with j <= top are not in the basis
+    if not full:  # some states with j <= top are not in the basis
         trace = float(weights.sum())
     blocks = block_decomposition(basis, ORIENTATION)
     return DensityMatrix._exact(basis, blocks, _diagonal_stack(blocks, weights), trace_target=trace)

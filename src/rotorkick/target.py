@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BlockDecomposition, block_decomposition, build_basis
-from .evolution import FrequencyLattice, LevelSetMeasure, TraceSeries, global_max, measure_above
+# global_max is not called here; it stays importable as target.global_max, where the perfbench tracer patches it
+from .evolution import FrequencyLattice, LevelSetMeasure, TraceSeries, global_max, measure_above  # noqa: F401
 from .operators import DensityMatrix, HermitianOperator, h0_matrix, observable_matrix, thermal_state
 
 GLOBAL_SCOPE = "global"
@@ -40,6 +41,12 @@ def optimal_pairing(weights, eigenvalues) -> PairingResult:
 
     Ties break by input position (stable), so the result is deterministic.
     """
+    perm, value = _pairing(weights, eigenvalues)
+    return PairingResult(permutation=tuple(perm.tolist()), value=value)
+
+
+def _pairing(weights, eigenvalues) -> tuple[np.ndarray, float]:
+    """optimal_pairing's permutation as an index array, and its value."""
     w = np.asarray(weights, dtype=float)
     x = np.asarray(eigenvalues, dtype=float)
     if w.shape != x.shape or w.ndim != 1:
@@ -50,8 +57,7 @@ def optimal_pairing(weights, eigenvalues) -> PairingResult:
     order_x = np.argsort(-x, kind="stable")
     perm = np.empty(w.size, dtype=int)
     perm[order_x] = order_w
-    value = float(np.dot(x[order_x], w[order_w]))
-    return PairingResult(permutation=tuple(int(p) for p in perm), value=value)
+    return perm, float(np.dot(x[order_x], w[order_w]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +85,7 @@ def _paired_weights(
         weights = rho0.eigenvalues
         # eigenvalues flattened in block order: the stable pairing keeps basis order on ties
         w = np.zeros_like(chi)
-        w[filled] = weights[list(optimal_pairing(weights, chi[filled]).permutation)]
+        w[filled] = weights[_pairing(weights, chi[filled])[0]]
     else:
         form = obs.regroup(blocks, "observable", _OFF_BLOCK_TOL)
         chi = form.eigensystem[0]
@@ -113,28 +119,41 @@ def build_target(
     return TargetState(rho=rho_f, scope=scope, achieved=float(np.sum(w * chi)))
 
 
+def _lattice(blocks: BlockDecomposition, h0: HermitianOperator) -> FrequencyLattice:
+    """The frequency lattice of h0's energies on the block stacks of blocks."""
+    return FrequencyLattice(blocks.rows(h0.energies()), blocks.classes)
+
+
 def duration_above(
-    rho: DensityMatrix, obs: HermitianOperator, h0: HermitianOperator, threshold: float
+    rho: DensityMatrix, obs: HermitianOperator, h0: HermitianOperator | FrequencyLattice, threshold: float
 ) -> LevelSetMeasure:
     """Fraction of a free-evolution period with Tr[obs rho(t)] at or above threshold.
 
-    Measured over one period; the measure and the longest circular run do
-    not depend on where it starts.  Crossings are roots of the exact series,
-    refined to roundoff by the Newton root finder of evolution.measure_above.
-    Returns both the summed measure and the longest contiguous stretch, in
-    units of the rotational period.
+    h0 is the free Hamiltonian, or the FrequencyLattice of its energies on
+    obs.blocks, which a caller measuring many states on one basis builds
+    once (bound_sweep does).  A threshold outside the open range of obs's
+    eigenvalues raises ValueError naming the cutoff.  A flat series
+    (TraceSeries.flat_value, the rule global_max applies first) lies above
+    the threshold for the whole period or for none of it; no maximum is
+    searched.  Otherwise the period is measured by evolution.measure_above,
+    whose crossings are roots of the exact series refined to roundoff; the
+    measure and the longest circular run do not depend on where the period
+    starts.  Returns both the summed measure and the longest contiguous
+    stretch, in units of the rotational period.
     """
     eig = obs.eigensystem[0][obs.blocks.filled]
     lo, hi = eig.min(), eig.max()
     if not (lo < threshold < hi):
-        raise ValueError(f"threshold {threshold} outside the observable range [{lo:.6f}, {hi:.6f}]")
+        raise ValueError(
+            f"threshold {threshold} outside the observable range [{lo:.6f}, {hi:.6f}] at j_max = {obs.basis.j_max}"
+        )
     # entries of rho coupling two blocks of obs never meet an entry of obs, so they are dropped
     state = rho.regroup(obs.blocks, "state", np.inf)
-    blocks = obs.blocks
-    series = TraceSeries(state.stack, obs.stack, FrequencyLattice(blocks.rows(h0.energies()), blocks.classes))
-    peak = global_max(series)
-    if peak.flat:
-        hit = 1.0 if peak.value >= threshold else 0.0
+    lattice = h0 if isinstance(h0, FrequencyLattice) else _lattice(obs.blocks, h0)
+    series = TraceSeries(state.stack, obs.stack, lattice)
+    flat = series.flat_value()
+    if flat is not None:
+        hit = 1.0 if flat >= threshold else 0.0
         return LevelSetMeasure(total=hit, longest=hit)
     return measure_above(series, threshold)
 
@@ -165,9 +184,13 @@ def bound_sweep(
     """Kinematical bounds and blockwise-target persistence over a (j_max, T) grid.
 
     Rows run temperature-major: every cutoff at the first temperature, then
-    at the next.  Basis, observable, h0 and blocks are built once per
-    cutoff and shared by all temperatures.  The optimal bound is the sum of
-    build_target's pairing, with no target state built.
+    at the next.  Basis, observable, blocks and the frequency lattice of h0
+    on the blocks are built once per cutoff and shared by all temperatures.
+    Each (cutoff, temperature) then computes what its row holds and no
+    more: the optimal bound is the sum of build_target's pairing, with no
+    target state built; the linear bound is the blockwise target's
+    expectation; and the durations come from one duration_above call on
+    that target, with no global maximum searched.
     """
     temperatures = list(temperatures_k)
     for temperature in temperatures:
@@ -177,14 +200,14 @@ def bound_sweep(
     for j_max in j_max_values:
         basis = build_basis(j_max)
         obs = observable_matrix(basis, kind)
-        h0 = h0_matrix(basis)
         blocks = block_decomposition(basis, kind)
+        lattice = _lattice(blocks, h0_matrix(basis))
         for temperature, rows in zip(temperatures, per_temperature):
             beta = b_cm / (kb_cm_per_k * temperature)
             rho0 = thermal_state(basis, beta, z_mode=z_mode, renormalize=renormalize)
             _, w, chi = _paired_weights(rho0, obs, None)  # the optimal bound needs no target state
             lin = build_target(rho0, obs, blocks)
-            dur = duration_above(lin.rho, obs, h0, threshold)
+            dur = duration_above(lin.rho, obs, lattice, threshold)
             rows.append(
                 SweepRow(
                     kind=kind,

@@ -6,9 +6,11 @@ permutation search, partition sums from direct summation, and Lie
 algebras from brackets of every pair of elements.  float_lie_closure is the
 floating-point closure the package used before its exact count,
 float_trace_rank the SVD rank of the block traces it used before its
-integer count, and full_basis_physical_run the physical-mode train on every
+integer count, full_basis_physical_run the physical-mode train on every
 state with j <= j_sim, as the CLI ran it before it kept only the m shells
-that the control space sees.
+that the control space sees, and certified_duration_above the duration
+rule of the bound sweep as it was before it stopped searching the global
+maximum.
 """
 
 import itertools
@@ -152,6 +154,26 @@ def dense_train(rho0, strategy, kick, h0, target=None, observable=None, max_kick
     out["final_duration"] = (duration.total, duration.longest)
     out["maxima"].append(final.value if strategy == S1 else out["final_projection"])
     return out
+
+
+def certified_duration_above(rho, obs, h0, threshold):
+    """The level-set duration as duration_above found it before it stopped searching the global maximum.
+
+    The series is built as duration_above builds it, global_max certifies
+    its maximum, and a flat series is all or nothing by global_max's value
+    at t = 0; any other goes to measure_above.  Returns the measure and
+    global_max's result.
+    """
+    from rotorkick.evolution import FrequencyLattice, LevelSetMeasure, TraceSeries, global_max, measure_above
+
+    state = rho.regroup(obs.blocks, "state", np.inf)
+    lattice = FrequencyLattice(obs.blocks.rows(h0.energies()), obs.blocks.classes)
+    series = TraceSeries(state.stack, obs.stack, lattice)
+    peak = global_max(series)
+    if peak.flat:
+        hit = 1.0 if peak.value >= threshold else 0.0
+        return LevelSetMeasure(total=hit, longest=hit), peak
+    return measure_above(series, threshold), peak
 
 
 def _summed_thermal_state(basis, config):

@@ -413,6 +413,15 @@ def test_cli_threshold_outside_observable_range(tmp_path, capsys, process, thres
     assert not list(tmp_path.glob("train_*.json"))
 
 
+def test_cli_bounds_threshold_outside_a_cutoffs_range_names_the_cutoff(tmp_path, capsys):
+    # 0.9 lies in the range of cos theta, but not in its range at j_max = 1, the first cutoff of the sweep
+    path = _raw_config_file(tmp_path, threshold=0.9, j_max_range=[1, 12])
+    assert main(["bounds", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "threshold 0.9 outside the observable range [-0.577350, 0.577350] at j_max = 1" in err
+    assert not list(tmp_path.glob("bounds_*.csv"))
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     import rotorkick.cli as cli
     from rotorkick.errors import NumericalError

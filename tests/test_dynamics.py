@@ -236,6 +236,29 @@ def test_run_strategy_fixed_point_zero_kicks():
     assert record.maxima[0] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_converged_train_reuses_its_last_maximum(monkeypatch):
+    import rotorkick.dynamics as dynamics
+
+    basis = build_basis(2)
+    h0 = h0_matrix(basis)
+    target = build_target(thermal_state(basis, beta=0.5), cos_theta_matrix(basis), block_decomposition(basis, ORIENTATION))
+    searched = []
+
+    def recording(series):
+        searched.append((series, global_max(series)))
+        return searched[-1][1]
+
+    monkeypatch.setattr(dynamics, "global_max", recording)
+    record, _ = run_strategy(target.rho, "S2", make_kick(basis, ORIENTATION, 2.0), h0, target=target, max_kicks=6)
+    assert record.stop_reason == "converged"
+    # the loop searched the projection once and stopped; only the efficiency is searched after it
+    assert len(searched) == 2
+    (projection, loop_max), (efficiency, final_max) = searched
+    assert record.final_projection == global_max(projection).value == loop_max.value
+    assert record.maxima == [loop_max.value, loop_max.value]
+    assert (record.final_efficiency, record.final_efficiency_time) == (final_max.value, final_max.t)
+
+
 def test_run_strategy_zero_kicks_flat_series():
     basis = build_basis(2)
     h0 = h0_matrix(basis)

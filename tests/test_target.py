@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_unitary, brute_force_pairing, dense_target, haar_unitary
+from oracles import block_unitary, brute_force_pairing, certified_duration_above, dense_target, haar_unitary
 from rotorkick.basis import (
     ALIGNMENT,
     ORIENTATION,
@@ -311,3 +311,69 @@ def test_duration_decreases_at_high_cutoff():
     rows = bound_sweep(range(6, 13), [5.0], ORIENTATION, b_cm=0.70652, kb_cm_per_k=KB_CM_PER_K)
     durations = [r.duration_linear for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(durations, durations[1:]))
+
+
+@pytest.mark.parametrize("coherence", [0.0, 1e-15, -1e-15])
+def test_duration_flat_rule_matches_global_max(coherence):
+    # expectation (2 / sqrt3) coherence cos(2t): exactly constant at 0, or within FLAT_TOL of 0 and straddling it
+    basis = build_basis(1)
+    i0, i1 = basis.index_of(0, 0), basis.index_of(1, 0)
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[i0, i0] = mat[i1, i1] = 0.5
+    mat[i0, i1] = mat[i1, i0] = coherence
+    rho = DensityMatrix.from_matrix(basis, mat)
+    h0 = h0_matrix(basis)
+    obs = cos_theta_matrix(basis)
+    expected, peak = certified_duration_above(rho, obs, h0, 0.0)
+    assert peak.flat
+    hit = 1.0 if peak.value >= 0.0 else 0.0
+    assert expected.total == expected.longest == hit
+    assert duration_above(rho, obs, h0, 0.0) == expected
+    if coherence:  # above the threshold for half the period, but flat: all or nothing by the value at t = 0
+        assert hit == (coherence > 0)
+
+
+def _sweep_rows_by_the_certified_rule(j_max_values, temperatures, kind, **kw):
+    """bound_sweep's rows, each built on its own, with the durations of certified_duration_above."""
+    rows, flat = [], 0
+    for temperature in temperatures:
+        for j_max in j_max_values:
+            basis = build_basis(j_max)
+            obs = observable_matrix(basis, kind)
+            rho0 = thermal_state(basis, 0.70652 / (KB_CM_PER_K * temperature), **kw)
+            lin = build_target(rho0, obs, block_decomposition(basis, kind))
+            dur, peak = certified_duration_above(lin.rho, obs, h0_matrix(basis), 0.5)
+            flat += peak.flat
+            row = (kind, j_max, temperature, build_target(rho0, obs).achieved, lin.achieved, dur.total, dur.longest)
+            rows.append(row)
+    return rows, flat
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("z_mode", ["full", "truncated"])
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_bound_sweep_is_bit_identical_to_the_certified_rule(kind, z_mode, renormalize, monkeypatch):
+    import rotorkick.evolution as evolution
+    import rotorkick.target as target
+
+    def refused(series):
+        raise AssertionError("the bound sweep searched a global maximum")
+
+    kw = dict(z_mode=z_mode, renormalize=renormalize)
+    temperatures = [1.0, 5.0, 10.0, 50.0]
+    with monkeypatch.context() as patch:
+        for module in (evolution, target):
+            patch.setattr(module, "global_max", refused)
+        rows = bound_sweep(range(1, 17), temperatures, kind, b_cm=0.70652, kb_cm_per_k=KB_CM_PER_K, **kw)
+    expected, flat = _sweep_rows_by_the_certified_rule(range(1, 17), temperatures, kind, **kw)
+
+    def hexed(row):
+        return [v.hex() if isinstance(v, float) else v for v in row]
+
+    got = [
+        (r.kind, r.j_max, r.temperature_k, r.optimal, r.linear, r.duration_linear, r.duration_linear_longest)
+        for r in rows
+    ]
+    assert [hexed(r) for r in got] == [hexed(r) for r in expected]
+    if kind == ALIGNMENT:  # every block of cos^2 theta at j_max = 1 holds one state: the flat rule decides
+        assert flat >= len(temperatures)
