@@ -73,15 +73,24 @@ def cmd_bounds(config: RunConfig) -> list[str]:
     return paths
 
 
-def _series_rows(series: TimeSeries):
-    proj = [float("nan")] * len(series.times) if series.projection is None else series.projection.tolist()
-    return zip((series.times / PERIOD).tolist(), series.expectation.tolist(), proj, series.kick_flags.tolist())
+def _series_columns(series: TimeSeries) -> tuple[np.ndarray, ...]:
+    proj = np.full(series.times.size, np.nan) if series.projection is None else series.projection
+    return series.times / PERIOD, series.expectation, proj, series.kick_flags
 
 
-def _run_one_mode(config: RunConfig, mode: str):
+def _control_space(config: RunConfig):
+    """The control-space observable and the blockwise target on it, which both modes drive on and report."""
+    control_basis = build_basis(config.j_max)
+    control_rho0 = thermal_state(control_basis, config.beta, z_mode=config.z_mode, renormalize=config.renormalize)
+    control_obs = observable_matrix(control_basis, config.process)
+    return control_obs, build_target(control_rho0, control_obs, block_decomposition(control_basis, config.process))
+
+
+def _run_one_mode(config: RunConfig, mode: str, control=None):
     """One strategy run: control space ("idealized") or enlarged space ("physical").
 
-    Both modes drive on, and report, the control-space observable and target,
+    Both modes drive on, and report, the control-space observable and target
+    (control, as _control_space returns them; built here if not given),
     zero-padded into the basis the train runs on.  They differ only in its
     cutoff j_cut, j_max or j_sim, and in the leak guard.  H0 and the kick
     conserve m, and both functionals vanish on every m block with
@@ -90,10 +99,7 @@ def _run_one_mode(config: RunConfig, mode: str):
     state is normalized over all of those states, seen or not.
     """
     j_cut, leak_guard = (config.j_max, None) if mode == "idealized" else (config.j_sim, config.j_sim - 2)
-    control_basis = build_basis(config.j_max)
-    control_rho0 = thermal_state(control_basis, config.beta, z_mode=config.z_mode, renormalize=config.renormalize)
-    control_obs = observable_matrix(control_basis, config.process)
-    target = build_target(control_rho0, control_obs, block_decomposition(control_basis, config.process))
+    control_obs, target = _control_space(config) if control is None else control
 
     basis = build_basis(j_cut, config.j_max)
     record, series = run_strategy(
@@ -115,10 +121,11 @@ def cmd_simulate(config: RunConfig) -> list[str]:
     """Run the configured strategy in the control space and the enlarged space."""
     paths = []
     chash = config.config_hash()
+    control = _control_space(config)
     for mode in ("idealized", "physical"):
-        record, series, target = _run_one_mode(config, mode)
+        record, series, target = _run_one_mode(config, mode, control)
         series_path = os.path.join(config.out_dir, f"timeseries_{mode}.csv")
-        write_csv(series_path, SERIES_HEADER, _series_rows(series), chash)
+        write_csv(series_path, SERIES_HEADER, config_hash=chash, columns=_series_columns(series))
         payload = record.to_jsonable()
         payload["mode"] = mode
         payload["linear_bound"] = target.achieved
@@ -219,12 +226,12 @@ def main(argv: list[str] | None = None) -> int:
             paths = cmd_controllability(config, args.j_max)
         else:
             paths = cmd_fixedpoints(config)
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # before ValueError, which LinAlgError subclasses
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:  # ConfigError and invalid-parameter errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         target = getattr(exc, "filename", None)
         print(f"i/o failure{f' on {target!r}' if target else ''}: {exc}", file=sys.stderr)

@@ -104,49 +104,61 @@ class TraceSeries:
             raise NumericalError("trace series has a non-finite coefficient")
         terms = np.flatnonzero(self.coef)
         self._terms = (self.coef[terms], self.freqs[terms])
+        self._k = terms - self.kmax  # lattice index of each nonzero term
+        self._neg_iw = -1j * self._terms[1]
         self._rates: dict = {}
 
     def values(self, ts: np.ndarray, order=0) -> np.ndarray:
         """The series, or its order-th time derivative, at every time in ts.
 
-        order may also be a sequence of orders: the result then has one row
-        per order, all taken from one phase matrix.  Each time sums its
-        terms in real arithmetic, in one fixed order along the terms axis,
-        so a value does not depend on which other times share the call.
+        order may also be a tuple or a list of orders: the result then has
+        one row per order, all taken from one phase matrix.  Each time sums
+        its terms in real arithmetic, in one fixed order along the terms
+        axis, so a value does not depend on which other times share the
+        call, nor on how the orders are given.
         """
         re, im = self._rated(order)
-        phases = np.exp(np.multiply.outer(ts, -1j * self._terms[1]))
-        return (re[..., None, :] * phases.real - im[..., None, :] * phases.imag).sum(axis=-1)
+        phases = np.exp(np.multiply.outer(ts, self._neg_iw))
+        return (re * phases.real - im * phases.imag).sum(axis=-1)
 
     def _rated(self, order) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of c (-i w)^order over the nonzero terms; one row per order of a sequence.
+        """Real and imaginary parts of c (-i w)^order over the nonzero terms, shaped to broadcast over the times.
 
-        Formed once per series and order, by real products only: a complex
-        product can round differently from one call to the next.
+        An order gives shape (1, terms), a tuple or list of orders one such
+        row per order, stacked from the rows of the single orders.  Formed
+        once per series and order, and once per tuple, by real products
+        only: a complex product can round differently from one call to the
+        next.
         """
-        key = order if np.ndim(order) == 0 else tuple(order)
-        if key not in self._rates:
-            coef, freqs = self._terms
-            rows = []
-            for o in np.atleast_1d(order):
-                re, im = coef.real * freqs**o, coef.imag * freqs**o
-                for _ in range(o % 4):  # times -i
+        if isinstance(order, list):
+            order = tuple(order)
+        rates = self._rates.get(order)
+        if rates is None:
+            if isinstance(order, tuple):
+                rows = [self._rated(o) for o in order]
+                rates = (np.array([re for re, _ in rows]), np.array([im for _, im in rows]))
+            else:
+                coef, freqs = self._terms
+                re, im = coef.real * freqs**order, coef.imag * freqs**order
+                for _ in range(order % 4):  # times -i
                     re, im = im, -re
-                rows.append((re, im))
-            re, im = zip(*rows)
-            self._rates[key] = rows[0] if np.ndim(order) == 0 else (np.array(re), np.array(im))
-        return self._rates[key]
+                rates = (re[None], im[None])
+            self._rates[order] = rates
+        return rates
 
     def grid_values(self, t_start: float, n_samples: int, order: int = 0) -> np.ndarray:
         """The series (or its order-th derivative) at t_start + i * PERIOD / n_samples for i < n_samples, by one FFT.
 
         Exact at any n_samples: lattice frequencies beyond the grid fold
-        onto the same samples.
+        onto the same samples, the term of index k onto slot k mod
+        n_samples.  Only the nonzero terms are folded; the zero ones would
+        add nothing to any slot.
         """
-        shifted = self.coef * np.exp(-1j * self.freqs * t_start)
+        coef, freqs = self._terms
+        shifted = coef * np.exp(self._neg_iw * t_start)
         if order:
-            shifted *= (1, -1j, -1, 1j)[order % 4] * self.freqs**order
-        slot = np.arange(-self.kmax, self.kmax + 1) % n_samples
+            shifted *= (1, -1j, -1, 1j)[order % 4] * freqs**order
+        slot = self._k % n_samples
         folded = np.bincount(slot, shifted.real, n_samples) + 1j * np.bincount(slot, shifted.imag, n_samples)
         return np.fft.fft(folded).real
 
@@ -201,40 +213,55 @@ def _roots(
     g_lo and g_hi are F^(order) - level sampled at the bracket ends, one of
     them negative and the other not.  Every bracket starts at the secant
     point of its samples and runs safeguarded Newton on the exact next
-    derivative, all at once; both derivatives come from one evaluation.
-    Each evaluation shrinks the bracket around the sign change.  A Newton
-    point that is not strictly inside the bracket, or a step longer than
-    half the previous move, is replaced by the bracket's midpoint, so the
-    moves shrink at least geometrically.  A bracket is done when its Newton
-    step or its width falls below tol = ROOT_TOL * max(1, |t|).  The check
-    on the step comes first: on a root that sits on a grid point, roundoff
-    puts the converged Newton point just past the bracket end, and refusing
-    it would crawl there by bisection.
+    derivative.  One evaluation per iteration gives both derivatives at
+    the current points of all live brackets; the bookkeeping of each
+    bracket is done in Python floats, which round as numpy's float64 does.
+    Each evaluation shrinks the bracket around the sign change: a NaN
+    value of F^(order) counts as short of the root.  A Newton point that
+    is not strictly inside the bracket, or a step longer than half the
+    previous move, is replaced by the bracket's midpoint, so the moves
+    shrink at least geometrically; so is the step of a zero slope.  A
+    bracket is done when its Newton step or its width falls below
+    tol = ROOT_TOL * max(1, |t|).  The check on the step comes first: on a
+    root that sits on a grid point, roundoff puts the converged Newton
+    point just past the bracket end, and refusing it would crawl there by
+    bisection.  A converged point outside the bracket is moved onto its
+    nearer end.
     """
     lo, hi = lo.astype(float), hi.astype(float)
-    sign = np.where(g_lo < 0, 1.0, -1.0)  # g rises through zero where g_lo < 0
-    t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
-    moved = hi - lo
-    live = np.arange(t.size)
-    while live.size:
-        tl, l, h = t[live], lo[live], hi[live]
-        g, slope = series.values(tl, (order, order + 1))
-        g = g - level
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = g / slope
-        past = sign[live] * g >= 0
-        h = np.where(past, tl, h)
-        l = np.where(past, l, tl)
-        newton = tl - step
-        tol = ROOT_TOL * np.maximum(1.0, np.abs(tl))
-        converged = np.abs(step) <= tol  # False for NaN
-        newton_ok = (l < newton) & (newton < h) & (2.0 * np.abs(step) <= moved[live])
-        bisect = ~(converged | newton_ok)
-        t[live] = np.where(bisect, 0.5 * (l + h), np.clip(newton, l, h))
-        moved[live] = np.where(bisect, 0.5 * (h - l), np.abs(step))
-        lo[live], hi[live] = l, h
-        live = live[~(converged | (h - l <= tol))]
-    return t
+    t = (lo + (hi - lo) * (g_lo / (g_lo - g_hi))).tolist()  # the secant points
+    rises = (g_lo < 0).tolist()  # g rises through zero
+    lo, hi = lo.tolist(), hi.tolist()
+    moved = [h - l for l, h in zip(lo, hi)]
+    live = range(len(t))
+    orders = (order, order + 1)
+    while live:
+        gs, slopes = series.values(np.array([t[i] for i in live]), orders).tolist()
+        still = []
+        for i, g, slope in zip(live, gs, slopes):
+            g -= level
+            now, l, h = t[i], lo[i], hi[i]
+            if g >= 0 if rises[i] else g <= 0:  # past the root (False for NaN)
+                h = now
+            else:
+                l = now
+            tol = ROOT_TOL * max(1.0, abs(now))
+            converged = newton_ok = False
+            if slope != 0.0:
+                step = g / slope
+                newton = now - step
+                converged = abs(step) <= tol  # False for NaN
+                newton_ok = l < newton < h and 2.0 * abs(step) <= moved[i]
+            if converged or newton_ok:
+                newton = newton if newton > l else l
+                t[i], moved[i] = (newton if newton < h else h), abs(step)
+            else:
+                t[i], moved[i] = 0.5 * (l + h), 0.5 * (h - l)
+            lo[i], hi[i] = l, h
+            if not (converged or h - l <= tol):
+                still.append(i)
+        live = still
+    return np.array(t, dtype=float)
 
 
 def grid_size(kmax: int) -> int:
@@ -292,7 +319,9 @@ def global_max(series: TraceSeries) -> MaxResult:
         tau with F''(tau) < 0, since near tau
         F(t) <= F(tau) + (t - tau)^2 (F''(tau) / 2 + M3 |t - tau| / 6).
     Every step left is halved, all at once, and its halves are bracketed or
-    cleared in turn.  A step narrower than ROOT_TOL * max(1, |t|) is
+    cleared in turn.  best only grows, so the grid steps that the first
+    rule clears against the best sample are dropped before any root is
+    refined.  A step narrower than ROOT_TOL * max(1, |t|) is
     settled, and so is one too short to hide more than TIE_TOL above its
     ends (M2 h^2 / 8 <= TIE_TOL) that cannot beat best by more than
     TIE_TOL: that ends the search on a degenerate maximum, F''(tau) = 0.
@@ -310,7 +339,11 @@ def global_max(series: TraceSeries) -> MaxResult:
     taus = ys = radius = np.zeros(0)
     refined = 0
     while True:
-        top = np.maximum(steps[_F_LO], steps[_F_HI]) + _slack(steps, grid.m2)
+        slack = _slack(steps, grid.m2)
+        top = np.maximum(steps[_F_LO], steps[_F_HI]) + slack
+        if not taus.size:  # best only grows, so the grid steps cleared by the best sample stay cleared
+            keep = top >= best - TIE_TOL
+            steps, slack, top = steps[:, keep], slack[keep], top[keep]
         up = (top >= best - TIE_TOL) & (steps[_S_LO] > 0) & (steps[_S_HI] <= 0)
         if taus.size:
             up[up] = ~_within(steps[:, up], taus, radius)
@@ -322,10 +355,10 @@ def global_max(series: TraceSeries) -> MaxResult:
             r = np.where(curvature < 0, -3.0 * curvature / grid.m3, 0.0)
             if not taus.size:
                 r[0] = 0.0  # F'(0) is not 0 in general, so t = 0 covers no step
-            taus, ys, radius = np.append(taus, new), np.append(ys, f), np.append(radius, r)
+            taus, ys, radius = np.concatenate((taus, new)), np.concatenate((ys, f)), np.concatenate((radius, r))
             best = max(best, ys.max())
 
-        short = _slack(steps, grid.m2) <= TIE_TOL
+        short = slack <= TIE_TOL
         left = ~((top < best - TIE_TOL) | (short & (top <= best + TIE_TOL)) | _settled(steps, grid.m3))
         left[left] = ~_within(steps[:, left], taus, radius)
         if not left.any():

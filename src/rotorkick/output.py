@@ -55,16 +55,28 @@ def _row_format(kinds: tuple[type, ...]) -> str | None:
     return ",".join(specs)
 
 
-def write_csv(path: str, header: list[str], rows, config_hash: str | None = None) -> None:
+def write_csv(path: str, header: list[str], rows=(), config_hash: str | None = None, columns=None) -> None:
     """Comma-separated table with a header row and a provenance comment line.
 
-    Strings are written as they are and every other cell as fmt() renders
-    it, through one printf format per distinct row of cell types.
+    The table is given either as rows, an iterable of rows, or as columns,
+    a sequence of equal-length numeric, non-boolean numpy arrays.  Strings
+    are written as they are and every other cell as fmt() renders it.  Rows
+    go through one printf format per distinct row of cell types; columns,
+    whose types do not vary down a column, through one printf of the same
+    format, repeated once per row, over the whole table.
     """
     lines = []
     if config_hash is not None:
         lines.append(f"# config-hash: {config_hash}")
     lines.append(",".join(header))
+    if columns is not None:
+        form = _row_format(tuple(column.dtype.type for column in columns))
+        cells = [None] * sum(column.size for column in columns)
+        for k, column in enumerate(columns):
+            cells[k :: len(columns)] = column.tolist()
+        body = ((form + "\n") * columns[0].size) % tuple(cells)
+        atomic_write_text(path, "\n".join(lines) + "\n" + body)
+        return
     formats: dict[tuple[type, ...], str | None] = {}
     for row in rows:
         kinds = tuple(map(type, row))

@@ -8,9 +8,12 @@ floating-point closure the package used before its exact count,
 float_trace_rank the SVD rank of the block traces it used before its
 integer count, full_basis_physical_run the physical-mode train on every
 state with j <= j_sim, as the CLI ran it before it kept only the m shells
-that the control space sees, and certified_duration_above the duration
+that the control space sees, certified_duration_above the duration
 rule of the bound sweep as it was before it stopped searching the global
-maximum.
+maximum, vectorized_roots the root finder as it was before it kept its
+bookkeeping in Python floats, and unpruned_global_max the maximum search
+as it was before it dropped the steps that the first sampled maximum
+already clears.
 """
 
 import itertools
@@ -174,6 +177,93 @@ def certified_duration_above(rho, obs, h0, threshold):
         hit = 1.0 if peak.value >= threshold else 0.0
         return LevelSetMeasure(total=hit, longest=hit), peak
     return measure_above(series, threshold), peak
+
+
+def vectorized_roots(series, order, level, lo, hi, g_lo, g_hi):
+    """evolution._roots with every bracket's bookkeeping in numpy arrays, a zero slope bisecting through errstate."""
+    from rotorkick.evolution import ROOT_TOL
+
+    lo, hi = lo.astype(float), hi.astype(float)
+    sign = np.where(g_lo < 0, 1.0, -1.0)  # g rises through zero where g_lo < 0
+    t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+    moved = hi - lo
+    live = np.arange(t.size)
+    while live.size:
+        tl, l, h = t[live], lo[live], hi[live]
+        g, slope = series.values(tl, (order, order + 1))
+        g = g - level
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / slope
+        past = sign[live] * g >= 0
+        h = np.where(past, tl, h)
+        l = np.where(past, l, tl)
+        newton = tl - step
+        tol = ROOT_TOL * np.maximum(1.0, np.abs(tl))
+        converged = np.abs(step) <= tol  # False for NaN
+        newton_ok = (l < newton) & (newton < h) & (2.0 * np.abs(step) <= moved[live])
+        bisect = ~(converged | newton_ok)
+        t[live] = np.where(bisect, 0.5 * (l + h), np.clip(newton, l, h))
+        moved[live] = np.where(bisect, 0.5 * (h - l), np.abs(step))
+        lo[live], hi[live] = l, h
+        live = live[~(converged | (h - l <= tol))]
+    return t
+
+
+def unpruned_global_max(series):
+    """evolution.global_max keeping every grid step in its first round, refining through vectorized_roots."""
+    from rotorkick.evolution import (
+        _F_HI,
+        _F_LO,
+        _HI,
+        _LO,
+        _S_HI,
+        _S_LO,
+        PERIOD,
+        TIE_TOL,
+        MaxResult,
+        _halved,
+        _settled,
+        _slack,
+        _within,
+    )
+
+    flat = series.flat_value()
+    if flat is not None:
+        return MaxResult(t=0.0, value=flat, flat=True, refined=0)
+    grid = series._search
+    steps = grid.steps
+    best = steps[_F_LO].max()
+    taus = ys = radius = np.zeros(0)
+    refined = 0
+    while True:
+        top = np.maximum(steps[_F_LO], steps[_F_HI]) + _slack(steps, grid.m2)
+        up = (top >= best - TIE_TOL) & (steps[_S_LO] > 0) & (steps[_S_HI] <= 0)
+        if taus.size:
+            up[up] = ~_within(steps[:, up], taus, radius)
+        new = vectorized_roots(series, 1, 0.0, steps[_LO, up], steps[_HI, up], steps[_S_LO, up], steps[_S_HI, up])
+        new = new % PERIOD
+        if not taus.size:
+            new = np.concatenate(([0.0], new))
+        if new.size:
+            f, curvature = series.values(new, (0, 2))
+            r = np.where(curvature < 0, -3.0 * curvature / grid.m3, 0.0)
+            if not taus.size:
+                r[0] = 0.0
+            taus, ys, radius = np.append(taus, new), np.append(ys, f), np.append(radius, r)
+            best = max(best, ys.max())
+        short = _slack(steps, grid.m2) <= TIE_TOL
+        left = ~((top < best - TIE_TOL) | (short & (top <= best + TIE_TOL)) | _settled(steps, grid.m3))
+        left[left] = ~_within(steps[:, left], taus, radius)
+        if not left.any():
+            break
+        refined += int(np.count_nonzero(left))
+        steps = _halved(series, steps[:, left])
+    best = ys.max()
+    if ys[0] >= best - TIE_TOL:
+        return MaxResult(t=0.0, value=float(ys[0]), flat=False, refined=refined)
+    tie = np.flatnonzero(ys >= best - TIE_TOL)
+    i = tie[np.argmin(taus[tie])]
+    return MaxResult(t=float(taus[i]), value=float(ys[i]), flat=False, refined=refined)
 
 
 def _summed_thermal_state(basis, config):

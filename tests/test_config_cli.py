@@ -156,6 +156,45 @@ def test_write_csv_matches_fmt_per_cell(tmp_path):
     assert lines[1:] == [",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows]
 
 
+def test_write_csv_columns_match_the_rows(tmp_path):
+    # one printf over the whole table writes what the row path writes, NaN and -0.0 included
+    columns = (
+        np.array([0.0, 1 / 3, -0.0, 1e-7, 1e300]),
+        np.array([np.nan, -np.inf, 2.5, 1.0, 0.1]),
+        np.arange(5) - 2,
+        np.array([0.1, 2.0, 3.0, 4.0, 5.0], dtype=np.float32),
+    )
+    for cols in (columns[:3], columns, tuple(c[:0] for c in columns[:3])):
+        header = list("abcd")[: len(cols)]
+        write_csv(str(tmp_path / "rows.csv"), header, zip(*(c.tolist() for c in cols)), "deadbeef")
+        write_csv(str(tmp_path / "columns.csv"), header, config_hash="deadbeef", columns=cols)
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("strategy", ["S1", "S2"])
+def test_time_series_csv_equals_the_row_path(strategy, tmp_path):
+    # an S1 train without a target has no projection, written as a NaN column; the S2 train has one
+    import rotorkick.cli as cli
+    from rotorkick.dynamics import make_kick, run_strategy
+    from rotorkick.operators import h0_matrix, thermal_state
+
+    if strategy == "S1":
+        basis = build_basis(4)
+        rho0 = thermal_state(basis, 0.3)
+        _, series = run_strategy(rho0, "S1", make_kick(basis, "orientation", 2.0), h0_matrix(basis), max_kicks=3)
+    else:
+        _, series, _ = cli._run_one_mode(PRESETS["licl-5K-s2"].with_overrides(max_kicks=3), "idealized")
+    assert (series.projection is None) == (strategy == "S1")
+    columns = cli._series_columns(series)
+    write_csv(str(tmp_path / "columns.csv"), cli.SERIES_HEADER, config_hash="abc", columns=columns)
+    rows = [[t, e, p, int(k)] for t, e, p, k in zip(*(c.tolist() for c in columns))]
+    write_csv(str(tmp_path / "rows.csv"), cli.SERIES_HEADER, rows, "abc")
+    written = (tmp_path / "columns.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert (b",nan," in written) == (strategy == "S1")
+    assert written.count(b"\n") == 2 + series.times.size
+
+
 def test_written_files_get_the_mode_the_umask_gives(tmp_path):
     csv_path, json_path = tmp_path / "table.csv", tmp_path / "report.json"
     saved = os.umask(0o022)
@@ -432,6 +471,19 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_controllability", boom)
     assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_linalg_error_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, which is exit 2; a numerical failure is exit 3 all the same
+    import rotorkick.cli as cli
+
+    def boom(config):
+        raise np.linalg.LinAlgError("synthetic SVD breakdown")
+
+    monkeypatch.setattr(cli, "cmd_bounds", boom)
+    assert main(["bounds", "--preset", "licl-5K", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "synthetic SVD breakdown" in err
 
 
 def test_cli_lie_dimension_above_bound_is_numerical_failure(tmp_path, capsys, monkeypatch):

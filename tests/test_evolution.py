@@ -9,6 +9,8 @@ from rotorkick.errors import NumericalError
 from rotorkick.evolution import PERIOD, FrequencyLattice, TraceSeries, _roots, global_max, grid_size, measure_above
 from rotorkick.operators import cos_theta_matrix, h0_matrix, observable_matrix, thermal_state
 
+from oracles import unpruned_global_max, vectorized_roots
+
 
 def _kicked_state(j_max=3, beta=0.3, amplitude=1.7):
     basis = build_basis(j_max)
@@ -423,3 +425,217 @@ def test_certificate_ends_on_a_degenerate_maximum():
     # F >= 3 - d where (cos 2t - 1)^2 <= d / 2
     for d in (1e-3, 1e-6):
         assert measure_above(series, 3.0 - d).total == pytest.approx(np.arccos(1.0 - np.sqrt(d / 2)) / PERIOD, rel=1e-9)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+def _random_series(rng, kmax):
+    """A series with random complex amplitudes on the levels 1..kmax coupled to level 0, some of them zero."""
+    amplitudes = rng.normal(size=kmax) + 1j * rng.normal(size=kmax)
+    amplitudes[rng.random(kmax) < 0.3] = 0.0
+    amplitudes[-1] = 1.0 + 0.5j
+    return _series_from({k + 1: a for k, a in enumerate(amplitudes)})
+
+
+def _grid_brackets(series, order, level):
+    """The search-grid steps over which F^(order) - level changes sign, as _roots takes them."""
+    lo, hi, f_lo, f_hi, s_lo, s_hi = series._search.steps
+    if order == 1:  # the maxima, as global_max brackets them
+        up = (s_lo > 0) & (s_hi <= 0)
+        return lo[up], hi[up], s_lo[up], s_hi[up]
+    g_lo, g_hi = f_lo - level, f_hi - level
+    flip = (g_lo < 0) != (g_hi < 0)
+    return lo[flip], hi[flip], g_lo[flip], g_hi[flip]
+
+
+class _Evaluations:
+    """A series that records the times of every evaluation, as hex strings."""
+
+    def __init__(self, series):
+        self.series, self.calls = series, []
+
+    def values(self, ts, order=0):
+        self.calls.append(_hex(ts))
+        return self.series.values(ts, order)
+
+
+def _assert_roots_match_the_oracle(series, order, level, lo, hi, g_lo, g_hi):
+    # the same evaluations, at the same times, and the same roots
+    new, old = _Evaluations(series), _Evaluations(series)
+    t = _roots(new, order, level, lo, hi, g_lo, g_hi)
+    assert t.dtype == np.float64 and t.shape == lo.shape
+    assert _hex(t) == _hex(vectorized_roots(old, order, level, lo, hi, g_lo, g_hi))
+    assert new.calls == old.calls
+    return t
+
+
+def test_roots_match_the_vectorized_oracle_on_random_series():
+    rng = np.random.default_rng(27)
+    brackets = 0
+    for _ in range(40):
+        series = _random_series(rng, int(rng.integers(2, 12)))
+        f = series._search.steps[2]
+        for order, level in [(1, 0.0), (0, f.min() + rng.random() * (f.max() - f.min())), (0, float(f[3]))]:
+            lo, hi, g_lo, g_hi = _grid_brackets(series, order, level)
+            _assert_roots_match_the_oracle(series, order, level, lo, hi, g_lo, g_hi)
+            brackets += lo.size
+        # random brackets around a random root, the ends not on the grid
+        root = rng.uniform(0.0, PERIOD)
+        width = rng.uniform(1e-6, 0.05, size=5)
+        lo, hi = root - width * rng.random(5), root + width * rng.random(5)
+        level = series.value(root)
+        g_lo, g_hi = series.values(lo) - level, series.values(hi) - level
+        keep = (g_lo < 0) != (g_hi < 0)
+        _assert_roots_match_the_oracle(series, 0, level, lo[keep], hi[keep], g_lo[keep], g_hi[keep])
+    assert brackets > 500
+    empty = np.zeros(0)
+    assert _roots(series, 0, 0.0, empty, empty, empty, empty).dtype == np.float64
+
+
+@pytest.mark.parametrize("level", [0.5, 1.0, -1.0])
+def test_roots_bisect_on_a_zero_slope_as_the_oracle_does(level):
+    # cos 2t has the slope exactly 0 at t = 0, where the secant point of these
+    # samples lands: g / slope is +-inf (level 0.5) or NaN (levels +-1, g = 0)
+    series = _series_from({1: 1.0})
+    assert series.derivative(0.0) == 0.0
+    lo, hi = np.array([-1.0, -0.25]), np.array([1.0, 0.25])
+    sign = 1.0 if level < 1.0 else -1.0
+    g_lo, g_hi = np.array([-sign, -sign]), np.array([sign, sign])
+    t = _assert_roots_match_the_oracle(series, 0, level, lo, hi, g_lo, g_hi)
+    assert _hex(lo + (hi - lo) * (g_lo / (g_lo - g_hi))) == _hex([0.0, 0.0])
+    if level == 0.5:
+        assert t[0] == pytest.approx(-np.pi / 6, abs=1e-14)
+
+
+class _NaNOnce(_NoisyLine):
+    """A line whose value reads NaN at its first evaluation."""
+
+    def values(self, ts, order=0):
+        rows = super().values(ts, order)
+        if self.calls == 1:
+            rows[0] = np.nan
+        return rows
+
+
+@pytest.mark.parametrize("slope", [0.7, -0.7])
+def test_roots_take_a_nan_value_as_short_of_the_root(slope):
+    # the bracket moves its short end to the NaN point and bisects, as the oracle does
+    lo, hi = np.array([0.1, 0.2]), np.array([0.6, 0.9])
+    line = _NoisyLine(0.4, slope, 0.0)
+    g_lo, g_hi = line.values(lo, 0), line.values(hi, 0)
+    new, old = _Evaluations(_NaNOnce(0.4, slope, 0.0)), _Evaluations(_NaNOnce(0.4, slope, 0.0))
+    t = _roots(new, 0, 0.0, lo, hi, g_lo, g_hi)
+    assert _hex(t) == _hex(vectorized_roots(old, 0, 0.0, lo, hi, g_lo, g_hi))
+    assert new.calls == old.calls and len(new.calls) > 2
+    secant = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+    assert new.calls[1] == _hex(0.5 * (secant + hi))
+    assert np.all(np.abs(t - 0.4) < 1e-14)
+
+
+def test_roots_on_a_grid_point_match_the_oracle():
+    # Tr[rho rho(t)] of a real symmetric rho peaks on the grid point t = 0
+    # (the end of the last step), and a level through a grid sample puts a
+    # root on that grid point
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    rho = q @ np.diag(rng.dirichlet(np.ones(8))) @ q.T
+    j = np.arange(8.0)
+    series = TraceSeries(rho, rho, j * (j + 1))
+    lo, hi, g_lo, g_hi = _grid_brackets(series, 1, 0.0)
+    assert hi[-1] == PERIOD
+    t = _assert_roots_match_the_oracle(series, 1, 0.0, lo, hi, g_lo, g_hi)
+    assert t[-1] == pytest.approx(PERIOD, abs=1e-14)
+    f = series._search.steps[2]
+    for k in (5, 17, 40):
+        lo, hi, g_lo, g_hi = _grid_brackets(series, 0, float(f[k]))
+        assert 0.0 in g_lo.tolist() + g_hi.tolist()
+        _assert_roots_match_the_oracle(series, 0, float(f[k]), lo, hi, g_lo, g_hi)
+
+
+def test_roots_match_the_oracle_on_every_bracket_set_of_a_bound_sweep(monkeypatch):
+    from rotorkick import evolution
+    from rotorkick.config import PRESETS
+    from rotorkick.target import bound_sweep
+
+    calls = []
+    roots = evolution._roots
+
+    def recorded(*args):
+        calls.append(args)
+        return roots(*args)
+
+    monkeypatch.setattr(evolution, "_roots", recorded)
+    for preset in ("licl-5K", "licl-5K-alignment"):
+        config = PRESETS[preset]
+        bound_sweep(
+            range(1, 41), config.temperatures_k, config.process, config.molecule.b_cm, config.kb_cm_per_k,
+            threshold=config.threshold,
+        )
+    monkeypatch.undo()
+    assert len(calls) == 158 and sum(args[3].size for args in calls) > 3000  # 2 processes x 2 temperatures x 40 cutoffs, 2 flat
+    for args in calls:
+        _assert_roots_match_the_oracle(*args)
+
+
+def _max_key(res):
+    return (res.t.hex(), res.value.hex(), res.flat, res.refined)
+
+
+def test_pruned_global_max_matches_the_unpruned_search():
+    rng = np.random.default_rng(11)
+    cases = [_random_series(rng, int(rng.integers(1, 16))) for _ in range(60)]
+    cases += [_kicked_series(j, a) for j in (2, 3, 4, 6) for a in (0.5, 1.7, 2.0)]
+    cases += [_aliasing_series()[0]]
+    for series in cases:
+        assert _max_key(global_max(series)) == _max_key(unpruned_global_max(series))
+
+
+def test_pruned_global_max_matches_the_unpruned_search_where_it_subdivides():
+    h = PERIOD / 32
+    cases = [_twin_peaks(7.45 * h, 1e-6), _twin_peaks(0.3 * h, 1e-6), _twin_peaks(3.2 * h, -1e-6)]
+    cases += [_series_from({1: 4.0, 2: -1.0}), _series_from({1: 4.0, 2: -1.0}, 0.37)]
+    for series in cases:
+        res = global_max(series)
+        assert res.refined > 0
+        assert _max_key(res) == _max_key(unpruned_global_max(series))
+
+
+@pytest.mark.parametrize("amplitudes", [{2: 1.0}, {1: 0.3, 3: 1.0}, {2: 1.0, 4: 1e-13}])
+def test_pruned_global_max_keeps_a_tie_with_the_window_start(amplitudes):
+    # equal peaks at t = 0 and later (within TIE_TOL for the last): the window start wins
+    series = _series_from(amplitudes)
+    res = global_max(series)
+    assert res.t == 0.0 and not res.flat
+    assert _max_key(res) == _max_key(unpruned_global_max(series))
+
+
+def test_values_take_an_order_as_int_tuple_or_list_to_the_same_bits():
+    # the rates are cached per order and per tuple of orders; which form fills the cache first changes no bit
+    ts = np.random.default_rng(8).uniform(-1.0, 2.0 * PERIOD, 33)
+    reference = _kicked_series(4, 2.0)
+    single = {o: reference.values(ts, o).tobytes() for o in range(4)}
+    for first in ([2, 0, 1], (1, 3), 2, [3]):
+        series = _kicked_series(4, 2.0)
+        series.values(ts, first)
+        for _ in range(2):  # the second pass reads a warm cache
+            for orders in ([0, 1], (0, 1), [2, 0, 1], (1, 3), (3,), [3]):
+                rows = series.values(ts, orders)
+                assert rows.shape == (len(orders), ts.size)
+                assert [row.tobytes() for row in rows] == [single[o] for o in orders]
+            for o in range(4):
+                assert series.values(ts, o).tobytes() == series.values(ts, np.int64(o)).tobytes() == single[o]
+
+
+def test_grid_values_fold_only_the_nonzero_terms_to_the_same_bits():
+    # folding the whole lattice adds zeros, which change no slot's sum
+    series = _random_series(np.random.default_rng(4), 9)
+    assert np.count_nonzero(series.coef) < series.coef.size
+    for t_start, n, order in [(0.0, 64, 0), (0.731, 16, 0), (2.5, 2048, 0), (0.731, 32, 1), (1.2, 8, 2)]:
+        shifted = series.coef * np.exp(-1j * series.freqs * t_start)
+        if order:
+            shifted *= (1, -1j, -1, 1j)[order % 4] * series.freqs**order
+        slot = np.arange(-series.kmax, series.kmax + 1) % n
+        folded = np.bincount(slot, shifted.real, n) + 1j * np.bincount(slot, shifted.imag, n)
+        assert series.grid_values(t_start, n, order).tobytes() == np.fft.fft(folded).real.tobytes()
