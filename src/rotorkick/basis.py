@@ -82,13 +82,20 @@ def build_basis(j_max: int, m_max: int | None = None) -> Basis:
     such as the m blocks that a control space with j <= m_max reaches.  One
     basis is built per cutoff pair and returned to every later call, so
     build_basis(j, j) is build_basis(j), and everything built on it shares
-    its cached lookup and decompositions.
+    its cached lookup and decompositions.  A basis within one built before
+    takes its states from that one, which holds them in the same order, so
+    a sweep over cutoffs that builds its top cutoff first makes each state
+    once.
     """
     if j_max < 0 or (m_max is not None and m_max < 0):
         raise ValueError(f"j_max and m_max must be non-negative, got {j_max} and {m_max}")
     m_cut = int(j_max if m_max is None else min(m_max, j_max))  # a numpy integer would leak to later callers
     if (j_max, m_cut) not in _BASES:
-        states = tuple(BasisIndex(j, m) for m in range(-m_cut, m_cut + 1) for j in range(abs(m), j_max + 1))
+        larger = next((b for (j, m), b in _BASES.items() if j >= j_max and m >= m_cut), None)
+        if larger is None:
+            states = tuple(BasisIndex(j, m) for m in range(-m_cut, m_cut + 1) for j in range(abs(m), j_max + 1))
+        else:
+            states = tuple(s for s in larger.states if s.j <= j_max and abs(s.m) <= m_cut)
         _BASES[j_max, m_cut] = Basis(j_max=int(j_max), states=states)
     return _BASES[j_max, m_cut]
 

@@ -167,35 +167,10 @@ class HermitianOperator:
         symmetric solver.  A stack with no off-diagonal entry, such as a
         thermal state or H0, reads its eigensystem off the diagonal, bit for
         bit what eigh returns; blocks that are copies of one another
-        (BlockDecomposition.copies) are solved once.
+        (BlockDecomposition.copies) are solved once.  solve_eigensystems
+        fills it in for several operators at once.
         """
-        n_blocks, size = self.stack.shape[:2]
-        w = np.zeros((n_blocks, size))
-        v = np.zeros((n_blocks, size, size), dtype=self.stack.dtype)
-        if self._is_diagonal:
-            diagonal = np.diagonal(self.stack, axis1=-2, axis2=-1).real
-            # no off-diagonal entry: the sorted diagonal, bit for bit eigh's eigenvalues, and permutation columns
-            filled = self.blocks.filled
-            ahead = np.cumsum(filled, axis=-1) == 0  # padding before the members sorts first, the rest last
-            order = np.argsort(np.where(filled, diagonal, np.where(ahead, -np.inf, np.inf)), axis=-1, kind="stable")
-            w[:] = np.take_along_axis(diagonal, order, axis=-1)
-            v[np.arange(n_blocks)[:, None], order, np.arange(size)] = 1.0
-            # except where LAPACK's heevd first rescales a block, moving the last bits of its eigenvalues
-            scale = np.max(np.abs(diagonal), axis=-1, initial=0.0)
-            solve = (scale > 0.0) & ((scale < _HEEVD_RMIN) | (scale > 1.0 / _HEEVD_RMIN))
-        else:
-            v[:] = np.eye(size)
-            solve = np.ones(n_blocks, dtype=bool)
-        if not solve.any():
-            return w, v
-        keep, source = self.blocks.copies([self.stack])
-        kept = np.flatnonzero(keep)
-        for b in kept[solve[kept]]:
-            span = self.blocks.blocks[b].span
-            w[b, span], v[b, span, span] = _eigh(self.stack[b, span, span])
-        copy = ~keep  # a block identical to a kept one has its eigensystem
-        w[copy], v[copy] = w[kept[source[copy]]], v[kept[source[copy]]]
-        return w, v
+        return _eigensystems([self])[0]
 
     @cached_property
     def _exponentials(self) -> dict[float, np.ndarray]:
@@ -220,6 +195,96 @@ class HermitianOperator:
         if not self._is_diagonal:
             raise ValueError("h0 must be diagonal in the stored basis")
         return self.diagonal
+
+
+def _sorted_diagonal(blocks: BlockDecomposition, diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A diagonal stack's eigenvalues read off its (n_blocks, width) diagonal: (values, order, rescaled).
+
+    values holds each block's entries ascending on its members' slots and
+    0 on padding, bit for bit eigh's eigenvalues; order is the permutation
+    of the slots that sorts them.  rescaled marks the blocks that LAPACK's
+    heevd first rescales, which moves the last bits of their eigenvalues,
+    so that eigh must solve them.
+    """
+    filled = blocks.filled
+    ahead = np.cumsum(filled, axis=-1) == 0  # padding before the members sorts first, the rest last
+    order = np.argsort(np.where(filled, diagonal, np.where(ahead, -np.inf, np.inf)), axis=-1, kind="stable")
+    rescaled = _rescaled(np.max(np.abs(diagonal), axis=-1, initial=0.0))
+    return np.take_along_axis(diagonal, order, axis=-1), order, rescaled
+
+
+def _rescaled(scale: np.ndarray) -> np.ndarray:
+    """Whether heevd rescales a matrix whose largest entry in magnitude is scale."""
+    return (scale > 0.0) & ((scale < _HEEVD_RMIN) | (scale > 1.0 / _HEEVD_RMIN))
+
+
+def _eigensystems(ops) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The eigensystem of each operator, the blocks of one size and dtype solved across all of them in one eigh call.
+
+    eigh solves a stack of matrices one matrix at a time, so each block
+    gets the bits it gets alone.
+    """
+    systems, copied, pending = [], [], {}
+    for op in ops:
+        n_blocks, size = op.stack.shape[:2]
+        w = np.zeros((n_blocks, size))
+        v = np.zeros((n_blocks, size, size), dtype=op.stack.dtype)
+        systems.append((w, v))
+        if op._is_diagonal:
+            # no off-diagonal entry: the sorted diagonal and permutation columns
+            w[:], order, solve = _sorted_diagonal(op.blocks, np.diagonal(op.stack, axis1=-2, axis2=-1).real)
+            v[np.arange(n_blocks)[:, None], order, np.arange(size)] = 1.0
+        else:
+            v[:] = np.eye(size)
+            solve = np.ones(n_blocks, dtype=bool)
+        if not solve.any():
+            continue
+        keep, source = op.blocks.copies([op.stack])
+        kept = np.flatnonzero(keep)
+        for b in kept[solve[kept]]:
+            span = op.blocks.blocks[b].span
+            matrix = op.stack[b, span, span]
+            pending.setdefault((matrix.shape[0], matrix.dtype), []).append((w, v, b, span, matrix))
+        copied.append((w, v, keep, kept[source[~keep]]))
+    for group in pending.values():
+        matrices = [matrix for *_, matrix in group]
+        # a lone block is solved as a view, without np.stack's copy
+        values, vectors = _eigh(matrices[0][None] if len(matrices) == 1 else np.stack(matrices))
+        for (w, v, b, span, _), wb, vb in zip(group, values, vectors):
+            w[b, span], v[b, span, span] = wb, vb
+    for w, v, keep, origin in copied:  # a block identical to a kept one has its eigensystem
+        w[~keep], v[~keep] = w[origin], v[origin]
+    return systems
+
+
+def solve_eigensystems(ops) -> None:
+    """Fill in the eigensystem of every operator in ops that has none yet, as _eigensystems solves them together."""
+    todo = [op for op in ops if "eigensystem" not in op.__dict__]
+    for op, system in zip(todo, _eigensystems(todo)):
+        op.__dict__["eigensystem"] = system  # where cached_property keeps it
+
+
+def diagonal_eigenvalues(blocks: BlockDecomposition, values: np.ndarray) -> np.ndarray:
+    """eigensystem[0] of the operator diag(values) on blocks, for a real basis vector values, without building it."""
+    diagonal = np.append(values, 0.0)[blocks.slots]  # padding slots read the appended zero
+    w, _, solve = _sorted_diagonal(blocks, diagonal)
+    for b in np.flatnonzero(solve):
+        span = blocks.blocks[b].span
+        w[b, span] = _eigh(np.diag(diagonal[b, span]))[0]
+    return w
+
+
+def thermal_spectrum(basis: Basis, weights: np.ndarray) -> np.ndarray:
+    """DensityMatrix.eigenvalues of the thermal state with these weights on basis, without building it.
+
+    That is the weights, sorted, unless a block of the state is one that
+    eigh rescales; a block's largest entry is one of the weights, so none
+    is when no weight lies in the rescaled range.
+    """
+    if not np.any(_rescaled(weights)):
+        return np.sort(weights)[::-1]
+    blocks = block_decomposition(basis, ORIENTATION)
+    return np.sort(diagonal_eigenvalues(blocks, weights)[blocks.filled])[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,10 +386,15 @@ def _ladder(basis: Basis, kind: str, diagonal, step: int, coupling) -> Hermitian
     return HermitianOperator._exact(basis, blocks, stack)
 
 
+def level_energies(j: np.ndarray) -> np.ndarray:
+    """The field-free energies j(j+1), in units of B, of states with the given j."""
+    return j * (j + 1.0)
+
+
 def h0_matrix(basis: Basis) -> HermitianOperator:
     """Field-free Hamiltonian: diagonal j(j+1) in units of B, on the m blocks."""
     blocks = block_decomposition(basis, ORIENTATION)
-    return HermitianOperator._exact(basis, blocks, _diagonal_stack(blocks, basis.j_values * (basis.j_values + 1.0)))
+    return HermitianOperator._exact(basis, blocks, _diagonal_stack(blocks, level_energies(basis.j_values)))
 
 
 def squared_cos_theta_element(j, m):
@@ -374,13 +444,17 @@ def observable_matrix(basis: Basis, kind: str) -> HermitianOperator:
 _PARTITION_SUMS: dict[float, float] = {}
 
 
+def _check_beta(beta: float) -> None:
+    if not 0 < beta < np.inf:  # NaN included
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
 def partition_function(beta: float) -> float:
     """Untruncated rotational partition sum over all (j, m), converged to relative 1e-12.
 
     Each beta is summed once; later calls return the same sum.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     if beta in _PARTITION_SUMS:
         return _PARTITION_SUMS[beta]
     total = 0.0
@@ -397,6 +471,26 @@ def partition_function(beta: float) -> float:
         j0 += chunk
         if j0 > 20_000_000:
             raise NumericalError(f"partition sum did not converge for beta={beta}")
+
+
+def boltzmann_weights(j: np.ndarray, beta: float, z_mode: str = "full", renormalize: bool = False):
+    """The thermal weights exp(-beta j(j+1)) / Z of states with the given j, and their sum: (weights, trace).
+
+    z_mode="full" divides by the untruncated partition sum, z_mode="truncated"
+    by the sum of exp(-beta j(j+1)) over j in its order; with
+    renormalize=True the weights are rescaled to sum to one.  thermal_state
+    takes its weights from here, the bound sweep its thermal spectra.
+    """
+    _check_beta(beta)
+    if z_mode not in ("full", "truncated"):
+        raise ValueError(f"unknown z_mode {z_mode!r}")
+    boltzmann = np.exp(-beta * j * (j + 1))
+    z = partition_function(beta) if z_mode == "full" else float(boltzmann.sum())
+    weights = boltzmann / z
+    trace = float(weights.sum())
+    if renormalize:
+        return weights / trace, 1.0
+    return weights, trace
 
 
 def thermal_state(
@@ -419,20 +513,10 @@ def thermal_state(
     some m shells lays the order out per call rather than build the full
     basis, whose states cost far more than the layout at large cutoffs.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if z_mode not in ("full", "truncated"):
-        raise ValueError(f"unknown z_mode {z_mode!r}")
     top = basis.j_max
     full = basis.dim == (top + 1) ** 2  # every state with j <= top is in the basis
     j = basis.j_values if full else np.concatenate([np.arange(abs(m), top + 1.0) for m in range(-top, top + 1)])
-    boltzmann = np.exp(-beta * j * (j + 1))
-    z = partition_function(beta) if z_mode == "full" else float(boltzmann.sum())
-    weights = boltzmann / z
-    trace = float(weights.sum())
-    if renormalize:
-        weights = weights / trace
-        trace = 1.0
+    weights, trace = boltzmann_weights(j, beta, z_mode, renormalize)
     weights = weights[top * (top + 1) // 2 + basis.j_values]  # the m = 0 run holds j = 0..top; a weight depends on j
     if not full:  # some states with j <= top are not in the basis
         trace = float(weights.sum())
@@ -493,6 +577,24 @@ def embed_density(rho: DensityMatrix, big_basis: Basis) -> DensityMatrix:
 def embed_operator(op: HermitianOperator, big_basis: Basis) -> HermitianOperator:
     """Zero-pad an operator into a larger basis: the projected operator P op P."""
     return HermitianOperator._exact(big_basis, *_embedded(op, big_basis))
+
+
+def project_operator(op: HermitianOperator, small_basis: Basis) -> HermitianOperator:
+    """P op P on a smaller basis of op's states, on its blocks of op's kind: embed_operator's inverse.
+
+    A state keeps its slot, so each block here is the leading slots of
+    op's block of the same (m, parity), with the slots it does not fill
+    set to zero.  An operator whose entries do not depend on the cutoff,
+    such as observable_matrix(build_basis(J), kind), projects onto the
+    same operator at any smaller cutoff, bit for bit.  KeyError if op has
+    no block of one of the small basis's (m, parity).
+    """
+    blocks = block_decomposition(small_basis, op.blocks.kind)
+    of = {(block.m, block.parity): b for b, block in enumerate(op.blocks.blocks)}
+    width = blocks.slots.shape[1]
+    cut = op.stack[[of[block.m, block.parity] for block in blocks.blocks], :width, :width]
+    inside = blocks.filled[:, :, None] & blocks.filled[:, None, :]
+    return HermitianOperator._exact(small_basis, blocks, np.where(inside, cut, 0.0))
 
 
 def cluster_labels(values: np.ndarray, scale: float) -> np.ndarray:

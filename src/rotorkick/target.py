@@ -13,15 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BlockDecomposition, block_decomposition, build_basis
+from .basis import BlockDecomposition, build_basis
 # global_max is not called here; it stays importable as target.global_max, where the perfbench tracer patches it
 from .evolution import FrequencyLattice, LevelSetMeasure, TraceSeries, global_max, measure_above  # noqa: F401
-from .operators import DensityMatrix, HermitianOperator, h0_matrix, observable_matrix, thermal_state
+from .operators import (
+    DensityMatrix,
+    HermitianOperator,
+    boltzmann_weights,
+    diagonal_eigenvalues,
+    level_energies,
+    observable_matrix,
+    project_operator,
+    solve_eigensystems,
+    thermal_spectrum,
+)
 
 GLOBAL_SCOPE = "global"
 BLOCKWISE_SCOPE = "blockwise"
 
 _OFF_BLOCK_TOL = 1e-12
+_GROUP_ENTRIES = 2**16  # stack entries (512 kB of float64) that one group of a bound sweep may hold in any case
 
 
 @dataclass(frozen=True)
@@ -69,9 +80,19 @@ class TargetState:
     achieved: float
 
 
+def _global_weights(spectrum: np.ndarray, obs: HermitianOperator) -> np.ndarray:
+    """The weights paired with obs's eigenvalues chi when a state's spectrum, descending, meets all of obs's blocks."""
+    chi = obs.eigensystem[0]
+    filled = obs.blocks.filled
+    # eigenvalues flattened in block order: the stable pairing keeps basis order on ties
+    w = np.zeros_like(chi)
+    w[filled] = spectrum[_pairing(spectrum, chi[filled])[0]]
+    return w
+
+
 def _paired_weights(
     rho0: DensityMatrix, obs: HermitianOperator, blocks: BlockDecomposition | None
-) -> tuple[HermitianOperator, np.ndarray, np.ndarray]:
+) -> tuple[HermitianOperator, np.ndarray]:
     """The observable on the pairing's blocks, and the weights w paired with its eigenvalues chi there.
 
     The bound the pairing reaches is sum(w * chi); see build_target.
@@ -79,19 +100,18 @@ def _paired_weights(
     if rho0.basis is not obs.basis and rho0.basis != obs.basis:
         raise ValueError("state and observable live on different bases")
     if blocks is None:
-        form = obs
-        chi = form.eigensystem[0]
-        filled = form.blocks.filled
-        weights = rho0.eigenvalues
-        # eigenvalues flattened in block order: the stable pairing keeps basis order on ties
-        w = np.zeros_like(chi)
-        w[filled] = weights[_pairing(weights, chi[filled])[0]]
-    else:
-        form = obs.regroup(blocks, "observable", _OFF_BLOCK_TOL)
-        chi = form.eigensystem[0]
-        # ascending in each block, like chi: largest meets largest
-        w = rho0.regroup(blocks, "state", _OFF_BLOCK_TOL).eigensystem[0]
-    return form, w, chi
+        return obs, _global_weights(rho0.eigenvalues, obs)
+    form = obs.regroup(blocks, "observable", _OFF_BLOCK_TOL)
+    # ascending in each block, like chi: largest meets largest
+    return form, rho0.regroup(blocks, "state", _OFF_BLOCK_TOL).eigensystem[0]
+
+
+def _target(form: HermitianOperator, w: np.ndarray, trace_target: float, scope: str) -> TargetState:
+    """The state with form's eigenvectors and weights w in its blocks, and the expectation sum(w * chi) it reaches."""
+    stack = form.with_eigenvalues(w)
+    stack = 0.5 * (stack + np.swapaxes(stack.conj(), -1, -2))  # Hermitian bit for bit
+    rho_f = DensityMatrix._exact(form.basis, form.blocks, stack, trace_target=trace_target)
+    return TargetState(rho=rho_f, scope=scope, achieved=float(np.sum(w * form.eigensystem[0])))
 
 
 def build_target(
@@ -111,17 +131,13 @@ def build_target(
     observable eigenvalues are filled in deterministic basis order, which
     leaves the achieved expectation unchanged.
     """
-    form, w, chi = _paired_weights(rho0, obs, blocks)
-    stack = form.with_eigenvalues(w)
-    stack = 0.5 * (stack + np.swapaxes(stack.conj(), -1, -2))  # Hermitian bit for bit
-    rho_f = DensityMatrix._exact(rho0.basis, form.blocks, stack, trace_target=rho0.trace_target)
-    scope = GLOBAL_SCOPE if blocks is None else BLOCKWISE_SCOPE
-    return TargetState(rho=rho_f, scope=scope, achieved=float(np.sum(w * chi)))
+    form, w = _paired_weights(rho0, obs, blocks)
+    return _target(form, w, rho0.trace_target, GLOBAL_SCOPE if blocks is None else BLOCKWISE_SCOPE)
 
 
-def _lattice(blocks: BlockDecomposition, h0: HermitianOperator) -> FrequencyLattice:
-    """The frequency lattice of h0's energies on the block stacks of blocks."""
-    return FrequencyLattice(blocks.rows(h0.energies()), blocks.classes)
+def _lattice(blocks: BlockDecomposition, energies: np.ndarray) -> FrequencyLattice:
+    """The frequency lattice of the level energies, a basis vector, on the block stacks of blocks."""
+    return FrequencyLattice(blocks.rows(energies), blocks.classes)
 
 
 def duration_above(
@@ -149,7 +165,7 @@ def duration_above(
         )
     # entries of rho coupling two blocks of obs never meet an entry of obs, so they are dropped
     state = rho.regroup(obs.blocks, "state", np.inf)
-    lattice = h0 if isinstance(h0, FrequencyLattice) else _lattice(obs.blocks, h0)
+    lattice = h0 if isinstance(h0, FrequencyLattice) else _lattice(obs.blocks, h0.energies())
     series = TraceSeries(state.stack, obs.stack, lattice)
     flat = series.flat_value()
     if flat is not None:
@@ -183,40 +199,85 @@ def bound_sweep(
 ) -> list[SweepRow]:
     """Kinematical bounds and blockwise-target persistence over a (j_max, T) grid.
 
-    Rows run temperature-major: every cutoff at the first temperature, then
-    at the next.  Basis, observable, blocks and the frequency lattice of h0
-    on the blocks are built once per cutoff and shared by all temperatures.
-    Each (cutoff, temperature) then computes what its row holds and no
-    more: the optimal bound is the sum of build_target's pairing, with no
-    target state built; the linear bound is the blockwise target's
-    expectation; and the durations come from one duration_above call on
-    that target, with no global maximum searched.
+    Rows run temperature-major: every cutoff, in the order given, at the
+    first temperature, then at the next.  The observable and the basis are
+    built once, at the top cutoff.  Every cutoff takes its observable from
+    the leading slots of that one (project_operator), and the j of its
+    states, whence their energies and Boltzmann weights, from the top
+    basis's states with j <= j_max.  The observables' eigensystems are
+    solved a group of cutoffs at a time, one eigh call per block size
+    (solve_eigensystems); a group holds at most as many stack entries as
+    the top cutoff's observable or 2**16, whichever is more, or one cutoff.  Each cutoff builds the
+    frequency lattice of its energies once and shares it by all
+    temperatures.  A thermal state is diagonal, so its spectrum is its
+    Boltzmann weights (boltzmann_weights, as thermal_state takes them),
+    read as its eigensystem would (thermal_spectrum over all blocks,
+    diagonal_eigenvalues per block); no thermal state is built.  Each (cutoff, temperature) then computes what
+    its row holds and no more: the optimal bound is the sum of
+    build_target's global pairing of that spectrum, with no target state
+    built; the linear bound is the expectation of the blockwise target;
+    and the durations come from one duration_above call on that target,
+    with no global maximum searched.  The results are bit for bit those of
+    thermal_state, observable_matrix, build_target and duration_above at
+    each cutoff on its own.
     """
+    cutoffs = list(j_max_values)
     temperatures = list(temperatures_k)
     for temperature in temperatures:
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
+        if not 0 < temperature < np.inf:  # NaN included
+            raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    if not cutoffs:
+        return []
     per_temperature: list[list[SweepRow]] = [[] for _ in temperatures]
-    for j_max in j_max_values:
-        basis = build_basis(j_max)
-        obs = observable_matrix(basis, kind)
-        blocks = block_decomposition(basis, kind)
-        lattice = _lattice(blocks, h0_matrix(basis))
+    top = observable_matrix(build_basis(max(cutoffs)), kind)
+    for j_max, (obs, j) in zip(cutoffs, _projections(top, cutoffs)):
+        basis, blocks = obs.basis, obs.blocks
+        lattice = _lattice(blocks, level_energies(j))
         for temperature, rows in zip(temperatures, per_temperature):
-            beta = b_cm / (kb_cm_per_k * temperature)
-            rho0 = thermal_state(basis, beta, z_mode=z_mode, renormalize=renormalize)
-            _, w, chi = _paired_weights(rho0, obs, None)  # the optimal bound needs no target state
-            lin = build_target(rho0, obs, blocks)
+            weights, trace = boltzmann_weights(j, b_cm / (kb_cm_per_k * temperature), z_mode, renormalize)
+            # the optimal bound needs no target state
+            optimal = float(np.sum(_global_weights(thermal_spectrum(basis, weights), obs) * obs.eigensystem[0]))
+            lin = _target(obs, diagonal_eigenvalues(blocks, weights), trace, BLOCKWISE_SCOPE)
             dur = duration_above(lin.rho, obs, lattice, threshold)
             rows.append(
                 SweepRow(
                     kind=kind,
                     j_max=j_max,
                     temperature_k=temperature,
-                    optimal=float(np.sum(w * chi)),
+                    optimal=optimal,
                     linear=lin.achieved,
                     duration_linear=dur.total,
                     duration_linear_longest=dur.longest,
                 )
             )
     return [row for rows in per_temperature for row in rows]
+
+
+def _projections(top: HermitianOperator, cutoffs: list[int]):
+    """For each cutoff J in order: top projected onto build_basis(J), with its eigensystem, and the j of its states.
+
+    Consecutive cutoffs form a group while their stacks hold at most as
+    many entries as top's, or _GROUP_ENTRIES if that is more; the
+    eigensystems of a group are solved together.  So a sweep to a small
+    top cutoff solves in one group, and memory stays within a few
+    top-sized stacks however many cutoffs there are.
+    """
+    budget = max(top.stack.size, _GROUP_ENTRIES)
+    group: dict[int, HermitianOperator] = {}
+    listed: list[int] = []
+    for j_max in cutoffs:
+        if j_max not in group:
+            obs = project_operator(top, build_basis(j_max))
+            if group and sum(op.stack.size for op in group.values()) + obs.stack.size > budget:
+                yield from _solved(top, group, listed)
+                group, listed = {}, []
+            group[j_max] = obs
+        listed.append(j_max)
+    yield from _solved(top, group, listed)
+
+
+def _solved(top: HermitianOperator, group: dict[int, HermitianOperator], listed: list[int]):
+    """The group's projections with their eigensystems, in the order listed, each with the j of its states."""
+    solve_eigensystems(list(group.values()))
+    j_top = top.basis.j_values  # a cutoff's states are the top basis's with j <= J, in the same order
+    return [(group[j_max], j_top[j_top <= j_max]) for j_max in listed]

@@ -60,6 +60,20 @@ def test_m_shells_are_the_states_of_the_full_basis_with_small_m(j_max, m_max):
     assert (shells is build_basis(j_max)) == (m_max >= j_max)
 
 
+def test_a_basis_within_a_larger_one_shares_its_states(monkeypatch):
+    import rotorkick.basis
+
+    monkeypatch.setattr(rotorkick.basis, "_BASES", {})
+    top = build_basis(6)
+    made = {id(s) for s in top.states}
+    for j_max, m_max in [(6, 2), (3, None), (4, 1), (0, None)]:
+        basis = build_basis(j_max, m_max)
+        m_cut = j_max if m_max is None else m_max
+        fresh = tuple(BasisIndex(j, m) for m in range(-m_cut, m_cut + 1) for j in range(abs(m), j_max + 1))
+        assert basis.states == fresh
+        assert {id(s) for s in basis.states} <= made
+
+
 def test_invalid_states_rejected():
     with pytest.raises(ValueError):
         BasisIndex(-1, 0)

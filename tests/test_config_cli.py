@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -430,6 +432,28 @@ def test_cli_mistyped_config_value_is_config_error(tmp_path, capsys, command, fi
     path = _raw_config_file(tmp_path, **{field: value})
     assert main([command, "--config", str(path)]) == 2
     assert field in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def _float_fields():
+    """Every float field of the config, a molecule field prefixed with molecule."""
+    for cls, prefix in ((MoleculeParams, "molecule."), (RunConfig, "")):
+        yield from (prefix + f.name for f in dataclasses.fields(cls) if "float" in str(f.type))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", list(_float_fields()))
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_cli_non_finite_config_value_is_config_error(tmp_path, capsys, command, field, value):
+    # json reads NaN and Infinity as floats; a check such as b_cm <= 0 lets NaN through
+    payload = json.loads(_raw_config_file(tmp_path).read_text())
+    *molecule, name = field.split(".")
+    values = payload["molecule"] if molecule else payload
+    values[name] = [5.0, value] if name == "temperatures_k" else value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, "--config", str(path)]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 

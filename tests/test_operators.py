@@ -20,12 +20,16 @@ from rotorkick.operators import (
     HermitianOperator,
     cos2_theta_matrix,
     cos_theta_matrix,
+    diagonal_eigenvalues,
     embed_density,
     embed_operator,
     eigenvalue_multiplicities,
     h0_matrix,
     kick_unitary,
     observable_matrix,
+    partition_function,
+    project_operator,
+    thermal_spectrum,
     thermal_state,
 )
 from rotorkick.target import build_target
@@ -204,6 +208,11 @@ def test_thermal_invalid_beta():
         thermal_state(basis, beta=-1.0)
     with pytest.raises(ValueError):
         thermal_state(basis, beta=1.0, z_mode="bogus")
+    for beta in (math.nan, math.inf, -math.inf):  # not a failed partition sum
+        with pytest.raises(ValueError, match="finite"):
+            thermal_state(basis, beta)
+        with pytest.raises(ValueError, match="finite"):
+            partition_function(beta)
 
 
 def test_kick_exponential_two_level_closed_form():
@@ -454,6 +463,33 @@ def test_diagonal_eigenvalues_are_those_eigh_returns(j_sim):
         assert np.allclose(op.with_eigenvalues(w), op.stack, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+@pytest.mark.parametrize("j_max, beta", [(16, 0.3), (30, 1.0), (96, 0.2)])
+def test_diagonal_eigenvalues_and_thermal_spectrum_are_the_thermal_eigenvalues(kind, j_max, beta):
+    basis = build_basis(j_max)
+    blocks = block_decomposition(basis, kind)
+    for settings in ({}, {"z_mode": "truncated"}, {"renormalize": True}):
+        rho = thermal_state(basis, beta, **settings)
+        weights = rho.diagonal
+        scale = np.max(np.append(weights, 0.0)[blocks.slots], axis=-1)
+        if j_max > 16:  # some blocks lie below 2**-485, where eigh rescales and moves the last bits
+            assert np.any((scale > 0) & (scale < 2.0**-485))
+        want = rho.regroup(blocks).eigensystem[0]
+        assert diagonal_eigenvalues(blocks, weights).tobytes() == want.tobytes()
+        assert thermal_spectrum(basis, weights).tobytes() == rho.eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_projection_inverts_the_embedding(kind):
+    small, big = build_basis(4), build_basis(7)
+    op = observable_matrix(small, kind)
+    assert project_operator(embed_operator(op, big), small).stack.tobytes() == op.stack.tobytes()
+    # the entries do not depend on the cutoff: the projection of the larger observable is the smaller one
+    assert project_operator(observable_matrix(big, kind), small).stack.tobytes() == op.stack.tobytes()
+    with pytest.raises(KeyError):
+        project_operator(op, big)
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_kick_eigensystem_solves_each_mirror_pair_once_with_the_loop_bits(preset, monkeypatch):
     import rotorkick.operators as operators
@@ -461,12 +497,13 @@ def test_kick_eigensystem_solves_each_mirror_pair_once_with_the_loop_bits(preset
     config = PRESETS[preset]
     calls = []
     real = operators._eigh
-    monkeypatch.setattr(operators, "_eigh", lambda matrix: calls.append(1) or real(matrix))
+    # _eigh solves a stack of blocks of one size at once: count the blocks
+    monkeypatch.setattr(operators, "_eigh", lambda matrix: calls.append(np.prod(matrix.shape[:-2])) or real(matrix))
     for j in (config.j_max, config.j_sim):
         op = make_kick(build_basis(j), config.process, config.kick_amplitude).operator
         calls.clear()
         w, v = op.eigensystem
-        assert len(calls) == sum(block.m >= 0 for block in op.blocks.blocks)
+        assert sum(calls) == sum(block.m >= 0 for block in op.blocks.blocks)
         expected_w, expected_v = _per_block_eigh(op)
         assert w.tobytes() == expected_w.tobytes() and v.tobytes() == expected_v.tobytes()
 

@@ -21,10 +21,11 @@ from rotorkick.operators import (
     cos_theta_matrix,
     embed_operator,
     h0_matrix,
+    level_energies,
     observable_matrix,
     thermal_state,
 )
-from rotorkick.target import bound_sweep, build_target, duration_above, optimal_pairing
+from rotorkick.target import _projections, bound_sweep, build_target, duration_above, optimal_pairing
 
 
 def test_pairing_reference_example():
@@ -305,6 +306,54 @@ def test_bound_sweep_over_temperatures_equals_single_sweeps():
     temperatures = [5.0, 10.0, 5.0]
     rows = bound_sweep(range(1, 7), temperatures, **kw)
     assert rows == [row for t in temperatures for row in bound_sweep(range(1, 7), [t], **kw)]
+
+
+@pytest.mark.parametrize(
+    "cutoffs", [lambda: iter([3, 1, 2]), lambda: [4, 1, 4, 2, 1], lambda: [], lambda: iter([])], ids=repr
+)
+def test_bound_sweep_takes_cutoffs_in_any_order_once(cutoffs):
+    # the top cutoff is found without a second pass over an iterator, and an empty input gives no rows
+    kw = dict(kind=ALIGNMENT, b_cm=0.70652, kb_cm_per_k=KB_CM_PER_K)
+    temperatures = [5.0, 10.0]
+    expected = [row for t in temperatures for j in cutoffs() for row in bound_sweep([j], [t], **kw)]
+    assert bound_sweep(cutoffs(), temperatures, **kw) == expected
+    assert len(expected) == len(list(cutoffs())) * len(temperatures)
+
+
+@pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf, -math.inf])
+def test_bound_sweep_rejects_a_temperature_or_beta_that_is_not_positive_and_finite(value):
+    kw = dict(kind=ORIENTATION, b_cm=0.70652, kb_cm_per_k=KB_CM_PER_K)
+    with pytest.raises(ValueError, match="temperature must be positive and finite"):
+        bound_sweep([1, 2], [5.0, value], **kw)
+    with pytest.raises(ValueError, match="beta must be positive and finite"):  # B / (k_B T), from B
+        bound_sweep([1, 2], [5.0], **{**kw, "b_cm": value})
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_bound_sweep_pieces_are_those_built_at_each_cutoff(kind):
+    # the observables projected from the top cutoff, their eigensystems solved in groups, and the level energies
+    top = observable_matrix(build_basis(16), kind)
+    cutoffs = list(range(1, 17))
+    padded = 0
+    for j_max, (obs, j) in zip(cutoffs, _projections(top, cutoffs)):
+        basis = build_basis(j_max)
+        want = observable_matrix(basis, kind)
+        assert obs.basis is basis and obs.blocks is want.blocks
+        assert obs.stack.tobytes() == want.stack.tobytes()
+        for got, expected in zip(obs.eigensystem, want.eigensystem):
+            assert got.tobytes() == expected.tobytes()
+        assert level_energies(j).tobytes() == h0_matrix(basis).energies().tobytes()
+        if kind == ALIGNMENT and j_max % 2 == 0:
+            # an odd-j block ends one slot short of the width; below the top, the top's block has j_max + 1 there
+            short = np.flatnonzero(~obs.blocks.filled[:, -1])
+            of = {(block.m, block.parity): b for b, block in enumerate(top.blocks.blocks)}
+            for b in short:
+                block = obs.blocks.blocks[b]
+                assert block.parity == 1 and not obs.stack[b, -1].any() and not obs.stack[b, :, -1].any()
+                last = obs.stack.shape[-1] - 1
+                assert j_max == 16 or top.stack[of[block.m, 1], last, last] != 0
+            padded += len(short) > 0
+    assert padded == (8 if kind == ALIGNMENT else 0)
 
 
 def test_duration_decreases_at_high_cutoff():
