@@ -14,10 +14,10 @@ stacks.
 
 dim_L is certified in closed form, in Python integers, from rational forms
 of the generators on the blocks with m >= 0.  On such a block of n states,
-H0 = diag(E_k), and T O T^-1, similar to the observable O, is tridiagonal.
-Edge e joins slots k and k+1; its frequency is w_e = E_k+1 - E_k (2(j+1)
-for cos(theta), 4j+6 for cos^2(theta)) and its coupling c_e^2 is the
-product of its two off-diagonal entries.
+H0 = diag(E_k), and T O T^-1, similar to the observable O, is tridiagonal
+(_Band).  Edge e joins slots k and k+1; its frequency is w_e = E_k+1 - E_k
+(2(j+1) for cos(theta), 4j+6 for cos^2(theta)) and its coupling c_e^2 is
+the product of its two off-diagonal entries.
 
 - Block check.  Let every c_e^2 be nonzero and the |w_e| nonzero and
   pairwise distinct.  Z_q = ad_H0^2q O = sum_e w_e^2q P_e, with
@@ -38,10 +38,25 @@ product of its two off-diagonal entries.
   rest of L has the dimension r of the span of the blocks' traces of H0
   and O (block_trace_rank), and dim_L = sum_b (n_b^2 - 1) + r = D'.
 
-When either check fails, dim_L is counted instead, by row reduction mod a
-prime of the same rational generators.  That count bounds dim_L from
-below, so it certifies dim_L = D' when it reaches D'.  The rank of the
-blocks' traces is counted in integers from the same rational forms: the
+Both checks hold at every cutoff, so dim_L = D' always:
+
+- Block check.  c^2 = ((j+1)^2 - m^2) / ((2j+1)(2j+3)) on the edge from j
+  of a cos(theta) block is positive, since j >= m, and on a cos^2(theta)
+  block c_e^2 is the product of two such factors.  The edge frequencies
+  2(j+1) and 4j+6 strictly increase with j along a block, so they are
+  nonzero and pairwise distinct.
+- Pair check.  Orientation blocks have j_max + 1 - m states, no two the
+  same.  Two alignment blocks of equal size n >= 2 with the same j values
+  have m != m', and every c_e^2 strictly decreases in m^2, so their sums
+  differ at q = 1.  With different j values, the lowest frequency
+  4 j_0 + 6 of the two occurs in one block only, with a positive
+  coefficient.  A sum of x^q over at most 2(n - 1) distinct nonzero x,
+  one of them with a nonzero coefficient, is nonzero at some q in
+  1 .. 2(n - 1) (Vandermonde), the range the check runs over.
+
+A failed check would mean that the rational form is wrong, so it raises
+NumericalError naming the block or the pair.  The rank of the blocks'
+traces is counted in integers from the same rational forms: the
 controllability report builds no float operator.
 """
 
@@ -65,31 +80,31 @@ from .operators import (
 
 RANK_TOL = 1e-10  # relative norm above which a frequency component adds to the fixed-point span
 STATIONARY_TOL = 1e-10
-# The prime of the exact Lie-algebra count.  Every denominator of the
-# generators' entries has prime factors no larger than 2 j_max + 3.
-MODULUS = 1_000_003
 
 
 def check_cutoff(j_max: int) -> None:
-    """Reject a cutoff the count mod MODULUS cannot serve, with ConfigError, before anything is built.
-
-    The closed form of lie_closure needs none of these bounds; they serve
-    its fallback, the count.  The reduction needs a prime above
-    2 j_max + 5, and each reduction product sums at most (j_max + 1)^3
-    terms below (MODULUS - 1)^2, which must stay below 2^63 in int64.
-    Every cutoff is held to them, so that whether a cutoff is accepted does
-    not depend on which route computes it.
-    """
+    """Reject a cutoff below 1 with ConfigError, before anything is built; every cutoff from 1 up is served."""
     if j_max < 1:
         raise ConfigError(f"controllability needs j_max >= 1, got {j_max}")
-    if MODULUS <= 2 * j_max + 5:
-        raise ConfigError(f"j_max={j_max} needs a prime above 2 j_max + 5 = {2 * j_max + 5}, the count works mod {MODULUS}")
-    if (j_max + 1) ** 3 * (MODULUS - 1) ** 2 >= 2**63:
-        raise ConfigError(f"j_max={j_max} is too large for the count mod {MODULUS}: its products would overflow int64")
 
 
-def _rational_observable(j_max: int, kind: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """T O T^-1 on the blocks with m >= 0 of block_decomposition, as (j values, integer numerators, denominators).
+@dataclass(frozen=True)
+class _Band:
+    """T O T^-1 on one block with m >= 0, tridiagonal, in Python integers.
+
+    diagonal holds (numerator, denominator) per state, edges (w_e, a_e, b_e)
+    per neighbouring slots k and k+1: w_e = E_k+1 - E_k, and the entries
+    c_e^2 = a_e / b_e above the diagonal and 1 below it.
+    """
+
+    m: int
+    js: list[int]
+    diagonal: list[tuple[int, int]]
+    edges: list[tuple[int, int, int]]
+
+
+def _rational_observable(j_max: int, kind: str) -> list[_Band]:
+    """T O T^-1 on the blocks with m >= 0 of block_decomposition, one _Band each, in its order.
 
     O couples each state only to its neighbours in the block, symmetrically:
     with c the coupling of slots k and k+1 (cos theta: c(j, m); cos^2
@@ -103,128 +118,24 @@ def _rational_observable(j_max: int, kind: str) -> list[tuple[np.ndarray, np.nda
     for block in block_decomposition(basis, kind).blocks:
         if block.m < 0:
             continue
-        m, js = block.m, basis.j_values[list(block.members)]
-        num = np.zeros((len(js), len(js)), dtype=np.int64)
-        den = np.ones_like(num)
-        for k, j in enumerate(js.tolist()):
+        m, js = block.m, basis.j_values[list(block.members)].tolist()
+        diagonal, edges = [], []
+        for k, j in enumerate(js):
+            a, b = 0, 1
             if kind == ALIGNMENT:
                 a, b = squared_cos_theta_element(j, m)
                 if j > m:
                     a0, b0 = squared_cos_theta_element(j - 1, m)
                     a, b = a * b0 + a0 * b, b * b0
-                num[k, k], den[k, k] = a, b
+            diagonal.append((a, b))
             if k + 1 < len(js):
                 a, b = squared_cos_theta_element(j, m)
                 if kind == ALIGNMENT:
                     a1, b1 = squared_cos_theta_element(j + 1, m)
                     a, b = a * a1, b * b1
-                num[k, k + 1], den[k, k + 1] = a, b
-                num[k + 1, k] = 1
-        out.append((js, num, den))
+                edges.append((js[k + 1] * (js[k + 1] + 1) - j * (j + 1), a, b))
+        out.append(_Band(m, js, diagonal, edges))
     return out
-
-
-def _generators_mod_p(j_max: int, kind: str) -> tuple[list[int], np.ndarray]:
-    """Block sizes and the rows of H0 and T O T^-1 mod MODULUS, the m >= 0 blocks flattened one after another."""
-    sizes, h0, obs = [], [], []
-    for js, num, den in _rational_observable(j_max, kind):
-        inverse = {d: pow(d, -1, MODULUS) for d in set(den.ravel().tolist())}
-        sizes.append(len(js))
-        h0.append(np.diag(js * (js + 1)).ravel())
-        obs.append(num.ravel() % MODULUS * np.array([inverse[d] for d in den.ravel().tolist()]) % MODULUS)
-    return sizes, np.array([np.concatenate(h0), np.concatenate(obs)], dtype=np.int64)
-
-
-def _brackets(x: np.ndarray, rows: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """[x, f] mod MODULUS for the row x and every row f, one batched product per block."""
-    out = np.empty_like(rows)
-    lo = 0
-    for n in sizes:
-        hi = lo + n * n
-        a = x[lo:hi].reshape(n, n)
-        f = rows[:, lo:hi].reshape(-1, n, n)
-        out[:, lo:hi] = ((a @ f - f @ a) % MODULUS).reshape(len(rows), hi - lo)
-        lo = hi
-    return out
-
-
-def _echelon(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced echelon form mod MODULUS of the rows, taken in order: (independent rows, their pivot columns).
-
-    A row's pivot is its first nonzero column.
-    """
-    rows = rows.copy()
-    kept, pivots = [], []
-    for i in range(len(rows)):
-        nonzero = np.flatnonzero(rows[i])
-        if not len(nonzero):
-            continue  # in the span of the rows before it
-        c = nonzero[0]
-        rows[i] = rows[i] * pow(int(rows[i, c]), -1, MODULUS) % MODULUS
-        column = rows[:, c].copy()
-        column[i] = 0
-        rows = (rows - np.outer(column, rows[i]) % MODULUS) % MODULUS
-        kept.append(i)
-        pivots.append(c)
-    return rows[kept], np.array(pivots, dtype=np.intp)
-
-
-def _extend(rows: np.ndarray, pivots: np.ndarray, candidates: np.ndarray):
-    """Add the span of the candidates to the reduced echelon rows: (rows, pivots, the rows added).
-
-    The rows are zero at every pivot but their own, so one product reduces
-    the whole group against them.  Only the candidates left nonzero go
-    through the pivoting of _echelon, and one more product clears the new
-    pivot columns from the old rows.
-    """
-    residual = (candidates - (candidates[:, pivots] @ rows) % MODULUS) % MODULUS
-    new, new_pivots = _echelon(residual[residual.any(axis=1)])
-    rows = (rows - (rows[:, new_pivots] @ new) % MODULUS) % MODULUS
-    return np.concatenate([rows, new]), np.concatenate([pivots, new_pivots]), new
-
-
-def _close(generators: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Reduced echelon basis mod MODULUS, rows in pivot order, of the Lie algebra the generator rows generate.
-
-    The algebra generated by a set X is spanned by the right-normed
-    brackets [x1, [x2, ... [x_k-1, x_k]]] with every x_i in X, in any
-    characteristic, so a space that holds X and [x, f] for every x in X
-    and f in it is the algebra.  Each round therefore brackets only the
-    generators with the rows the previous round added, as they were
-    added; those rows span the basis, and the rounds stop when one adds
-    nothing.  The reduced echelon form of a space is unique, so the basis
-    does not depend on the order of the work.
-    """
-    rows = np.zeros((0, generators.shape[1]), dtype=np.int64)
-    pivots = np.zeros(0, dtype=np.intp)
-    candidates = generators % MODULUS
-    while len(candidates):
-        rows, pivots, fresh = _extend(rows, pivots, candidates)
-        candidates = np.concatenate([_brackets(x, fresh, sizes) for x in generators])
-    return rows[np.argsort(pivots)]
-
-
-def _count(j_max: int, kind: str) -> tuple[int, np.ndarray]:
-    """dim_L counted mod MODULUS, with the unique reduced echelon basis mod MODULUS the count ends with.
-
-    The rank mod MODULUS of the rational brackets never exceeds their rank
-    over the rationals, so the count is a lower bound on dim_L, and equal
-    to it when it reaches the upper bound D'.  rows is int64, one row per
-    element, each the m >= 0 blocks of T X T^-1 flattened row-major one
-    after another.
-    """
-    sizes, generators = _generators_mod_p(j_max, kind)
-    rows = _close(generators, sizes)
-    return len(rows), rows
-
-
-def _edges(js: np.ndarray, num: np.ndarray, den: np.ndarray) -> list[tuple[int, int, int]] | None:
-    """(w_e, a_e, b_e) per edge of a block of _rational_observable, c_e^2 = a_e / b_e; None if it is not tridiagonal."""
-    if np.any(np.triu(num, 2)) or np.any(np.tril(num, -2)):
-        return None
-    energies = (js * (js + 1)).tolist()
-    entries = zip(*(np.diag(x, k).tolist() for x in (num, den) for k in (1, -1)))  # above, below; numerators first
-    return [(e1 - e0, a * c, b * d) for e0, e1, (a, c, b, d) in zip(energies, energies[1:], entries)]
 
 
 def _square_trace(edges: list[tuple[int, int, int]], q: int) -> tuple[int, int]:
@@ -235,49 +146,44 @@ def _square_trace(edges: list[tuple[int, int, int]], q: int) -> tuple[int, int]:
     return p, d
 
 
-def _certified_dimension(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> int | None:
-    """dim_L = sum_b (n_b^2 - 1) + r by the block and pair checks of the module docstring, or None if one fails.
-
-    Two blocks of n states are compared at q = 1 .. 2(n - 1): their
-    difference is a sum of x^q over at most 2(n - 1) distinct nonzero
-    x = w^4, which vanishes at all these q only when it vanishes at every q
-    (Vandermonde), so no further q could tell them apart.
-    """
-    by_size: dict[int, list] = {}
-    dim = _trace_rank(blocks)
-    for js, num, den in blocks:
-        n = len(js)
-        if n < 2:
-            continue
-        edges = _edges(js, num, den)
-        if edges is None or any(a == 0 or w == 0 for w, a, _ in edges) or len({abs(w) for w, _, _ in edges}) < n - 1:
-            return None
-        for other in by_size.get(n, []):
-            traces = ((_square_trace(edges, q), _square_trace(other, q)) for q in range(1, 2 * n - 1))
-            if all(p * d_other == p_other * d for (p, d), (p_other, d_other) in traces):
-                return None  # possibly linked
-        by_size.setdefault(n, []).append(edges)
-        dim += n * n - 1
-    return dim
-
-
-def lie_closure(j_max: int, kind: str) -> tuple[int, np.ndarray | None]:
-    """Dimension of the real Lie algebra L generated by i H0 and i O, exact: (dim_L, rows).
+def lie_closure(j_max: int, kind: str) -> tuple[int, int]:
+    """Dimension of the real Lie algebra L generated by i H0 and i O, exact: (dim_L, r).
 
     dim_R L is the complex dimension of the algebra generated by H0 and O,
     since L and i L meet only in 0 inside u(N), and a similarity T leaves
     that dimension alone.  The m and -m blocks of H0 and O are equal, so
     L is taken on the blocks with m >= 0 of the process's decomposition,
     where the diagonal T of _rational_observable makes every entry
-    rational.  The closed form of the module docstring certifies dim_L
-    there, and rows is None.  When its block or pair check fails, dim_L is
-    counted mod MODULUS instead (_count), and rows is the reduced echelon
-    basis that count ends with.
+    rational.  On them the block and pair checks of the module docstring
+    give dim_L = sum_b (n_b^2 - 1) + r, with r the rank of block_trace_rank.
+    The checks hold at every cutoff; a failed one raises NumericalError
+    naming the block or the pair.
     """
     check_process_kind(kind)
     check_cutoff(j_max)
-    dim = _certified_dimension(_rational_observable(j_max, kind))
-    return (dim, None) if dim is not None else _count(j_max, kind)
+    bands = _rational_observable(j_max, kind)
+    r = _trace_rank(bands)
+    dim = r
+    by_size: dict[int, list[_Band]] = {}
+    for band in bands:
+        n = len(band.js)
+        if n < 2:
+            continue
+        if any(a == 0 for _, a, _ in band.edges) or len({abs(w) for w, _, _ in band.edges} - {0}) < n - 1:
+            raise NumericalError(
+                f"block check failed at j_max={j_max} ({kind}): the block m={band.m} from j={band.js[0]} "
+                "has a zero coupling, a zero edge frequency or two edge frequencies of equal |w|"
+            )
+        for other in by_size.get(n, []):
+            traces = ((_square_trace(band.edges, q), _square_trace(other.edges, q)) for q in range(1, 2 * n - 1))
+            if all(p * d_other == p_other * d for (p, d), (p_other, d_other) in traces):
+                raise NumericalError(
+                    f"pair check failed at j_max={j_max} ({kind}): the blocks m={other.m} from j={other.js[0]} "
+                    f"and m={band.m} from j={band.js[0]} may be linked, Tr Z_q^2 agree at q = 1..{2 * n - 2}"
+                )
+        by_size.setdefault(n, []).append(band)
+        dim += n * n - 1
+    return dim, r
 
 
 def block_trace_rank(j_max: int, kind: str) -> int:
@@ -298,14 +204,14 @@ def block_trace_rank(j_max: int, kind: str) -> int:
     return _trace_rank(_rational_observable(j_max, kind))
 
 
-def _trace_rank(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> int:
-    """block_trace_rank on the blocks of _rational_observable."""
+def _trace_rank(bands: list[_Band]) -> int:
+    """block_trace_rank on the bands of _rational_observable."""
     rows = []
-    for js, num, den in blocks:
+    for band in bands:
         p, q = 0, 1
-        for a, b in zip(np.diag(num).tolist(), np.diag(den).tolist()):
+        for a, b in band.diagonal:
             p, q = p * b + a * q, q * b
-        rows.append((sum(j * (j + 1) for j in js.tolist()) * q, p))
+        rows.append((sum(j * (j + 1) for j in band.js) * q, p))
     nonzero = [row for row in rows if row != (0, 0)]
     if not nonzero:
         return 0
@@ -365,13 +271,11 @@ class LieAlgebraReport:
 def controllability_report(j_max: int, kind: str) -> LieAlgebraReport:
     """Take the dimension of the rotor generators' algebra exactly and compare it with the required counts.
 
-    The closed form of lie_closure gives D' itself.  Where it falls back to
-    the count mod MODULUS, D' bounds the dimension from above and the count
-    from below, so a count equal to D' proves dim_L = D'.  A dimension
-    above D' breaks that invariant and raises NumericalError.
+    One call of lie_closure gives dim_L and the trace rank r from one
+    rational build; dim_L is D' itself.  D' bounds dim_L from above, so a
+    dimension above D' breaks that invariant and raises NumericalError.
     """
-    dim_l, _ = lie_closure(j_max, kind)
-    r = block_trace_rank(j_max, kind)
+    dim_l, r = lie_closure(j_max, kind)
     d, d_prime = dims_required(j_max, r, kind)
     if dim_l > d_prime:
         raise NumericalError(

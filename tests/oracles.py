@@ -11,9 +11,14 @@ state with j <= j_sim, as the CLI ran it before it kept only the m shells
 that the control space sees, certified_duration_above the duration
 rule of the bound sweep as it was before it stopped searching the global
 maximum, vectorized_roots the root finder as it was before it kept its
-bookkeeping in Python floats, and unpruned_global_max the maximum search
+bookkeeping in Python floats, unpruned_global_max the maximum search
 as it was before it dropped the steps that the first sampled maximum
-already clears.
+already clears, and grouped_count the count of dim_L mod a prime that
+the package ran before its closed form was proved to hold at every
+cutoff.  grouped_count brackets the generators with groups of new rows
+and is itself checked against sequential_exact_closure, which brackets
+every pair one at a time; both run on dense generators that
+generators_mod_p builds from the package's rational bands.
 """
 
 import itertools
@@ -537,3 +542,113 @@ def sequential_exact_closure(generators, sizes, p):
         elements += fresh
         fresh = [c for c in (bracket(x, f) for x in elements for f in fresh) if insert(c)]
     return basis[np.argsort(pivots)]
+
+
+# The prime of grouped_count.  The bands' denominators have prime factors no
+# larger than 2 j_max + 3.
+MODULUS = 1_000_003
+
+
+def generators_mod_p(bands):
+    """Block sizes and the rows of H0 and T O T^-1 mod MODULUS, dense, built from the bands of _rational_observable.
+
+    Each row holds the bands' blocks flattened row-major one after another:
+    H0 = diag(j (j + 1)), and T O T^-1 has the band's diagonal, c_e^2 above
+    it and 1 below it.  A zero coupling leaves both entries of its edge 0,
+    as O has them: T can turn (c, c) into (c^2, 1) only for c != 0.
+    """
+    sizes, h0, obs = [], [], []
+    for band in bands:
+        n = len(band.js)
+        o = np.zeros((n, n), dtype=np.int64)
+        for k, (a, b) in enumerate(band.diagonal):
+            o[k, k] = a * pow(b, -1, MODULUS) % MODULUS
+        for k, (_, a, b) in enumerate(band.edges):
+            o[k, k + 1], o[k + 1, k] = a * pow(b, -1, MODULUS) % MODULUS, a != 0
+        sizes.append(n)
+        h0.append(np.diag([j * (j + 1) for j in band.js]).ravel())
+        obs.append(o.ravel())
+    return sizes, np.array([np.concatenate(h0), np.concatenate(obs)], dtype=np.int64)
+
+
+def _brackets(x, rows, sizes):
+    """[x, f] mod MODULUS for the row x and every row f, one batched product per block."""
+    out = np.empty_like(rows)
+    lo = 0
+    for n in sizes:
+        hi = lo + n * n
+        a = x[lo:hi].reshape(n, n)
+        f = rows[:, lo:hi].reshape(-1, n, n)
+        out[:, lo:hi] = ((a @ f - f @ a) % MODULUS).reshape(len(rows), hi - lo)
+        lo = hi
+    return out
+
+
+def echelon(rows):
+    """Reduced echelon form mod MODULUS of the rows, taken in order: (independent rows, their pivot columns).
+
+    A row's pivot is its first nonzero column.
+    """
+    rows = rows.copy()
+    kept, pivots = [], []
+    for i in range(len(rows)):
+        nonzero = np.flatnonzero(rows[i])
+        if not len(nonzero):
+            continue  # in the span of the rows before it
+        c = nonzero[0]
+        rows[i] = rows[i] * pow(int(rows[i, c]), -1, MODULUS) % MODULUS
+        column = rows[:, c].copy()
+        column[i] = 0
+        rows = (rows - np.outer(column, rows[i]) % MODULUS) % MODULUS
+        kept.append(i)
+        pivots.append(c)
+    return rows[kept], np.array(pivots, dtype=np.intp)
+
+
+def extend(rows, pivots, candidates):
+    """Add the span of the candidates to the reduced echelon rows: (rows, pivots, the rows added).
+
+    The rows are zero at every pivot but their own, so one product reduces
+    the whole group against them.  Only the candidates left nonzero go
+    through the pivoting of echelon, and one more product clears the new
+    pivot columns from the old rows.
+    """
+    residual = (candidates - (candidates[:, pivots] @ rows) % MODULUS) % MODULUS
+    new, new_pivots = echelon(residual[residual.any(axis=1)])
+    rows = (rows - (rows[:, new_pivots] @ new) % MODULUS) % MODULUS
+    return np.concatenate([rows, new]), np.concatenate([pivots, new_pivots]), new
+
+
+def grouped_closure(generators, sizes):
+    """Reduced echelon basis mod MODULUS, rows in pivot order, of the Lie algebra the generator rows generate.
+
+    The algebra generated by a set X is spanned by the right-normed
+    brackets [x1, [x2, ... [x_k-1, x_k]]] with every x_i in X, in any
+    characteristic, so a space that holds X and [x, f] for every x in X
+    and f in it is the algebra.  Each round therefore brackets only the
+    generators with the rows the previous round added, as they were
+    added; those rows span the basis, and the rounds stop when one adds
+    nothing.  The reduced echelon form of a space is unique, so the basis
+    does not depend on the order of the work.  The int64 products stay
+    exact while (j_max + 1)^3 (MODULUS - 1)^2 < 2^63, so up to j_max 208.
+    """
+    rows = np.zeros((0, generators.shape[1]), dtype=np.int64)
+    pivots = np.zeros(0, dtype=np.intp)
+    candidates = generators % MODULUS
+    while len(candidates):
+        rows, pivots, fresh = extend(rows, pivots, candidates)
+        candidates = np.concatenate([_brackets(x, fresh, sizes) for x in generators])
+    return rows[np.argsort(pivots)]
+
+
+def grouped_count(bands):
+    """dim_L counted mod MODULUS from the bands, with the unique reduced echelon basis mod MODULUS it ends with.
+
+    The count lie_closure fell back to before its checks were proved to
+    hold.  The rank mod MODULUS of the rational brackets never exceeds
+    their rank over the rationals, so the count is a lower bound on dim_L,
+    and equal to it when it reaches the upper bound D'.
+    """
+    sizes, generators = generators_mod_p(bands)
+    rows = grouped_closure(generators, sizes)
+    return len(rows), rows

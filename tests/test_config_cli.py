@@ -515,7 +515,7 @@ def test_cli_lie_dimension_above_bound_is_numerical_failure(tmp_path, capsys, mo
     from rotorkick.controllability import dims_required
 
     def inflated(j_max, kind):
-        return dims_required(j_max, 1, kind)[1] + 1, []
+        return dims_required(j_max, 1, kind)[1] + 1, 1
 
     monkeypatch.setattr(controllability, "lie_closure", inflated)
     assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), "--j-max", "2"]) == 3
@@ -523,21 +523,37 @@ def test_cli_lie_dimension_above_bound_is_numerical_failure(tmp_path, capsys, mo
     assert not (tmp_path / "controllability_orientation.json").exists()
 
 
-@pytest.mark.parametrize("modulus, cutoffs, message", [(None, ["1", "209"], "overflow"), (13, ["1", "4"], "prime above")])
-def test_cli_cutoff_outside_the_modulus_range_is_config_error(tmp_path, capsys, monkeypatch, modulus, cutoffs, message):
-    import rotorkick.basis as basis
-    import rotorkick.cli as cli
+def test_cli_failed_certificate_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # two copies of one block are linked, so the pair check fails on them
     import rotorkick.controllability as controllability
+
+    real = controllability._rational_observable
+    monkeypatch.setattr(controllability, "_rational_observable", lambda j_max, kind: 2 * real(j_max, kind)[:1])
+    assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), "--j-max", "1", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "pair check failed at j_max=1" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_cutoff_209_is_certified(tmp_path, capsys):
+    assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), "--j-max", "209"]) == 0
+    capsys.readouterr()
+    lines = [line for line in (tmp_path / "controllability_orientation.csv").read_text().splitlines() if line[0] != "#"]
+    assert lines[0] == "j_max,dim_L,D,D_prime"
+    j_max, dim_l, _, d_prime = lines[1].split(",")
+    assert j_max == "209" and dim_l == d_prime and len(lines) == 2
+
+
+@pytest.mark.parametrize("cutoffs", [["0"], ["2", "0"]])
+def test_cli_cutoff_below_one_is_config_error_before_any_is_computed(tmp_path, capsys, monkeypatch, cutoffs):
+    import rotorkick.cli as cli
 
     def computed(j_max, kind):
         raise AssertionError(f"j_max={j_max} was computed")
 
-    if modulus is not None:
-        monkeypatch.setattr(controllability, "MODULUS", modulus)
     monkeypatch.setattr(cli, "controllability_report", computed)
     assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), "--j-max", *cutoffs]) == 2
-    assert message in capsys.readouterr().err
-    assert 209 not in basis._BASES
+    assert "j_max >= 1, got 0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -1,6 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from oracles import float_lie_closure, float_trace_rank, haar_unitary, sampled_slope_span, sequential_exact_closure
+from oracles import (
+    MODULUS,
+    echelon,
+    extend,
+    float_lie_closure,
+    float_trace_rank,
+    generators_mod_p,
+    grouped_closure,
+    grouped_count,
+    haar_unitary,
+    sampled_slope_span,
+    sequential_exact_closure,
+)
 
 from rotorkick import controllability
 
@@ -14,7 +28,7 @@ from rotorkick.controllability import (
     lie_closure,
     two_level_obstruction,
 )
-from rotorkick.errors import ConfigError
+from rotorkick.errors import ConfigError, NumericalError
 from rotorkick.dynamics import KickSpec, apply_kick, free_propagate, make_kick
 from rotorkick.operators import (
     DensityMatrix,
@@ -38,7 +52,7 @@ ALIGNMENT_TABLE = {
     5: (38, 137, 38),
     6: (61, 220, 61),
 }
-# D' at the cutoffs past the reference tables; the exact count reaches it at each
+# D' at the cutoffs past the reference tables; the oracle's count reaches it at each
 RESTRICTED = {
     (ORIENTATION, 6): 134,
     (ORIENTATION, 7): 197,
@@ -143,70 +157,53 @@ def test_alignment_reference_dimensions(j_max):
 
 @pytest.mark.parametrize("kind, j_max, r", [(kind, j, 1 if kind == ORIENTATION else 2) for kind, j in RESTRICTED])
 def test_closure_reaches_restricted_count_at_larger_cutoffs(kind, j_max, r):
-    dim, rows = controllability._count(j_max, kind)
+    dim, rows = grouped_count(controllability._rational_observable(j_max, kind))
     assert dim == len(rows) == RESTRICTED[kind, j_max] == dims_required(j_max, r, kind)[1]
 
 
 @pytest.mark.parametrize("kind, j_max", [(ORIENTATION, j) for j in range(1, 11)] + [(ALIGNMENT, j) for j in range(1, 12)])
 def test_closed_form_equals_the_count(kind, j_max):
-    dim, rows = lie_closure(j_max, kind)
-    assert rows is None
-    assert dim == controllability._count(j_max, kind)[0]
+    dim, r = lie_closure(j_max, kind)
+    assert r == block_trace_rank(j_max, kind)
+    assert dim == grouped_count(controllability._rational_observable(j_max, kind))[0]
 
 
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
-def test_closed_form_certifies_every_cutoff_to_40_without_the_count(kind, monkeypatch):
-    def counted(j_max, kind):
-        raise AssertionError(f"j_max={j_max} fell back to the count")
-
-    monkeypatch.setattr(controllability, "_count", counted)
+def test_closed_form_certifies_every_cutoff_to_40(kind):
     for j_max in range(1, 41):
         r = block_trace_rank(j_max, kind)
-        assert lie_closure(j_max, kind) == (dims_required(j_max, r, kind)[1], None)
+        assert lie_closure(j_max, kind) == (dims_required(j_max, r, kind)[1], r)
 
 
-def _orientation_block(change=None):
-    """The m = 0 block of orientation j_max = 2 from _rational_observable, with its arrays changed in place."""
-    js, num, den = (x.copy() for x in controllability._rational_observable(2, ORIENTATION)[0])
-    if change is not None:
-        change(js, num, den)
-    return js, num, den
-
-
-def _decoupled(js, num, den):
-    num[0, 1] = num[1, 0] = 0  # slot 0 on its own
-
-
-def _equal_frequencies(js, num, den):
-    # H0 = diag(2, 6, 2) and O = all ones beside the diagonal both commute with swapping slots 0 and 2
-    js[:] = [1, 2, 1]
-    num[:], den[:] = np.eye(3, k=1, dtype=np.int64) + np.eye(3, k=-1, dtype=np.int64), 1
+def _orientation_band(**change):
+    """The m = 0 band of orientation j_max = 2 from _rational_observable, with the given fields replaced."""
+    band = controllability._rational_observable(2, ORIENTATION)[0]
+    assert band.js == [0, 1, 2] and band.edges == [(2, 1, 3), (4, 4, 15)]
+    return replace(band, **change)
 
 
 @pytest.mark.parametrize(
-    "blocks, counted",
+    "bands, counted, message",
     [
         # two copies of one block: the algebra is the diagonal copy of gl(3) on them, not sl(3) + sl(3) + r
-        ([_orientation_block(), _orientation_block()], 9),
+        ([_orientation_band(), _orientation_band()], 9, "the blocks m=0 from j=0 and m=0 from j=0 may be linked"),
         # a zero coupling splits the block: gl(2) on slots 1 and 2, where H0 is 2 + diag(0, 4), not sl(3) + r
-        ([_orientation_block(_decoupled)], 4),
-        # equal |w|: gl(2) on the states even under the swap, O and H0 - 2 vanish on the odd one
-        ([_orientation_block(_equal_frequencies)], 4),
+        ([_orientation_band(edges=[(2, 0, 3), (4, 4, 15)])], 4, "the block m=0 from j=0 has a zero coupling"),
+        # equal |w|: H0 = diag(2, 6, 2) and O = all ones beside the diagonal both commute with swapping slots 0
+        # and 2, so the algebra is gl(2) on the states even under the swap, O and H0 - 2 vanish on the odd one
+        ([_orientation_band(js=[1, 2, 1], edges=[(4, 1, 1), (-4, 1, 1)])], 4, "the block m=0 from j=1 has a zero"),
     ],
     ids=["linked-copies", "zero-coupling", "equal-frequencies"],
 )
-def test_a_failed_certificate_falls_back_to_the_count(monkeypatch, blocks, counted):
-    monkeypatch.setattr(controllability, "_rational_observable", lambda j_max, kind: blocks)
-    calls = []
-    count = controllability._count
-    monkeypatch.setattr(controllability, "_count", lambda *args: calls.append(args) or count(*args))
-    assert controllability._certified_dimension(blocks) is None
-    if len(blocks) == 2:
-        assert controllability._certified_dimension(blocks[:1]) == counted  # one copy passes: the pair check fails
-    closed_form = sum(len(js) ** 2 - 1 for js, _, _ in blocks) + controllability._trace_rank(blocks)
-    dim, rows = lie_closure(2, ORIENTATION)
-    assert calls == [(2, ORIENTATION)]
-    assert dim == len(rows) == counted < closed_form
+def test_a_failed_certificate_is_a_numerical_error(monkeypatch, bands, counted, message):
+    monkeypatch.setattr(controllability, "_rational_observable", lambda j_max, kind: bands)
+    with pytest.raises(NumericalError, match=message):
+        lie_closure(2, ORIENTATION)
+    closed_form = sum(len(band.js) ** 2 - 1 for band in bands) + controllability._trace_rank(bands)
+    assert grouped_count(bands)[0] == counted < closed_form
+    if len(bands) == 2:  # one copy passes: the pair check fails
+        monkeypatch.setattr(controllability, "_rational_observable", lambda j_max, kind: bands[:1])
+        assert lie_closure(2, ORIENTATION) == (counted, 1)
 
 
 def _random_hermitian(rng, n):
@@ -269,15 +266,16 @@ def test_closure_basis_is_closed_under_commutators():
 @pytest.mark.parametrize("kind, j_max", [(ORIENTATION, j) for j in range(1, 7)] + [(ALIGNMENT, j) for j in range(1, 8)])
 def test_screened_closure_matches_sequential_oracle(kind, j_max):
     # brackets with the generators only, screened in groups, against all pairs one at a time
-    sizes, generators = controllability._generators_mod_p(j_max, kind)
-    rows = controllability._count(j_max, kind)[1]
+    bands = controllability._rational_observable(j_max, kind)
+    sizes, generators = generators_mod_p(bands)
+    rows = grouped_count(bands)[1]
     assert rows.dtype == np.int64
-    assert np.array_equal(rows, sequential_exact_closure(generators, sizes, controllability.MODULUS))
+    assert np.array_equal(rows, sequential_exact_closure(generators, sizes, MODULUS))
 
 
 def _random_rows(rng, sizes, copies=1):
     """Two random generator rows mod p on blocks of the given sizes, each block repeated copies times."""
-    p = controllability.MODULUS
+    p = MODULUS
     rows = []
     for _ in range(2):
         blocks = [rng.integers(0, p, size=(n, n)) for n in sizes]
@@ -287,11 +285,11 @@ def _random_rows(rng, sizes, copies=1):
 
 def test_screened_closure_matches_sequential_oracle_on_generic_blocks():
     rng = np.random.default_rng(13)
-    p = controllability.MODULUS
+    p = MODULUS
     for sizes, copies, dim in (([6], 1, 36), ([4, 3], 1, 25), ([3], 2, 9)):
         generators = _random_rows(rng, sizes, copies)
         blocks = [n for n in sizes for _ in range(copies)]
-        rows = controllability._close(generators, blocks)
+        rows = grouped_closure(generators, blocks)
         assert len(rows) == dim  # gl(6); gl(4) + gl(3); two equal copies of gl(3) count once
         assert np.array_equal(rows, sequential_exact_closure(generators, blocks, p))
 
@@ -299,14 +297,14 @@ def test_screened_closure_matches_sequential_oracle_on_generic_blocks():
 def test_survivor_in_the_span_of_an_earlier_one_of_its_group_is_rejected():
     # the group [c, 3 c + r, r] against the rows r: c and 3 c + r both pass
     # the screen, and pivoting keeps only the first
-    p = controllability.MODULUS
+    p = MODULUS
     rng = np.random.default_rng(17)
-    basis, pivots = controllability._echelon(rng.integers(0, p, size=(3, 8)))
+    basis, pivots = echelon(rng.integers(0, p, size=(3, 8)))
     c = rng.integers(0, p, size=8)
     r = (5 * basis[0] + 7 * basis[2]) % p
     group = np.array([c, (3 * c + r) % p, r])
     assert ((group - (group[:, pivots] @ basis) % p) % p).any(axis=1).tolist() == [True, True, False]
-    rows, grown, new = controllability._extend(basis, pivots, group)
+    rows, grown, new = extend(basis, pivots, group)
     assert len(new) == 1 and len(rows) == 4
     residual = (c - (c[pivots] @ basis) % p) % p
     lead = np.flatnonzero(residual)[0]
@@ -324,9 +322,10 @@ def test_exact_count_matches_float_oracle(kind, j_max):
 
 @pytest.mark.parametrize("kind, j_max", [(ORIENTATION, 5), (ALIGNMENT, 6), (ORIENTATION, 8)])
 def test_exact_basis_is_closed_under_brackets_with_the_generators(kind, j_max):
-    p = controllability.MODULUS
-    sizes, generators = controllability._generators_mod_p(j_max, kind)
-    dim, rows = controllability._count(j_max, kind)
+    p = MODULUS
+    bands = controllability._rational_observable(j_max, kind)
+    sizes, generators = generators_mod_p(bands)
+    dim, rows = grouped_count(bands)
     pivots = np.array([np.flatnonzero(row)[0] for row in rows])
     assert np.all(np.diff(pivots) > 0) and np.array_equal(rows[:, pivots], np.eye(dim, dtype=np.int64))
     for x in generators:
@@ -353,27 +352,28 @@ def test_rational_generators_match_the_float_operators(kind, j_max):
     kept = [b for b, block in enumerate(obs.blocks.blocks) if block.m >= 0]
     exact = controllability._rational_observable(j_max, kind)
     assert len(exact) == len(kept)
-    for b, (js, num, den) in zip(kept, exact):
-        span = obs.blocks.blocks[b].span
-        assert np.array_equal(basis.j_values[list(obs.blocks.blocks[b].members)], js)
+    for b, band in zip(kept, exact):
+        block = obs.blocks.blocks[b]
+        span, n = block.span, len(band.js)
+        assert band.m == block.m and band.js == basis.j_values[list(block.members)].tolist()
         f = obs.stack[b, span, span].real
         t = np.cumprod(np.concatenate([[1.0], 1.0 / np.diag(f, 1)]))
         similar = t[:, None] * f / t[None, :]
-        rational = num / den
+        rational = np.diag([a / d for a, d in band.diagonal])
+        rational[range(n - 1), range(1, n)] = [a / d for _, a, d in band.edges]
+        rational[range(1, n), range(n - 1)] = 1.0
         assert np.all(np.abs(similar - rational) <= 1e-15 * np.abs(rational))
-        assert np.array_equal(h0.stack[b, span, span].real, np.diag(js * (js + 1.0)))
+        energies = [j * (j + 1) for j in band.js]
+        assert np.array_equal(h0.stack[b, span, span].real, np.diag(energies))
+        assert [w for w, _, _ in band.edges] == np.diff(energies).tolist()
 
 
-def test_cutoffs_outside_the_modulus_range_are_config_errors(monkeypatch):
-    controllability.check_cutoff(208)  # 209^3 (p - 1)^2 < 2^63
-    with pytest.raises(ConfigError, match="overflow"):
-        lie_closure(209, ORIENTATION)
+@pytest.mark.parametrize("kind, r", [(ORIENTATION, 1), (ALIGNMENT, 2)])
+def test_cutoffs_have_no_ceiling(kind, r):
+    # 209 is the first cutoff at which a count in int64 mod 1,000,003 could overflow; the closed form needs no bound
+    assert lie_closure(209, kind) == (dims_required(209, r, kind)[1], r)
     with pytest.raises(ConfigError, match="j_max >= 1"):
-        lie_closure(0, ALIGNMENT)
-    monkeypatch.setattr(controllability, "MODULUS", 13)
-    controllability.check_cutoff(3)
-    with pytest.raises(ConfigError, match="prime above"):
-        controllability_report(4, ORIENTATION)  # p = 13 is not above 2 j_max + 5 = 13
+        lie_closure(0, kind)
 
 
 @pytest.mark.parametrize("j_max", range(1, 7))
@@ -501,6 +501,20 @@ def test_fixed_point_span_matches_sampled_oracle(kind, j_max):
     assert report.dim_span == EXACT_SPANS[kind, j_max]
     assert report.dim_span == sampled_slope_span(h0.matrix, obs.matrix, np.random.default_rng(j_max))
     assert report.dim_span <= report.bound
+
+
+def test_fixed_point_frequency_shared_by_two_blocks_counts_once():
+    # at orientation j_max = 13 the m = 5 and m = 10 cos(theta) blocks both hold the eigenvalues +-1/sqrt(5), so
+    # the frequency 2/sqrt(5) occurs in both; taken block by block, the distinct frequencies would give 502
+    basis = build_basis(13)
+    obs = observable_matrix(basis, ORIENTATION)
+    assert fixed_point_analysis(h0_matrix(basis), obs).dim_span == 500
+    values = obs.eigensystem[0]
+    for b, block in enumerate(obs.blocks.blocks):
+        if block.m in (5, 10):
+            spectrum = values[b, obs.blocks.filled[b]]
+            for lam in (1 / np.sqrt(5), -1 / np.sqrt(5)):
+                assert np.min(np.abs(spectrum - lam)) <= 1e-15
 
 
 def _synthetic_functional(spectrum, seed=5):
