@@ -2,12 +2,23 @@
 
 Every subcommand takes --config PATH or --preset NAME plus --out DIR and
 emits deterministic CSV/JSON carrying the config hash.  Exit codes: 0 on
-success, 2 on invalid configuration, 3 on numerical failure.
+success, 2 on invalid configuration or a usage error, 3 on numerical
+failure, 1 on an i/o failure; main() returns the code and never raises
+SystemExit.
+
+The command line is parsed by stdlib getopt.gnu_getopt from one table,
+COMMANDS, which gives each command its help line and its options beyond
+the common ones, and from which the usage and help texts are generated.
+argparse is not used: its import and parser construction cost a few
+milliseconds per process, as much as an `algebra` command computes.
+main() also calls gc.freeze() once per process, so that the objects the
+imports created are never rescanned by a collection during a command.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
+import getopt
 import os
 import sys
 from dataclasses import replace
@@ -181,49 +192,142 @@ def cmd_fixedpoints(config: RunConfig) -> list[str]:
     return [path]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--config", metavar="PATH", help="JSON config file")
-    source.add_argument("--preset", metavar="NAME", help=f"named preset, one of {sorted(PRESETS)}")
-    parser.add_argument("--out", metavar="DIR", help="output directory (overrides the config)")
+PROG = "rotorkick"
+DESCRIPTION = "Greedy pulse-train control of thermal rigid rotors"
+
+# Options as (name, metavar or None for a flag, help line).
+COMMON_OPTIONS = (
+    ("config", "PATH", "JSON config file"),
+    ("preset", "NAME", f"named preset, one of {sorted(PRESETS)}"),
+    ("out", "DIR", "output directory (overrides the config)"),
+)
+# Each command's help line and its options beyond the common ones.
+COMMANDS = {
+    "bounds": ("kinematical bound and duration tables", ()),
+    "simulate": ("run the pulse-train strategy in both spaces", ()),
+    "controllability": (
+        "Lie-algebra dimension reports",
+        (("j-max", "J [J ...]", "cutoffs to analyze (default: 1 2 3)"),),
+    ),
+    "fixedpoints": (
+        "fixed-point span analysis",
+        (("force", None, "ignored; kept so that older invocations still parse"),),
+    ),
+}
+HELP_OPTION = ("-h, --help", "show this help message and exit")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rotorkick",
-        description="Greedy pulse-train control of thermal rigid rotors",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageExit(Exception):
+    """parse_args stops before any command: code 0 with the help text, or 2 with a usage error."""
 
-    p_bounds = sub.add_parser("bounds", help="kinematical bound and duration tables")
-    _add_common(p_bounds)
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
 
-    p_sim = sub.add_parser("simulate", help="run the pulse-train strategy in both spaces")
-    _add_common(p_sim)
 
-    p_ctrl = sub.add_parser("controllability", help="Lie-algebra dimension reports")
-    _add_common(p_ctrl)
-    p_ctrl.add_argument("--j-max", type=int, nargs="+", metavar="J", help="cutoffs to analyze (default: 1 2 3)")
+def _spelled(name: str, metavar: str | None) -> str:
+    return f"--{name} {metavar}" if metavar else f"--{name}"
 
-    p_fix = sub.add_parser("fixedpoints", help="fixed-point span analysis")
-    _add_common(p_fix)
-    p_fix.add_argument("--force", action="store_true", help="ignored; kept so that older invocations still parse")
-    return parser
+
+def _usage(command: str | None = None) -> str:
+    if command is None:
+        return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."
+    extra = "".join(f" [{_spelled(name, metavar)}]" for name, metavar, _ in COMMANDS[command][1])
+    return f"usage: {PROG} {command} [-h] (--config PATH | --preset NAME) [--out DIR]{extra}"
+
+
+def _table(rows) -> str:
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join(f"  {left:<{width}}{right}" for left, right in rows)
+
+
+def _help(command: str | None = None) -> str:
+    if command is None:
+        commands = _table([(name, line) for name, (line, _) in COMMANDS.items()])
+        return f"{_usage()}\n\n{DESCRIPTION}\n\ncommands:\n{commands}\n\noptions:\n{_table([HELP_OPTION])}"
+    specs = COMMON_OPTIONS + COMMANDS[command][1]
+    options = [HELP_OPTION, *((_spelled(name, metavar), text) for name, metavar, text in specs)]
+    return f"{_usage(command)}\n\n{COMMANDS[command][0]}\n\noptions:\n{_table(options)}"
+
+
+def _usage_error(command: str | None, message: str) -> UsageExit:
+    prog = PROG if command is None else f"{PROG} {command}"
+    return UsageExit(2, f"{_usage(command)}\n{prog}: error: {message}")
+
+
+def _getopt(command: str | None, args: list[str], longopts: list[str]):
+    """gnu_getopt that stops at the first argument that is no option (the "+"), as a usage error if it fails."""
+    try:
+        return getopt.gnu_getopt(args, "+h", ["help", *longopts])
+    except getopt.GetoptError as exc:
+        raise _usage_error(command, exc.msg) from None
+
+
+def parse_args(argv: list[str]) -> tuple[str, dict]:
+    """The command and its options, keyed by option name without the dashes.
+
+    `--opt value`, `--opt=value` and unique prefixes of the long options are
+    accepted.  --j-max takes one or more integers: its first value is the
+    option's argument, and the arguments that directly follow it, up to the
+    next option, are the others.  Raises UsageExit for -h/--help and for a
+    usage error.
+    """
+    found, rest = _getopt(None, argv, [])
+    if found:
+        raise UsageExit(0, _help())
+    if not rest:
+        raise _usage_error(None, "the following arguments are required: command")
+    command, rest = rest[0], rest[1:]
+    if command not in COMMANDS:
+        raise _usage_error(None, f"invalid choice: {command!r} (choose from {', '.join(COMMANDS)})")
+    longopts = [f"{name}=" if metavar else name for name, metavar, _ in COMMON_OPTIONS + COMMANDS[command][1]]
+    options: dict = {}
+    while rest:
+        found, rest = _getopt(command, rest, longopts)
+        for flag, value in found:
+            if flag in ("-h", "--help"):
+                raise UsageExit(0, _help(command))
+            if value.startswith("-"):  # `--out --force` is a missing value, not a directory named --force
+                raise _usage_error(command, f"argument {flag}: expected one argument")
+            options[flag[2:]] = [value] if flag == "--j-max" else value
+        more = 0
+        if found and found[-1][0] == "--j-max":
+            while more < len(rest) and not rest[more].startswith("-"):
+                more += 1
+            options["j-max"] += rest[:more]
+        if rest and not more:
+            raise _usage_error(command, f"unrecognized arguments: {' '.join(rest)}")
+        rest = rest[more:]
+    if ("config" in options) == ("preset" in options):
+        raise _usage_error(command, "exactly one of the arguments --config PATH and --preset NAME is required")
+    if "j-max" in options:
+        try:
+            options["j-max"] = [int(value) for value in options["j-max"]]
+        except ValueError as exc:
+            raise _usage_error(command, f"argument --j-max: {exc}") from None
+    return command, options
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if gc.get_freeze_count() == 0:
+        # Everything the imports built lives as long as the process: move it out of the collector's view once,
+        # so that no collection during a command rescans it.
+        gc.freeze()
     try:
-        config = load_config(args.config, args.preset)
-        if args.out:
-            config = config.with_overrides(out_dir=args.out)
-        if args.command == "bounds":
+        command, options = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageExit as stop:
+        print(stop, file=sys.stderr if stop.code else sys.stdout)
+        return stop.code
+    try:
+        config = load_config(options.get("config"), options.get("preset"))
+        if options.get("out"):
+            config = config.with_overrides(out_dir=options["out"])
+        if command == "bounds":
             paths = cmd_bounds(config)
-        elif args.command == "simulate":
+        elif command == "simulate":
             paths = cmd_simulate(config)
-        elif args.command == "controllability":
-            paths = cmd_controllability(config, args.j_max)
+        elif command == "controllability":
+            paths = cmd_controllability(config, options.get("j-max"))
         else:
             paths = cmd_fixedpoints(config)
     except (NumericalError, np.linalg.LinAlgError) as exc:  # before ValueError, which LinAlgError subclasses

@@ -62,6 +62,7 @@ controllability report builds no float operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,11 +140,27 @@ def _rational_observable(j_max: int, kind: str) -> list[_Band]:
 
 
 def _square_trace(edges: list[tuple[int, int, int]], q: int) -> tuple[int, int]:
-    """sum_e w_e^4q c_e^2, half of Tr (pi_b ad_H0^2q O)^2 on the block, as (numerator, denominator)."""
+    """sum_e w_e^4q c_e^2, half of Tr (pi_b ad_H0^2q O)^2 on the block, as a reduced fraction.
+
+    Returns (numerator, denominator) with the denominator positive and coprime
+    to the numerator, so two traces are equal exactly when their pairs are.
+    Reducing after every edge keeps the integers small: the c_e^2 of one
+    block share most factors of their denominators.
+    """
     p, d = 0, 1
     for w, a, b in edges:
         p, d = p * b + w ** (4 * q) * a * d, d * b
+        g = math.gcd(p, d)
+        p, d = p // g, d // g
     return p, d
+
+
+def _square_trace_at(entry: tuple[_Band, list[tuple[int, int]]], q: int) -> tuple[int, int]:
+    """_square_trace of a (band, traces so far) entry at q, computed once and kept in the entry's list."""
+    band, traces = entry
+    while len(traces) < q:
+        traces.append(_square_trace(band.edges, len(traces) + 1))
+    return traces[q - 1]
 
 
 def lie_closure(j_max: int, kind: str) -> tuple[int, int]:
@@ -164,7 +181,7 @@ def lie_closure(j_max: int, kind: str) -> tuple[int, int]:
     bands = _rational_observable(j_max, kind)
     r = _trace_rank(bands)
     dim = r
-    by_size: dict[int, list[_Band]] = {}
+    by_size: dict[int, list[tuple[_Band, list[tuple[int, int]]]]] = {}
     for band in bands:
         n = len(band.js)
         if n < 2:
@@ -174,14 +191,15 @@ def lie_closure(j_max: int, kind: str) -> tuple[int, int]:
                 f"block check failed at j_max={j_max} ({kind}): the block m={band.m} from j={band.js[0]} "
                 "has a zero coupling, a zero edge frequency or two edge frequencies of equal |w|"
             )
+        entry = (band, [])
         for other in by_size.get(n, []):
-            traces = ((_square_trace(band.edges, q), _square_trace(other.edges, q)) for q in range(1, 2 * n - 1))
-            if all(p * d_other == p_other * d for (p, d), (p_other, d_other) in traces):
+            if all(_square_trace_at(entry, q) == _square_trace_at(other, q) for q in range(1, 2 * n - 1)):
                 raise NumericalError(
-                    f"pair check failed at j_max={j_max} ({kind}): the blocks m={other.m} from j={other.js[0]} "
-                    f"and m={band.m} from j={band.js[0]} may be linked, Tr Z_q^2 agree at q = 1..{2 * n - 2}"
+                    f"pair check failed at j_max={j_max} ({kind}): the blocks m={other[0].m} from "
+                    f"j={other[0].js[0]} and m={band.m} from j={band.js[0]} may be linked, "
+                    f"Tr Z_q^2 agree at q = 1..{2 * n - 2}"
                 )
-        by_size.setdefault(n, []).append(band)
+        by_size.setdefault(n, []).append(entry)
         dim += n * n - 1
     return dim, r
 

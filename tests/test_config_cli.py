@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import pytest
 
 import rotorkick
 from rotorkick.basis import build_basis
-from rotorkick.cli import main
+from rotorkick.cli import COMMANDS, main, parse_args
 from rotorkick.config import (
     KB_CM_PER_K,
     PRESETS,
@@ -239,19 +241,129 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert payload["dim_span"] == 140
 
 
-def test_module_entry_point_runs_the_cli(tmp_path):
-    # `python -m rotorkick.cli` runs main(): a bad preset exits 2 and --help prints the usage
+def _run_python(tmp_path, *args):
+    """A fresh interpreter that finds this checkout's package first."""
     src = str(pathlib.Path(rotorkick.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
 
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # `python -m rotorkick.cli` runs main(): a bad preset exits 2 and --help prints the usage
     def run(*args):
-        argv = [sys.executable, "-m", "rotorkick.cli", *args]
-        return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        return _run_python(tmp_path, "-m", "rotorkick.cli", *args)
 
     bad = run("bounds", "--preset", "nope")
     assert bad.returncode == 2 and bad.stderr.startswith("error:") and not bad.stdout
     usage = run("--help")
     assert usage.returncode == 0 and usage.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        (["bounds", "--preset", "licl-5K"], {"preset": "licl-5K"}),
+        (["simulate", "--config", "c.json", "--out", "d"], {"config": "c.json", "out": "d"}),
+        (["simulate", "--out", "d", "--config", "c.json"], {"config": "c.json", "out": "d"}),
+        (
+            ["controllability", "--preset", "p", "--j-max", "1", "2", "3", "--out", "d"],
+            {"preset": "p", "out": "d", "j-max": [1, 2, 3]},
+        ),
+        (["controllability", "--j-max", "4", "--preset", "p"], {"preset": "p", "j-max": [4]}),
+        # as with argparse, the last --j-max wins
+        (["controllability", "--j-max", "1", "--preset", "p", "--j-max", "2", "3"], {"preset": "p", "j-max": [2, 3]}),
+        (["fixedpoints", "--config", "c.json", "--out", "d", "--force"], {"config": "c.json", "out": "d", "force": ""}),
+        (["bounds", "--preset=licl-5K", "--out=d"], {"preset": "licl-5K", "out": "d"}),
+        (["controllability", "--pre", "p", "--j", "5", "6", "--o=d"], {"preset": "p", "out": "d", "j-max": [5, 6]}),
+        (["fixedpoints", "--c=c.json", "--f"], {"config": "c.json", "force": ""}),
+    ],
+)
+def test_parser_accepts_every_form_callers_use(argv, options):
+    assert parse_args(argv) == (argv[0], options)
+
+
+def test_spelled_out_and_abbreviated_forms_write_the_same_bytes(tmp_path, capsys):
+    written = []
+    spelled_out = ["--preset", "licl-5K", "--j-max", "1", "2", "--out", str(tmp_path)]
+    for argv in (spelled_out, ["--pre=licl-5K", "--j", "1", "2", f"--o={tmp_path}"]):
+        assert main(["controllability", *argv]) == 0
+        written.append({path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())})
+        for path in tmp_path.iterdir():
+            path.unlink()
+    capsys.readouterr()
+    assert len(written[0]) == 2 and written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "argv, prog",
+    [
+        ([], "rotorkick"),
+        (["bogus", "--preset", "licl-5K"], "rotorkick"),
+        (["--preset", "licl-5K", "bounds"], "rotorkick"),
+        (["bounds", "--preset", "licl-5K", "--bogus"], "rotorkick bounds"),
+        (["bounds", "--preset", "licl-5K", "--force"], "rotorkick bounds"),
+        (["fixedpoints", "--preset", "licl-5K", "--force=yes"], "rotorkick fixedpoints"),
+        (["bounds"], "rotorkick bounds"),
+        (["simulate", "--out", "d"], "rotorkick simulate"),
+        (["bounds", "--preset", "licl-5K", "--config", "x.json"], "rotorkick bounds"),
+        (["controllability", "--preset", "licl-5K", "--j-max", "x"], "rotorkick controllability"),
+        (["controllability", "--preset", "licl-5K", "--j-max", "1", "2.5"], "rotorkick controllability"),
+        (["controllability", "--preset", "licl-5K", "--j-max"], "rotorkick controllability"),
+        (["controllability", "--preset", "licl-5K", "--j-max", "--out", "d"], "rotorkick controllability"),
+        (["bounds", "--preset"], "rotorkick bounds"),
+        (["bounds", "--preset", "licl-5K", "--out"], "rotorkick bounds"),
+        (["fixedpoints", "--preset", "licl-5K", "--out", "--force"], "rotorkick fixedpoints"),
+        (["bounds", "--preset", "licl-5K", "extra"], "rotorkick bounds"),
+        (["controllability", "--preset", "licl-5K", "3"], "rotorkick controllability"),
+        (["controllability", "--preset", "licl-5K", "--j-max", "1", "--out", "d", "2"], "rotorkick controllability"),
+    ],
+)
+def test_usage_error_exits_2_with_the_usage_on_stderr(argv, prog, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a command that ran would write below its preset's relative out_dir
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert not out and len(lines) == 2
+    assert lines[0].startswith(f"usage: {prog} [-h] ") and lines[1].startswith(f"{prog}: error: ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["--he"], *([command, "--help"] for command in COMMANDS), ["fixedpoints", "-h"]]
+    + [["controllability", "--preset", "licl-5K", "--j-max", "2", "--help"], ["bounds", "--help", "--preset", "nope"]],
+    ids=" ".join,
+)
+def test_help_prints_the_usage_on_stdout_and_exits_0(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert not err and not list(tmp_path.iterdir())
+    command = argv[0] if argv[0] in COMMANDS else None
+    if command is None:
+        assert out.startswith("usage: rotorkick [-h] {bounds,simulate,controllability,fixedpoints} ...\n")
+        assert all(f"  {name}  " in out and line in out for name, (line, _) in COMMANDS.items())
+    else:
+        assert out.startswith(f"usage: rotorkick {command} [-h] (--config PATH | --preset NAME) [--out DIR]")
+        assert COMMANDS[command][0] in out and re.search(r"\n  --preset NAME +named preset", out)
+        assert ("--j-max J [J ...]" in out) == (command == "controllability")
+        assert ("--force" in out) == (command == "fixedpoints")
+
+
+def test_importing_the_cli_loads_neither_argparse_nor_locale(tmp_path):
+    probe = "import sys, rotorkick.cli; print(sorted({'argparse', 'locale'} & set(sys.modules)))"
+    result = _run_python(tmp_path, "-c", probe)
+    assert result.returncode == 0 and result.stdout.strip() == "[]", result.stderr
+
+
+def test_main_freezes_the_collector_once_per_process(capsys):
+    assert main(["--help"]) == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    assert main(["fixedpoints", "--preset", "licl-5K", "--out", "--force"]) == 2
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
 
 
 def test_cli_fixedpoints_small(tmp_path, capsys):

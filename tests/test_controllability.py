@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,6 +175,27 @@ def test_closed_form_certifies_every_cutoff_to_40(kind):
     for j_max in range(1, 41):
         r = block_trace_rank(j_max, kind)
         assert lie_closure(j_max, kind) == (dims_required(j_max, r, kind)[1], r)
+
+
+def test_square_traces_are_reduced_and_exact():
+    # equal pairs must mean equal traces, so every fraction comes back in lowest terms
+    for band in controllability._rational_observable(12, ALIGNMENT):
+        for q in (1, 2, 3):
+            p, d = controllability._square_trace(band.edges, q)
+            assert d > 0 and math.gcd(p, d) == 1
+            assert Fraction(p, d) == sum(Fraction(w ** (4 * q) * a, b) for w, a, b in band.edges)
+
+
+def test_pair_check_computes_each_band_trace_once(monkeypatch):
+    real, seen = controllability._square_trace, []
+
+    def counted(edges, q):
+        seen.append((id(edges), q))
+        return real(edges, q)
+
+    monkeypatch.setattr(controllability, "_square_trace", counted)
+    lie_closure(40, ALIGNMENT)
+    assert len(seen) == len(set(seen)) > 0
 
 
 def _orientation_band(**change):
