@@ -6,45 +6,34 @@ processes, reports the computed algebra dimension against the counts
 required for general and for symmetry-restricted simultaneous
 controllability of the invariant blocks.
 
-With --time each (preset, cutoff) runs as a command of its own, writing
-into OUT/jmaxJ, and its wall time is printed, e.g.
-`scripts/run_algebra_tables.py --time --j-max 300 500`.
+Each preset runs as a `controllability` command in a fresh process, so
+that no run reuses a basis another one built, and the wall time of that
+process, interpreter start-up and imports included, is printed after its
+output paths.  For the time of one cutoff, pass it alone, e.g.
+`scripts/run_algebra_tables.py --j-max 500`.
 """
 
 import argparse
-import contextlib
-import io
-import os
+import subprocess
+import sys
 import time
-
-from rotorkick.cli import main
 
 PRESETS = ("licl-5K", "licl-5K-alignment")
 
 
-def _controllability(preset: str, out_dir: str, j_values: list[int]) -> None:
-    code = main(["controllability", "--preset", preset, "--out", out_dir, "--j-max", *map(str, j_values)])
-    if code != 0:
-        raise SystemExit(code)
-
-
-def run(out_dir: str, j_values: list[int], timed: bool = False) -> None:
-    if not timed:
-        for preset in PRESETS:
-            _controllability(preset, out_dir, j_values)
-        return
-    for j_max in j_values:
-        for preset in PRESETS:
-            start = time.perf_counter()
-            with contextlib.redirect_stdout(io.StringIO()):  # the output paths
-                _controllability(preset, os.path.join(out_dir, f"jmax{j_max}"), [j_max])
-            print(f"j_max={j_max} {preset}: {time.perf_counter() - start:.3f} s", flush=True)
+def run(out_dir: str, j_values: list[int]) -> None:
+    for preset in PRESETS:
+        command = ["controllability", "--preset", preset, "--out", out_dir, "--j-max", *map(str, j_values)]
+        start = time.perf_counter()
+        code = subprocess.run([sys.executable, "-m", "rotorkick.cli", *command]).returncode
+        if code != 0:
+            raise SystemExit(code)
+        print(f"{preset}: {time.perf_counter() - start:.3f} s", flush=True)
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default="results/algebra", help="output directory")
     parser.add_argument("--j-max", type=int, nargs="+", default=[1, 2, 3], metavar="J", help="cutoffs to analyze (default: 1 2 3)")
-    parser.add_argument("--time", action="store_true", help="run each preset and cutoff alone and print its wall time")
     args = parser.parse_args()
-    run(args.out, args.j_max, args.time)
+    run(args.out, args.j_max)

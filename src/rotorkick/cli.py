@@ -12,7 +12,9 @@ the common ones, and from which the usage and help texts are generated.
 argparse is not used: its import and parser construction cost a few
 milliseconds per process, as much as an `algebra` command computes.
 main() also calls gc.freeze() once per process, so that the objects the
-imports created are never rescanned by a collection during a command.
+imports created are never rescanned by a collection during a command;
+the freeze covers every object alive at that first call, the imports'
+and whatever an in-process caller holds or left uncollected before it.
 """
 
 from __future__ import annotations
@@ -267,10 +269,11 @@ def parse_args(argv: list[str]) -> tuple[str, dict]:
     """The command and its options, keyed by option name without the dashes.
 
     `--opt value`, `--opt=value` and unique prefixes of the long options are
-    accepted.  --j-max takes one or more integers: its first value is the
-    option's argument, and the arguments that directly follow it, up to the
-    next option, are the others.  Raises UsageExit for -h/--help and for a
-    usage error.
+    accepted.  A value in the argument after its option may not start with
+    '-'; after '=' any value is taken.  --j-max takes one or more integers:
+    its first value is the option's argument, and the arguments that
+    directly follow it, up to the next option, are the others.  Raises
+    UsageExit for -h/--help and for a usage error.
     """
     found, rest = _getopt(None, argv, [])
     if found:
@@ -280,16 +283,22 @@ def parse_args(argv: list[str]) -> tuple[str, dict]:
     command, rest = rest[0], rest[1:]
     if command not in COMMANDS:
         raise _usage_error(None, f"invalid choice: {command!r} (choose from {', '.join(COMMANDS)})")
-    longopts = [f"{name}=" if metavar else name for name, metavar, _ in COMMON_OPTIONS + COMMANDS[command][1]]
+    specs = COMMON_OPTIONS + COMMANDS[command][1]
+    longopts = [f"{name}=" if metavar else name for name, metavar, _ in specs]
+    valued = {f"--{name}" for name, metavar, _ in specs if metavar}
     options: dict = {}
     while rest:
-        found, rest = _getopt(command, rest, longopts)
+        found, after = _getopt(command, rest, longopts)
+        position = 0  # of the argument each option came from: the options are the leading arguments, in order
         for flag, value in found:
             if flag in ("-h", "--help"):
                 raise UsageExit(0, _help(command))
-            if value.startswith("-"):  # `--out --force` is a missing value, not a directory named --force
+            attached = "=" in rest[position]
+            position += 1 if attached or flag not in valued else 2
+            if not attached and value.startswith("-"):  # `--out --force` misses its value; `--out=--force` has one
                 raise _usage_error(command, f"argument {flag}: expected one argument")
             options[flag[2:]] = [value] if flag == "--j-max" else value
+        rest = after
         more = 0
         if found and found[-1][0] == "--j-max":
             while more < len(rest) and not rest[more].startswith("-"):
@@ -310,8 +319,8 @@ def parse_args(argv: list[str]) -> tuple[str, dict]:
 
 def main(argv: list[str] | None = None) -> int:
     if gc.get_freeze_count() == 0:
-        # Everything the imports built lives as long as the process: move it out of the collector's view once,
-        # so that no collection during a command rescans it.
+        # Everything the imports built lives as long as the process: move it, with all else alive now, out of
+        # the collector's view once, so that no collection during a command rescans it.
         gc.freeze()
     try:
         command, options = parse_args(sys.argv[1:] if argv is None else argv)

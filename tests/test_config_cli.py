@@ -276,6 +276,10 @@ def test_module_entry_point_runs_the_cli(tmp_path):
         (["bounds", "--preset=licl-5K", "--out=d"], {"preset": "licl-5K", "out": "d"}),
         (["controllability", "--pre", "p", "--j", "5", "6", "--o=d"], {"preset": "p", "out": "d", "j-max": [5, 6]}),
         (["fixedpoints", "--c=c.json", "--f"], {"config": "c.json", "force": ""}),
+        # after '=' any value is the option's, also one that starts with '-'
+        (["bounds", "--config=-c.json", "--out=-d"], {"config": "-c.json", "out": "-d"}),
+        (["fixedpoints", "--preset", "p", "--out=--force"], {"preset": "p", "out": "--force"}),
+        (["controllability", "--preset", "p", "--j-max=-1", "2"], {"preset": "p", "j-max": [-1, 2]}),
     ],
 )
 def test_parser_accepts_every_form_callers_use(argv, options):
@@ -313,6 +317,9 @@ def test_spelled_out_and_abbreviated_forms_write_the_same_bytes(tmp_path, capsys
         (["bounds", "--preset"], "rotorkick bounds"),
         (["bounds", "--preset", "licl-5K", "--out"], "rotorkick bounds"),
         (["fixedpoints", "--preset", "licl-5K", "--out", "--force"], "rotorkick fixedpoints"),
+        (["bounds", "--preset", "licl-5K", "--out", "-d"], "rotorkick bounds"),
+        (["controllability", "--preset", "licl-5K", "--j-max", "-1"], "rotorkick controllability"),
+        (["controllability", "--preset", "licl-5K", "--j-max", "1", "-2"], "rotorkick controllability"),
         (["bounds", "--preset", "licl-5K", "extra"], "rotorkick bounds"),
         (["controllability", "--preset", "licl-5K", "3"], "rotorkick controllability"),
         (["controllability", "--preset", "licl-5K", "--j-max", "1", "--out", "d", "2"], "rotorkick controllability"),
@@ -656,7 +663,7 @@ def test_cli_cutoff_209_is_certified(tmp_path, capsys):
     assert j_max == "209" and dim_l == d_prime and len(lines) == 2
 
 
-@pytest.mark.parametrize("cutoffs", [["0"], ["2", "0"]])
+@pytest.mark.parametrize("cutoffs", [["0"], ["2", "0"], ["-1"]])
 def test_cli_cutoff_below_one_is_config_error_before_any_is_computed(tmp_path, capsys, monkeypatch, cutoffs):
     import rotorkick.cli as cli
 
@@ -664,8 +671,8 @@ def test_cli_cutoff_below_one_is_config_error_before_any_is_computed(tmp_path, c
         raise AssertionError(f"j_max={j_max} was computed")
 
     monkeypatch.setattr(cli, "controllability_report", computed)
-    assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), "--j-max", *cutoffs]) == 2
-    assert "j_max >= 1, got 0" in capsys.readouterr().err
+    assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), f"--j-max={cutoffs[0]}", *cutoffs[1:]]) == 2
+    assert f"j_max >= 1, got {cutoffs[-1]}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
