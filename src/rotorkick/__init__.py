@@ -9,7 +9,6 @@ from .basis import (
     ALIGNMENT,
     ORIENTATION,
     Basis,
-    BasisIndex,
     Block,
     BlockDecomposition,
     block_decomposition,

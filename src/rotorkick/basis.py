@@ -1,15 +1,18 @@
 """Truncated rigid-rotor Hilbert space and its dynamically invariant blocks.
 
-States |j, m> are enumerated up to a cutoff j_max with a fixed ordering
-(ascending m, then ascending j within m) so that any operator conserving m
-is block diagonal with contiguous blocks.  Linearly polarized driving
-conserves m; the alignment coupling additionally conserves the parity of j,
-which splits every m block into an even-j and an odd-j sub-block.
+A basis is an ordered set of states |j, m>, held as two read-only integer
+arrays, the j and the m of every state.  build_basis enumerates the states
+up to a cutoff j_max in closed form, in ascending m and then ascending j
+within m, so that any operator conserving m is block diagonal with
+contiguous blocks.  Linearly polarized driving conserves m; the alignment
+coupling additionally conserves the parity of j, which splits every m block
+into an even-j and an odd-j sub-block.  block_decomposition groups the
+states of any basis into these blocks by one stable sort on (m, parity).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -24,51 +27,51 @@ def check_process_kind(kind: str) -> None:
         raise ValueError(f"unknown process kind {kind!r}, expected one of {PROCESS_KINDS}")
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """Rotational state |j, m> with |m| <= j."""
-
-    j: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.j < 0:
-            raise ValueError(f"j must be non-negative, got {self.j}")
-        if abs(self.m) > self.j:
-            raise ValueError(f"|m| <= j required, got (j={self.j}, m={self.m})")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Basis:
-    """Ordered collection of |j, m> states spanning the truncated rotor space."""
+    """Ordered states |j, m> spanning a truncated rotor space: state k is (j_values[k], m_values[k]).
+
+    The arrays are read-only copies of the ones given: a basis is shared by
+    everything built on it.  ValueError unless they are one-dimensional of
+    equal length, with 0 <= |m| <= j, and no state listed twice.  Two bases
+    are equal when they have the same cutoff and the same states in the
+    same order.
+    """
 
     j_max: int
-    states: tuple[BasisIndex, ...]
+    j_values: np.ndarray
+    m_values: np.ndarray
+    _decompositions: dict = field(default_factory=dict, init=False, repr=False)  # filled by block_decomposition
+
+    def __post_init__(self) -> None:
+        j, m = (_read_only(np.array(values, dtype=int)) for values in (self.j_values, self.m_values))
+        if j.ndim != 1 or j.shape != m.shape:
+            raise ValueError(f"j and m arrays of one equal length required, got shapes {j.shape} and {m.shape}")
+        bad = np.flatnonzero(np.abs(m) > j)  # j < 0 included
+        keys = j * (j + 1) + m  # one to one on the states with |m| <= j
+        order = np.argsort(keys, kind="stable")
+        twice = order[1:][np.diff(keys[order]) == 0]
+        for at, problem in ((bad, "0 <= |m| <= j required"), (twice, "listed twice")):
+            if at.size:
+                raise ValueError(f"state (j={j[at[0]]}, m={m[at[0]]}): {problem}")
+        object.__setattr__(self, "j_values", j)
+        object.__setattr__(self, "m_values", m)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, Basis) and self.j_max == other.j_max
+        return same and np.array_equal(self.j_values, other.j_values) and np.array_equal(self.m_values, other.m_values)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.j_values)
 
-    @cached_property
-    def _lookup(self) -> dict[tuple[int, int], int]:
-        return {(s.j, s.m): k for k, s in enumerate(self.states)}
-
-    def index_of(self, j: int, m: int) -> int:
-        """Flattened index of |j, m>; raises KeyError if absent."""
-        return self._lookup[(j, m)]
-
-    def contains(self, j: int, m: int) -> bool:
-        return (j, m) in self._lookup
-
-    @cached_property
-    def j_values(self) -> np.ndarray:
-        """j of every state, read-only: a basis is shared by everything built on it."""
-        return _read_only(np.array([s.j for s in self.states], dtype=int))
-
-    @cached_property
-    def _decompositions(self) -> dict[str, BlockDecomposition]:
-        """The block decompositions of this basis, keyed by process kind; filled by block_decomposition."""
-        return {}
+    def index_of(self, j, m):
+        """Flattened index of |j, m>, or of each state of equal-shape arrays j and m; KeyError if one is absent."""
+        hit = (self.j_values == np.expand_dims(j, -1)) & (self.m_values == np.expand_dims(m, -1))
+        if not hit.any(axis=-1).all():
+            raise KeyError((j, m))
+        index = hit.argmax(axis=-1)
+        return int(index) if index.ndim == 0 else index
 
 
 _BASES: dict[tuple[int, int], Basis] = {}
@@ -82,21 +85,17 @@ def build_basis(j_max: int, m_max: int | None = None) -> Basis:
     such as the m blocks that a control space with j <= m_max reaches.  One
     basis is built per cutoff pair and returned to every later call, so
     build_basis(j, j) is build_basis(j), and everything built on it shares
-    its cached lookup and decompositions.  A basis within one built before
-    takes its states from that one, which holds them in the same order, so
-    a sweep over cutoffs that builds its top cutoff first makes each state
-    once.
+    its cached decompositions.
     """
     if j_max < 0 or (m_max is not None and m_max < 0):
         raise ValueError(f"j_max and m_max must be non-negative, got {j_max} and {m_max}")
     m_cut = int(j_max if m_max is None else min(m_max, j_max))  # a numpy integer would leak to later callers
     if (j_max, m_cut) not in _BASES:
-        larger = next((b for (j, m), b in _BASES.items() if j >= j_max and m >= m_cut), None)
-        if larger is None:
-            states = tuple(BasisIndex(j, m) for m in range(-m_cut, m_cut + 1) for j in range(abs(m), j_max + 1))
-        else:
-            states = tuple(s for s in larger.states if s.j <= j_max and abs(s.m) <= m_cut)
-        _BASES[j_max, m_cut] = Basis(j_max=int(j_max), states=states)
+        m = np.arange(-m_cut, m_cut + 1)
+        runs = j_max + 1 - np.abs(m)  # the m run holds j = |m|..j_max
+        starts = np.cumsum(runs) - runs
+        j = np.arange(runs.sum()) + np.repeat(np.abs(m) - starts, runs)
+        _BASES[j_max, m_cut] = Basis(j_max, j, np.repeat(m, runs))
     return _BASES[j_max, m_cut]
 
 
@@ -242,23 +241,24 @@ def block_decomposition(basis: Basis, kind: str) -> BlockDecomposition:
     """Group basis states into invariant blocks: by m, and by parity of j for alignment.
 
     Blocks are ordered by ascending m, with the even-j sub-block before the
-    odd-j one.  Empty sub-blocks are omitted.  The member |j, m> sits on
-    slot j of an m block and on slot j // 2 of an (m, parity) block.  The
-    decomposition is built once per basis and kind and kept with the basis.
+    odd-j one; each holds its members in basis order, which ascends in j
+    for build_basis.  Empty sub-blocks are omitted.  A block's first member
+    |j, m> sits on slot j of an m block and on slot j // 2 of an (m, parity)
+    block, the others on the slots after it.  The decomposition is built
+    once per basis and kind and kept with the basis.
     """
     check_process_kind(kind)
     if kind in basis._decompositions:
         return basis._decompositions[kind]
-    groups: dict[tuple[int, int | None], list[int]] = {}
-    for k, s in enumerate(basis.states):
-        key = (s.m, s.j % 2 if kind == ALIGNMENT else None)
-        groups.setdefault(key, []).append(k)
-    # enumeration order already ascends in j within each group
-    ordered = sorted(groups, key=lambda key: (key[0], key[1] if key[1] is not None else 0))
-    step = 1 if kind == ORIENTATION else 2
+    j, m = basis.j_values, basis.m_values
+    step = 2 if kind == ALIGNMENT else 1
+    key = 2 * m + j % 2 if step == 2 else m  # ascends with (m, parity)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=key[order[:1]] - 1)).tolist()  # where each block begins
+    firsts, members = order[starts], order.tolist()
     blocks = tuple(
-        Block(m=m, parity=p, members=tuple(groups[(m, p)]), offset=basis.states[groups[(m, p)][0]].j // step)
-        for m, p in ordered
+        Block(m=mb, parity=jb % 2 if step == 2 else None, members=tuple(members[a:e]), offset=jb // step)
+        for mb, jb, a, e in zip(m[firsts].tolist(), j[firsts].tolist(), starts, [*starts[1:], len(members)])
     )
     basis._decompositions[kind] = BlockDecomposition(kind=kind, blocks=blocks)
     return basis._decompositions[kind]

@@ -217,8 +217,7 @@ def block_trace_rank(j_max: int, kind: str) -> int:
     matrix carries two independent columns.
     """
     check_process_kind(kind)
-    if j_max < 1:
-        raise ValueError("j_max must be at least 1")
+    check_cutoff(j_max)
     return _trace_rank(_rational_observable(j_max, kind))
 
 

@@ -250,8 +250,8 @@ class _Train:
         copies = np.bincount(self.source)  # how many blocks each kept block stands for
 
         # the kept states, in basis order, have the kept blocks in the same order
-        kept = blocks.slots[self.keep][blocks.filled[self.keep]]
-        kept_basis = Basis(basis.j_max, tuple(basis.states[a] for a in np.sort(kept)))
+        kept = np.sort(blocks.slots[self.keep][blocks.filled[self.keep]])
+        kept_basis = Basis(basis.j_max, basis.j_values[kept], basis.m_values[kept])
         kept_blocks = block_decomposition(kept_basis, blocks.kind)
         kept_kick = HermitianOperator(kept_basis, kept_blocks, kick.operator.stack[self.keep])
         self.kick = KickSpec(kick.amplitude, kick.kind, kept_kick)

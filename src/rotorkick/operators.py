@@ -32,6 +32,7 @@ from .basis import (
     Basis,
     BlockDecomposition,
     block_decomposition,
+    build_basis,
     single_block,
 )
 from .errors import NumericalError
@@ -508,17 +509,11 @@ def thermal_state(
     those states hold unit trace.  Both sums run over all of them in the
     order of build_basis(basis.j_max), also for a basis that holds only some
     m shells of them; such a state declares the trace of its own states.
-    A basis of all of them sums in its own order, its cached j_values,
-    which is that order for build_basis(basis.j_max) itself.  A basis of
-    some m shells lays the order out per call rather than build the full
-    basis, whose states cost far more than the layout at large cutoffs.
     """
     top = basis.j_max
-    full = basis.dim == (top + 1) ** 2  # every state with j <= top is in the basis
-    j = basis.j_values if full else np.concatenate([np.arange(abs(m), top + 1.0) for m in range(-top, top + 1)])
-    weights, trace = boltzmann_weights(j, beta, z_mode, renormalize)
+    weights, trace = boltzmann_weights(build_basis(top).j_values, beta, z_mode, renormalize)
     weights = weights[top * (top + 1) // 2 + basis.j_values]  # the m = 0 run holds j = 0..top; a weight depends on j
-    if not full:  # some states with j <= top are not in the basis
+    if basis.dim != (top + 1) ** 2:  # some states with j <= top are not in the basis
         trace = float(weights.sum())
     blocks = block_decomposition(basis, ORIENTATION)
     return DensityMatrix._exact(basis, blocks, _diagonal_stack(blocks, weights), trace_target=trace)
@@ -559,7 +554,7 @@ def _embedded(x: HermitianOperator, big_basis: Basis) -> tuple[BlockDecompositio
     """
     if x.blocks.kind not in PROCESS_KINDS:  # through the dense matrix
         big = np.zeros((1, big_basis.dim, big_basis.dim), dtype=x.stack.dtype)
-        big[0][np.ix_(*2 * [[big_basis.index_of(s.j, s.m) for s in x.basis.states]])] = x.matrix
+        big[0][np.ix_(*2 * [big_basis.index_of(x.basis.j_values, x.basis.m_values)])] = x.matrix
         return single_block(big_basis.dim), big
     blocks = block_decomposition(big_basis, x.blocks.kind)
     of = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}

@@ -19,6 +19,9 @@ cutoff.  grouped_count brackets the generators with groups of new rows
 and is itself checked against sequential_exact_closure, which brackets
 every pair one at a time; both run on dense generators that
 generators_mod_p builds from the package's rational bands.
+enumerated_states lists the states of a cutoff by nested loops, and
+grouped_blocks groups the states of a basis one at a time, as the
+package did before it held a basis as two integer arrays.
 """
 
 import itertools
@@ -56,6 +59,29 @@ def brute_force_pairing(weights, eigenvalues) -> float:
 def direct_partition_sum(beta: float, j_top: int = 400) -> float:
     """Sum (2j+1) exp(-beta j(j+1)) term by term."""
     return sum((2 * j + 1) * math.exp(-beta * j * (j + 1)) for j in range(j_top + 1))
+
+
+def enumerated_states(j_max: int, m_max: int | None = None) -> list[tuple[int, int]]:
+    """Every (j, m) with |m| <= j <= j_max and |m| <= m_max, in ascending m, then ascending j."""
+    m_cut = j_max if m_max is None else min(m_max, j_max)
+    return [(j, m) for m in range(-m_cut, m_cut + 1) for j in range(abs(m), j_max + 1)]
+
+
+def grouped_blocks(states, kind: str) -> list[tuple[int, int | None, tuple[int, ...], int]]:
+    """(m, parity, members, offset) of every invariant block of the states (j, m) of a basis, by a loop per state.
+
+    Blocks ascend in m, even j before odd for alignment (parity None for
+    orientation); members keep basis order; offset is the first member's j,
+    halved for alignment.
+    """
+    groups: dict = {}
+    for k, (j, m) in enumerate(states):
+        groups.setdefault((m, j % 2 if kind == "alignment" else None), []).append(k)
+    step = 2 if kind == "alignment" else 1
+    return [
+        (m, p, tuple(groups[m, p]), states[groups[m, p][0]][0] // step)
+        for m, p in sorted(groups, key=lambda key: (key[0], key[1] or 0))
+    ]
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -251,12 +251,13 @@ def test_criterion_7_oracle_equivalence():
     c = cos_theta_matrix(basis).matrix
     c2 = cos2_theta_matrix(basis).matrix
     worst = 0.0
-    for a, sa in enumerate(basis.states):
-        for b, sb in enumerate(basis.states):
-            if sa.m != sb.m:
+    states = list(zip(basis.j_values.tolist(), basis.m_values.tolist()))
+    for a, (ja, ma) in enumerate(states):
+        for b, (jb, mb) in enumerate(states):
+            if ma != mb:
                 continue
-            worst = max(worst, abs(c[a, b].real - quadrature_cos_power_element(sa.j, sb.j, sa.m, 1)))
-            worst = max(worst, abs(c2[a, b].real - quadrature_cos_power_element(sa.j, sb.j, sa.m, 2)))
+            worst = max(worst, abs(c[a, b].real - quadrature_cos_power_element(ja, jb, ma, 1)))
+            worst = max(worst, abs(c2[a, b].real - quadrature_cos_power_element(ja, jb, ma, 2)))
     ok = ok and worst <= 1e-9
     _report(7, "oracle equivalence", ok, f"max quadrature deviation {worst:.2e}" + "; ".join(details))
 
@@ -291,9 +292,9 @@ def test_criterion_8_fixed_points():
                     ok = False
                     details.append(f"mid-train state wrongly stationary ({kind}, j={j_max})")
     # exact two-level case
-    from rotorkick.basis import Basis, BasisIndex
+    from rotorkick.basis import Basis
 
-    two = Basis(j_max=1, states=(BasisIndex(0, 0), BasisIndex(1, 0)))
+    two = Basis(j_max=1, j_values=[0, 1], m_values=[0, 0])
     h0 = h0_matrix(two)
     c = cos_theta_matrix(two)
     report = fixed_point_analysis(h0, c)

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_diagonal_part, block_stack, direct_partition_sum
+from oracles import block_diagonal_part, block_stack, direct_partition_sum, enumerated_states, grouped_blocks
 from rotorkick.basis import (
     ALIGNMENT,
     ORIENTATION,
-    BasisIndex,
+    Basis,
     Block,
     BlockDecomposition,
     block_decomposition,
@@ -26,63 +26,117 @@ from rotorkick.operators import (
 )
 
 
+def _states(basis):
+    return list(zip(basis.j_values.tolist(), basis.m_values.tolist()))
+
+
 def test_dimension_examples():
     assert build_basis(0).dim == 1
-    assert build_basis(0).states == (BasisIndex(0, 0),)
+    assert _states(build_basis(0)) == [(0, 0)]
     assert build_basis(3).dim == 16
     assert build_basis(8).dim == 81
 
 
 def test_ordering_ascending_m_then_j():
     basis = build_basis(1)
-    assert [(s.j, s.m) for s in basis.states] == [(1, -1), (0, 0), (1, 0), (1, 1)]
+    assert _states(basis) == [(1, -1), (0, 0), (1, 0), (1, 1)]
 
 
 @given(st.integers(min_value=0, max_value=12))
 def test_enumeration_complete_and_unique(j_max):
     basis = build_basis(j_max)
     assert basis.dim == (j_max + 1) ** 2
-    seen = {(s.j, s.m) for s in basis.states}
+    seen = set(_states(basis))
     assert len(seen) == basis.dim
     for j in range(j_max + 1):
         for m in range(-j, j + 1):
             assert (j, m) in seen
     # flattened index lookup is consistent with enumeration order
-    for k, s in enumerate(basis.states):
-        assert basis.index_of(s.j, s.m) == k
+    for k, (j, m) in enumerate(_states(basis)):
+        assert basis.index_of(j, m) == k
+    assert np.array_equal(basis.index_of(basis.j_values, basis.m_values), np.arange(basis.dim))
+
+
+@pytest.mark.parametrize("j_max", range(13))
+def test_build_basis_equals_the_nested_loop_enumeration(j_max):
+    for m_max in (None, *range(j_max + 3)):
+        basis = build_basis(j_max, m_max)
+        assert _states(basis) == enumerated_states(j_max, m_max)
+        assert basis.j_max == j_max and type(basis.j_max) is int
+        for values in (basis.j_values, basis.m_values):
+            assert values.dtype == np.dtype(int) and not values.flags.writeable
 
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=14))
 def test_m_shells_are_the_states_of_the_full_basis_with_small_m(j_max, m_max):
     shells = build_basis(j_max, m_max)
-    assert shells.states == tuple(s for s in build_basis(j_max).states if abs(s.m) <= m_max)
+    assert _states(shells) == [(j, m) for j, m in _states(build_basis(j_max)) if abs(m) <= m_max]
     assert shells.j_max == j_max and build_basis(j_max, m_max) is shells
     assert (shells is build_basis(j_max)) == (m_max >= j_max)
 
 
-def test_a_basis_within_a_larger_one_shares_its_states(monkeypatch):
-    import rotorkick.basis
+@pytest.mark.parametrize(
+    "j_values, m_values, message",
+    [
+        ([0, -1], [0, 0], r"state \(j=-1, m=0\): 0 <= \|m\| <= j required"),
+        ([0, 1], [0, 2], r"state \(j=1, m=2\): 0 <= \|m\| <= j required"),
+        ([0, 1], [0, -2], r"state \(j=1, m=-2\): 0 <= \|m\| <= j required"),
+        ([0, 1, 1], [0, 0], "equal length"),
+        ([[0, 1]], [[0, 0]], "equal length"),
+        ([1, 0, 2, 1], [0, 0, 1, 0], r"state \(j=1, m=0\): listed twice"),
+        ([3, 3], [-3, -3], r"state \(j=3, m=-3\): listed twice"),
+    ],
+)
+def test_invalid_states_rejected(j_values, m_values, message):
+    with pytest.raises(ValueError, match=message):
+        Basis(3, j_values, m_values)
 
-    monkeypatch.setattr(rotorkick.basis, "_BASES", {})
-    top = build_basis(6)
-    made = {id(s) for s in top.states}
-    for j_max, m_max in [(6, 2), (3, None), (4, 1), (0, None)]:
-        basis = build_basis(j_max, m_max)
-        m_cut = j_max if m_max is None else m_max
-        fresh = tuple(BasisIndex(j, m) for m in range(-m_cut, m_cut + 1) for j in range(abs(m), j_max + 1))
-        assert basis.states == fresh
-        assert {id(s) for s in basis.states} <= made
 
-
-def test_invalid_states_rejected():
-    with pytest.raises(ValueError):
-        BasisIndex(-1, 0)
-    with pytest.raises(ValueError):
-        BasisIndex(1, 2)
+def test_invalid_cutoffs_rejected():
     with pytest.raises(ValueError):
         build_basis(-1)
     with pytest.raises(ValueError):
         build_basis(3, -1)
+
+
+def test_a_basis_holds_read_only_copies_and_compares_by_cutoff_and_states():
+    j, m = np.array([1, 0, 1]), np.array([-1, 0, 0])
+    basis = Basis(1, j, m)
+    j[0] = 5  # the caller's array is not the basis's
+    assert _states(basis) == [(1, -1), (0, 0), (1, 0)]
+    with pytest.raises(ValueError):
+        basis.j_values[0] = 0
+    assert basis == Basis(1, [1, 0, 1], [-1, 0, 0])
+    assert basis != Basis(2, [1, 0, 1], [-1, 0, 0])  # another cutoff
+    assert basis != Basis(1, [0, 1, 1], [0, -1, 0])  # another order
+    assert basis != Basis(1, [1, 0], [-1, 0])
+    assert Basis(3, *map(np.array, zip(*enumerated_states(3)))) == build_basis(3)
+
+
+def test_index_of_raises_key_error_for_an_absent_state():
+    basis = build_basis(2, 1)
+    assert basis.index_of(2, 1) == basis.dim - 1
+    for j, m in [(2, 2), (3, 0), (1, -2), (-1, 0)]:
+        with pytest.raises(KeyError):
+            basis.index_of(j, m)
+    with pytest.raises(KeyError, match=r"\(2, 2\)"):
+        basis.index_of(2, 2)
+    with pytest.raises(KeyError):
+        basis.index_of(np.array([0, 2]), np.array([0, -2]))
+    assert basis.index_of(np.array([[1, 0]]), np.array([[1, 0]])).tolist() == [[basis.dim - 2, 2]]
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_block_decomposition_groups_any_basis_as_the_loop_oracle(kind):
+    rng = np.random.default_rng(3)
+    for j_max in range(6):
+        full = enumerated_states(j_max)
+        for _ in range(20):
+            states = [full[k] for k in rng.permutation(len(full))[: rng.integers(len(full) + 1)]]
+            basis = Basis(j_max, [j for j, _ in states], [m for _, m in states])
+            blocks = block_decomposition(basis, kind)
+            assert [(b.m, b.parity, b.members, b.offset) for b in blocks.blocks] == grouped_blocks(states, kind)
+            assert all(type(k) is int for b in blocks.blocks for k in (b.m, b.offset, *b.members))
 
 
 def test_orientation_blocks_j1():
@@ -104,8 +158,8 @@ def test_alignment_blocks_j2_m0():
     by_key = {(b.m, b.parity): b for b in blocks.blocks}
     even = by_key[(0, 0)]
     odd = by_key[(0, 1)]
-    assert [basis.states[k].j for k in even.members] == [0, 2]
-    assert [basis.states[k].j for k in odd.members] == [1]
+    assert [basis.j_values[k] for k in even.members] == [0, 2]
+    assert [basis.j_values[k] for k in odd.members] == [1]
     # |m| = 2 only supports j = 2, so the odd sub-block is omitted
     assert (2, 1) not in by_key
     assert (2, 0) in by_key
@@ -132,7 +186,7 @@ def test_alignment_parity_split(j_max):
     blocks = block_decomposition(basis, ALIGNMENT)
     per_m = {}
     for b in blocks.blocks:
-        parities = {basis.states[k].j % 2 for k in b.members}
+        parities = {basis.j_values[k] % 2 for k in b.members}
         assert parities == {b.parity}
         per_m.setdefault(b.m, []).append(b.parity)
     for m, parities in per_m.items():
@@ -190,7 +244,7 @@ def test_restack_moves_the_thermal_state_and_back():
     basis = build_basis(5)
     beta = 0.3
     rho = thermal_state(basis, beta)
-    weights = np.array([np.exp(-beta * s.j * (s.j + 1)) for s in basis.states]) / direct_partition_sum(beta)
+    weights = np.array([np.exp(-beta * j * (j + 1)) for j in basis.j_values.tolist()]) / direct_partition_sum(beta)
     dense = np.diag(weights).astype(complex)
     state = rho
     for name in ("m-parity", "one", "m"):
@@ -222,7 +276,7 @@ def test_embedding_matches_the_dense_lift(name):
         src, dst = _decomposition(small, name), _decomposition(big, name)
         dense = _random_operator(small, src, np.random.default_rng(j_sim))
         op = HermitianOperator(small, src, block_stack(dense, src))
-        idx = [big.states.index(s) for s in small.states]
+        idx = [_states(big).index(s) for s in _states(small)]
         lifted = np.zeros((big.dim, big.dim), dtype=complex)
         lifted[np.ix_(idx, idx)] = dense
         embedded = embed_operator(op, big)

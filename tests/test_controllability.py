@@ -20,7 +20,7 @@ from oracles import (
 
 from rotorkick import controllability
 
-from rotorkick.basis import ALIGNMENT, ORIENTATION, Basis, BasisIndex, build_basis
+from rotorkick.basis import ALIGNMENT, ORIENTATION, Basis, build_basis
 from rotorkick.controllability import (
     block_trace_rank,
     controllability_report,
@@ -68,8 +68,7 @@ RESTRICTED = {
 
 
 def _two_level_system():
-    states = (BasisIndex(0, 0), BasisIndex(1, 0))
-    basis = Basis(j_max=1, states=states)
+    basis = Basis(j_max=1, j_values=[0, 1], m_values=[0, 0])
     h0 = h0_matrix(basis)
     c = cos_theta_matrix(basis)
     kick = KickSpec(amplitude=2.0, kind=ORIENTATION, operator=c)
@@ -78,7 +77,7 @@ def _two_level_system():
 
 def _line_basis(n):
     """n states of one m, so that from_matrix keeps any n x n matrix in one block."""
-    return Basis(j_max=n - 1, states=tuple(BasisIndex(j, 0) for j in range(n)))
+    return Basis(j_max=n - 1, j_values=np.arange(n), m_values=np.zeros(n, dtype=int))
 
 
 def _operators(basis, matrices, blocks=None):
@@ -258,7 +257,7 @@ def test_closure_counts_identical_blocks_once():
     dim_a, _ = float_lie_closure(_operators(_line_basis(3), a))
     assert dim_a == 9
     # two blocks of three states, at m = -1 and m = 1
-    pair = Basis(j_max=3, states=tuple(BasisIndex(j, m) for m in (-1, 1) for j in (1, 2, 3)))
+    pair = Basis(j_max=3, j_values=[1, 2, 3, 1, 2, 3], m_values=[-1, -1, -1, 1, 1, 1])
     blocks = block_decomposition(pair, ORIENTATION)
     assert [block.size for block in blocks.blocks] == [3, 3]
     dim_copies, elems = float_lie_closure(_operators(pair, [_block_diag(g, g) for g in a], blocks))
@@ -397,6 +396,14 @@ def test_cutoffs_have_no_ceiling(kind, r):
     assert lie_closure(209, kind) == (dims_required(209, r, kind)[1], r)
     with pytest.raises(ConfigError, match="j_max >= 1"):
         lie_closure(0, kind)
+
+
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+@pytest.mark.parametrize("j_max", [0, -1])
+def test_every_exact_count_rejects_a_cutoff_below_1_as_a_config_error(kind, j_max):
+    for count in (lie_closure, block_trace_rank):
+        with pytest.raises(ConfigError, match=f"controllability needs j_max >= 1, got {j_max}"):
+            count(j_max, kind)
 
 
 @pytest.mark.parametrize("j_max", range(1, 7))
@@ -543,7 +550,7 @@ def test_fixed_point_frequency_shared_by_two_blocks_counts_once():
 def _synthetic_functional(spectrum, seed=5):
     """A functional with the given spectrum and random eigenvectors, with the rotor H0 on len(spectrum) states."""
     n = len(spectrum)
-    basis = Basis(j_max=n - 1, states=tuple(BasisIndex(j, 0) for j in range(n)))
+    basis = Basis(j_max=n - 1, j_values=np.arange(n), m_values=np.zeros(n, dtype=int))
     v = haar_unitary(n, np.random.default_rng(seed))
     functional = HermitianOperator.from_matrix(basis, (v * np.asarray(spectrum, dtype=float)) @ v.conj().T)
     return h0_matrix(basis), functional, v

@@ -35,6 +35,11 @@ from rotorkick.operators import (
 from rotorkick.target import build_target
 
 
+def _states(basis):
+    """The (j, m) of every state, in basis order."""
+    return list(zip(basis.j_values.tolist(), basis.m_values.tolist()))
+
+
 def _coupling_mask(blocks):
     """(dim, dim) mask, True where an entry couples two different blocks."""
     block_of = np.empty(blocks.dim, dtype=int)
@@ -72,11 +77,11 @@ def test_cos_theta_reference_elements():
 def test_cos_theta_against_quadrature():
     basis = build_basis(4)
     c = cos_theta_matrix(basis)
-    for a, sa in enumerate(basis.states):
-        for b, sb in enumerate(basis.states):
-            if sa.m != sb.m:
+    for a, (ja, ma) in enumerate(_states(basis)):
+        for b, (jb, mb) in enumerate(_states(basis)):
+            if ma != mb:
                 continue
-            expected = quadrature_cos_power_element(sa.j, sb.j, sa.m, 1)
+            expected = quadrature_cos_power_element(ja, jb, ma, 1)
             assert c.matrix[a, b].real == pytest.approx(expected, abs=1e-12)
 
 
@@ -93,11 +98,11 @@ def test_cos2_reference_elements():
 def test_cos2_against_quadrature():
     basis = build_basis(4)
     c2 = cos2_theta_matrix(basis)
-    for a, sa in enumerate(basis.states):
-        for b, sb in enumerate(basis.states):
-            if sa.m != sb.m:
+    for a, (ja, ma) in enumerate(_states(basis)):
+        for b, (jb, mb) in enumerate(_states(basis)):
+            if ma != mb:
                 continue
-            expected = quadrature_cos_power_element(sa.j, sb.j, sa.m, 2)
+            expected = quadrature_cos_power_element(ja, jb, ma, 2)
             assert c2.matrix[a, b].real == pytest.approx(expected, abs=1e-12)
 
 
@@ -107,7 +112,7 @@ def test_cos2_closed_form_matches_dense_square():
         basis = build_basis(j_max)
         big = build_basis(j_max + 1)
         c = cos_theta_matrix(big).matrix.real
-        idx = [big.index_of(s.j, s.m) for s in basis.states]
+        idx = big.index_of(basis.j_values, basis.m_values)
         square = (c @ c)[np.ix_(idx, idx)]
         assert np.max(np.abs(cos2_theta_matrix(basis).matrix - square)) <= 1e-15
 
@@ -122,12 +127,12 @@ def test_block_structure_exact_zeros(j_max):
     assert np.all(c.matrix[off_o] == 0)
     assert np.all(c2.matrix[off_a] == 0)
     # cos couples only neighboring j, cos^2 only j and j +- 2
-    for a, sa in enumerate(basis.states):
-        for b, sb in enumerate(basis.states):
+    for a, (ja, ma) in enumerate(_states(basis)):
+        for b, (jb, mb) in enumerate(_states(basis)):
             if c.matrix[a, b] != 0:
-                assert abs(sa.j - sb.j) == 1 and sa.m == sb.m
+                assert abs(ja - jb) == 1 and ma == mb
             if c2.matrix[a, b] != 0:
-                assert abs(sa.j - sb.j) in (0, 2) and sa.m == sb.m
+                assert abs(ja - jb) in (0, 2) and ma == mb
 
 
 @pytest.mark.parametrize("j_max", [1, 2, 4])
@@ -136,7 +141,7 @@ def test_cos2_projection_consistency(j_max):
     large = build_basis(j_max + 3)
     c_small = cos2_theta_matrix(small).matrix
     c_large = cos2_theta_matrix(large).matrix
-    idx = [large.index_of(s.j, s.m) for s in small.states]
+    idx = large.index_of(small.j_values, small.m_values)
     assert np.max(np.abs(c_small - c_large[np.ix_(idx, idx)])) < 1e-12
 
 
@@ -171,7 +176,7 @@ def test_thermal_weight_ordering():
     basis = build_basis(5)
     rho = thermal_state(basis, beta=0.3)
     diag = np.diag(rho.matrix).real
-    weights_by_jm = {(s.j, s.m): diag[k] for k, s in enumerate(basis.states)}
+    weights_by_jm = {state: diag[k] for k, state in enumerate(_states(basis))}
     for (j, m), w in weights_by_jm.items():
         if (j + 1, m) in weights_by_jm:
             assert weights_by_jm[(j + 1, m)] <= w
@@ -195,7 +200,7 @@ def test_thermal_state_on_m_shells_is_the_full_state_restricted(settings):
     # weights and normalization are those of every state with j <= j_max, bit for bit, seen or not
     full, shells = build_basis(10), build_basis(10, 2)
     whole, part = thermal_state(full, 0.3, **settings), thermal_state(shells, 0.3, **settings)
-    seen = [full.index_of(s.j, s.m) for s in shells.states]
+    seen = full.index_of(shells.j_values, shells.m_values)
     assert np.array_equal(part.diagonal, whole.diagonal[seen])
     assert part.trace_target == pytest.approx(whole.diagonal[seen].sum(), rel=1e-15)
 
@@ -336,7 +341,7 @@ def test_embedding_roundtrip():
     rho = thermal_state(small, beta=0.7)
     lifted = embed_density(rho, big)
     assert np.trace(lifted.matrix).real == pytest.approx(np.trace(rho.matrix).real, abs=1e-14)
-    idx = [big.index_of(s.j, s.m) for s in small.states]
+    idx = big.index_of(small.j_values, small.m_values).tolist()
     assert np.max(np.abs(lifted.matrix[np.ix_(idx, idx)] - rho.matrix)) == 0.0
     c_small = cos_theta_matrix(small)
     lifted_op = embed_operator(c_small, big)
@@ -520,15 +525,16 @@ def _scalar_ladder(basis, kind):
         block_of[list(block.members)], slot_of[list(block.members)] = b, range(block.offset, block.offset + block.size)
     size = blocks.slots.shape[1]
     stack = np.zeros((blocks.n_blocks, size, size))
-    for a, s in enumerate(basis.states):
+    present = set(_states(basis))
+    for a, (j, m) in enumerate(_states(basis)):
         b, k = block_of[a], slot_of[a]
         if kind == ALIGNMENT:
-            below = c(s.j - 1, s.m) if s.j > abs(s.m) else 0.0
-            stack[b, k, k] = below**2 + c(s.j, s.m) ** 2
+            below = c(j - 1, m) if j > abs(m) else 0.0
+            stack[b, k, k] = below**2 + c(j, m) ** 2
         step = 1 if kind == ORIENTATION else 2
-        if basis.contains(s.j + step, s.m):
-            l = slot_of[basis.index_of(s.j + step, s.m)]
-            stack[b, k, l] = stack[b, l, k] = c(s.j, s.m) if kind == ORIENTATION else c(s.j, s.m) * c(s.j + 1, s.m)
+        if (j + step, m) in present:
+            l = slot_of[basis.index_of(j + step, m)]
+            stack[b, k, l] = stack[b, l, k] = c(j, m) if kind == ORIENTATION else c(j, m) * c(j + 1, m)
     return stack
 
 

@@ -10,7 +10,6 @@ from rotorkick.basis import (
     ALIGNMENT,
     ORIENTATION,
     Basis,
-    BasisIndex,
     block_decomposition,
     build_basis,
 )
@@ -176,8 +175,7 @@ def test_blockwise_equals_global_single_block():
         build_target(rho0, obs, blocks).achieved, abs=1e-15
     )
     # synthetic basis holding only the m = 0 ladder: a single orientation block
-    states = tuple(BasisIndex(j, 0) for j in range(4))
-    synth = Basis(j_max=3, states=states)
+    synth = Basis(j_max=3, j_values=np.arange(4), m_values=np.zeros(4, dtype=int))
     obs_s = cos_theta_matrix(synth)
     weights = np.exp(-0.4 * np.arange(4) * (np.arange(4) + 1.0))
     weights /= weights.sum()
