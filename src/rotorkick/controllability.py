@@ -56,8 +56,9 @@ Both checks hold at every cutoff, so dim_L = D' always:
 
 A failed check would mean that the rational form is wrong, so it raises
 NumericalError naming the block or the pair.  The rank of the blocks'
-traces is counted in integers from the same rational forms: the
-controllability report builds no float operator.
+traces is counted in integers from the same rational forms, and D and D'
+from the block sizes: the controllability report builds no basis and no
+float operator.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ALIGNMENT, ORIENTATION, block_decomposition, build_basis, check_process_kind
+from .basis import ALIGNMENT, ORIENTATION, build_basis, check_process_kind
 from .errors import ConfigError, NumericalError
 from .operators import (
     DensityMatrix,
@@ -104,55 +105,71 @@ class _Band:
     edges: list[tuple[int, int, int]]
 
 
+def _runs(j_max: int, kind: str, m: int) -> list[range]:
+    """The j values of the process's blocks at m >= 0, in the order block_decomposition gives them.
+
+    An orientation block holds j = m..j_max; alignment splits it into the
+    run of even j before the run of odd j, each in steps of 2, and omits
+    an empty run.
+    """
+    if kind == ORIENTATION:
+        return [range(m, j_max + 1)]
+    return [range(first, j_max + 1, 2) for first in ((m, m + 1) if m % 2 == 0 else (m + 1, m)) if first <= j_max]
+
+
 def _rational_observable(j_max: int, kind: str) -> list[_Band]:
-    """T O T^-1 on the blocks with m >= 0 of block_decomposition, one _Band each, in its order.
+    """T O T^-1 on the blocks with m >= 0, one _Band each, in the order of block_decomposition; builds no basis.
 
     O couples each state only to its neighbours in the block, symmetrically:
     with c the coupling of slots k and k+1 (cos theta: c(j, m); cos^2
     theta: the product c(j, m) c(j+1, m)), the diagonal T with
     T[k+1] = T[k] / c turns the pair (c, c) into (c^2 above, 1 below).
     The diagonal, c(j-1, m)^2 + c(j, m)^2 for cos^2 theta, and H0 stay
-    as they are, so every entry is rational.
+    as they are, so every entry is rational.  Each c(j, m)^2 is taken once
+    from squared_cos_theta_element.
     """
-    basis = build_basis(j_max)
     out = []
-    for block in block_decomposition(basis, kind).blocks:
-        if block.m < 0:
-            continue
-        m, js = block.m, basis.j_values[list(block.members)].tolist()
-        diagonal, edges = [], []
-        for k, j in enumerate(js):
-            a, b = 0, 1
-            if kind == ALIGNMENT:
-                a, b = squared_cos_theta_element(j, m)
-                if j > m:
-                    a0, b0 = squared_cos_theta_element(j - 1, m)
-                    a, b = a * b0 + a0 * b, b * b0
-            diagonal.append((a, b))
-            if k + 1 < len(js):
-                a, b = squared_cos_theta_element(j, m)
+    for m in range(j_max + 1):
+        squares = [squared_cos_theta_element(j, m) for j in range(m, j_max + 1)]  # c(j, m)^2 at j - m
+        for run in _runs(j_max, kind, m):
+            js, edges = list(run), []
+            diagonal = [(0, 1)] * len(js)  # cos(theta) has no diagonal entry: one shared zero for every state
+            for k, j in enumerate(js):
                 if kind == ALIGNMENT:
-                    a1, b1 = squared_cos_theta_element(j + 1, m)
-                    a, b = a * a1, b * b1
-                edges.append((js[k + 1] * (js[k + 1] + 1) - j * (j + 1), a, b))
-        out.append(_Band(m, js, diagonal, edges))
+                    a, b = squares[j - m]
+                    if j > m:
+                        a0, b0 = squares[j - 1 - m]
+                        a, b = a * b0 + a0 * b, b * b0
+                    diagonal[k] = (a, b)
+                if k + 1 < len(js):
+                    a, b = squares[j - m]
+                    if kind == ALIGNMENT:
+                        a1, b1 = squares[j + 1 - m]
+                        a, b = a * a1, b * b1
+                    edges.append((js[k + 1] * (js[k + 1] + 1) - j * (j + 1), a, b))
+            out.append(_Band(m, js, diagonal, edges))
     return out
 
 
-def _square_trace(edges: list[tuple[int, int, int]], q: int) -> tuple[int, int]:
-    """sum_e w_e^4q c_e^2, half of Tr (pi_b ad_H0^2q O)^2 on the block, as a reduced fraction.
+def _reduced_sum(terms) -> tuple[int, int]:
+    """sum a / b over the (a, b) of terms, every b positive, as a reduced fraction (numerator, denominator).
 
-    Returns (numerator, denominator) with the denominator positive and coprime
-    to the numerator, so two traces are equal exactly when their pairs are.
-    Reducing after every edge keeps the integers small: the c_e^2 of one
-    block share most factors of their denominators.
+    The denominator is positive and coprime to the numerator, so two sums
+    are equal exactly when their pairs are.  Reducing after every term
+    keeps the integers small: the terms of one block share most factors of
+    their denominators.
     """
     p, d = 0, 1
-    for w, a, b in edges:
-        p, d = p * b + w ** (4 * q) * a * d, d * b
+    for a, b in terms:
+        p, d = p * b + a * d, d * b
         g = math.gcd(p, d)
         p, d = p // g, d // g
     return p, d
+
+
+def _square_trace(edges: list[tuple[int, int, int]], q: int) -> tuple[int, int]:
+    """sum_e w_e^4q c_e^2, half of Tr (pi_b ad_H0^2q O)^2 on the block, as a _reduced_sum."""
+    return _reduced_sum((w ** (4 * q) * a, b) for w, a, b in edges)
 
 
 def _square_trace_at(entry: tuple[_Band, list[tuple[int, int]]], q: int) -> tuple[int, int]:
@@ -225,9 +242,7 @@ def _trace_rank(bands: list[_Band]) -> int:
     """block_trace_rank on the bands of _rational_observable."""
     rows = []
     for band in bands:
-        p, q = 0, 1
-        for a, b in band.diagonal:
-            p, q = p * b + a * q, q * b
+        p, q = _reduced_sum(band.diagonal)
         rows.append((sum(j * (j + 1) for j in band.js) * q, p))
     nonzero = [row for row in rows if row != (0, 0)]
     if not nonzero:
@@ -239,17 +254,19 @@ def _trace_rank(bands: list[_Band]) -> int:
 def dims_required(j_max: int, r: int, kind: str = ORIENTATION) -> tuple[int, int]:
     """Lie-algebra dimensions demanded for simultaneous controllability.
 
-    Both counts are r plus size^2 - 1 summed over invariant blocks.  The
-    first takes every m block independently; the second exploits the
+    Both counts are r plus size^2 - 1 summed over invariant blocks, read
+    off their sizes with no basis built.  The first takes every m block,
+    of j_max + 1 - |m| states, independently; the second exploits the
     m <-> -m symmetry and only counts the process's blocks with m >= 0 (for
-    alignment, the parity-resolved sub-blocks).
+    alignment, the parity-resolved sub-blocks of _runs).  ConfigError for
+    j_max < 1 (check_cutoff), ValueError for r < 1.
     """
     check_process_kind(kind)
-    if j_max < 1 or r < 1:
-        raise ValueError("j_max and r must be at least 1")
-    basis = build_basis(j_max)
-    d_general = r + sum(b.size**2 - 1 for b in block_decomposition(basis, ORIENTATION).blocks)
-    d_restricted = r + sum(b.size**2 - 1 for b in block_decomposition(basis, kind).blocks if b.m >= 0)
+    check_cutoff(j_max)
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
+    d_general = r + sum((j_max + 1 - abs(m)) ** 2 - 1 for m in range(-j_max, j_max + 1))
+    d_restricted = r + sum(len(run) ** 2 - 1 for m in range(j_max + 1) for run in _runs(j_max, kind, m))
     return d_general, d_restricted
 
 

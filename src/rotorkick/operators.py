@@ -41,8 +41,6 @@ HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 CLUSTER_TOL = 1e-12  # relative gap below which eigenvalues or frequencies coincide
-_HEEVD_RMIN = 2.0**-485  # sqrt(safe minimum / precision); LAPACK's heevd rescales a matrix whose largest
-# entry lies below it or above its inverse
 
 
 def _dagger(stack: np.ndarray) -> np.ndarray:
@@ -166,8 +164,9 @@ class HermitianOperator:
         function of the operator acts as f(0) times the identity there.  The
         eigenvectors take the stack's dtype, so a real block goes to the real
         symmetric solver.  A stack with no off-diagonal entry, such as a
-        thermal state or H0, reads its eigensystem off the diagonal, bit for
-        bit what eigh returns; blocks that are copies of one another
+        thermal state or H0, reads its eigensystem off the diagonal exactly:
+        each block's sorted entries and permutation columns, with no eigh
+        call.  Blocks of any other stack that are copies of one another
         (BlockDecomposition.copies) are solved once.  solve_eigensystems
         fills it in for several operators at once.
         """
@@ -198,25 +197,17 @@ class HermitianOperator:
         return self.diagonal
 
 
-def _sorted_diagonal(blocks: BlockDecomposition, diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A diagonal stack's eigenvalues read off its (n_blocks, width) diagonal: (values, order, rescaled).
+def _sorted_diagonal(blocks: BlockDecomposition, diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A diagonal stack's eigenvalues read off its (n_blocks, width) diagonal: (values, order).
 
     values holds each block's entries ascending on its members' slots and
-    0 on padding, bit for bit eigh's eigenvalues; order is the permutation
-    of the slots that sorts them.  rescaled marks the blocks that LAPACK's
-    heevd first rescales, which moves the last bits of their eigenvalues,
-    so that eigh must solve them.
+    0 on padding, the exact eigenvalues; order is the permutation of the
+    slots that sorts them.
     """
     filled = blocks.filled
     ahead = np.cumsum(filled, axis=-1) == 0  # padding before the members sorts first, the rest last
     order = np.argsort(np.where(filled, diagonal, np.where(ahead, -np.inf, np.inf)), axis=-1, kind="stable")
-    rescaled = _rescaled(np.max(np.abs(diagonal), axis=-1, initial=0.0))
-    return np.take_along_axis(diagonal, order, axis=-1), order, rescaled
-
-
-def _rescaled(scale: np.ndarray) -> np.ndarray:
-    """Whether heevd rescales a matrix whose largest entry in magnitude is scale."""
-    return (scale > 0.0) & ((scale < _HEEVD_RMIN) | (scale > 1.0 / _HEEVD_RMIN))
+    return np.take_along_axis(diagonal, order, axis=-1), order
 
 
 def _eigensystems(ops) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -233,16 +224,13 @@ def _eigensystems(ops) -> list[tuple[np.ndarray, np.ndarray]]:
         systems.append((w, v))
         if op._is_diagonal:
             # no off-diagonal entry: the sorted diagonal and permutation columns
-            w[:], order, solve = _sorted_diagonal(op.blocks, np.diagonal(op.stack, axis1=-2, axis2=-1).real)
+            w[:], order = _sorted_diagonal(op.blocks, np.diagonal(op.stack, axis1=-2, axis2=-1).real)
             v[np.arange(n_blocks)[:, None], order, np.arange(size)] = 1.0
-        else:
-            v[:] = np.eye(size)
-            solve = np.ones(n_blocks, dtype=bool)
-        if not solve.any():
             continue
+        v[:] = np.eye(size)
         keep, source = op.blocks.copies([op.stack])
         kept = np.flatnonzero(keep)
-        for b in kept[solve[kept]]:
+        for b in kept:
             span = op.blocks.blocks[b].span
             matrix = op.stack[b, span, span]
             pending.setdefault((matrix.shape[0], matrix.dtype), []).append((w, v, b, span, matrix))
@@ -267,25 +255,7 @@ def solve_eigensystems(ops) -> None:
 
 def diagonal_eigenvalues(blocks: BlockDecomposition, values: np.ndarray) -> np.ndarray:
     """eigensystem[0] of the operator diag(values) on blocks, for a real basis vector values, without building it."""
-    diagonal = np.append(values, 0.0)[blocks.slots]  # padding slots read the appended zero
-    w, _, solve = _sorted_diagonal(blocks, diagonal)
-    for b in np.flatnonzero(solve):
-        span = blocks.blocks[b].span
-        w[b, span] = _eigh(np.diag(diagonal[b, span]))[0]
-    return w
-
-
-def thermal_spectrum(basis: Basis, weights: np.ndarray) -> np.ndarray:
-    """DensityMatrix.eigenvalues of the thermal state with these weights on basis, without building it.
-
-    That is the weights, sorted, unless a block of the state is one that
-    eigh rescales; a block's largest entry is one of the weights, so none
-    is when no weight lies in the rescaled range.
-    """
-    if not np.any(_rescaled(weights)):
-        return np.sort(weights)[::-1]
-    blocks = block_decomposition(basis, ORIENTATION)
-    return np.sort(diagonal_eigenvalues(blocks, weights)[blocks.filled])[::-1]
+    return _sorted_diagonal(blocks, np.append(values, 0.0)[blocks.slots])[0]  # padding slots read the appended zero
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,6 @@ from .operators import (
     observable_matrix,
     project_operator,
     solve_eigensystems,
-    thermal_spectrum,
 )
 
 GLOBAL_SCOPE = "global"
@@ -210,9 +209,9 @@ def bound_sweep(
     the top cutoff's observable or 2**16, whichever is more, or one cutoff.  Each cutoff builds the
     frequency lattice of its energies once and shares it by all
     temperatures.  A thermal state is diagonal, so its spectrum is its
-    Boltzmann weights (boltzmann_weights, as thermal_state takes them),
-    read as its eigensystem would (thermal_spectrum over all blocks,
-    diagonal_eigenvalues per block); no thermal state is built.  Each (cutoff, temperature) then computes what
+    Boltzmann weights (boltzmann_weights, as thermal_state takes them):
+    sorted over all blocks, and sorted per block by diagonal_eigenvalues,
+    as its eigensystem reads them; no thermal state is built.  Each (cutoff, temperature) then computes what
     its row holds and no more: the optimal bound is the sum of
     build_target's global pairing of that spectrum, with no target state
     built; the linear bound is the expectation of the blockwise target;
@@ -231,13 +230,12 @@ def bound_sweep(
     per_temperature: list[list[SweepRow]] = [[] for _ in temperatures]
     top = observable_matrix(build_basis(max(cutoffs)), kind)
     for j_max, (obs, j) in zip(cutoffs, _projections(top, cutoffs)):
-        basis, blocks = obs.basis, obs.blocks
-        lattice = _lattice(blocks, level_energies(j))
+        lattice = _lattice(obs.blocks, level_energies(j))
         for temperature, rows in zip(temperatures, per_temperature):
             weights, trace = boltzmann_weights(j, b_cm / (kb_cm_per_k * temperature), z_mode, renormalize)
             # the optimal bound needs no target state
-            optimal = float(np.sum(_global_weights(thermal_spectrum(basis, weights), obs) * obs.eigensystem[0]))
-            lin = _target(obs, diagonal_eigenvalues(blocks, weights), trace, BLOCKWISE_SCOPE)
+            optimal = float(np.sum(_global_weights(np.sort(weights)[::-1], obs) * obs.eigensystem[0]))
+            lin = _target(obs, diagonal_eigenvalues(obs.blocks, weights), trace, BLOCKWISE_SCOPE)
             dur = duration_above(lin.rho, obs, lattice, threshold)
             rows.append(
                 SweepRow(

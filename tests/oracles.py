@@ -6,9 +6,12 @@ permutation search, partition sums from direct summation, and Lie
 algebras from brackets of every pair of elements.  float_lie_closure is the
 floating-point closure the package used before its exact count,
 float_trace_rank the SVD rank of the block traces it used before its
-integer count, full_basis_physical_run the physical-mode train on every
-state with j <= j_sim, as the CLI ran it before it kept only the m shells
-that the control space sees, certified_duration_above the duration
+integer count, decomposed_dims_required the counts D and D' summed over
+the blocks of a built basis, as the package took them before it read
+them off the block sizes in closed form, full_basis_physical_run the
+physical-mode train on every state with j <= j_sim, as the CLI ran it
+before it kept only the m shells that the control space sees,
+certified_duration_above the duration
 rule of the bound sweep as it was before it stopped searching the global
 maximum, vectorized_roots the root finder as it was before it kept its
 bookkeeping in Python floats, unpruned_global_max the maximum search
@@ -452,6 +455,16 @@ def float_trace_rank(h0, obs, tol=1e-10):
     t = np.trace(np.array([h0.regroup(obs.blocks).stack, obs.stack]), axis1=-2, axis2=-1).real.T
     s = np.linalg.svd(t, compute_uv=False)
     return int(np.sum(s > tol * s[0]))
+
+
+def decomposed_dims_required(j_max, r, kind):
+    """(D, D'): r plus size^2 - 1 over the orientation blocks of build_basis(j_max), and over kind's m >= 0 blocks."""
+    from rotorkick.basis import ORIENTATION, block_decomposition, build_basis
+
+    basis = build_basis(j_max)
+    d_general = r + sum(b.size**2 - 1 for b in block_decomposition(basis, ORIENTATION).blocks)
+    d_restricted = r + sum(b.size**2 - 1 for b in block_decomposition(basis, kind).blocks if b.m >= 0)
+    return d_general, d_restricted
 
 
 def float_lie_closure(operators, tol=1e-10):

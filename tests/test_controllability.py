@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import (
     MODULUS,
+    decomposed_dims_required,
     echelon,
     extend,
     float_lie_closure,
@@ -18,9 +19,10 @@ from oracles import (
     sequential_exact_closure,
 )
 
+from rotorkick import basis as basis_module
 from rotorkick import controllability
 
-from rotorkick.basis import ALIGNMENT, ORIENTATION, Basis, build_basis
+from rotorkick.basis import ALIGNMENT, ORIENTATION, Basis, BlockDecomposition, build_basis
 from rotorkick.controllability import (
     block_trace_rank,
     controllability_report,
@@ -177,12 +179,15 @@ def test_closed_form_certifies_every_cutoff_to_40(kind):
 
 
 def test_square_traces_are_reduced_and_exact():
-    # equal pairs must mean equal traces, so every fraction comes back in lowest terms
+    # equal pairs must mean equal traces, so every fraction comes back in lowest terms; the trace rank's sums too
     for band in controllability._rational_observable(12, ALIGNMENT):
         for q in (1, 2, 3):
             p, d = controllability._square_trace(band.edges, q)
             assert d > 0 and math.gcd(p, d) == 1
             assert Fraction(p, d) == sum(Fraction(w ** (4 * q) * a, b) for w, a, b in band.edges)
+        p, d = controllability._reduced_sum(band.diagonal)
+        assert d > 0 and math.gcd(p, d) == 1
+        assert Fraction(p, d) == sum(Fraction(a, b) for a, b in band.diagonal)
 
 
 def test_pair_check_computes_each_band_trace_once(monkeypatch):
@@ -365,7 +370,7 @@ def test_exact_basis_is_closed_under_brackets_with_the_generators(kind, j_max):
 
 
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
-@pytest.mark.parametrize("j_max", [1, 2, 5, 12])
+@pytest.mark.parametrize("j_max", range(1, 21))
 def test_rational_generators_match_the_float_operators(kind, j_max):
     # T F T^-1, with T built from the float couplings, against the exact entries
     basis = build_basis(j_max)
@@ -401,7 +406,7 @@ def test_cutoffs_have_no_ceiling(kind, r):
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
 @pytest.mark.parametrize("j_max", [0, -1])
 def test_every_exact_count_rejects_a_cutoff_below_1_as_a_config_error(kind, j_max):
-    for count in (lie_closure, block_trace_rank):
+    for count in (lie_closure, block_trace_rank, lambda j_max, kind: dims_required(j_max, 1, kind)):
         with pytest.raises(ConfigError, match=f"controllability needs j_max >= 1, got {j_max}"):
             count(j_max, kind)
 
@@ -430,6 +435,20 @@ def test_controllability_report_builds_no_float_operator(kind, j_max, monkeypatc
     assert controllability_report(j_max, kind) == expected
 
 
+@pytest.mark.parametrize("kind, j_max", [(ORIENTATION, 5), (ALIGNMENT, 6)])
+def test_controllability_report_builds_no_basis(kind, j_max, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("the report built a basis or a block decomposition")
+
+    expected = controllability_report(j_max, kind)
+    monkeypatch.setattr(basis_module, "_BASES", {})  # no basis built earlier is at hand
+    monkeypatch.setattr(Basis, "__post_init__", built)
+    monkeypatch.setattr(BlockDecomposition, "__init__", built)
+    assert controllability_report(j_max, kind) == expected
+    with pytest.raises(AssertionError, match="built a basis"):
+        build_basis(j_max)
+
+
 def test_orientation_trace_entries():
     j_max = 4
     basis = build_basis(j_max)
@@ -452,6 +471,12 @@ def test_dims_required_tables_and_validation():
         dims_required(0, 1)
     with pytest.raises(ValueError):
         dims_required(2, 0)
+
+
+@pytest.mark.parametrize("kind, r", [(ORIENTATION, 1), (ALIGNMENT, 2)])
+def test_dims_required_equals_the_sums_over_the_built_blocks(kind, r):
+    for j_max in range(1, 41):
+        assert dims_required(j_max, r, kind) == decomposed_dims_required(j_max, r, kind)
 
 
 @pytest.mark.parametrize("j_max", range(2, 11))
