@@ -9,7 +9,6 @@ from .basis import (
     ALIGNMENT,
     ORIENTATION,
     Basis,
-    Block,
     BlockDecomposition,
     block_decomposition,
     build_basis,

@@ -7,7 +7,12 @@ within m, so that any operator conserving m is block diagonal with
 contiguous blocks.  Linearly polarized driving conserves m; the alignment
 coupling additionally conserves the parity of j, which splits every m block
 into an even-j and an odd-j sub-block.  block_decomposition groups the
-states of any basis into these blocks by one stable sort on (m, parity).
+states of any basis into these blocks by one stable sort on the key
+2 m + parity.  A decomposition is the layout of a block stack, three
+integer arrays: the m and class of every block and the basis index on
+every slot.  The m and -m blocks of one class and on the same slots are
+mirrors, the symmetry behind D'; folded marks the -m blocks on which
+given stacks hold their mirror's bits.
 """
 
 from __future__ import annotations
@@ -99,64 +104,69 @@ def build_basis(j_max: int, m_max: int | None = None) -> Basis:
     return _BASES[j_max, m_cut]
 
 
-@dataclass(frozen=True)
-class Block:
-    """One dynamically invariant subspace: fixed m, optionally fixed parity of j."""
-
-    m: int | None  # None for the one block of a decomposition that resolves no symmetry
-    parity: int | None  # j mod 2 shared by all members; None when parity is not resolved
-    members: tuple[int, ...]  # flattened basis indices, ascending j
-    offset: int = 0  # slot of the first member in a block stack
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def span(self) -> slice:
-        """The slots of the members, which are consecutive."""
-        return slice(self.offset, self.offset + self.size)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDecomposition:
-    """Partition of a basis into the invariant blocks of one process kind."""
+    """Partition of a basis into the invariant blocks of one process kind, held as the layout of a block stack.
+
+    Block b has the magnetic number m[b] and the class classes[b], the
+    parity of its j for alignment and 0 otherwise.  Its states are the
+    basis indices slots[b, s] on the consecutive slots where filled[b, s]:
+    block b of a block-diagonal matrix sits zero-padded in stack[b], on
+    those slots.  Padding slots hold dim, one past the last state.  The
+    blocks ascend in the key 2 m + class, no two with the same key.  The
+    arrays are read-only copies of the ones given.  Two decompositions are
+    equal when they have the same kind, dim and slots.
+    """
 
     kind: str
-    blocks: tuple[Block, ...]
+    dim: int
+    m: np.ndarray
+    classes: np.ndarray
+    slots: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("m", "classes", "slots"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=np.intp)))
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, BlockDecomposition) and (self.kind, self.dim) == (other.kind, other.dim)
+        return same and (self.slots is other.slots or np.array_equal(self.slots, other.slots))
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @cached_property
-    def dim(self) -> int:
-        return sum(block.size for block in self.blocks)
-
-    @cached_property
-    def slots(self) -> np.ndarray:
-        """(n_blocks, width) basis indices of the block members, read-only.
-
-        This is the layout of a block stack: block b of a block-diagonal
-        matrix sits zero-padded in stack[b], its members on the slots
-        block.span.  Padding slots hold the basis dimension, one past the
-        last state.
-        """
-        width = max((block.offset + block.size for block in self.blocks), default=0)
-        slots = np.full((self.n_blocks, width), self.dim, dtype=np.intp)
-        for b, block in enumerate(self.blocks):
-            slots[b, block.span] = block.members
-        return _read_only(slots)
+        return len(self.m)
 
     @cached_property
     def filled(self) -> np.ndarray:
         """(n_blocks, width) mask of the slots holding a basis state, False at padding."""
         return _read_only(self.slots < self.dim)
 
+    def find(self, m, classes) -> np.ndarray:
+        """The block of each (m, class), -1 where there is none; m and classes may be integer arrays."""
+        keys, want = 2 * self.m + self.classes, 2 * np.asarray(m) + classes
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[at] == want, at, -1)
+
     @cached_property
-    def classes(self) -> np.ndarray:
-        """The class of every block, read-only: the parity of its j, 0 where parity is not resolved."""
-        return _read_only(np.array([block.parity or 0 for block in self.blocks], dtype=np.intp))
+    def mirrors(self) -> np.ndarray:
+        """For each block, the block with -m, the same class and the same filled slots, -1 where there is none."""
+        mirror = self.find(-self.m, self.classes)
+        same = (mirror >= 0) & (self.filled == self.filled[mirror]).all(axis=-1)
+        return _read_only(np.where(same, mirror, -1))
+
+    def folded(self, stacks: list[np.ndarray]) -> np.ndarray:
+        """Mark the blocks with m < 0 whose entries equal their mirror's bit for bit in every stack.
+
+        Each stack holds per-block entries laid out like slots, as a block
+        stack does.  Bits, not values, are compared, so -0.0 and 0.0
+        differ.  A marked block evolves as its mirror under operators built
+        from the stacks, so the mirror may stand for both.
+        """
+        fold = (self.m < 0) & (self.mirrors >= 0)
+        for stack in stacks:
+            mine, mirror = (stack[at].view(np.uint8) for at in (fold, self.mirrors[fold]))  # fresh contiguous copies
+            fold[fold] = np.all(mine == mirror, axis=tuple(range(1, mine.ndim)))
+        return fold
 
     @cached_property
     def _row_index(self) -> np.ndarray:
@@ -178,24 +188,6 @@ class BlockDecomposition:
         if not np.array_equal(out[self.classes][self.filled], vector[self.slots[self.filled]]):
             raise ValueError("entries differ between blocks of one class")
         return out
-
-    def copies(self, stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Fold blocks on the same slots whose entries are bit-identical in every stack onto one copy: (keep, source).
-
-        Each stack holds per-block entries laid out like slots, as a block
-        stack does.  Blocks that are copies evolve alike under operators
-        built from the stacks, so one of each suffices.  keep marks the last
-        block of each group, the one with m >= 0 of a +-m pair; source[b]
-        is the position among the kept blocks of the copy that block b
-        stands for.
-        """
-        keys = [
-            (block.offset, block.size, b"".join(s[b].tobytes() for s in stacks)) for b, block in enumerate(self.blocks)
-        ]
-        last_of = {key: b for b, key in enumerate(keys)}
-        last = np.array([last_of[key] for key in keys], dtype=np.intp)
-        keep = last == np.arange(self.n_blocks)
-        return keep, (np.cumsum(keep) - 1)[last]
 
     def restack(self, stack: np.ndarray, source: BlockDecomposition, what="matrix", tol=0.0) -> np.ndarray:
         """This decomposition's stack of the operator held as stack on source blocks of one basis, via a dense matrix.
@@ -233,8 +225,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def single_block(dim: int) -> BlockDecomposition:
-    """The trivial decomposition: one block holding all dim states, shared between calls."""
-    return BlockDecomposition(kind="none", blocks=(Block(m=None, parity=None, members=tuple(range(dim))),))
+    """The trivial decomposition: one block, with m = 0 and class 0, holding all dim states; shared between calls."""
+    return BlockDecomposition(kind="none", dim=dim, m=[0], classes=[0], slots=np.arange(dim)[None])
 
 
 def block_decomposition(basis: Basis, kind: str) -> BlockDecomposition:
@@ -245,20 +237,22 @@ def block_decomposition(basis: Basis, kind: str) -> BlockDecomposition:
     for build_basis.  Empty sub-blocks are omitted.  A block's first member
     |j, m> sits on slot j of an m block and on slot j // 2 of an (m, parity)
     block, the others on the slots after it.  The decomposition is built
-    once per basis and kind and kept with the basis.
+    once per basis and kind, by one stable sort on the key 2 m + class, and
+    kept with the basis.
     """
     check_process_kind(kind)
     if kind in basis._decompositions:
         return basis._decompositions[kind]
     j, m = basis.j_values, basis.m_values
     step = 2 if kind == ALIGNMENT else 1
-    key = 2 * m + j % 2 if step == 2 else m  # ascends with (m, parity)
+    classes = j % step
+    key = 2 * m + classes
     order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=key[order[:1]] - 1)).tolist()  # where each block begins
-    firsts, members = order[starts], order.tolist()
-    blocks = tuple(
-        Block(m=mb, parity=jb % 2 if step == 2 else None, members=tuple(members[a:e]), offset=jb // step)
-        for mb, jb, a, e in zip(m[firsts].tolist(), j[firsts].tolist(), starts, [*starts[1:], len(members)])
-    )
-    basis._decompositions[kind] = BlockDecomposition(kind=kind, blocks=blocks)
+    starts = np.flatnonzero(np.diff(key[order], prepend=key[order[:1]] - 1))  # where each block begins
+    firsts = order[starts]
+    block = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))  # the block of each sorted state
+    slot = np.arange(len(order)) + (j[firsts] // step - starts)[block]
+    slots = np.full((len(starts), int(slot.max(initial=-1)) + 1), basis.dim, dtype=np.intp)
+    slots[block, slot] = order
+    basis._decompositions[kind] = BlockDecomposition(kind, basis.dim, m[firsts], classes[firsts], slots)
     return basis._decompositions[kind]

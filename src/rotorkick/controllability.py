@@ -352,14 +352,13 @@ def two_level_obstruction(j_max: int) -> TwoLevelReport:
     basis = build_basis(j_max)
     obs = observable_matrix(basis, ORIENTATION)
     energies = h0_matrix(basis).diagonal
-    of_m = {block.m: b for b, block in enumerate(obs.blocks.blocks)}
     m = j_max - 1
     couplings = []
     gaps = []
     for sign in (1, -1):
         a = basis.index_of(j_max - 1, sign * m)
         b = basis.index_of(j_max, sign * m)
-        couplings.append(float(obs.stack[of_m[sign * m], j_max - 1, j_max].real))  # slot j holds |j, m>
+        couplings.append(float(obs.stack[obs.blocks.find(sign * m, 0), j_max - 1, j_max].real))  # slot j holds |j, m>
         gaps.append(float(energies[b] - energies[a]))
     e0 = float(energies[basis.index_of(j_max - 1, m)])
     e1 = float(energies[basis.index_of(j_max, m)])

@@ -12,9 +12,9 @@ free evolution, slopes and trace series all act on block stacks (see
 BlockDecomposition.slots), and no step costs more than one block's cube.
 Every block of one class holds the same j on a slot, so the energies are
 one row per class (BlockDecomposition.rows).
-Where every input holds the same entries in the -m block as in the m block,
-as the thermal state, cos(theta) and cos^2(theta) do, the train keeps one
-copy of the pair and weighs it twice.
+Where every input holds the same bits in the -m block as in its mirror,
+the m block, as the thermal state, cos(theta) and cos^2(theta) do, the
+train folds the pair onto the m block and weighs it twice.
 """
 
 from __future__ import annotations
@@ -136,7 +136,6 @@ class PulseTrainRecord:
     maxima: list[float] = field(default_factory=list)
     stop_reason: str = ""
     warnings: list[str] = field(default_factory=list)
-    final_state: DensityMatrix | None = None
     final_efficiency: float = float("nan")
     final_efficiency_time: float = float("nan")
     final_projection: float | None = None
@@ -231,11 +230,12 @@ class _SeriesAccumulator:
 class _Train:
     """What a greedy train derives once from its inputs, with one method per step.
 
-    It runs on one copy of each group of the kick's blocks on which every
-    input agrees bit for bit (see run_strategy); fold() and unfold() move a
-    state between all blocks and the kept ones.  functionals holds the
-    copy-weighted observable and, with a target, its projector; drive picks
-    the one the strategy drives on.  The train holds no state.
+    It runs on the kick's blocks that do not fold onto their +-m mirror
+    (BlockDecomposition.folded over every input, see run_strategy); fold()
+    drops the folded blocks of the initial state.  functionals holds the
+    observable and, with a target, its projector, each block weighed by 2
+    where its mirror folded onto it; drive picks the one the strategy
+    drives on.  The train holds no state.
     """
 
     def __init__(self, start: DensityMatrix, strategy, kick, h0, target, observable, leak_guard_j):
@@ -245,9 +245,9 @@ class _Train:
         if target is not None:
             stacks.append(target.rho.regroup(blocks, "target state").stack / target.rho.purity())
         basis = start.basis
-        inputs = [start.stack, stacks[0], kick.operator.stack, energies[blocks.classes], j[blocks.classes]]
-        self.keep, self.source = blocks.copies(inputs + stacks[1:])
-        copies = np.bincount(self.source)  # how many blocks each kept block stands for
+        folded = blocks.folded([start.stack, kick.operator.stack, *stacks])
+        self.keep = ~folded
+        weights = np.bincount(blocks.mirrors[folded], minlength=blocks.n_blocks)[self.keep] + 1  # 2 for a mirror
 
         # the kept states, in basis order, have the kept blocks in the same order
         kept = np.sort(blocks.slots[self.keep][blocks.filled[self.keep]])
@@ -257,26 +257,17 @@ class _Train:
         self.kick = KickSpec(kick.amplitude, kick.kind, kept_kick)
         self.energies, self.classes = energies, kept_blocks.classes
         self.lattice = FrequencyLattice(energies, self.classes)
-        self.functionals = [copies[:, None, None] * stack[self.keep] for stack in stacks]
+        self.functionals = [weights[:, None, None] * stack[self.keep] for stack in stacks]
         self.drive = 0 if strategy == S1 else 1
         self.comm = _commutator(energies, self.classes, self.functionals[self.drive])
-        if leak_guard_j is not None:  # the population above the guard, each kept state weighed by its copies
-            self.leak_weights = (j[self.classes] > leak_guard_j) * kept_blocks.filled * copies[:, None]
-        self.unfolded = (basis, blocks, start.trace_target)
+        if leak_guard_j is not None:  # the population above the guard, each kept state weighed as its block
+            self.leak_weights = (j[self.classes] > leak_guard_j) * kept_blocks.filled * weights[:, None]
 
     def fold(self, start: DensityMatrix) -> DensityMatrix:
         """The kept blocks of the initial state; they declare their own trace."""
         dropped = float(np.trace(start.stack[~self.keep], axis1=-2, axis2=-1).sum().real)
         op = self.kick.operator
         return DensityMatrix(op.basis, op.blocks, start.stack[self.keep], trace_target=start.trace_target - dropped)
-
-    def unfold(self, rho: DensityMatrix) -> DensityMatrix:
-        """A kept state on all blocks of the kick's process: every block reads the kept block it stands for."""
-        basis, blocks, trace = self.unfolded
-        try:
-            return DensityMatrix._exact(basis, blocks, rho.stack[self.source], trace_target=trace)
-        except ValueError as exc:
-            raise NumericalError(f"final state: {exc}") from exc
 
     def series(self, rho: DensityMatrix) -> list[TraceSeries]:
         """The series of every functional, the observable's first, with rho at their origin."""
@@ -330,16 +321,15 @@ def run_strategy(
     The train runs on the invariant blocks of the kick's process: an input
     state, observable or target that couples two of them raises ValueError,
     and a kicked state whose trace drifts beyond HERM_TOL raises
-    NumericalError naming the kick.  Blocks on which every input (state,
-    observable, target, kick generator, energies and j values) holds
-    bit-identical entries, as the m and -m blocks of a symmetric input do,
-    are propagated once (BlockDecomposition.copies keeps the last copy, so
-    m >= 0), on the basis of the kept states: kicks keep each block's
-    trace, so the kept state declares the trace of the kept blocks, and the
-    observable, target and slope weigh each kept block by its number of
-    copies, as do the leakage warnings.  A state that breaks one +-m pair
-    runs that pair on both copies and still folds the others.  final_state
-    is unfolded onto all blocks of the kick's process, on the basis of rho0.
+    NumericalError naming the kick.  A block with m < 0 on which every
+    input (state, observable, target and kick generator) holds the same
+    bits as on its mirror, the block with -m, the same class and the same
+    slots, folds onto the mirror (BlockDecomposition.folded): the train runs
+    on the basis of the states of the other blocks.  Kicks keep each
+    block's trace, so the kept state declares the trace of the kept blocks,
+    and the observable, target and slope weigh a block by 2 where its
+    mirror folded onto it, as do the leakage warnings.  A state that breaks
+    one +-m pair runs that pair on both copies and still folds the others.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -414,7 +404,6 @@ def run_strategy(
     acc.event(t_now + PERIOD, t_now, series, flag=0)
 
     final_max = peaks.get(0) or global_max(series[0])
-    record.final_state = train.unfold(rho)
     record.final_efficiency = final_max.value
     record.final_efficiency_time = t_now + final_max.t
     if target is not None:

@@ -166,9 +166,10 @@ class HermitianOperator:
         symmetric solver.  A stack with no off-diagonal entry, such as a
         thermal state or H0, reads its eigensystem off the diagonal exactly:
         each block's sorted entries and permutation columns, with no eigh
-        call.  Blocks of any other stack that are copies of one another
-        (BlockDecomposition.copies) are solved once.  solve_eigensystems
-        fills it in for several operators at once.
+        call.  Any other stack solves each block that does not fold onto
+        its mirror (BlockDecomposition.folded); a folded -m block takes its
+        mirror's eigensystem.  solve_eigensystems fills it in for several
+        operators at once.
         """
         return _eigensystems([self])[0]
 
@@ -228,21 +229,21 @@ def _eigensystems(ops) -> list[tuple[np.ndarray, np.ndarray]]:
             v[np.arange(n_blocks)[:, None], order, np.arange(size)] = 1.0
             continue
         v[:] = np.eye(size)
-        keep, source = op.blocks.copies([op.stack])
-        kept = np.flatnonzero(keep)
-        for b in kept:
-            span = op.blocks.blocks[b].span
+        filled = op.blocks.filled
+        fold = op.blocks.folded([op.stack])
+        for b, first, n in zip(np.flatnonzero(~fold), filled.argmax(axis=-1)[~fold], filled.sum(axis=-1)[~fold]):
+            span = slice(first, first + n)
             matrix = op.stack[b, span, span]
-            pending.setdefault((matrix.shape[0], matrix.dtype), []).append((w, v, b, span, matrix))
-        copied.append((w, v, keep, kept[source[~keep]]))
+            pending.setdefault((n, matrix.dtype), []).append((w, v, b, span, matrix))
+        copied.append((w, v, fold, op.blocks.mirrors[fold]))
     for group in pending.values():
         matrices = [matrix for *_, matrix in group]
         # a lone block is solved as a view, without np.stack's copy
         values, vectors = _eigh(matrices[0][None] if len(matrices) == 1 else np.stack(matrices))
         for (w, v, b, span, _), wb, vb in zip(group, values, vectors):
             w[b, span], v[b, span, span] = wb, vb
-    for w, v, keep, origin in copied:  # a block identical to a kept one has its eigensystem
-        w[~keep], v[~keep] = w[origin], v[origin]
+    for w, v, fold, mirror in copied:  # a folded block has its mirror's eigensystem
+        w[fold], v[fold] = w[mirror], v[mirror]
     return systems
 
 
@@ -347,8 +348,7 @@ def _ladder(basis: Basis, kind: str, diagonal, step: int, coupling) -> Hermitian
     """
     blocks = block_decomposition(basis, kind)
     n_blocks, size = blocks.slots.shape
-    j = blocks.rows(basis.j_values)[blocks.classes]
-    m = np.array([block.m for block in blocks.blocks], dtype=int)
+    j, m = blocks.rows(basis.j_values)[blocks.classes], blocks.m
     stack = np.zeros((n_blocks, size, size))
     b, k = np.nonzero(blocks.filled)
     stack[b, k, k] = diagonal(j[b, k], m[b])
@@ -513,6 +513,14 @@ def kick_unitary(op: HermitianOperator, amplitude: float) -> np.ndarray:
     return cache[amplitude]
 
 
+def _blocks_of(blocks: BlockDecomposition, of: BlockDecomposition) -> np.ndarray:
+    """The block of blocks with each block's (m, class) of `of`; KeyError if one has none."""
+    at = blocks.find(of.m, of.classes)
+    if np.any(at < 0):
+        raise KeyError(f"no block with m={of.m[at < 0][0]} and class {of.classes[at < 0][0]}")
+    return at
+
+
 def _embedded(x: HermitianOperator, big_basis: Basis) -> tuple[BlockDecomposition, np.ndarray]:
     """x's stack zero-padded into a larger basis holding all of x's states.
 
@@ -527,10 +535,9 @@ def _embedded(x: HermitianOperator, big_basis: Basis) -> tuple[BlockDecompositio
         big[0][np.ix_(*2 * [big_basis.index_of(x.basis.j_values, x.basis.m_values)])] = x.matrix
         return single_block(big_basis.dim), big
     blocks = block_decomposition(big_basis, x.blocks.kind)
-    of = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
     big = np.zeros((blocks.n_blocks,) + 2 * blocks.slots.shape[1:], dtype=x.stack.dtype)
     size = x.stack.shape[1]
-    big[[of[block.m, block.parity] for block in x.blocks.blocks], :size, :size] = x.stack
+    big[_blocks_of(blocks, x.blocks), :size, :size] = x.stack
     return blocks, big
 
 
@@ -555,9 +562,8 @@ def project_operator(op: HermitianOperator, small_basis: Basis) -> HermitianOper
     no block of one of the small basis's (m, parity).
     """
     blocks = block_decomposition(small_basis, op.blocks.kind)
-    of = {(block.m, block.parity): b for b, block in enumerate(op.blocks.blocks)}
     width = blocks.slots.shape[1]
-    cut = op.stack[[of[block.m, block.parity] for block in blocks.blocks], :width, :width]
+    cut = op.stack[_blocks_of(op.blocks, blocks), :width, :width]
     inside = blocks.filled[:, :, None] & blocks.filled[:, None, :]
     return HermitianOperator._exact(small_basis, blocks, np.where(inside, cut, 0.0))
 

@@ -24,7 +24,10 @@ every pair one at a time; both run on dense generators that
 generators_mod_p builds from the package's rational bands.
 enumerated_states lists the states of a cutoff by nested loops, and
 grouped_blocks groups the states of a basis one at a time, as the
-package did before it held a basis as two integer arrays.
+package did before it held a basis as two integer arrays.  members and
+spans read each block's states and slots off a decomposition's slots and
+filled, and replayed reruns a train's kicks on every block of the kick
+with the public free_propagate and apply_kick.
 """
 
 import itertools
@@ -70,21 +73,44 @@ def enumerated_states(j_max: int, m_max: int | None = None) -> list[tuple[int, i
     return [(j, m) for m in range(-m_cut, m_cut + 1) for j in range(abs(m), j_max + 1)]
 
 
-def grouped_blocks(states, kind: str) -> list[tuple[int, int | None, tuple[int, ...], int]]:
-    """(m, parity, members, offset) of every invariant block of the states (j, m) of a basis, by a loop per state.
+def grouped_blocks(states, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, classes, slots) of the invariant blocks of the states (j, m) of a basis, by a loop per state.
 
-    Blocks ascend in m, even j before odd for alignment (parity None for
-    orientation); members keep basis order; offset is the first member's j,
-    halved for alignment.
+    Blocks ascend in m, even j before odd for alignment (class the parity
+    of j, 0 for orientation).  A block's members keep basis order on the
+    slots from its first member's j on, halved for alignment; the other
+    slots hold the number of states.
     """
+    step = 2 if kind == "alignment" else 1
     groups: dict = {}
     for k, (j, m) in enumerate(states):
-        groups.setdefault((m, j % 2 if kind == "alignment" else None), []).append(k)
-    step = 2 if kind == "alignment" else 1
-    return [
-        (m, p, tuple(groups[m, p]), states[groups[m, p][0]][0] // step)
-        for m, p in sorted(groups, key=lambda key: (key[0], key[1] or 0))
-    ]
+        groups.setdefault((m, j % step), []).append(k)
+    keys = sorted(groups)
+    rows = [[len(states)] * (states[groups[key][0]][0] // step) + groups[key] for key in keys]
+    slots = np.full((len(rows), max(map(len, rows), default=0)), len(states))
+    for b, row in enumerate(rows):
+        slots[b, : len(row)] = row
+    return np.array([m for m, _ in keys], dtype=int), np.array([c for _, c in keys], dtype=int), slots
+
+
+def members(blocks) -> list[list[int]]:
+    """The basis indices of every block, in slot order, read off the layout."""
+    return [row[mask].tolist() for row, mask in zip(blocks.slots, blocks.filled)]
+
+
+def spans(blocks) -> list[slice]:
+    """The consecutive slots of every block, read off filled."""
+    return [slice(int(mask.argmax()), int(mask.argmax() + mask.sum())) for mask in blocks.filled]
+
+
+def replayed(record, rho0, h0, kick, n):
+    """The state right after the n-th kick of the record, propagated on all blocks of the kick."""
+    from rotorkick.dynamics import apply_kick, free_propagate
+
+    rho, t_now = rho0.regroup(kick.operator.blocks), 0.0
+    for t, amplitude in zip(record.kick_times[:n], record.amplitudes[:n]):
+        rho, t_now = apply_kick(free_propagate(rho, h0, t - t_now), kick, amplitude), t
+    return rho
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -98,8 +124,7 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def block_unitary(n: int, blocks, rng: np.random.Generator) -> np.ndarray:
     """Unitary acting as an independent Haar unitary inside every block."""
     u = np.eye(n, dtype=complex)
-    for block in blocks.blocks:
-        idx = list(block.members)
+    for idx in members(blocks):
         u[np.ix_(idx, idx)] = haar_unitary(len(idx), rng)
     return u
 
@@ -360,7 +385,7 @@ def dense_target(rho0, obs, blocks=None):
     """
     n = rho0.matrix.shape[0]
     if blocks is None:
-        pieces = [list(range(n))] if obs.blocks is None else [list(b.members) for b in obs.blocks.blocks]
+        pieces = [list(range(n))] if obs.blocks is None else members(obs.blocks)
         chis, vecs = [], []
         for idx in pieces:
             w, v = np.linalg.eigh(obs.matrix[np.ix_(idx, idx)])
@@ -379,16 +404,15 @@ def dense_target(rho0, obs, blocks=None):
         return 0.5 * (mat + mat.conj().T), achieved
 
     label = np.empty(n, dtype=int)
-    for b, block in enumerate(blocks.blocks):
-        label[list(block.members)] = b
+    for b, idx in enumerate(members(blocks)):
+        label[idx] = b
     off = label[:, None] != label[None, :]
     for name, matrix in (("state", rho0.matrix), ("observable", obs.matrix)):
         if off.any() and np.max(np.abs(matrix[off])) > 1e-12:
             raise ValueError(f"{name} is not block diagonal")
     mat = np.zeros((n, n), dtype=complex)
     achieved = 0.0
-    for block in blocks.blocks:
-        idx = list(block.members)
+    for idx in members(blocks):
         chi, vec = np.linalg.eigh(obs.matrix[np.ix_(idx, idx)])
         w_block = np.linalg.eigvalsh(rho0.matrix[np.ix_(idx, idx)])
         chi, vec, w_block = chi[::-1], vec[:, ::-1], w_block[::-1]
@@ -400,15 +424,13 @@ def dense_target(rho0, obs, blocks=None):
 def block_stack(matrix, blocks):
     """The block stack of a dense matrix from the layout's definition alone.
 
-    Block b is matrix[np.ix_(members, members)] for the members of the b-th
-    block, on the slots from its offset on, zero-padded to the widest
-    block; entries coupling two blocks are left out.
+    Block b is matrix[np.ix_(idx, idx)] for the basis indices idx of the
+    b-th block, on its span of slots, zero-padded to the widest block;
+    entries coupling two blocks are left out.
     """
-    size = max(block.offset + len(block.members) for block in blocks.blocks)
-    stack = np.zeros((len(blocks.blocks), size, size), dtype=complex)
-    for b, block in enumerate(blocks.blocks):
-        idx = list(block.members)
-        span = slice(block.offset, block.offset + len(idx))
+    size = max(span.stop for span in spans(blocks))
+    stack = np.zeros((blocks.n_blocks, size, size), dtype=complex)
+    for b, (idx, span) in enumerate(zip(members(blocks), spans(blocks))):
         stack[b, span, span] = matrix[np.ix_(idx, idx)]
     return stack
 
@@ -416,8 +438,7 @@ def block_stack(matrix, blocks):
 def block_diagonal_part(matrix, blocks):
     """The matrix with every entry coupling two blocks set to zero."""
     out = np.zeros_like(matrix)
-    for block in blocks.blocks:
-        idx = list(block.members)
+    for idx in members(blocks):
         out[np.ix_(idx, idx)] = matrix[np.ix_(idx, idx)]
     return out
 
@@ -462,9 +483,9 @@ def decomposed_dims_required(j_max, r, kind):
     from rotorkick.basis import ORIENTATION, block_decomposition, build_basis
 
     basis = build_basis(j_max)
-    d_general = r + sum(b.size**2 - 1 for b in block_decomposition(basis, ORIENTATION).blocks)
-    d_restricted = r + sum(b.size**2 - 1 for b in block_decomposition(basis, kind).blocks if b.m >= 0)
-    return d_general, d_restricted
+    general, restricted = block_decomposition(basis, ORIENTATION), block_decomposition(basis, kind)
+    sizes = general.filled.sum(axis=-1), restricted.filled.sum(axis=-1)[restricted.m >= 0]
+    return tuple(r + int(np.sum(n**2 - 1)) for n in sizes)
 
 
 def float_lie_closure(operators, tol=1e-10):
@@ -476,8 +497,9 @@ def float_lie_closure(operators, tol=1e-10):
     Re Tr[X+ Y], keeping residuals above tol of its norm; a commutator no
     larger than tol |x| |f| is rounding noise and dropped.  The operators
     share one block decomposition (ValueError otherwise), and the work runs
-    on one copy of each distinct block (BlockDecomposition.copies),
-    weighted by the square root of its number of copies.  The block trace
+    on the blocks that do not fold onto their mirror
+    (BlockDecomposition.folded), weighted by the square root of the number
+    of blocks each stands for.  The block trace
     directions the generators do not reach are excluded up front: the
     rounding along them grows with every normalized small residual.  The
     basis comes back as block stacks with a leading axis of length dim.
@@ -488,11 +510,12 @@ def float_lie_closure(operators, tol=1e-10):
     blocks = operators[0].blocks
     if any(op.blocks != blocks for op in operators):
         raise ValueError("float_lie_closure needs operators on one block decomposition; regroup them first")
-    keep, source = blocks.copies([op.stack for op in operators])
-    distinct = np.flatnonzero(keep)
-    weights = np.sqrt(np.bincount(source))
-    spans = [blocks.blocks[b].span for b in distinct]
-    sizes = [span.stop - span.start for span in spans]
+    fold = blocks.folded([op.stack for op in operators])
+    distinct = np.flatnonzero(~fold)
+    weights = np.sqrt(np.bincount(blocks.mirrors[fold], minlength=blocks.n_blocks) + 1)[distinct]
+    source = (np.cumsum(~fold) - 1)[np.where(fold, blocks.mirrors, np.arange(blocks.n_blocks))]
+    kept_spans = [spans(blocks)[b] for b in distinct]
+    sizes = [span.stop - span.start for span in kept_spans]
     layout = []
     width = 0
     for size, weight in zip(sizes, weights):
@@ -500,7 +523,9 @@ def float_lie_closure(operators, tol=1e-10):
         width += size * size
     compact = np.array(
         [
-            np.concatenate([w * (1j * op.stack[b, span, span]).ravel() for b, span, w in zip(distinct, spans, weights)])
+            np.concatenate(
+                [w * (1j * op.stack[b, span, span]).ravel() for b, span, w in zip(distinct, kept_spans, weights)]
+            )
             for op in operators
         ]
     )
@@ -538,7 +563,7 @@ def float_lie_closure(operators, tol=1e-10):
 
     size = blocks.slots.shape[1]
     one_copy = np.zeros((len(found), len(distinct), size, size), dtype=complex)
-    for d, ((lo, hi, k, scale), span) in enumerate(zip(layout, spans)):
+    for d, ((lo, hi, k, scale), span) in enumerate(zip(layout, kept_spans)):
         one_copy[:, d, span, span] = scale * found[:, lo:hi].reshape(-1, k, k)
     return len(found), one_copy[:, source]
 

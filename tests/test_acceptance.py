@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import block_unitary, brute_force_pairing, haar_unitary, quadrature_cos_power_element
+from oracles import block_unitary, brute_force_pairing, haar_unitary, quadrature_cos_power_element, replayed
 from rotorkick.basis import ALIGNMENT, ORIENTATION, block_decomposition, build_basis
 from rotorkick.cli import main
 from rotorkick.config import beta_from
@@ -170,7 +170,7 @@ def test_criterion_6_property_suite(preset_simulation):
         if not np.all(np.diff(record.maxima) >= -1e-12):
             ok = False
             details.append(f"run {run}: maxima not monotone")
-        final = record.final_state
+        final = replayed(record, rho0, h0, kick, record.n_kicks)
         if (
             abs(np.trace(final.matrix).real - np.trace(rho0.matrix).real) > 1e-9
             or abs(final.purity() - rho0.purity()) > 1e-9

@@ -1,14 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_diagonal_part, block_stack, direct_partition_sum, enumerated_states, grouped_blocks
+from oracles import (
+    block_diagonal_part,
+    block_stack,
+    direct_partition_sum,
+    enumerated_states,
+    grouped_blocks,
+    members,
+)
 from rotorkick.basis import (
     ALIGNMENT,
     ORIENTATION,
     Basis,
-    Block,
     BlockDecomposition,
     block_decomposition,
     build_basis,
@@ -135,34 +143,49 @@ def test_block_decomposition_groups_any_basis_as_the_loop_oracle(kind):
             states = [full[k] for k in rng.permutation(len(full))[: rng.integers(len(full) + 1)]]
             basis = Basis(j_max, [j for j, _ in states], [m for _, m in states])
             blocks = block_decomposition(basis, kind)
-            assert [(b.m, b.parity, b.members, b.offset) for b in blocks.blocks] == grouped_blocks(states, kind)
-            assert all(type(k) is int for b in blocks.blocks for k in (b.m, b.offset, *b.members))
+            for got, want in zip((blocks.m, blocks.classes, blocks.slots), grouped_blocks(states, kind)):
+                assert got.dtype == np.intp and got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_a_decomposition_is_three_read_only_integer_arrays_and_compares_by_kind_dim_and_slots():
+    basis = build_basis(500)
+    blocks = block_decomposition(basis, ALIGNMENT)
+    fields = {field.name: getattr(blocks, field.name) for field in dataclasses.fields(blocks)}
+    arrays = {name: value for name, value in fields.items() if isinstance(value, np.ndarray)}
+    assert sorted(arrays) == ["classes", "m", "slots"] and sorted(fields) == ["classes", "dim", "kind", "m", "slots"]
+    assert all(a.dtype == np.intp and not a.flags.writeable for a in arrays.values())
+    assert (blocks.kind, blocks.dim, blocks.n_blocks, blocks.slots.shape) == (ALIGNMENT, 501**2, 2000, (2000, 251))
+    copy = BlockDecomposition(ALIGNMENT, basis.dim, np.zeros(2000), np.zeros(2000), blocks.slots.copy())
+    assert copy == blocks and copy.slots is not blocks.slots  # m and classes play no part
+    assert BlockDecomposition("none", basis.dim, blocks.m, blocks.classes, blocks.slots) != blocks
+    assert BlockDecomposition(ALIGNMENT, basis.dim + 1, blocks.m, blocks.classes, blocks.slots) != blocks
+    orientation = block_decomposition(basis, ORIENTATION)
+    assert orientation != blocks and orientation != basis
+    assert single_block(4) == BlockDecomposition("none", 4, [0], [0], [[0, 1, 2, 3]])
 
 
 def test_orientation_blocks_j1():
     blocks = block_decomposition(build_basis(1), ORIENTATION)
-    assert [(b.m, b.size) for b in blocks.blocks] == [(-1, 1), (0, 2), (1, 1)]
+    assert list(zip(blocks.m.tolist(), blocks.filled.sum(axis=-1).tolist())) == [(-1, 1), (0, 2), (1, 1)]
 
 
 def test_orientation_blocks_j8():
     blocks = block_decomposition(build_basis(8), ORIENTATION)
     assert blocks.n_blocks == 17
-    for b in blocks.blocks:
-        assert b.size == 8 - abs(b.m) + 1
-        assert b.parity is None
+    assert np.array_equal(blocks.filled.sum(axis=-1), 8 - np.abs(blocks.m) + 1)
+    assert np.array_equal(blocks.m, np.arange(-8, 9)) and not blocks.classes.any()
 
 
 def test_alignment_blocks_j2_m0():
     basis = build_basis(2)
     blocks = block_decomposition(basis, ALIGNMENT)
-    by_key = {(b.m, b.parity): b for b in blocks.blocks}
-    even = by_key[(0, 0)]
-    odd = by_key[(0, 1)]
-    assert [basis.j_values[k] for k in even.members] == [0, 2]
-    assert [basis.j_values[k] for k in odd.members] == [1]
+    even, odd = blocks.find(0, 0), blocks.find(0, 1)
+    assert basis.j_values[members(blocks)[even]].tolist() == [0, 2]
+    assert basis.j_values[members(blocks)[odd]].tolist() == [1]
     # |m| = 2 only supports j = 2, so the odd sub-block is omitted
-    assert (2, 1) not in by_key
-    assert (2, 0) in by_key
+    assert blocks.find(2, 1) == -1
+    assert blocks.find(2, 0) == blocks.n_blocks - 1
+    assert blocks.find(np.array([-2, 3]), np.array([0, 0])).tolist() == [0, -1]
 
 
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
@@ -170,9 +193,9 @@ def test_alignment_blocks_j2_m0():
 def test_blocks_partition_basis(j_max, kind):
     basis = build_basis(j_max)
     blocks = block_decomposition(basis, kind)
-    members = [k for b in blocks.blocks for k in b.members]
-    assert sorted(members) == list(range(basis.dim))
-    assert sum(b.size for b in blocks.blocks) == basis.dim
+    states = [k for idx in members(blocks) for k in idx]
+    assert sorted(states) == list(range(basis.dim))
+    assert blocks.filled.sum() == basis.dim
     # |j, m> sits on slot j of its m block, on slot j // 2 of its (m, parity) block
     step = 1 if kind == ORIENTATION else 2
     b, slot = np.nonzero(blocks.filled)
@@ -185,10 +208,9 @@ def test_alignment_parity_split(j_max):
     basis = build_basis(j_max)
     blocks = block_decomposition(basis, ALIGNMENT)
     per_m = {}
-    for b in blocks.blocks:
-        parities = {basis.j_values[k] % 2 for k in b.members}
-        assert parities == {b.parity}
-        per_m.setdefault(b.m, []).append(b.parity)
+    for m, parity, idx in zip(blocks.m.tolist(), blocks.classes.tolist(), members(blocks)):
+        assert set((basis.j_values[idx] % 2).tolist()) == {parity}
+        per_m.setdefault(m, []).append(parity)
     for m, parities in per_m.items():
         assert len(parities) == len(set(parities))
         if len(parities) == 2:
@@ -198,8 +220,9 @@ def test_alignment_parity_split(j_max):
 
 def test_block_ordering_deterministic():
     blocks = block_decomposition(build_basis(3), ALIGNMENT)
-    keys = [(b.m, b.parity) for b in blocks.blocks]
+    keys = list(zip(blocks.m.tolist(), blocks.classes.tolist()))
     assert keys == sorted(keys)
+    assert np.all(np.diff(2 * blocks.m + blocks.classes) > 0)
 
 
 def test_unknown_kind_rejected():
@@ -337,55 +360,77 @@ def test_single_block_is_shared_and_read_only():
                 array[0] = 0
 
 
-def test_copies_group_bit_identical_blocks_of_one_size():
-    # sizes 1, 2, 1, 2: zero-padded alike, so only the size tells the blocks apart
-    sizes = (1, 2, 1, 2)
-    starts = np.cumsum((0, *sizes[:-1]))
-    blocks = BlockDecomposition(
-        kind="none",
-        blocks=tuple(Block(m=None, parity=None, members=tuple(range(a, a + k))) for a, k in zip(starts, sizes)),
-    )
-    stack, diagonal = np.zeros((4, 2, 2)), np.zeros((4, 2))
+@pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
+def test_mirrors_pair_each_block_with_its_minus_m_block_on_the_same_slots(kind):
+    blocks = block_decomposition(build_basis(6), kind)
+    mirror = blocks.mirrors
+    assert not mirror.flags.writeable and np.all(mirror >= 0)
+    assert np.array_equal(blocks.m[mirror], -blocks.m) and np.array_equal(blocks.classes[mirror], blocks.classes)
+    assert np.array_equal(blocks.filled[mirror], blocks.filled)
+    assert np.array_equal(mirror[mirror], np.arange(len(mirror)))
+    assert np.array_equal(np.flatnonzero(mirror == np.arange(len(mirror))), np.flatnonzero(blocks.m == 0))
+    # m = 0 is its own mirror, and never folds
+    assert not blocks.folded([np.zeros(blocks.slots.shape)])[blocks.m == 0].any()
+
+
+def test_a_block_without_a_minus_m_block_on_its_slots_has_no_mirror():
+    # |1, 1> has no |1, -1>; the m = -2 block holds j = 2, 3 on slots 2, 3 and the m = 2 block j = 3 alone
+    basis = Basis(3, [0, 1, 1, 2, 3, 3], [0, 0, 1, -2, -2, 2])
+    blocks = block_decomposition(basis, ORIENTATION)
+    assert blocks.m.tolist() == [-2, 0, 1, 2]
+    assert blocks.mirrors.tolist() == [-1, 1, -1, -1]
+    assert blocks.slots[0, 2:].tolist() == [3, 4] and blocks.slots[3, 2:].tolist() == [6, 5]  # 6: padding
+    assert not blocks.folded([np.zeros(blocks.slots.shape)]).any()
+    # the same j values, one on another slot: m = -2 from j = 2, m = 2 from j = 3
+    assert not block_decomposition(Basis(3, [2, 3], [-2, 2]), ORIENTATION).folded([np.zeros((2, 4))]).any()
+
+
+def test_single_block_folds_nothing():
+    whole = single_block(5)
+    assert whole.mirrors.tolist() == [0] and not whole.folded([np.zeros((1, 5, 5))]).any()
+
+
+def test_folded_compares_bits_in_every_stack():
+    blocks = block_decomposition(build_basis(2), ORIENTATION)  # m = -2..2
+    stack, diagonal = np.zeros((5, 3, 3)), np.zeros((5, 3))
 
     def folded():
-        keep, source = blocks.copies([stack, diagonal])
-        return np.flatnonzero(keep).tolist(), source.tolist()
+        return np.flatnonzero(blocks.folded([stack, diagonal])).tolist()
 
-    assert folded() == ([2, 3], [0, 1, 0, 1])
-    stack[3, 1, 0] = -0.0  # equal to 0.0, but not bit-identical
-    assert folded() == ([1, 2, 3], [1, 0, 1, 2])
-    diagonal[0, 0] = 1.0  # one entry of one stack
-    assert folded() == ([0, 1, 2, 3], [0, 1, 2, 3])
-    # alignment at j_max 8: (m=2, even) on slots 1-4 and (m=1, odd) on slots 0-3 both hold 4 states
+    assert folded() == [0, 1]
+    stack[0, 2, 2] = -0.0  # equal to 0.0, but not bit-identical
+    assert folded() == [1]
+    diagonal[3, 1] = 1.0  # one entry of one stack
+    assert folded() == []
+    stack[0, 2, 2] = stack[4, 2, 2] = diagonal[1, 1] = 1.0  # the mirrors agree again
+    assert folded() == [0, 1]
+    assert np.flatnonzero(blocks.folded([])).tolist() == [0, 1]
+    # alignment at j_max 8: (m=2, even) on slots 1-4 and (m=1, odd) on slots 0-3 both hold 4 states, no mirrors
     blocks = block_decomposition(build_basis(8), ALIGNMENT)
-    where = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
-    even, odd = where[2, 0], where[1, 1]
-    assert blocks.blocks[even].size == blocks.blocks[odd].size == 4
-    keep, source = blocks.copies([np.zeros(blocks.slots.shape)])
-    assert source[even] != source[odd] and keep[even] and keep[odd]  # each the last block on its slots
+    even, odd = blocks.find(2, 0), blocks.find(1, 1)
+    assert blocks.mirrors[even] == blocks.find(-2, 0) and blocks.mirrors[odd] == blocks.find(-1, 1)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_copies_match_every_mirror_pair_of_the_presets(preset, monkeypatch):
+def test_folded_marks_every_minus_m_block_of_the_presets(preset, monkeypatch):
     import rotorkick.cli as cli
 
     found = []
-    real = BlockDecomposition.copies
+    real = BlockDecomposition.folded
 
     def recording(self, stacks):
         found.append((self, len(stacks), real(self, stacks)))
         return found[-1][2]
 
-    monkeypatch.setattr(BlockDecomposition, "copies", recording)
+    monkeypatch.setattr(BlockDecomposition, "folded", recording)
     config = PRESETS[preset].with_overrides(j_sim=12)
     for mode in ("idealized", "physical"):
         cli._run_one_mode(config, mode)
     # the two trains fold several stacks; each eigensystem folds its operator's one
     assert sum(n > 1 for _, n, _ in found) == 2
     assert len(found) > 2
-    for blocks, _, (keep, source) in found:
-        where = {(block.m, block.parity): b for b, block in enumerate(blocks.blocks)}
-        assert np.flatnonzero(keep)[source].tolist() == [where[abs(block.m), block.parity] for block in blocks.blocks]
+    for blocks, _, fold in found:
+        assert np.array_equal(fold, blocks.m < 0)
 
 
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])

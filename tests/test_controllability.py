@@ -15,8 +15,10 @@ from oracles import (
     grouped_closure,
     grouped_count,
     haar_unitary,
+    members,
     sampled_slope_span,
     sequential_exact_closure,
+    spans,
 )
 
 from rotorkick import basis as basis_module
@@ -264,7 +266,7 @@ def test_closure_counts_identical_blocks_once():
     # two blocks of three states, at m = -1 and m = 1
     pair = Basis(j_max=3, j_values=[1, 2, 3, 1, 2, 3], m_values=[-1, -1, -1, 1, 1, 1])
     blocks = block_decomposition(pair, ORIENTATION)
-    assert [block.size for block in blocks.blocks] == [3, 3]
+    assert blocks.filled.sum(axis=-1).tolist() == [3, 3]
     dim_copies, elems = float_lie_closure(_operators(pair, [_block_diag(g, g) for g in a], blocks))
     assert dim_copies == dim_a
     assert np.array_equal(elems[:, 0], elems[:, 1])  # both copies carry the same element
@@ -376,13 +378,12 @@ def test_rational_generators_match_the_float_operators(kind, j_max):
     basis = build_basis(j_max)
     obs = observable_matrix(basis, kind)
     h0 = h0_matrix(basis).regroup(obs.blocks)
-    kept = [b for b, block in enumerate(obs.blocks.blocks) if block.m >= 0]
+    kept = np.flatnonzero(obs.blocks.m >= 0)
     exact = controllability._rational_observable(j_max, kind)
     assert len(exact) == len(kept)
     for b, band in zip(kept, exact):
-        block = obs.blocks.blocks[b]
-        span, n = block.span, len(band.js)
-        assert band.m == block.m and band.js == basis.j_values[list(block.members)].tolist()
+        span, n = spans(obs.blocks)[b], len(band.js)
+        assert band.m == obs.blocks.m[b] and band.js == basis.j_values[members(obs.blocks)[b]].tolist()
         f = obs.stack[b, span, span].real
         t = np.cumprod(np.concatenate([[1.0], 1.0 / np.diag(f, 1)]))
         similar = t[:, None] * f / t[None, :]
@@ -456,8 +457,8 @@ def test_orientation_trace_entries():
     c = cos_theta_matrix(basis)
     assert h0.blocks == c.blocks == block_decomposition(basis, ORIENTATION)
     traces = np.trace(np.array([h0.stack, c.stack]), axis1=-2, axis2=-1).real
-    for b, block in enumerate(h0.blocks.blocks):
-        expected = float(sum(k * (k + 1) for k in range(abs(block.m), j_max + 1)))
+    for b, m in enumerate(h0.blocks.m.tolist()):
+        expected = float(sum(k * (k + 1) for k in range(abs(m), j_max + 1)))
         assert traces[0, b] == pytest.approx(expected, abs=1e-12)
         assert traces[1, b] == 0.0
 
@@ -565,8 +566,8 @@ def test_fixed_point_frequency_shared_by_two_blocks_counts_once():
     obs = observable_matrix(basis, ORIENTATION)
     assert fixed_point_analysis(h0_matrix(basis), obs).dim_span == 500
     values = obs.eigensystem[0]
-    for b, block in enumerate(obs.blocks.blocks):
-        if block.m in (5, 10):
+    for b, m in enumerate(obs.blocks.m.tolist()):
+        if m in (5, 10):
             spectrum = values[b, obs.blocks.filled[b]]
             for lam in (1 / np.sqrt(5), -1 / np.sqrt(5)):
                 assert np.min(np.abs(spectrum - lam)) <= 1e-15

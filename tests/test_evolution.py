@@ -9,7 +9,7 @@ from rotorkick.errors import NumericalError
 from rotorkick.evolution import PERIOD, FrequencyLattice, TraceSeries, _roots, global_max, grid_size, measure_above
 from rotorkick.operators import cos_theta_matrix, h0_matrix, observable_matrix, thermal_state
 
-from oracles import unpruned_global_max, vectorized_roots
+from oracles import members, unpruned_global_max, vectorized_roots
 
 
 def _kicked_state(j_max=3, beta=0.3, amplitude=1.7):
@@ -126,7 +126,7 @@ def test_block_lattice_spans_the_largest_gap_within_a_block(kind, j_max):
     blocks = obs.blocks
     lattice = FrequencyLattice(blocks.rows(h0.energies()), blocks.classes)
     energies = basis.j_values * (basis.j_values + 1)
-    assert lattice.kmax == max(np.ptp(energies[list(block.members)]) // 2 for block in blocks.blocks)
+    assert lattice.kmax == max(np.ptp(energies[idx]) // 2 for idx in members(blocks))
     assert lattice.index.shape == (len(set(blocks.classes.tolist())), blocks.slots.shape[1] ** 2)
     series = TraceSeries(rho.regroup(blocks).stack, obs.stack, lattice)
     dense = TraceSeries(rho.matrix, obs.matrix, h0.energies())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import direct_partition_sum, quadrature_cos_power_element
+from oracles import direct_partition_sum, members, quadrature_cos_power_element, spans
 from rotorkick.basis import (
     ALIGNMENT,
     ORIENTATION,
@@ -42,8 +42,8 @@ def _states(basis):
 def _coupling_mask(blocks):
     """(dim, dim) mask, True where an entry couples two different blocks."""
     block_of = np.empty(blocks.dim, dtype=int)
-    for b, block in enumerate(blocks.blocks):
-        block_of[list(block.members)] = b
+    for b, idx in enumerate(members(blocks)):
+        block_of[idx] = b
     return block_of[:, None] != block_of[None, :]
 
 
@@ -296,7 +296,8 @@ def test_layout_round_trip_and_regroup(kind):
     op = HermitianOperator.from_matrix(basis, dense, blocks)
     assert np.array_equal(op.matrix, dense)
     assert op.regroup(block_decomposition(basis, kind)) is op  # the same blocks, kept with the basis
-    assert op.regroup(BlockDecomposition(kind, blocks.blocks)) is op  # equal blocks, not the same object
+    equal = BlockDecomposition(kind, blocks.dim, blocks.m, blocks.classes, blocks.slots)
+    assert op.regroup(equal) is op  # equal blocks, not the same object
     whole = op.regroup(single_block(basis.dim))
     assert whole.blocks.n_blocks == 1 and np.array_equal(whole.matrix, dense)
     assert np.array_equal(whole.regroup(blocks).stack, op.stack)
@@ -446,8 +447,8 @@ def _per_block_eigh(op):
     n_blocks, size = op.stack.shape[:2]
     w, v = np.zeros((n_blocks, size)), np.zeros((n_blocks, size, size), dtype=op.stack.dtype)
     v[:] = np.eye(size)
-    for b, block in enumerate(op.blocks.blocks):
-        w[b, block.span], v[b, block.span, block.span] = np.linalg.eigh(op.stack[b, block.span, block.span])
+    for b, span in enumerate(spans(op.blocks)):
+        w[b, span], v[b, span, span] = np.linalg.eigh(op.stack[b, span, span])
     return w, v
 
 
@@ -465,8 +466,8 @@ def test_diagonal_eigenvalues_are_those_eigh_returns(j_sim):
         # every block's eigenvalues are its entries sorted, bit for bit; eigh gives the same bytes except on a
         # block whose largest entry lies below 2**-485, which LAPACK's heevd rescales, moving the last bits
         eigh_w, exact = _per_block_eigh(op)[0], np.max(np.abs(diagonal), axis=-1) >= 2.0**-485
-        for b, block in enumerate(op.blocks.blocks):
-            assert w[b, block.span].tobytes() == np.sort(diagonal[b, block.span]).tobytes()
+        for b, span in enumerate(spans(op.blocks)):
+            assert w[b, span].tobytes() == np.sort(diagonal[b, span]).tobytes()
         assert w[exact].tobytes() == eigh_w[exact].tobytes()
         # the columns are a permutation, so the blocks rebuild to rounding
         assert np.array_equal(v @ np.swapaxes(v.conj(), -1, -2), np.broadcast_to(np.eye(v.shape[-1]), v.shape))
@@ -513,7 +514,7 @@ def test_kick_eigensystem_solves_each_mirror_pair_once_with_the_loop_bits(preset
         op = make_kick(build_basis(j), config.process, config.kick_amplitude).operator
         calls.clear()
         w, v = op.eigensystem
-        assert sum(calls) == sum(block.m >= 0 for block in op.blocks.blocks)
+        assert sum(calls) == np.sum(op.blocks.m >= 0)
         expected_w, expected_v = _per_block_eigh(op)
         assert w.tobytes() == expected_w.tobytes() and v.tobytes() == expected_v.tobytes()
 
@@ -526,8 +527,8 @@ def _scalar_ladder(basis, kind):
 
     blocks = block_decomposition(basis, kind)
     block_of, slot_of = np.empty(basis.dim, dtype=int), np.empty(basis.dim, dtype=int)
-    for b, block in enumerate(blocks.blocks):
-        block_of[list(block.members)], slot_of[list(block.members)] = b, range(block.offset, block.offset + block.size)
+    for b, (idx, span) in enumerate(zip(members(blocks), spans(blocks))):
+        block_of[idx], slot_of[idx] = b, range(span.start, span.stop)
     size = blocks.slots.shape[1]
     stack = np.zeros((blocks.n_blocks, size, size))
     present = set(_states(basis))

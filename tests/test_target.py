@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_unitary, brute_force_pairing, certified_duration_above, dense_target, haar_unitary
+from oracles import block_unitary, brute_force_pairing, certified_duration_above, dense_target, haar_unitary, members
 from rotorkick.basis import (
     ALIGNMENT,
     ORIENTATION,
@@ -118,8 +118,7 @@ def test_target_commutes_and_preserves_spectrum(kind):
     assert np.max(np.abs(opt.rho.eigenvalues - rho0.eigenvalues)) < 1e-12
     # blockwise target carries the per-block spectra (the sorted Boltzmann weights)
     lin = build_target(rho0, obs, blocks)
-    for block in blocks.blocks:
-        idx = list(block.members)
+    for idx in members(blocks):
         got = np.sort(np.linalg.eigvalsh(lin.rho.matrix[np.ix_(idx, idx)]))
         want = np.sort(np.diag(rho0.matrix).real[idx])
         assert np.max(np.abs(got - want)) < 1e-12
@@ -344,12 +343,10 @@ def test_bound_sweep_pieces_are_those_built_at_each_cutoff(kind):
         if kind == ALIGNMENT and j_max % 2 == 0:
             # an odd-j block ends one slot short of the width; below the top, the top's block has j_max + 1 there
             short = np.flatnonzero(~obs.blocks.filled[:, -1])
-            of = {(block.m, block.parity): b for b, block in enumerate(top.blocks.blocks)}
             for b in short:
-                block = obs.blocks.blocks[b]
-                assert block.parity == 1 and not obs.stack[b, -1].any() and not obs.stack[b, :, -1].any()
+                assert obs.blocks.classes[b] == 1 and not obs.stack[b, -1].any() and not obs.stack[b, :, -1].any()
                 last = obs.stack.shape[-1] - 1
-                assert j_max == 16 or top.stack[of[block.m, 1], last, last] != 0
+                assert j_max == 16 or top.stack[top.blocks.find(obs.blocks.m[b], 1), last, last] != 0
             padded += len(short) > 0
     assert padded == (8 if kind == ALIGNMENT else 0)
 
