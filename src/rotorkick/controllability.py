@@ -12,12 +12,12 @@ in closed form from the frequency components of the slope operator in the
 functional's eigenbasis, block by block on the operators' invariant-block
 stacks.
 
-dim_L is certified in closed form, in Python integers, from rational forms
-of the generators on the blocks with m >= 0.  On such a block of n states,
-H0 = diag(E_k), and T O T^-1, similar to the observable O, is tridiagonal
-(_Band).  Edge e joins slots k and k+1; its frequency is w_e = E_k+1 - E_k
-(2(j+1) for cos(theta), 4j+6 for cos^2(theta)) and its coupling c_e^2 is
-the product of its two off-diagonal entries.
+dim_L and r are read off in closed form.  On a block with m >= 0 of n
+states, H0 = diag(E_k) with E_k = j(j+1), and a diagonal similarity T
+makes T O T^-1 tridiagonal with rational entries.  Edge e joins slots k
+and k+1; its frequency is w_e = E_k+1 - E_k (2(j+1) for cos(theta),
+4j+6 for cos^2(theta)) and its coupling c_e^2 is the product of its two
+off-diagonal entries.
 
 - Block check.  Let every c_e^2 be nonzero and the |w_e| nonzero and
   pairwise distinct.  Z_q = ad_H0^2q O = sum_e w_e^2q P_e, with
@@ -54,21 +54,27 @@ Both checks hold at every cutoff, so dim_L = D' always:
   one of them with a nonzero coefficient, is nonzero at some q in
   1 .. 2(n - 1) (Vandermonde), the range the check runs over.
 
-A failed check would mean that the rational form is wrong, so it raises
-NumericalError naming the block or the pair.  The rank of the blocks'
-traces is counted in integers from the same rational forms, and D and D'
-from the block sizes: the controllability report builds no basis and no
-float operator.
+r is 1 for orientation and 2 for alignment at every cutoff:
+
+- cos(theta) is traceless on every block, so only Tr H0 counts for
+  orientation, and it is nonzero on the block m = j_max: r = 1.
+- For alignment, the one-state blocks (j, m) = (J, J) and (J, J - 1) at
+  cutoff J share Tr H0 = J(J+1) but have Tr cos^2(theta) = 1/(2J+3) and
+  3/(2J+3), and the matrix has two columns: r = 2.
+
+So the controllability report builds no basis and no operator: D and D'
+come from the block sizes, and dim_L = D'.  The checks themselves, run in
+Python integers on the rational blocks, are the test suite's oracle
+(certified_closure in tests/oracles.py).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ALIGNMENT, ORIENTATION, build_basis, check_process_kind
+from .basis import ORIENTATION, build_basis, check_process_kind
 from .errors import ConfigError, NumericalError
 from .operators import (
     DensityMatrix,
@@ -77,7 +83,6 @@ from .operators import (
     eigenvalue_multiplicities,
     h0_matrix,
     observable_matrix,
-    squared_cos_theta_element,
 )
 
 RANK_TOL = 1e-10  # relative norm above which a frequency component adds to the fixed-point span
@@ -88,21 +93,6 @@ def check_cutoff(j_max: int) -> None:
     """Reject a cutoff below 1 with ConfigError, before anything is built; every cutoff from 1 up is served."""
     if j_max < 1:
         raise ConfigError(f"controllability needs j_max >= 1, got {j_max}")
-
-
-@dataclass(frozen=True)
-class _Band:
-    """T O T^-1 on one block with m >= 0, tridiagonal, in Python integers.
-
-    diagonal holds (numerator, denominator) per state, edges (w_e, a_e, b_e)
-    per neighbouring slots k and k+1: w_e = E_k+1 - E_k, and the entries
-    c_e^2 = a_e / b_e above the diagonal and 1 below it.
-    """
-
-    m: int
-    js: list[int]
-    diagonal: list[tuple[int, int]]
-    edges: list[tuple[int, int, int]]
 
 
 def _runs(j_max: int, kind: str, m: int) -> list[range]:
@@ -117,138 +107,26 @@ def _runs(j_max: int, kind: str, m: int) -> list[range]:
     return [range(first, j_max + 1, 2) for first in ((m, m + 1) if m % 2 == 0 else (m + 1, m)) if first <= j_max]
 
 
-def _rational_observable(j_max: int, kind: str) -> list[_Band]:
-    """T O T^-1 on the blocks with m >= 0, one _Band each, in the order of block_decomposition; builds no basis.
-
-    O couples each state only to its neighbours in the block, symmetrically:
-    with c the coupling of slots k and k+1 (cos theta: c(j, m); cos^2
-    theta: the product c(j, m) c(j+1, m)), the diagonal T with
-    T[k+1] = T[k] / c turns the pair (c, c) into (c^2 above, 1 below).
-    The diagonal, c(j-1, m)^2 + c(j, m)^2 for cos^2 theta, and H0 stay
-    as they are, so every entry is rational.  Each c(j, m)^2 is taken once
-    from squared_cos_theta_element.
-    """
-    out = []
-    for m in range(j_max + 1):
-        squares = [squared_cos_theta_element(j, m) for j in range(m, j_max + 1)]  # c(j, m)^2 at j - m
-        for run in _runs(j_max, kind, m):
-            js, edges = list(run), []
-            diagonal = [(0, 1)] * len(js)  # cos(theta) has no diagonal entry: one shared zero for every state
-            for k, j in enumerate(js):
-                if kind == ALIGNMENT:
-                    a, b = squares[j - m]
-                    if j > m:
-                        a0, b0 = squares[j - 1 - m]
-                        a, b = a * b0 + a0 * b, b * b0
-                    diagonal[k] = (a, b)
-                if k + 1 < len(js):
-                    a, b = squares[j - m]
-                    if kind == ALIGNMENT:
-                        a1, b1 = squares[j + 1 - m]
-                        a, b = a * a1, b * b1
-                    edges.append((js[k + 1] * (js[k + 1] + 1) - j * (j + 1), a, b))
-            out.append(_Band(m, js, diagonal, edges))
-    return out
-
-
-def _reduced_sum(terms) -> tuple[int, int]:
-    """sum a / b over the (a, b) of terms, every b positive, as a reduced fraction (numerator, denominator).
-
-    The denominator is positive and coprime to the numerator, so two sums
-    are equal exactly when their pairs are.  Reducing after every term
-    keeps the integers small: the terms of one block share most factors of
-    their denominators.
-    """
-    p, d = 0, 1
-    for a, b in terms:
-        p, d = p * b + a * d, d * b
-        g = math.gcd(p, d)
-        p, d = p // g, d // g
-    return p, d
-
-
-def _square_trace(edges: list[tuple[int, int, int]], q: int) -> tuple[int, int]:
-    """sum_e w_e^4q c_e^2, half of Tr (pi_b ad_H0^2q O)^2 on the block, as a _reduced_sum."""
-    return _reduced_sum((w ** (4 * q) * a, b) for w, a, b in edges)
-
-
-def _square_trace_at(entry: tuple[_Band, list[tuple[int, int]]], q: int) -> tuple[int, int]:
-    """_square_trace of a (band, traces so far) entry at q, computed once and kept in the entry's list."""
-    band, traces = entry
-    while len(traces) < q:
-        traces.append(_square_trace(band.edges, len(traces) + 1))
-    return traces[q - 1]
-
-
 def lie_closure(j_max: int, kind: str) -> tuple[int, int]:
-    """Dimension of the real Lie algebra L generated by i H0 and i O, exact: (dim_L, r).
+    """Dimension of the real Lie algebra L generated by i H0 and i O, in closed form: (dim_L, r).
 
-    dim_R L is the complex dimension of the algebra generated by H0 and O,
-    since L and i L meet only in 0 inside u(N), and a similarity T leaves
-    that dimension alone.  The m and -m blocks of H0 and O are equal, so
-    L is taken on the blocks with m >= 0 of the process's decomposition,
-    where the diagonal T of _rational_observable makes every entry
-    rational.  On them the block and pair checks of the module docstring
-    give dim_L = sum_b (n_b^2 - 1) + r, with r the rank of block_trace_rank.
-    The checks hold at every cutoff; a failed one raises NumericalError
-    naming the block or the pair.
+    The block and pair checks of the module docstring hold at every
+    cutoff, so dim_L = D' = sum_b (n_b^2 - 1) + r over the process's blocks
+    with m >= 0, with r from block_trace_rank.
     """
-    check_process_kind(kind)
-    check_cutoff(j_max)
-    bands = _rational_observable(j_max, kind)
-    r = _trace_rank(bands)
-    dim = r
-    by_size: dict[int, list[tuple[_Band, list[tuple[int, int]]]]] = {}
-    for band in bands:
-        n = len(band.js)
-        if n < 2:
-            continue
-        if any(a == 0 for _, a, _ in band.edges) or len({abs(w) for w, _, _ in band.edges} - {0}) < n - 1:
-            raise NumericalError(
-                f"block check failed at j_max={j_max} ({kind}): the block m={band.m} from j={band.js[0]} "
-                "has a zero coupling, a zero edge frequency or two edge frequencies of equal |w|"
-            )
-        entry = (band, [])
-        for other in by_size.get(n, []):
-            if all(_square_trace_at(entry, q) == _square_trace_at(other, q) for q in range(1, 2 * n - 1)):
-                raise NumericalError(
-                    f"pair check failed at j_max={j_max} ({kind}): the blocks m={other[0].m} from "
-                    f"j={other[0].js[0]} and m={band.m} from j={band.js[0]} may be linked, "
-                    f"Tr Z_q^2 agree at q = 1..{2 * n - 2}"
-                )
-        by_size.setdefault(n, []).append(entry)
-        dim += n * n - 1
-    return dim, r
+    r = block_trace_rank(j_max, kind)
+    return dims_required(j_max, r, kind)[1], r
 
 
 def block_trace_rank(j_max: int, kind: str) -> int:
-    """Rank of the per-block trace matrix [Tr H0 | Tr O] over the invariant blocks, counted exactly.
+    """Rank r of the per-block trace matrix [Tr H0 | Tr O] over the invariant blocks, in closed form.
 
-    Orientation blocks are the m subspaces; alignment additionally resolves
-    the parity of j.  The similarity T of _rational_observable leaves the
-    traces alone and the m and -m blocks are equal, so the rows of the
-    m >= 0 blocks span the matrix's row space.  Each row, scaled to the
-    integers (Tr H0 * q, p) with Tr O = p / q, is tested against the first
-    nonzero one by a 2 x 2 minor in Python integers.  cos(theta) is
-    traceless in every block, so the orientation rank is 1; the alignment
-    matrix carries two independent columns.
+    1 for orientation and 2 for alignment, at every cutoff: the module
+    docstring gives the proof.
     """
     check_process_kind(kind)
     check_cutoff(j_max)
-    return _trace_rank(_rational_observable(j_max, kind))
-
-
-def _trace_rank(bands: list[_Band]) -> int:
-    """block_trace_rank on the bands of _rational_observable."""
-    rows = []
-    for band in bands:
-        p, q = _reduced_sum(band.diagonal)
-        rows.append((sum(j * (j + 1) for j in band.js) * q, p))
-    nonzero = [row for row in rows if row != (0, 0)]
-    if not nonzero:
-        return 0
-    x0, y0 = nonzero[0]
-    return 2 if any(x * y0 != y * x0 for x, y in nonzero) else 1
+    return 1 if kind == ORIENTATION else 2
 
 
 def dims_required(j_max: int, r: int, kind: str = ORIENTATION) -> tuple[int, int]:
@@ -305,8 +183,8 @@ class LieAlgebraReport:
 def controllability_report(j_max: int, kind: str) -> LieAlgebraReport:
     """Take the dimension of the rotor generators' algebra exactly and compare it with the required counts.
 
-    One call of lie_closure gives dim_L and the trace rank r from one
-    rational build; dim_L is D' itself.  D' bounds dim_L from above, so a
+    One call of lie_closure gives dim_L and the trace rank r in closed
+    form; dim_L is D' itself.  D' bounds dim_L from above, so a
     dimension above D' breaks that invariant and raises NumericalError.
     """
     dim_l, r = lie_closure(j_max, kind)

@@ -21,7 +21,11 @@ the package ran before its closed form was proved to hold at every
 cutoff.  grouped_count brackets the generators with groups of new rows
 and is itself checked against sequential_exact_closure, which brackets
 every pair one at a time; both run on dense generators that
-generators_mod_p builds from the package's rational bands.
+generators_mod_p builds from the rational bands.  rational_observable
+holds each block with m >= 0 as two bands of Python integers, and
+certified_closure runs on them the block and pair checks that the
+package ran before it read (dim_L, r) off its closed form; trace_rank
+counts r from the same bands.
 enumerated_states lists the states of a cutoff by nested loops, and
 grouped_blocks groups the states of a basis one at a time, as the
 package did before it held a basis as two integer arrays.  members and
@@ -32,6 +36,7 @@ with the public free_propagate and apply_kick.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import lpmv
@@ -608,13 +613,156 @@ def sequential_exact_closure(generators, sizes, p):
     return basis[np.argsort(pivots)]
 
 
+@dataclass(frozen=True)
+class Band:
+    """T O T^-1 on one block with m >= 0, tridiagonal, in Python integers.
+
+    diagonal holds (numerator, denominator) per state, edges (w_e, a_e, b_e)
+    per neighbouring slots k and k+1: w_e = E_k+1 - E_k, and the entries
+    c_e^2 = a_e / b_e above the diagonal and 1 below it.
+    """
+
+    m: int
+    js: list[int]
+    diagonal: list[tuple[int, int]]
+    edges: list[tuple[int, int, int]]
+
+
+def rational_observable(j_max: int, kind: str) -> list[Band]:
+    """T O T^-1 on the blocks with m >= 0, one Band each, in the order of block_decomposition; builds no basis.
+
+    O couples each state only to its neighbours in the block, symmetrically:
+    with c the coupling of slots k and k+1 (cos theta: c(j, m); cos^2
+    theta: the product c(j, m) c(j+1, m)), the diagonal T with
+    T[k+1] = T[k] / c turns the pair (c, c) into (c^2 above, 1 below).
+    The diagonal, c(j-1, m)^2 + c(j, m)^2 for cos^2 theta, and H0 stay
+    as they are, so every entry is rational.  Each c(j, m)^2 is taken once
+    from squared_cos_theta_element.
+    """
+    from rotorkick.basis import ALIGNMENT
+    from rotorkick.controllability import _runs
+    from rotorkick.operators import squared_cos_theta_element
+
+    out = []
+    for m in range(j_max + 1):
+        squares = [squared_cos_theta_element(j, m) for j in range(m, j_max + 1)]  # c(j, m)^2 at j - m
+        for run in _runs(j_max, kind, m):
+            js, edges = list(run), []
+            diagonal = [(0, 1)] * len(js)  # cos(theta) has no diagonal entry: one shared zero for every state
+            for k, j in enumerate(js):
+                if kind == ALIGNMENT:
+                    a, b = squares[j - m]
+                    if j > m:
+                        a0, b0 = squares[j - 1 - m]
+                        a, b = a * b0 + a0 * b, b * b0
+                    diagonal[k] = (a, b)
+                if k + 1 < len(js):
+                    a, b = squares[j - m]
+                    if kind == ALIGNMENT:
+                        a1, b1 = squares[j + 1 - m]
+                        a, b = a * a1, b * b1
+                    edges.append((js[k + 1] * (js[k + 1] + 1) - j * (j + 1), a, b))
+            out.append(Band(m, js, diagonal, edges))
+    return out
+
+
+def reduced_sum(terms) -> tuple[int, int]:
+    """sum a / b over the (a, b) of terms, every b positive, as a reduced fraction (numerator, denominator).
+
+    The denominator is positive and coprime to the numerator, so two sums
+    are equal exactly when their pairs are.  Reducing after every term
+    keeps the integers small: the terms of one block share most factors of
+    their denominators.
+    """
+    p, d = 0, 1
+    for a, b in terms:
+        p, d = p * b + a * d, d * b
+        g = math.gcd(p, d)
+        p, d = p // g, d // g
+    return p, d
+
+
+def square_trace(edges: list[tuple[int, int, int]], q: int) -> tuple[int, int]:
+    """sum_e w_e^4q c_e^2, half of Tr (pi_b ad_H0^2q O)^2 on the block, as a reduced_sum."""
+    return reduced_sum((w ** (4 * q) * a, b) for w, a, b in edges)
+
+
+def _square_trace_at(entry: tuple[Band, list[tuple[int, int]]], q: int) -> tuple[int, int]:
+    """square_trace of a (band, traces so far) entry at q, computed once and kept in the entry's list."""
+    band, traces = entry
+    while len(traces) < q:
+        traces.append(square_trace(band.edges, len(traces) + 1))
+    return traces[q - 1]
+
+
+def trace_rank(bands: list[Band]) -> int:
+    """Rank of the per-block trace matrix [Tr H0 | Tr O] on the bands, counted in Python integers.
+
+    The similarity T leaves the traces alone and the m and -m blocks are
+    equal, so the rows of the m >= 0 blocks span the matrix's row space.
+    Each row, scaled to the integers (Tr H0 * q, p) with Tr O = p / q, is
+    tested against the first nonzero one by a 2 x 2 minor.
+    """
+    rows = []
+    for band in bands:
+        p, q = reduced_sum(band.diagonal)
+        rows.append((sum(j * (j + 1) for j in band.js) * q, p))
+    nonzero = [row for row in rows if row != (0, 0)]
+    if not nonzero:
+        return 0
+    x0, y0 = nonzero[0]
+    return 2 if any(x * y0 != y * x0 for x, y in nonzero) else 1
+
+
+def certify(bands: list[Band], j_max: int, kind: str) -> tuple[int, int]:
+    """(dim_L, r) from the block and pair checks on the bands, as lie_closure took it before its closed form.
+
+    The checks are those of the rotorkick.controllability docstring, run
+    in Python integers: dim_L = sum_b (n_b^2 - 1) + r, with r the
+    trace_rank of the bands.  A failed check raises NumericalError naming
+    the block (its m and first j) or the pair.  The pair check computes
+    each band's Tr Z_q^2 once per q, however many bands of its size it is
+    compared with.
+    """
+    from rotorkick.errors import NumericalError
+
+    r = trace_rank(bands)
+    dim = r
+    by_size: dict[int, list[tuple[Band, list[tuple[int, int]]]]] = {}
+    for band in bands:
+        n = len(band.js)
+        if n < 2:
+            continue
+        if any(a == 0 for _, a, _ in band.edges) or len({abs(w) for w, _, _ in band.edges} - {0}) < n - 1:
+            raise NumericalError(
+                f"block check failed at j_max={j_max} ({kind}): the block m={band.m} from j={band.js[0]} "
+                "has a zero coupling, a zero edge frequency or two edge frequencies of equal |w|"
+            )
+        entry = (band, [])
+        for other in by_size.get(n, []):
+            if all(_square_trace_at(entry, q) == _square_trace_at(other, q) for q in range(1, 2 * n - 1)):
+                raise NumericalError(
+                    f"pair check failed at j_max={j_max} ({kind}): the blocks m={other[0].m} from "
+                    f"j={other[0].js[0]} and m={band.m} from j={band.js[0]} may be linked, "
+                    f"Tr Z_q^2 agree at q = 1..{2 * n - 2}"
+                )
+        by_size.setdefault(n, []).append(entry)
+        dim += n * n - 1
+    return dim, r
+
+
+def certified_closure(j_max: int, kind: str) -> tuple[int, int]:
+    """certify on the rational_observable of the cutoff."""
+    return certify(rational_observable(j_max, kind), j_max, kind)
+
+
 # The prime of grouped_count.  The bands' denominators have prime factors no
 # larger than 2 j_max + 3.
 MODULUS = 1_000_003
 
 
 def generators_mod_p(bands):
-    """Block sizes and the rows of H0 and T O T^-1 mod MODULUS, dense, built from the bands of _rational_observable.
+    """Block sizes and the rows of H0 and T O T^-1 mod MODULUS, dense, built from the bands of rational_observable.
 
     Each row holds the bands' blocks flattened row-major one after another:
     H0 = diag(j (j + 1)), and T O T^-1 has the band's diagonal, c_e^2 above
@@ -709,7 +857,7 @@ def grouped_count(bands):
     """dim_L counted mod MODULUS from the bands, with the unique reduced echelon basis mod MODULUS it ends with.
 
     The count lie_closure fell back to before its checks were proved to
-    hold.  The rank mod MODULUS of the rational brackets never exceeds
+    hold, and the reference the certificate is checked against.  The rank mod MODULUS of the rational brackets never exceeds
     their rank over the rationals, so the count is a lower bound on dim_L,
     and equal to it when it reaches the upper bound D'.
     """

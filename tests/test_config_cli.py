@@ -464,6 +464,23 @@ def test_physical_run_allocates_a_few_stacks(preset, limit_mb):
     assert peak <= limit_mb * 1e6
 
 
+def test_physical_maxima_can_fall_where_the_idealized_ones_cannot(tmp_path, capsys):
+    # the physical kick acts on the j_sim basis and moves population out of the control space, which the
+    # functional does not see, so its maxima may fall; the run says so with leak warnings
+    config = tmp_path / "c.json"
+    config.write_text(
+        json.dumps(PRESETS["licl-5K"].with_overrides(j_max=1, j_sim=3, kick_amplitude=4.44, max_kicks=10).to_dict())
+    )
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    idealized, physical = (
+        json.loads((tmp_path / "out" / f"train_{mode}.json").read_text()) for mode in ("idealized", "physical")
+    )
+    assert np.all(np.diff(idealized["maxima"]) >= 0) and not idealized["warnings"]
+    assert physical["maxima"][2:4] == pytest.approx([0.0357, 0.0107], abs=1e-4)
+    assert physical["warnings"]
+
+
 def test_cli_bounds_empty_range(tmp_path, capsys):
     path = _raw_config_file(tmp_path, j_max_range=[3, 2])
     assert main(["bounds", "--config", str(path)]) == 2
@@ -640,18 +657,6 @@ def test_cli_lie_dimension_above_bound_is_numerical_failure(tmp_path, capsys, mo
     assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), "--j-max", "2"]) == 3
     assert "above the bound" in capsys.readouterr().err
     assert not (tmp_path / "controllability_orientation.json").exists()
-
-
-def test_cli_failed_certificate_is_numerical_failure(tmp_path, capsys, monkeypatch):
-    # two copies of one block are linked, so the pair check fails on them
-    import rotorkick.controllability as controllability
-
-    real = controllability._rational_observable
-    monkeypatch.setattr(controllability, "_rational_observable", lambda j_max, kind: 2 * real(j_max, kind)[:1])
-    assert main(["controllability", "--preset", "licl-5K", "--out", str(tmp_path), "--j-max", "1", "2"]) == 3
-    err = capsys.readouterr().err
-    assert "numerical failure" in err and "pair check failed at j_max=1" in err
-    assert not list(tmp_path.iterdir())
 
 
 def test_cli_cutoff_209_is_certified(tmp_path, capsys):

@@ -3,9 +3,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 from oracles import (
     MODULUS,
+    certified_closure,
+    certify,
     decomposed_dims_required,
     echelon,
     extend,
@@ -16,9 +19,13 @@ from oracles import (
     grouped_count,
     haar_unitary,
     members,
+    rational_observable,
+    reduced_sum,
     sampled_slope_span,
     sequential_exact_closure,
     spans,
+    square_trace,
+    trace_rank,
 )
 
 from rotorkick import basis as basis_module
@@ -162,7 +169,7 @@ def test_alignment_reference_dimensions(j_max):
 
 @pytest.mark.parametrize("kind, j_max, r", [(kind, j, 1 if kind == ORIENTATION else 2) for kind, j in RESTRICTED])
 def test_closure_reaches_restricted_count_at_larger_cutoffs(kind, j_max, r):
-    dim, rows = grouped_count(controllability._rational_observable(j_max, kind))
+    dim, rows = grouped_count(rational_observable(j_max, kind))
     assert dim == len(rows) == RESTRICTED[kind, j_max] == dims_required(j_max, r, kind)[1]
 
 
@@ -170,43 +177,44 @@ def test_closure_reaches_restricted_count_at_larger_cutoffs(kind, j_max, r):
 def test_closed_form_equals_the_count(kind, j_max):
     dim, r = lie_closure(j_max, kind)
     assert r == block_trace_rank(j_max, kind)
-    assert dim == grouped_count(controllability._rational_observable(j_max, kind))[0]
+    assert dim == grouped_count(rational_observable(j_max, kind))[0]
 
 
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
-def test_closed_form_certifies_every_cutoff_to_40(kind):
-    for j_max in range(1, 41):
-        r = block_trace_rank(j_max, kind)
-        assert lie_closure(j_max, kind) == (dims_required(j_max, r, kind)[1], r)
+def test_the_certificate_holds_and_gives_the_closed_form(kind):
+    # the block and pair checks pass, and their count is lie_closure's closed form
+    for j_max in [*range(1, 61), 209]:
+        assert certified_closure(j_max, kind) == lie_closure(j_max, kind)
+        assert trace_rank(rational_observable(j_max, kind)) == block_trace_rank(j_max, kind)
 
 
 def test_square_traces_are_reduced_and_exact():
     # equal pairs must mean equal traces, so every fraction comes back in lowest terms; the trace rank's sums too
-    for band in controllability._rational_observable(12, ALIGNMENT):
+    for band in rational_observable(12, ALIGNMENT):
         for q in (1, 2, 3):
-            p, d = controllability._square_trace(band.edges, q)
+            p, d = square_trace(band.edges, q)
             assert d > 0 and math.gcd(p, d) == 1
             assert Fraction(p, d) == sum(Fraction(w ** (4 * q) * a, b) for w, a, b in band.edges)
-        p, d = controllability._reduced_sum(band.diagonal)
+        p, d = reduced_sum(band.diagonal)
         assert d > 0 and math.gcd(p, d) == 1
         assert Fraction(p, d) == sum(Fraction(a, b) for a, b in band.diagonal)
 
 
 def test_pair_check_computes_each_band_trace_once(monkeypatch):
-    real, seen = controllability._square_trace, []
+    real, seen = oracles.square_trace, []
 
     def counted(edges, q):
         seen.append((id(edges), q))
         return real(edges, q)
 
-    monkeypatch.setattr(controllability, "_square_trace", counted)
-    lie_closure(40, ALIGNMENT)
+    monkeypatch.setattr(oracles, "square_trace", counted)
+    certified_closure(40, ALIGNMENT)
     assert len(seen) == len(set(seen)) > 0
 
 
 def _orientation_band(**change):
-    """The m = 0 band of orientation j_max = 2 from _rational_observable, with the given fields replaced."""
-    band = controllability._rational_observable(2, ORIENTATION)[0]
+    """The m = 0 band of orientation j_max = 2 from rational_observable, with the given fields replaced."""
+    band = rational_observable(2, ORIENTATION)[0]
     assert band.js == [0, 1, 2] and band.edges == [(2, 1, 3), (4, 4, 15)]
     return replace(band, **change)
 
@@ -224,15 +232,13 @@ def _orientation_band(**change):
     ],
     ids=["linked-copies", "zero-coupling", "equal-frequencies"],
 )
-def test_a_failed_certificate_is_a_numerical_error(monkeypatch, bands, counted, message):
-    monkeypatch.setattr(controllability, "_rational_observable", lambda j_max, kind: bands)
+def test_a_failed_certificate_is_a_numerical_error(bands, counted, message):
     with pytest.raises(NumericalError, match=message):
-        lie_closure(2, ORIENTATION)
-    closed_form = sum(len(band.js) ** 2 - 1 for band in bands) + controllability._trace_rank(bands)
+        certify(bands, 2, ORIENTATION)
+    closed_form = sum(len(band.js) ** 2 - 1 for band in bands) + trace_rank(bands)
     assert grouped_count(bands)[0] == counted < closed_form
     if len(bands) == 2:  # one copy passes: the pair check fails
-        monkeypatch.setattr(controllability, "_rational_observable", lambda j_max, kind: bands[:1])
-        assert lie_closure(2, ORIENTATION) == (counted, 1)
+        assert certify(bands[:1], 2, ORIENTATION) == (counted, 1)
 
 
 def _random_hermitian(rng, n):
@@ -295,7 +301,7 @@ def test_closure_basis_is_closed_under_commutators():
 @pytest.mark.parametrize("kind, j_max", [(ORIENTATION, j) for j in range(1, 7)] + [(ALIGNMENT, j) for j in range(1, 8)])
 def test_screened_closure_matches_sequential_oracle(kind, j_max):
     # brackets with the generators only, screened in groups, against all pairs one at a time
-    bands = controllability._rational_observable(j_max, kind)
+    bands = rational_observable(j_max, kind)
     sizes, generators = generators_mod_p(bands)
     rows = grouped_count(bands)[1]
     assert rows.dtype == np.int64
@@ -352,7 +358,7 @@ def test_exact_count_matches_float_oracle(kind, j_max):
 @pytest.mark.parametrize("kind, j_max", [(ORIENTATION, 5), (ALIGNMENT, 6), (ORIENTATION, 8)])
 def test_exact_basis_is_closed_under_brackets_with_the_generators(kind, j_max):
     p = MODULUS
-    bands = controllability._rational_observable(j_max, kind)
+    bands = rational_observable(j_max, kind)
     sizes, generators = generators_mod_p(bands)
     dim, rows = grouped_count(bands)
     pivots = np.array([np.flatnonzero(row)[0] for row in rows])
@@ -379,7 +385,7 @@ def test_rational_generators_match_the_float_operators(kind, j_max):
     obs = observable_matrix(basis, kind)
     h0 = h0_matrix(basis).regroup(obs.blocks)
     kept = np.flatnonzero(obs.blocks.m >= 0)
-    exact = controllability._rational_observable(j_max, kind)
+    exact = rational_observable(j_max, kind)
     assert len(exact) == len(kept)
     for b, band in zip(kept, exact):
         span, n = spans(obs.blocks)[b], len(band.js)

@@ -306,7 +306,9 @@ def test_bound_sweep_over_temperatures_equals_single_sweeps():
 
 
 @pytest.mark.parametrize(
-    "cutoffs", [lambda: iter([3, 1, 2]), lambda: [4, 1, 4, 2, 1], lambda: [], lambda: iter([])], ids=repr
+    "cutoffs",
+    [lambda: iter([3, 1, 2]), lambda: [4, 1, 4, 2, 1], lambda: [], lambda: iter([])],
+    ids=["iterator", "list-with-repeats", "empty-list", "empty-iterator"],
 )
 def test_bound_sweep_takes_cutoffs_in_any_order_once(cutoffs):
     # the top cutoff is found without a second pass over an iterator, and an empty input gives no rows
