@@ -10,15 +10,16 @@ into an even-j and an odd-j sub-block.  block_decomposition groups the
 states of any basis into these blocks by one stable sort on the key
 2 m + parity.  A decomposition is the layout of a block stack, three
 integer arrays: the m and class of every block and the basis index on
-every slot.  The m and -m blocks of one class and on the same slots are
-mirrors, the symmetry behind D'; folded marks the -m blocks on which
-given stacks hold their mirror's bits.
+every slot.  Its kind is always one of the two processes, so no layout
+holds a matrix that couples two m blocks.  The m and -m blocks of one
+class and on the same slots are mirrors, the symmetry behind D'; folded
+marks the -m blocks on which given stacks hold their mirror's bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -70,14 +71,6 @@ class Basis:
     def dim(self) -> int:
         return len(self.j_values)
 
-    def index_of(self, j, m):
-        """Flattened index of |j, m>, or of each state of equal-shape arrays j and m; KeyError if one is absent."""
-        hit = (self.j_values == np.expand_dims(j, -1)) & (self.m_values == np.expand_dims(m, -1))
-        if not hit.any(axis=-1).all():
-            raise KeyError((j, m))
-        index = hit.argmax(axis=-1)
-        return int(index) if index.ndim == 0 else index
-
 
 _BASES: dict[tuple[int, int], Basis] = {}
 
@@ -108,14 +101,15 @@ def build_basis(j_max: int, m_max: int | None = None) -> Basis:
 class BlockDecomposition:
     """Partition of a basis into the invariant blocks of one process kind, held as the layout of a block stack.
 
-    Block b has the magnetic number m[b] and the class classes[b], the
-    parity of its j for alignment and 0 otherwise.  Its states are the
-    basis indices slots[b, s] on the consecutive slots where filled[b, s]:
-    block b of a block-diagonal matrix sits zero-padded in stack[b], on
-    those slots.  Padding slots hold dim, one past the last state.  The
-    blocks ascend in the key 2 m + class, no two with the same key.  The
-    arrays are read-only copies of the ones given.  Two decompositions are
-    equal when they have the same kind, dim and slots.
+    The kind is ORIENTATION or ALIGNMENT (ValueError otherwise).  Block b
+    has the magnetic number m[b] and the class classes[b], the parity of
+    its j for alignment and 0 otherwise.  Its states are the basis indices
+    slots[b, s] on the consecutive slots where filled[b, s]: block b of a
+    block-diagonal matrix sits zero-padded in stack[b], on those slots.
+    Padding slots hold dim, one past the last state.  The blocks ascend in
+    the key 2 m + class, no two with the same key.  The arrays are
+    read-only copies of the ones given.  Two decompositions are equal when
+    they have the same kind, dim and slots.
     """
 
     kind: str
@@ -125,6 +119,7 @@ class BlockDecomposition:
     slots: np.ndarray
 
     def __post_init__(self) -> None:
+        check_process_kind(self.kind)
         for name in ("m", "classes", "slots"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=np.intp)))
 
@@ -189,22 +184,6 @@ class BlockDecomposition:
             raise ValueError("entries differ between blocks of one class")
         return out
 
-    def restack(self, stack: np.ndarray, source: BlockDecomposition, what="matrix", tol=0.0) -> np.ndarray:
-        """This decomposition's stack of the operator held as stack on source blocks of one basis, via a dense matrix.
-
-        Entries that land in no block here are dropped when none exceeds
-        tol in magnitude (NaN does); otherwise ValueError.  Padding is never
-        read.
-        """
-        dense = np.pad(source.scatter(stack), (0, 1))  # padding slots read the zero last row and column
-        here = (self.slots[:, :, None], self.slots[:, None, :])
-        out = dense[here]
-        dense[here] = 0.0
-        dev = float(np.max(np.abs(dense), initial=0.0))
-        if not dev <= tol:  # NaN included
-            raise ValueError(f"{what} couples states in different invariant blocks ({dev:.3e})")
-        return out
-
     def scatter(self, stack: np.ndarray) -> np.ndarray:
         """The (dim, dim) block-diagonal matrix of a block stack; padding is never read."""
         dense = np.zeros((self.dim + 1, self.dim + 1), dtype=stack.dtype)
@@ -221,12 +200,6 @@ class BlockDecomposition:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-@lru_cache(maxsize=16)
-def single_block(dim: int) -> BlockDecomposition:
-    """The trivial decomposition: one block, with m = 0 and class 0, holding all dim states; shared between calls."""
-    return BlockDecomposition(kind="none", dim=dim, m=[0], classes=[0], slots=np.arange(dim)[None])
 
 
 def block_decomposition(basis: Basis, kind: str) -> BlockDecomposition:

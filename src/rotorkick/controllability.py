@@ -228,18 +228,12 @@ def two_level_obstruction(j_max: int) -> TwoLevelReport:
     if j_max <= 1:
         raise ValueError("two-level obstruction needs j_max > 1")
     basis = build_basis(j_max)
-    obs = observable_matrix(basis, ORIENTATION)
-    energies = h0_matrix(basis).diagonal
+    obs, h0 = observable_matrix(basis, ORIENTATION), h0_matrix(basis)
     m = j_max - 1
-    couplings = []
-    gaps = []
-    for sign in (1, -1):
-        a = basis.index_of(j_max - 1, sign * m)
-        b = basis.index_of(j_max, sign * m)
-        couplings.append(float(obs.stack[obs.blocks.find(sign * m, 0), j_max - 1, j_max].real))  # slot j holds |j, m>
-        gaps.append(float(energies[b] - energies[a]))
-    e0 = float(energies[basis.index_of(j_max - 1, m)])
-    e1 = float(energies[basis.index_of(j_max, m)])
+    at = obs.blocks.find([m, -m], 0)  # H0 sits on the same m blocks, where slot j holds |j, m>
+    couplings = obs.stack[at, m, j_max].tolist()
+    e0, e1 = h0.stack[at, m, m], h0.stack[at, j_max, j_max]
+    gaps = (e1 - e0).tolist()
     if not abs(couplings[0] - couplings[1]) <= 1e-15:
         raise NumericalError(f"m = +-{m} couplings differ: {couplings[0]!r} and {couplings[1]!r}")
     if not abs(couplings[0] - 1.0 / np.sqrt(2 * j_max + 1)) <= 1e-12:
@@ -247,8 +241,8 @@ def two_level_obstruction(j_max: int) -> TwoLevelReport:
     return TwoLevelReport(
         j_max=j_max,
         coupling=couplings[0],
-        e0=e0,
-        e1=e1,
+        e0=float(e0[0]),
+        e1=float(e1[0]),
         gap_plus=gaps[0],
         gap_minus=gaps[1],
     )
@@ -263,11 +257,12 @@ def _slope_frequencies(
     C_kl = -i w_kl (v_b+ H0_b v_b)_kl with w_kl = lambda_k - lambda_l, and
     the kick U(a) = exp(i a B) turns it into exp(-i a w_kl) C_kl.  So
     U(a)+ C U(a) = sum_w exp(-i a w) C_w, where C_w keeps the entries at
-    frequency w.  H0 must couple no two blocks of B (ValueError), so
-    neither does C.  Returns the entries of the filled within-block pairs
-    (k, l), flattened block by block, their cluster labels (ascending in
-    w), the label of w = 0 (labels above it are the positive frequencies)
-    and the mask of those pairs in a block stack.
+    frequency w.  H0 must be diagonal or sit on B's blocks (ValueError
+    otherwise), so C couples no two blocks of B.  Returns the entries of
+    the filled within-block pairs (k, l), flattened block by block, their
+    cluster labels (ascending in w), the label of w = 0 (labels above it
+    are the positive frequencies) and the mask of those pairs in a block
+    stack.
     """
     values, vectors = functional.eigensystem
     filled = functional.blocks.filled
@@ -343,7 +338,7 @@ def is_kick_stationary(rho: DensityMatrix, h0: HermitianOperator, functional: He
     """
     c, labels, _, pairs = _slope_frequencies(h0, functional)
     v = functional.eigensystem[1]
-    seen = rho.regroup(functional.blocks, "state", np.inf).stack  # C couples no two blocks of B
+    seen = rho.regroup(functional.blocks, "state").stack
     terms = (v.conj().transpose(0, 2, 1) @ seen @ v).transpose(0, 2, 1)[pairs] * c  # rho_lk C_kl
     traces = np.bincount(labels, weights=terms.real) + 1j * np.bincount(labels, weights=terms.imag)
     return bool(np.all(np.abs(traces) <= STATIONARY_TOL))

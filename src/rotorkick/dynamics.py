@@ -71,7 +71,8 @@ class KickSpec:
     """Template for a sudden kick exp(i * amplitude * operator).
 
     The generator is carried in `operator`, on the invariant blocks of the
-    kick's process (ValueError if it couples two).
+    kick's process: a diagonal one moves there, any other must sit there
+    already (ValueError otherwise).
     """
 
     amplitude: float
@@ -94,9 +95,9 @@ def make_kick(basis: Basis, kind: str, amplitude: float) -> KickSpec:
 def apply_kick(rho: DensityMatrix, kick: KickSpec, amplitude: float | None = None) -> DensityMatrix:
     """rho -> U rho U+ for the kick unitary; spectrum-preserving.
 
-    A state on the blocks of the kick's process is conjugated block by
-    block; any other, which may couple those blocks, on one block of all
-    states.
+    The state is conjugated block by block on the kick's blocks; a diagonal
+    state, such as a thermal one, moves there first, and any other state
+    on other blocks raises ValueError (DensityMatrix.conjugated).
     """
     a = kick.amplitude if amplitude is None else amplitude
     return rho.conjugated(kick.operator.blocks, kick_unitary(kick.operator, a))
@@ -111,11 +112,13 @@ def post_kick_slope(
 ) -> float:
     """Time derivative of Tr[functional rho(t)] immediately after kicking rho.
 
-    Entries of the kicked state coupling two of the functional's blocks never meet it, so they are dropped.
+    The kicked state sits on the kick's blocks, and the functional must sit
+    there too, as it does when it belongs to the kick's process
+    (HermitianOperator.regroup; ValueError otherwise).
     """
     blocks = functional.blocks
     comm = _commutator(blocks.rows(h0.energies()), blocks.classes, functional.stack)
-    return _slope(apply_kick(rho, kick, amplitude).regroup(functional.blocks, "state", np.inf).stack, comm)
+    return _slope(apply_kick(rho, kick, amplitude).regroup(functional.blocks, "kicked state").stack, comm)
 
 
 def leakage(rho: DensityMatrix, j_max: int) -> float:
@@ -319,7 +322,8 @@ def run_strategy(
     those shells only.
 
     The train runs on the invariant blocks of the kick's process: an input
-    state, observable or target that couples two of them raises ValueError,
+    state, observable or target on other blocks moves there if it is
+    diagonal and raises ValueError otherwise (HermitianOperator.regroup),
     and a kicked state whose trace drifts beyond HERM_TOL raises
     NumericalError naming the kick.  A block with m < 0 on which every
     input (state, observable, target and kick generator) holds the same
@@ -341,7 +345,7 @@ def run_strategy(
         if op is not None and op.dim != rho0.dim:
             raise ValueError(f"{name} on {op.dim} states and initial state on {rho0.dim} live on different bases")
 
-    # every input must respect the kick's invariant blocks; regroup raises otherwise
+    # every input must sit on the kick's blocks or be diagonal; regroup raises otherwise
     start = rho0.regroup(kick.operator.blocks, "state")
     train = _Train(start, strategy, kick, h0, target, observable, leak_guard_j)
     rho = train.fold(start)

@@ -6,11 +6,12 @@ integer level spacings, so free evolution is periodic with period pi.
 
 Every operator of the package conserves m, and cos^2(theta) also the parity
 of j, so an operator is stored as the stack of its invariant blocks (see
-BlockDecomposition.slots).  This module alone decides which blocks an
-operator carries.  HermitianOperator.regroup moves an operator with no
-off-diagonal entry, such as H0 or a thermal state, onto other blocks by its
-diagonal, and any other operator through a dense matrix
-(BlockDecomposition.restack).
+BlockDecomposition.slots), on the layout of the process it belongs to.
+This module alone decides which blocks an operator carries.  An operator
+with an off-diagonal entry never changes layout; one with none, such as H0
+or a thermal state, moves onto other blocks by its diagonal
+(HermitianOperator.regroup).  from_matrix is the only dense entry and
+.matrix the only dense exit.
 
 It also decides a stack's dtype, which follows the math: H0, the thermal
 state, cos(theta), cos^2(theta) and whatever is built from their
@@ -28,12 +29,10 @@ import numpy as np
 from .basis import (
     ALIGNMENT,
     ORIENTATION,
-    PROCESS_KINDS,
     Basis,
     BlockDecomposition,
     block_decomposition,
     build_basis,
-    single_block,
 )
 from .errors import NumericalError
 
@@ -65,7 +64,7 @@ class HermitianOperator:
     stack[b] holds block b of `blocks` on its slots, zero-padded (see
     BlockDecomposition.slots), so no entry couples two blocks.  A real
     stack is kept as float64, a complex one as complex128.
-    from_matrix() restacks a dense matrix; .matrix is the dense view.
+    from_matrix() reads a dense matrix; .matrix is the dense view.
     """
 
     basis: Basis
@@ -108,35 +107,39 @@ class HermitianOperator:
 
     @classmethod
     def from_matrix(cls, basis: Basis, matrix, blocks: BlockDecomposition | None = None, **fields):
-        """The operator of a dense (dim, dim) matrix on blocks, by default one block of all states.
+        """The operator of a dense (dim, dim) matrix on blocks of basis, by default its m blocks.
 
-        ValueError if the matrix couples two blocks.  fields go to the
-        constructor, such as a state's trace_target.
+        ValueError if the matrix couples two blocks or holds NaN, or if it
+        or the blocks do not fit the basis.  fields go to the constructor,
+        such as a state's trace_target.
         """
         matrix = np.asarray(matrix)
-        if matrix.shape != (basis.dim, basis.dim):
-            raise ValueError(f"matrix shape {matrix.shape} does not match basis dimension {basis.dim}")
-        whole = single_block(basis.dim)
-        blocks = whole if blocks is None else blocks
-        return cls(basis, blocks, blocks.restack(matrix[None], whole), **fields)
+        blocks = block_decomposition(basis, ORIENTATION) if blocks is None else blocks
+        if matrix.shape != (basis.dim, basis.dim) or blocks.dim != basis.dim:
+            raise ValueError(f"matrix {matrix.shape} or blocks on {blocks.dim} states do not fit {basis.dim} states")
+        # padding slots read the zero last row and column
+        stack = np.pad(matrix, (0, 1))[blocks.slots[:, :, None], blocks.slots[:, None, :]]
+        if not np.array_equal(blocks.scatter(stack), matrix):  # an entry off the blocks, or a NaN
+            raise ValueError("matrix couples states in different invariant blocks, or holds NaN")
+        return cls(basis, blocks, stack, **fields)
 
-    def regroup(self, blocks: BlockDecomposition, what: str = "operator", tol: float = 0.0):
-        """The same operator on other blocks of its basis, in the same dtype: self when they are equal.
+    def regroup(self, blocks: BlockDecomposition, what: str = "operator"):
+        """The same operator on blocks of its basis, in the same dtype: self when they are its own.
 
-        An operator with no off-diagonal entry is rebuilt on the new blocks
-        from its diagonal, bit for bit what restack gives; any other is
-        restacked.  Entries coupling two of the new blocks are dropped when
-        none exceeds tol in magnitude; otherwise ValueError naming `what`,
-        as for blocks of a basis of another size.
+        Only an operator with no off-diagonal entry moves: it is rebuilt on
+        the new blocks from its diagonal.  Any other raises ValueError
+        naming `what` and both layouts, as do blocks of a basis of another
+        size.
         """
         if blocks.dim != self.dim:
-            raise ValueError(f"{what} on {self.dim} states cannot move onto the blocks of a {blocks.dim}-state basis")
+            raise ValueError(f"{what} on {self.dim} states cannot move onto blocks on {blocks.dim} states")
         if blocks == self.blocks:
             return self
-        if self._is_diagonal:
-            stack = _diagonal_stack(blocks, self.blocks.scatter_diagonal(np.diagonal(self.stack, axis1=-2, axis2=-1)))
-        else:
-            stack = blocks.restack(self.stack, self.blocks, what=what, tol=tol)
+        if not self._is_diagonal:
+            raise ValueError(
+                f"{what} has off-diagonal entries, so it cannot move from {self.blocks.kind} onto {blocks.kind} blocks"
+            )
+        stack = _diagonal_stack(blocks, self.blocks.scatter_diagonal(np.diagonal(self.stack, axis1=-2, axis2=-1)))
         return replace(self, blocks=blocks, stack=stack)
 
     @property
@@ -301,9 +304,10 @@ class DensityMatrix(HermitianOperator):
         return self
 
     def expectation(self, op: HermitianOperator) -> float:
-        """Tr[op rho], real part; op's entries coupling two of rho's blocks meet zeros and are dropped."""
-        seen = op.regroup(self.blocks, "operator", np.inf)
-        return float(np.sum(seen.stack * np.swapaxes(self.stack, -1, -2)).real)
+        """Tr[op rho], real part, on op's blocks, or on rho's for a diagonal op: the other must move there (regroup)."""
+        state = self if op._is_diagonal else self.regroup(op.blocks, "state")
+        seen = op.regroup(state.blocks, "operator")
+        return float(np.sum(seen.stack * np.swapaxes(state.stack, -1, -2)).real)
 
     def purity(self) -> float:
         return self.expectation(self)
@@ -311,17 +315,13 @@ class DensityMatrix(HermitianOperator):
     def conjugated(self, blocks: BlockDecomposition, u: np.ndarray) -> "DensityMatrix":
         """u rho u+ for a stack u of unitaries on blocks, with the roundoff asymmetry scrubbed.
 
-        A state on other blocks of its basis, which may couple those, is
-        conjugated on one block of all states; blocks of another basis size
-        raise ValueError.  NumericalError when the trace drifts from
+        The state is conjugated on those blocks, where it moves first if it
+        is diagonal, as a thermal state is (regroup); a state with an
+        off-diagonal entry on other blocks, or on blocks of another basis
+        size, raises ValueError.  NumericalError when the trace drifts from
         trace_target beyond HERM_TOL.
         """
-        if blocks.dim != self.dim:
-            raise ValueError(f"unitaries on {blocks.dim} states cannot conjugate a state on {self.dim} states")
-        state = self
-        if blocks != self.blocks:
-            whole = single_block(self.dim)
-            state, u = self.regroup(whole), blocks.scatter(u)[None]
+        state = self.regroup(blocks, "state")
         mat = u @ state.stack @ _dagger(u)
         try:
             return DensityMatrix._exact(state.basis, state.blocks, 0.5 * (mat + _dagger(mat)), state.trace_target)
@@ -524,16 +524,11 @@ def _blocks_of(blocks: BlockDecomposition, of: BlockDecomposition) -> np.ndarray
 def _embedded(x: HermitianOperator, big_basis: Basis) -> tuple[BlockDecomposition, np.ndarray]:
     """x's stack zero-padded into a larger basis holding all of x's states.
 
-    The result lives on the big basis's blocks of the same kind as x's, one
-    block of all states if x resolves no symmetry, in the dtype of x's stack.
-    A state keeps its slot, so each block of x is copied onto the leading
-    slots of the big block of the same (m, parity).  KeyError if the big
-    basis lacks one of x's states.
+    The result lives on the big basis's blocks of the same kind as x's, in
+    the dtype of x's stack.  A state keeps its slot, so each block of x is
+    copied onto the leading slots of the big block of the same (m, parity).
+    KeyError if the big basis lacks one of x's states.
     """
-    if x.blocks.kind not in PROCESS_KINDS:  # through the dense matrix
-        big = np.zeros((1, big_basis.dim, big_basis.dim), dtype=x.stack.dtype)
-        big[0][np.ix_(*2 * [big_basis.index_of(x.basis.j_values, x.basis.m_values)])] = x.matrix
-        return single_block(big_basis.dim), big
     blocks = block_decomposition(big_basis, x.blocks.kind)
     big = np.zeros((blocks.n_blocks,) + 2 * blocks.slots.shape[1:], dtype=x.stack.dtype)
     size = x.stack.shape[1]

@@ -30,7 +30,6 @@ from .operators import (
 GLOBAL_SCOPE = "global"
 BLOCKWISE_SCOPE = "blockwise"
 
-_OFF_BLOCK_TOL = 1e-12
 _GROUP_ENTRIES = 2**16  # stack entries (512 kB of float64) that one group of a bound sweep may hold in any case
 
 
@@ -100,9 +99,9 @@ def _paired_weights(
         raise ValueError("state and observable live on different bases")
     if blocks is None:
         return obs, _global_weights(rho0.eigenvalues, obs)
-    form = obs.regroup(blocks, "observable", _OFF_BLOCK_TOL)
+    form = obs.regroup(blocks, "observable")
     # ascending in each block, like chi: largest meets largest
-    return form, rho0.regroup(blocks, "state", _OFF_BLOCK_TOL).eigensystem[0]
+    return form, rho0.regroup(blocks, "state").eigensystem[0]
 
 
 def _target(form: HermitianOperator, w: np.ndarray, trace_target: float, scope: str) -> TargetState:
@@ -124,11 +123,11 @@ def build_target(
     blocks, weighted with eigenvalues of rho0.
     With blocks=None every unitary is admissible: the whole spectrum of
     rho0, sorted, is paired with the eigenvalues of all blocks, sorted.
-    With a block decomposition both inputs must be block diagonal in it
-    (off-block entries up to 1e-12 are dropped, larger ones raise
-    ValueError), and the pairing runs inside each block.  Degenerate
-    observable eigenvalues are filled in deterministic basis order, which
-    leaves the achieved expectation unchanged.
+    With a block decomposition both inputs must sit on it, or be diagonal
+    and move there (HermitianOperator.regroup; ValueError otherwise), and
+    the pairing runs inside each block.  Degenerate observable eigenvalues
+    are filled in deterministic basis order, which leaves the achieved
+    expectation unchanged.
     """
     form, w = _paired_weights(rho0, obs, blocks)
     return _target(form, w, rho0.trace_target, GLOBAL_SCOPE if blocks is None else BLOCKWISE_SCOPE)
@@ -162,8 +161,7 @@ def duration_above(
         raise ValueError(
             f"threshold {threshold} outside the observable range [{lo:.6f}, {hi:.6f}] at j_max = {obs.basis.j_max}"
         )
-    # entries of rho coupling two blocks of obs never meet an entry of obs, so they are dropped
-    state = rho.regroup(obs.blocks, "state", np.inf)
+    state = rho.regroup(obs.blocks, "state")
     lattice = h0 if isinstance(h0, FrequencyLattice) else _lattice(obs.blocks, h0.energies())
     series = TraceSeries(state.stack, obs.stack, lattice)
     flat = series.flat_value()

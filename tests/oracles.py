@@ -28,7 +28,10 @@ package ran before it read (dim_L, r) off its closed form; trace_rank
 counts r from the same bands.
 enumerated_states lists the states of a cutoff by nested loops, and
 grouped_blocks groups the states of a basis one at a time, as the
-package did before it held a basis as two integer arrays.  members and
+package did before it held a basis as two integer arrays.  index_of finds
+a state's index in a basis, and restacked moves any stack between two
+layouts through the dense matrix, as the package did before only
+diagonal operators could change layout.  members and
 spans read each block's states and slots off a decomposition's slots and
 filled, and replayed reruns a train's kicks on every block of the kick
 with the public free_propagate and apply_kick.
@@ -96,6 +99,31 @@ def grouped_blocks(states, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for b, row in enumerate(rows):
         slots[b, : len(row)] = row
     return np.array([m for m, _ in keys], dtype=int), np.array([c for _, c in keys], dtype=int), slots
+
+
+def index_of(basis, j, m):
+    """Flattened index of |j, m> in a basis, or of each state of equal-shape arrays j and m; KeyError if absent."""
+    hit = (basis.j_values == np.expand_dims(j, -1)) & (basis.m_values == np.expand_dims(m, -1))
+    if not hit.any(axis=-1).all():
+        raise KeyError((j, m))
+    index = hit.argmax(axis=-1)
+    return int(index) if index.ndim == 0 else index
+
+
+def restacked(stack, source, target):
+    """A stack on the source layout moved onto the target layout of one basis, through the dense matrix.
+
+    This is how the package moved every operator between layouts before
+    only diagonal ones could move.  ValueError if a nonzero entry lands in
+    no target block; padding is never read.
+    """
+    dense = np.pad(source.scatter(stack), (0, 1))  # padding slots read the zero last row and column
+    here = (target.slots[:, :, None], target.slots[:, None, :])
+    out = dense[here]
+    dense[here] = 0.0
+    if np.any(dense):
+        raise ValueError("the stack couples states in different target blocks")
+    return out
 
 
 def members(blocks) -> list[list[int]]:
@@ -233,7 +261,7 @@ def certified_duration_above(rho, obs, h0, threshold):
     """
     from rotorkick.evolution import FrequencyLattice, LevelSetMeasure, TraceSeries, global_max, measure_above
 
-    state = rho.regroup(obs.blocks, "state", np.inf)
+    state = rho.regroup(obs.blocks, "state")
     lattice = FrequencyLattice(obs.blocks.rows(h0.energies()), obs.blocks.classes)
     series = TraceSeries(state.stack, obs.stack, lattice)
     peak = global_max(series)

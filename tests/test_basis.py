@@ -1,8 +1,9 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -11,7 +12,9 @@ from oracles import (
     direct_partition_sum,
     enumerated_states,
     grouped_blocks,
+    index_of,
     members,
+    restacked,
 )
 from rotorkick.basis import (
     ALIGNMENT,
@@ -20,13 +23,13 @@ from rotorkick.basis import (
     BlockDecomposition,
     block_decomposition,
     build_basis,
-    single_block,
 )
 from rotorkick.config import PRESETS
 from rotorkick.operators import (
     DensityMatrix,
     HermitianOperator,
     cos2_theta_matrix,
+    cos_theta_matrix,
     embed_density,
     embed_operator,
     kick_unitary,
@@ -59,10 +62,6 @@ def test_enumeration_complete_and_unique(j_max):
     for j in range(j_max + 1):
         for m in range(-j, j + 1):
             assert (j, m) in seen
-    # flattened index lookup is consistent with enumeration order
-    for k, (j, m) in enumerate(_states(basis)):
-        assert basis.index_of(j, m) == k
-    assert np.array_equal(basis.index_of(basis.j_values, basis.m_values), np.arange(basis.dim))
 
 
 @pytest.mark.parametrize("j_max", range(13))
@@ -121,19 +120,6 @@ def test_a_basis_holds_read_only_copies_and_compares_by_cutoff_and_states():
     assert Basis(3, *map(np.array, zip(*enumerated_states(3)))) == build_basis(3)
 
 
-def test_index_of_raises_key_error_for_an_absent_state():
-    basis = build_basis(2, 1)
-    assert basis.index_of(2, 1) == basis.dim - 1
-    for j, m in [(2, 2), (3, 0), (1, -2), (-1, 0)]:
-        with pytest.raises(KeyError):
-            basis.index_of(j, m)
-    with pytest.raises(KeyError, match=r"\(2, 2\)"):
-        basis.index_of(2, 2)
-    with pytest.raises(KeyError):
-        basis.index_of(np.array([0, 2]), np.array([0, -2]))
-    assert basis.index_of(np.array([[1, 0]]), np.array([[1, 0]])).tolist() == [[basis.dim - 2, 2]]
-
-
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
 def test_block_decomposition_groups_any_basis_as_the_loop_oracle(kind):
     rng = np.random.default_rng(3)
@@ -157,11 +143,38 @@ def test_a_decomposition_is_three_read_only_integer_arrays_and_compares_by_kind_
     assert (blocks.kind, blocks.dim, blocks.n_blocks, blocks.slots.shape) == (ALIGNMENT, 501**2, 2000, (2000, 251))
     copy = BlockDecomposition(ALIGNMENT, basis.dim, np.zeros(2000), np.zeros(2000), blocks.slots.copy())
     assert copy == blocks and copy.slots is not blocks.slots  # m and classes play no part
-    assert BlockDecomposition("none", basis.dim, blocks.m, blocks.classes, blocks.slots) != blocks
     assert BlockDecomposition(ALIGNMENT, basis.dim + 1, blocks.m, blocks.classes, blocks.slots) != blocks
     orientation = block_decomposition(basis, ORIENTATION)
     assert orientation != blocks and orientation != basis
-    assert single_block(4) == BlockDecomposition("none", 4, [0], [0], [[0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize("kind", ["none", "circular", ""])
+def test_a_decomposition_has_the_layout_of_a_process(kind):
+    with pytest.raises(ValueError, match="unknown process kind"):
+        BlockDecomposition(kind, 4, [0], [0], [[0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds", "fixedpoints", "controllability"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_decomposition_a_command_builds_is_a_process_layout(command, preset, monkeypatch, tmp_path):
+    from rotorkick.cli import main
+
+    kinds = []
+    for cls, name in ((BlockDecomposition, "__post_init__"), (HermitianOperator, "_check_shape")):
+        real = getattr(cls, name)
+
+        def recording(self, real=real):  # a new layout, or the layout of every operator built
+            kinds.append(getattr(self, "blocks", self).kind)
+            real(self)
+
+        monkeypatch.setattr(cls, name, recording)
+    config = PRESETS[preset].with_overrides(j_max=3, j_sim=5, max_kicks=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.to_dict()))
+    args = ["--j-max", "1", "2", "3"] if command == "controllability" else []
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out"), *args]) == 0
+    assert set(kinds) <= {ORIENTATION, ALIGNMENT}
+    assert kinds or command == "controllability"  # the report builds no basis
 
 
 def test_orientation_blocks_j1():
@@ -230,12 +243,10 @@ def test_unknown_kind_rejected():
         block_decomposition(build_basis(2), "circular")
 
 
-LAYOUTS = ["m", "m-parity", "one"]
+LAYOUTS = ["m", "m-parity"]
 
 
 def _decomposition(basis, name):
-    if name == "one":
-        return single_block(basis.dim)
     return block_decomposition(basis, ORIENTATION if name == "m" else ALIGNMENT)
 
 
@@ -245,32 +256,14 @@ def _random_operator(basis, blocks, rng):
     return block_diagonal_part(z + z.conj().T, blocks)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    j_max=st.integers(0, 4),
-    source=st.sampled_from(LAYOUTS),
-    target=st.sampled_from(LAYOUTS),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_restack_matches_dense_oracle(j_max, source, target, seed):
-    basis = build_basis(j_max)
-    src, dst = _decomposition(basis, source), _decomposition(basis, target)
-    # an operator on the (m, parity) blocks is block diagonal in every layout
-    dense = _random_operator(basis, _decomposition(basis, "m-parity"), np.random.default_rng(seed))
-    stack = block_stack(dense, src)
-    moved = dst.restack(stack, src)
-    assert np.array_equal(moved, block_stack(dense, dst))
-    assert np.array_equal(src.restack(moved, dst), stack)  # and back, exactly
-
-
-def test_restack_moves_the_thermal_state_and_back():
+def test_regroup_moves_the_thermal_state_and_back():
     basis = build_basis(5)
     beta = 0.3
     rho = thermal_state(basis, beta)
     weights = np.array([np.exp(-beta * j * (j + 1)) for j in basis.j_values.tolist()]) / direct_partition_sum(beta)
     dense = np.diag(weights).astype(complex)
     state = rho
-    for name in ("m-parity", "one", "m"):
+    for name in ("m-parity", "m"):
         state = state.regroup(_decomposition(basis, name))
         assert np.max(np.abs(state.stack - block_stack(dense, state.blocks))) <= 1e-15
     assert state.blocks == rho.blocks and np.array_equal(state.stack, rho.stack)
@@ -279,16 +272,40 @@ def test_restack_moves_the_thermal_state_and_back():
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("source", LAYOUTS)
 @pytest.mark.parametrize("target", LAYOUTS)
-def test_regroup_moves_a_diagonal_stack_as_restack_does(source, target, dtype):
-    basis = build_basis(4)
+@pytest.mark.parametrize("j_max, m_max", [(4, None), (5, None), (6, 2)])
+def test_regroup_moves_a_diagonal_stack_as_the_dense_restack_does(j_max, m_max, source, target, dtype):
+    basis = build_basis(j_max, m_max)
     src, dst = _decomposition(basis, source), _decomposition(basis, target)
     weights = np.random.default_rng(5).random(basis.dim) / basis.dim
     stack = np.asarray(block_stack(np.diag(weights), src).real, dtype=dtype)
     rho = DensityMatrix(basis, src, stack, trace_target=float(weights.sum()))
     moved = rho.regroup(dst)
     assert moved.stack.dtype == np.dtype(dtype) and moved.trace_target == rho.trace_target
-    assert moved.stack.tobytes() == dst.restack(rho.stack, src).tobytes()
+    assert moved.stack.tobytes() == restacked(rho.stack, src, dst).tobytes()
     assert not moved.stack.flags.writeable
+
+
+def _kicked_thermal_state(basis):
+    op = cos2_theta_matrix(basis)
+    return thermal_state(basis, 0.3).conjugated(op.blocks, kick_unitary(op, 1.0))
+
+
+@pytest.mark.parametrize(
+    "build, source, target",
+    [
+        (cos_theta_matrix, ORIENTATION, ALIGNMENT),
+        (cos2_theta_matrix, ALIGNMENT, ORIENTATION),
+        (_kicked_thermal_state, ALIGNMENT, ORIENTATION),
+    ],
+    ids=["cos-onto-m-parity", "cos2-onto-m", "kicked-state-onto-m"],
+)
+def test_a_non_diagonal_operator_never_changes_layout(build, source, target):
+    op = build(build_basis(4))
+    assert op.blocks.kind == source and not op._is_diagonal
+    blocks = block_decomposition(op.basis, target)
+    with pytest.raises(ValueError, match=f"generator has off-diagonal entries.*from {source} onto {target} blocks"):
+        op.regroup(blocks, "generator")
+    assert op.regroup(op.blocks) is op
 
 
 @pytest.mark.parametrize("name", LAYOUTS)
@@ -309,7 +326,7 @@ def test_embedding_matches_the_dense_lift(name):
         assert np.array_equal(embed_density(rho, big).matrix[np.ix_(idx, idx)], rho.matrix)
 
 
-def test_restack_never_reads_padding():
+def test_scatter_never_reads_padding():
     basis = build_basis(4)
     op = cos2_theta_matrix(basis)
     u = kick_unitary(op, 1.3)
@@ -317,43 +334,32 @@ def test_restack_never_reads_padding():
     padding = ~(filled[:, :, None] & filled[:, None, :])
     assert np.any(u[padding] == 1)  # a unitary's padding holds ones
     poisoned = np.where(padding, np.nan, u)  # any read of the padding would show
-    dense = single_block(basis.dim).restack(poisoned, op.blocks)[0]
+    dense = op.blocks.scatter(poisoned)
     assert np.array_equal(block_stack(dense, op.blocks)[~padding], u[~padding])
     assert np.array_equal(dense, block_diagonal_part(dense, op.blocks))
-    for name in LAYOUTS:
-        target = _decomposition(basis, name)
-        assert np.array_equal(target.restack(poisoned, op.blocks), block_stack(dense, target))
 
 
-# (source layout, target layout, pair of states whose entry lands in no target block)
-COUPLINGS = [("one", "m", (1, -1), (1, 0)), ("m", "m-parity", (0, 0), (1, 0))]
+# (layout, pair of states whose entry lands in no block of it)
+COUPLINGS = [("m", (1, -1), (1, 0)), ("m-parity", (0, 0), (1, 0))]
 
 
-@pytest.mark.parametrize("source, target, first, second", COUPLINGS)
-@pytest.mark.parametrize(
-    "value, tol, drops",
-    [(1e-11, 1e-10, True), (1e-10, 1e-10, True), (1e-11, 1e-12, False), (np.nan, np.inf, False)],
-)
-def test_restack_drops_or_raises_on_entries_coupling_blocks(source, target, first, second, value, tol, drops):
+@pytest.mark.parametrize("layout, first, second", COUPLINGS)
+@pytest.mark.parametrize("value", [1e-300, 1e-11, np.nan])
+def test_from_matrix_raises_on_any_entry_coupling_blocks(layout, first, second, value):
     basis = build_basis(3)
-    src, dst = _decomposition(basis, source), _decomposition(basis, target)
-    dense = _random_operator(basis, dst, np.random.default_rng(11))
-    a, b = basis.index_of(*first), basis.index_of(*second)
+    blocks = _decomposition(basis, layout)
+    dense = _random_operator(basis, blocks, np.random.default_rng(11))
+    a, b = index_of(basis, *first), index_of(basis, *second)
+    assert np.array_equal(HermitianOperator.from_matrix(basis, dense, blocks).stack, block_stack(dense, blocks))
     coupled = dense.copy()
     coupled[a, b] = coupled[b, a] = value
-    stack = block_stack(coupled, src)
-    if drops:
-        assert np.array_equal(dst.restack(stack, src, what="observable", tol=tol), block_stack(dense, dst))
-    else:
-        with pytest.raises(ValueError, match="observable couples states in different invariant blocks"):
-            dst.restack(stack, src, what="observable", tol=tol)
+    with pytest.raises(ValueError, match="matrix couples states in different invariant blocks"):
+        HermitianOperator.from_matrix(basis, coupled, blocks)
 
 
-def test_single_block_is_shared_and_read_only():
-    whole = single_block(9)
-    assert single_block(9) is whole
-    blocks = block_decomposition(build_basis(2), ALIGNMENT)
-    for layout in (whole, blocks):
+def test_layout_arrays_are_read_only():
+    for kind in (ORIENTATION, ALIGNMENT):
+        layout = block_decomposition(build_basis(2), kind)
         for array in (layout.slots, layout.filled, layout.classes):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -383,11 +389,6 @@ def test_a_block_without_a_minus_m_block_on_its_slots_has_no_mirror():
     assert not blocks.folded([np.zeros(blocks.slots.shape)]).any()
     # the same j values, one on another slot: m = -2 from j = 2, m = 2 from j = 3
     assert not block_decomposition(Basis(3, [2, 3], [-2, 2]), ORIENTATION).folded([np.zeros((2, 4))]).any()
-
-
-def test_single_block_folds_nothing():
-    whole = single_block(5)
-    assert whole.mirrors.tolist() == [0] and not whole.folded([np.zeros((1, 5, 5))]).any()
 
 
 def test_folded_compares_bits_in_every_stack():

@@ -428,7 +428,7 @@ def test_cli_bounds_rejects_temperatures_sharing_a_file_name(tmp_path, capsys):
     assert not list(tmp_path.glob("bounds_*.csv"))
 
 
-@pytest.mark.parametrize("preset", ["licl-5K", "licl-5K-alignment"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_simulate_and_bounds_build_no_dense_matrix(preset, tmp_path, monkeypatch, capsys):
     import rotorkick.basis
     import rotorkick.operators
@@ -436,10 +436,10 @@ def test_simulate_and_bounds_build_no_dense_matrix(preset, tmp_path, monkeypatch
     def dense(*args, **kwargs):
         raise AssertionError("dense N x N matrix built")
 
+    # the dense exits, .matrix and scatter, and the dense entry, from_matrix
     monkeypatch.setattr(rotorkick.operators.HermitianOperator, "matrix", property(dense))
     monkeypatch.setattr(rotorkick.basis.BlockDecomposition, "scatter", dense)
-    monkeypatch.setattr(rotorkick.basis, "single_block", dense)
-    monkeypatch.setattr(rotorkick.operators, "single_block", dense)
+    monkeypatch.setattr(rotorkick.operators.HermitianOperator, "from_matrix", classmethod(dense))
     for command, *extra in (("simulate",), ("bounds",), ("controllability", "--j-max", "1", "2", "3"), ("fixedpoints",)):
         assert main([command, "--preset", preset, "--out", str(tmp_path / command), *extra]) == 0
     capsys.readouterr()
@@ -714,10 +714,11 @@ def test_cli_kicked_nan_state_is_numerical_failure(tmp_path, capsys, monkeypatch
 def test_eigensolver_failure_wrapped(monkeypatch):
     import numpy as np
 
+    from rotorkick.basis import Basis
     from rotorkick.errors import NumericalError
     from rotorkick.operators import HermitianOperator
 
-    basis = build_basis(1)
+    basis = Basis(3, [0, 1, 2, 3], [0, 0, 0, 0])  # one m block of four states
     op = HermitianOperator.from_matrix(basis, np.ones((4, 4)))  # not diagonal, so the eigensolver runs
 
     def fail(mat):

@@ -651,20 +651,12 @@ def test_random_commuting_states_are_stationary():
     basis = build_basis(2)  # N = 9
     h0 = h0_matrix(basis)
     obs = cos_theta_matrix(basis)
-    w, v = np.linalg.eigh(obs.matrix)
-    # cluster the eigenvalues to find the degenerate sectors
-    sectors = []
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or w[k] - w[k - 1] > 1e-10:
-            sectors.append(list(range(start, k)))
-            start = k
+    # a state on the m blocks commutes with cos(theta) when each block is a function of cos(theta)'s block there
     for _ in range(50):
-        blocks_mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-        for sector in sectors:
-            g = rng.normal(size=(len(sector), len(sector))) + 1j * rng.normal(size=(len(sector), len(sector)))
-            blocks_mat[np.ix_(sector, sector)] = g @ g.conj().T
-        mat = v @ blocks_mat @ v.conj().T
+        mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for idx in members(obs.blocks):
+            _, v = np.linalg.eigh(obs.matrix[np.ix_(idx, idx)])  # simple eigenvalues in a tridiagonal block
+            mat[np.ix_(idx, idx)] = (v * rng.random(len(idx))) @ v.conj().T
         mat = mat / np.trace(mat).real
         mat = 0.5 * (mat + mat.conj().T)
         rho = DensityMatrix.from_matrix(basis, mat)

@@ -27,11 +27,11 @@ from rotorkick.operators import (
 )
 from rotorkick.target import build_target
 
-from oracles import dense_train, full_basis_physical_run, replayed
+from oracles import dense_train, full_basis_physical_run, index_of, replayed
 
 
 def _coherent_pair(basis, phase=0.0):
-    i0, i1 = basis.index_of(0, 0), basis.index_of(1, 0)
+    i0, i1 = index_of(basis, 0, 0), index_of(basis, 1, 0)
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     mat[i0, i0] = mat[i1, i1] = 0.5
     mat[i0, i1] = 0.5 * np.exp(1j * phase)
@@ -59,7 +59,7 @@ def test_two_level_coherence_frequency():
     basis = build_basis(1)
     h0 = h0_matrix(basis)
     rho = _coherent_pair(basis)
-    i0, i1 = basis.index_of(0, 0), basis.index_of(1, 0)
+    i0, i1 = index_of(basis, 0, 0), index_of(basis, 1, 0)
     t = 0.4
     moved = free_propagate(rho, h0, t)
     # E(0,0) = 0, E(1,0) = 2: the coherence rotates at frequency 2
@@ -81,7 +81,7 @@ def test_free_propagate_requires_diagonal_h0():
 
 def _next_max(rho, functional, h0):
     """(t, value, flat) of the earliest global maximum of Tr[functional rho(t)] in [0, pi)."""
-    state = rho.regroup(functional.blocks, "state", np.inf)
+    state = rho.regroup(functional.blocks, "state")
     blocks = functional.blocks
     lattice = FrequencyLattice(blocks.rows(h0.energies()), blocks.classes)
     res = global_max(TraceSeries(state.stack, functional.stack, lattice))
@@ -146,37 +146,19 @@ def test_kick_invariance_and_purity():
     assert np.max(np.abs(kicked.eigenvalues - rho.eigenvalues)) < 1e-10
 
 
-def _coherence_between_m_blocks(basis):
-    mat = _coherent_pair(basis).matrix.copy()
-    a, b = basis.index_of(1, -1), basis.index_of(1, 0)  # different m
-    mat[a, b] = mat[b, a] = 0.01
-    return DensityMatrix.from_matrix(basis, mat)
-
-
-def _thermal_on_m_blocks(basis):
-    return thermal_state(basis, beta=0.4)
-
-
 def _target_on_m_parity_blocks(basis):
     obs = observable_matrix(basis, ALIGNMENT)
     return build_target(thermal_state(basis, beta=0.4), obs, block_decomposition(basis, ALIGNMENT)).rho
 
 
-@pytest.mark.parametrize(
-    "make_state, kind",
-    [
-        (_coherence_between_m_blocks, ORIENTATION),
-        (_thermal_on_m_blocks, ALIGNMENT),
-        (_target_on_m_parity_blocks, ORIENTATION),
-    ],
-    ids=["coherence-between-m-blocks", "thermal-on-m-blocks-cos2", "target-on-m-parity-blocks-cos"],
-)
-def test_apply_kick_to_a_state_coupling_blocks(make_state, kind):
-    # states whose blocks differ from the kick's: conjugated on one block of all states
+def test_apply_kick_moves_a_diagonal_state_onto_the_kick_blocks():
+    # the thermal state sits on the m blocks and moves onto the cos^2 kick's (m, parity) blocks by its diagonal
     basis = build_basis(2)
     h0 = h0_matrix(basis)
+    kind = ALIGNMENT
     kick = make_kick(basis, kind, 1.7)
-    rho = make_state(basis)
+    rho = thermal_state(basis, beta=0.4)
+    assert rho.blocks.kind == ORIENTATION
     mat = rho.matrix
     lam, vec = np.linalg.eigh(kick.operator.matrix)
     u = (vec * np.exp(1.7j * lam)) @ vec.conj().T
@@ -187,6 +169,18 @@ def test_apply_kick_to_a_state_coupling_blocks(make_state, kind):
     fwd = free_propagate(kicked, h0, h).expectation(obs)
     bwd = free_propagate(kicked, h0, -h).expectation(obs)
     assert post_kick_slope(rho, kick, h0, obs) == pytest.approx((fwd - bwd) / (2 * h), abs=1e-6)
+
+
+def test_apply_kick_and_post_kick_slope_reject_a_non_diagonal_state_on_other_blocks():
+    basis = build_basis(2)
+    h0 = h0_matrix(basis)
+    kick = make_kick(basis, ORIENTATION, 1.7)
+    rho = _target_on_m_parity_blocks(basis)
+    with pytest.raises(ValueError, match="state has off-diagonal entries.*from alignment onto orientation blocks"):
+        apply_kick(rho, kick)
+    # the kicked state sits on the kick's m blocks and cannot meet cos^2 on its (m, parity) blocks
+    with pytest.raises(ValueError, match="kicked state has off-diagonal entries.*from orientation onto alignment"):
+        post_kick_slope(thermal_state(basis, 0.4), kick, h0, observable_matrix(basis, ALIGNMENT))
 
 
 def test_post_kick_slope_zero_cases():
@@ -360,13 +354,13 @@ def test_leakage_thermal_tail():
     basis = build_basis(16)
     rho = thermal_state(basis, beta=0.2)
     assert leakage(rho, 12) < 1e-6
-    assert leakage(rho, 0) == pytest.approx(1 - np.diag(rho.matrix).real[basis.index_of(0, 0)], abs=1e-14)
+    assert leakage(rho, 0) == pytest.approx(1 - np.diag(rho.matrix).real[index_of(basis, 0, 0)], abs=1e-14)
 
 
 def test_leakage_single_kick_from_ground_state():
     big = build_basis(24)
     ground = np.zeros((big.dim, big.dim), dtype=complex)
-    ground[big.index_of(0, 0), big.index_of(0, 0)] = 1.0
+    ground[index_of(big, 0, 0), index_of(big, 0, 0)] = 1.0
     rho = DensityMatrix.from_matrix(big, ground)
     kick = make_kick(big, ORIENTATION, 2.0)
     kicked = apply_kick(rho, kick)
@@ -444,21 +438,23 @@ def test_embedded_run_matches_native_when_space_is_big_enough():
     assert np.trace(lifted.matrix).real == pytest.approx(np.trace(kicked_small.matrix).real, abs=1e-12)
 
 
-def test_run_strategy_rejects_inputs_coupling_blocks():
+def test_run_strategy_rejects_non_diagonal_inputs_on_other_blocks():
     basis = build_basis(2)
     h0 = h0_matrix(basis)
     kick = make_kick(basis, ORIENTATION, 1.0)
+    # a state coupling two m blocks has no layout at all
     coupled = _coherent_pair(basis).matrix.copy()
-    a, b = basis.index_of(1, -1), basis.index_of(1, 0)  # different m
+    a, b = index_of(basis, 1, -1), index_of(basis, 1, 0)  # different m
     coupled[a, b] = coupled[b, a] = 0.01
-    rho = DensityMatrix.from_matrix(basis, coupled)
-    with pytest.raises(ValueError, match="state couples"):
+    with pytest.raises(ValueError, match="matrix couples states in different invariant blocks"):
+        DensityMatrix.from_matrix(basis, coupled)
+    rho = _target_on_m_parity_blocks(basis)
+    with pytest.raises(ValueError, match="state has off-diagonal entries.*from alignment onto orientation"):
         run_strategy(rho, "S1", kick, h0, max_kicks=1)
-    observable = HermitianOperator.from_matrix(basis, coupled)
-    with pytest.raises(ValueError, match="observable couples"):
-        run_strategy(thermal_state(basis, 0.5), "S1", kick, h0, observable=observable, max_kicks=1)
+    with pytest.raises(ValueError, match="observable has off-diagonal entries.*from alignment onto orientation"):
+        run_strategy(thermal_state(basis, 0.5), "S1", kick, h0, observable=rho, max_kicks=1)
     # cos(theta) mixes the parities of j, so it cannot drive an alignment train
-    with pytest.raises(ValueError, match="kick generator couples"):
+    with pytest.raises(ValueError, match="kick generator has off-diagonal entries.*from orientation onto alignment"):
         run_strategy(thermal_state(basis, 0.5), "S1", KickSpec(1.0, ALIGNMENT, kick.operator), h0)
 
 
@@ -599,7 +595,7 @@ def _train_inputs(kind, j_max=4, beta=0.3):
 def test_mirror_breaking_state_runs_unfolded_and_matches_dense_oracle(kind, strategy, monkeypatch):
     basis, rho0, h0, kick, target = _train_inputs(kind)
     weights = rho0.diagonal.copy()
-    a, b = basis.index_of(1, -1), basis.index_of(1, 0)
+    a, b = index_of(basis, 1, -1), index_of(basis, 1, 0)
     weights[[a, b]] = weights[a] + 0.01, weights[b] - 0.01  # m = -1 no longer mirrors m = 1
     rho = DensityMatrix.from_matrix(basis, np.diag(weights), rho0.blocks, trace_target=rho0.trace_target)
     seen = _recorded_kick_operators(monkeypatch)

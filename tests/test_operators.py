@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import direct_partition_sum, members, quadrature_cos_power_element, spans
+from oracles import direct_partition_sum, index_of, members, quadrature_cos_power_element, spans
 from rotorkick.basis import (
     ALIGNMENT,
     ORIENTATION,
     BlockDecomposition,
     block_decomposition,
     build_basis,
-    single_block,
 )
 from rotorkick.config import PRESETS
 from rotorkick.dynamics import S1, _Train, apply_kick, make_kick
@@ -53,23 +52,23 @@ def test_h0_diagonal_entries():
     assert np.allclose(np.diag(h0.matrix).real, [2.0, 0.0, 2.0, 2.0])
     assert np.all(h0.matrix == np.diag(np.diag(h0.matrix)))
     b2 = build_basis(2)
-    assert h0_matrix(b2).matrix[b2.index_of(2, 0), b2.index_of(2, 0)] == 6.0
+    assert h0_matrix(b2).matrix[index_of(b2, 2, 0), index_of(b2, 2, 0)] == 6.0
 
 
 def test_cos_theta_reference_elements():
     basis = build_basis(4)
     c = cos_theta_matrix(basis)
-    assert c.matrix[basis.index_of(1, 0), basis.index_of(0, 0)].real == pytest.approx(
+    assert c.matrix[index_of(basis, 1, 0), index_of(basis, 0, 0)].real == pytest.approx(
         1 / math.sqrt(3), abs=1e-15
     )
     # top coupling in the m = j_max - 1 two-level block
     for j_max in range(2, 11):
         b = build_basis(j_max)
         cc = cos_theta_matrix(b)
-        got = cc.matrix[b.index_of(j_max, j_max - 1), b.index_of(j_max - 1, j_max - 1)].real
+        got = cc.matrix[index_of(b, j_max, j_max - 1), index_of(b, j_max - 1, j_max - 1)].real
         assert got == pytest.approx(1 / math.sqrt(2 * j_max + 1), abs=1e-15)
     # the 1x1 block at m = j_max carries no element
-    top = basis.index_of(4, 4)
+    top = index_of(basis, 4, 4)
     assert np.all(c.matrix[top] == 0)
 
 
@@ -87,9 +86,9 @@ def test_cos_theta_against_quadrature():
 def test_cos2_reference_elements():
     basis = build_basis(2)
     c2 = cos2_theta_matrix(basis)
-    i00 = basis.index_of(0, 0)
+    i00 = index_of(basis, 0, 0)
     assert c2.matrix[i00, i00].real == pytest.approx(1 / 3, abs=1e-15)
-    assert c2.matrix[basis.index_of(2, 0), i00].real == pytest.approx(2 / (3 * math.sqrt(5)), abs=1e-15)
+    assert c2.matrix[index_of(basis, 2, 0), i00].real == pytest.approx(2 / (3 * math.sqrt(5)), abs=1e-15)
     b1 = build_basis(1)
     assert np.trace(cos2_theta_matrix(b1).matrix).real == pytest.approx(4 / 3, abs=1e-14)
 
@@ -111,7 +110,7 @@ def test_cos2_closed_form_matches_dense_square():
         basis = build_basis(j_max)
         big = build_basis(j_max + 1)
         c = cos_theta_matrix(big).matrix.real
-        idx = big.index_of(basis.j_values, basis.m_values)
+        idx = index_of(big, basis.j_values, basis.m_values)
         square = (c @ c)[np.ix_(idx, idx)]
         assert np.max(np.abs(cos2_theta_matrix(basis).matrix - square)) <= 1e-15
 
@@ -140,14 +139,14 @@ def test_cos2_projection_consistency(j_max):
     large = build_basis(j_max + 3)
     c_small = cos2_theta_matrix(small).matrix
     c_large = cos2_theta_matrix(large).matrix
-    idx = large.index_of(small.j_values, small.m_values)
+    idx = index_of(large, small.j_values, small.m_values)
     assert np.max(np.abs(c_small - c_large[np.ix_(idx, idx)])) < 1e-12
 
 
 def test_thermal_zero_temperature_limit():
     basis = build_basis(3)
     rho = thermal_state(basis, beta=1e3).validate_spectrum()
-    ground = basis.index_of(0, 0)
+    ground = index_of(basis, 0, 0)
     assert rho.matrix[ground, ground].real == pytest.approx(1.0, abs=1e-12)
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
@@ -163,7 +162,7 @@ def test_thermal_licl_against_direct_sum():
     basis = build_basis(8)
     rho = thermal_state(basis, beta)
     z = direct_partition_sum(beta)
-    assert rho.matrix[basis.index_of(0, 0), basis.index_of(0, 0)].real == pytest.approx(1 / z, rel=1e-12)
+    assert rho.matrix[index_of(basis, 0, 0), index_of(basis, 0, 0)].real == pytest.approx(1 / z, rel=1e-12)
     # trace deficit equals the population excluded by the cutoff
     excluded = sum(
         (2 * j + 1) * math.exp(-beta * j * (j + 1)) for j in range(9, 200)
@@ -199,7 +198,7 @@ def test_thermal_state_on_m_shells_is_the_full_state_restricted(settings):
     # weights and normalization are those of every state with j <= j_max, bit for bit, seen or not
     full, shells = build_basis(10), build_basis(10, 2)
     whole, part = thermal_state(full, 0.3, **settings), thermal_state(shells, 0.3, **settings)
-    seen = full.index_of(shells.j_values, shells.m_values)
+    seen = index_of(full, shells.j_values, shells.m_values)
     assert np.array_equal(part.diagonal, whole.diagonal[seen])
     assert part.trace_target == pytest.approx(whole.diagonal[seen].sum(), rel=1e-15)
 
@@ -227,13 +226,13 @@ def test_kick_exponential_two_level_closed_form():
     c = 1 / math.sqrt(3)
     for amp in (0.5, 1.0, 2.0):
         u = cmat.blocks.scatter(kick_unitary(cmat, amp))
-        idx = [basis.index_of(0, 0), basis.index_of(1, 0)]
+        idx = [index_of(basis, 0, 0), index_of(basis, 1, 0)]
         block = u[np.ix_(idx, idx)]
         expected = math.cos(amp * c) * np.eye(2) + 1j * math.sin(amp * c) / c * cmat.matrix[np.ix_(idx, idx)]
         assert np.max(np.abs(block - expected)) < 1e-12
         # the 1x1 blocks at m = +-1 see eigenvalue 0
         for m in (-1, 1):
-            k = basis.index_of(1, m)
+            k = index_of(basis, 1, m)
             assert u[k, k] == pytest.approx(1.0, abs=1e-12)
     # a kick of amplitude zero is the identity
     assert np.max(np.abs(cmat.blocks.scatter(kick_unitary(cmat, 0.0)) - np.eye(basis.dim))) < 1e-12
@@ -248,14 +247,19 @@ def test_kick_unitary_and_commuting(amp):
     assert np.max(np.abs(c.matrix @ u - u @ c.matrix)) < 1e-12
 
 
-def test_kick_unitary_without_block_metadata_is_one_block():
-    basis = build_basis(2)
-    rng = np.random.default_rng(7)
+def _random_m_conserving(basis, seed):
+    """A random complex Hermitian matrix that couples no two m blocks."""
+    rng = np.random.default_rng(seed)
     z = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
-    op = HermitianOperator.from_matrix(basis, z + z.conj().T)
+    return np.where(_coupling_mask(block_decomposition(basis, ORIENTATION)), 0, z + z.conj().T)
+
+
+def test_kick_unitary_of_a_dense_matrix_acts_on_its_m_blocks():
+    basis = build_basis(2)
+    op = HermitianOperator.from_matrix(basis, _random_m_conserving(basis, 7))
     lam, vec = np.linalg.eigh(op.matrix)
     expected = (vec * np.exp(1.3j * lam)) @ vec.conj().T
-    assert op.blocks.n_blocks == 1
+    assert op.blocks is block_decomposition(basis, ORIENTATION)
     assert np.max(np.abs(op.blocks.scatter(kick_unitary(op, 1.3)) - expected)) < 1e-12
 
 
@@ -279,6 +283,8 @@ def test_hermitian_operator_validation():
     good = np.eye(4)
     with pytest.raises(ValueError):
         HermitianOperator.from_matrix(build_basis(2), good)  # wrong size
+    with pytest.raises(ValueError, match="blocks on 9 states"):
+        HermitianOperator.from_matrix(basis, good, block_decomposition(build_basis(2), ORIENTATION))
     coupling = np.zeros((4, 4))
     coupling[0, 1] = coupling[1, 0] = 0.5  # couples m=-1 to m=0
     with pytest.raises(ValueError):
@@ -298,18 +304,15 @@ def test_layout_round_trip_and_regroup(kind):
     assert op.regroup(block_decomposition(basis, kind)) is op  # the same blocks, kept with the basis
     equal = BlockDecomposition(kind, blocks.dim, blocks.m, blocks.classes, blocks.slots)
     assert op.regroup(equal) is op  # equal blocks, not the same object
-    whole = op.regroup(single_block(basis.dim))
-    assert whole.blocks.n_blocks == 1 and np.array_equal(whole.matrix, dense)
-    assert np.array_equal(whole.regroup(blocks).stack, op.stack)
+    other = ALIGNMENT if kind == ORIENTATION else ORIENTATION
+    with pytest.raises(ValueError, match=f"observable has off-diagonal entries.*from {kind} onto {other} blocks"):
+        op.regroup(block_decomposition(basis, other), "observable")
 
-    a, b = basis.index_of(1, -1), basis.index_of(1, 0)  # different m: couples blocks of either kind
+    a, b = index_of(basis, 1, -1), index_of(basis, 1, 0)  # different m: couples blocks of either kind
     dense[a, b] = dense[b, a] = 1e-11
-    coupled = HermitianOperator.from_matrix(basis, dense)
-    with pytest.raises(ValueError, match="observable couples"):
-        coupled.regroup(blocks, "observable", 1e-12)
-    assert np.array_equal(coupled.regroup(blocks, "observable", 1e-10).stack, op.stack)
-    with pytest.raises(ValueError, match="couples"):
-        HermitianOperator.from_matrix(basis, dense, blocks)
+    for on in (blocks, None):
+        with pytest.raises(ValueError, match="couples"):
+            HermitianOperator.from_matrix(basis, dense, on)
 
 
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
@@ -341,7 +344,7 @@ def test_embedding_roundtrip():
     rho = thermal_state(small, beta=0.7)
     lifted = embed_density(rho, big)
     assert np.trace(lifted.matrix).real == pytest.approx(np.trace(rho.matrix).real, abs=1e-14)
-    idx = big.index_of(small.j_values, small.m_values).tolist()
+    idx = index_of(big, small.j_values, small.m_values).tolist()
     assert np.max(np.abs(lifted.matrix[np.ix_(idx, idx)] - rho.matrix)) == 0.0
     c_small = cos_theta_matrix(small)
     lifted_op = embed_operator(c_small, big)
@@ -396,9 +399,7 @@ def test_kick_unitary_is_built_once_and_conjugated_for_the_opposite_sign(kind):
 
 def test_kick_unitary_of_a_complex_operator_builds_each_sign():
     basis = build_basis(2)
-    rng = np.random.default_rng(5)
-    z = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
-    op = HermitianOperator.from_matrix(basis, z + z.conj().T)
+    op = HermitianOperator.from_matrix(basis, _random_m_conserving(basis, 5))
     lam, vec = np.linalg.eigh(op.matrix)
     for amp in (0.9, -0.9):
         expected = (vec * np.exp(1j * amp * lam)) @ vec.conj().T
@@ -423,7 +424,7 @@ def test_constructors_reject_nan():
 def test_regroup_onto_blocks_of_another_basis_size(j_other):
     rho = thermal_state(build_basis(2), 0.5)
     other = block_decomposition(build_basis(j_other), ALIGNMENT)
-    with pytest.raises(ValueError, match=f"state on 9 states cannot move onto the blocks of a {other.dim}-state basis"):
+    with pytest.raises(ValueError, match=f"state on 9 states cannot move onto blocks on {other.dim} states"):
         rho.regroup(other, "state")
 
 
@@ -539,7 +540,7 @@ def _scalar_ladder(basis, kind):
             stack[b, k, k] = below**2 + c(j, m) ** 2
         step = 1 if kind == ORIENTATION else 2
         if (j + step, m) in present:
-            l = slot_of[basis.index_of(j + step, m)]
+            l = slot_of[index_of(basis, j + step, m)]
             stack[b, k, l] = stack[b, l, k] = c(j, m) if kind == ORIENTATION else c(j, m) * c(j + 1, m)
     return stack
 

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_unitary, brute_force_pairing, certified_duration_above, dense_target, haar_unitary, members
+from oracles import (
+    block_unitary,
+    brute_force_pairing,
+    certified_duration_above,
+    dense_target,
+    haar_unitary,
+    index_of,
+    members,
+)
 from rotorkick.basis import (
     ALIGNMENT,
     ORIENTATION,
@@ -17,6 +25,7 @@ from rotorkick.config import KB_CM_PER_K
 from rotorkick.operators import (
     DensityMatrix,
     HermitianOperator,
+    cos2_theta_matrix,
     cos_theta_matrix,
     embed_operator,
     h0_matrix,
@@ -82,7 +91,7 @@ def test_global_target_pure_state_limit():
     basis = build_basis(2)
     obs = cos_theta_matrix(basis)
     ground = np.zeros((basis.dim, basis.dim), dtype=complex)
-    ground[basis.index_of(0, 0), basis.index_of(0, 0)] = 1.0
+    ground[index_of(basis, 0, 0), index_of(basis, 0, 0)] = 1.0
     rho0 = DensityMatrix.from_matrix(basis, ground)
     target = build_target(rho0, obs)
     w, v = np.linalg.eigh(obs.matrix)
@@ -99,8 +108,8 @@ def test_blockwise_target_j1_closed_form():
     blocks = block_decomposition(basis, ORIENTATION)
     target = build_target(rho0, obs, blocks)
     diag = np.diag(rho0.matrix).real
-    w00 = diag[basis.index_of(0, 0)]
-    w10 = diag[basis.index_of(1, 0)]
+    w00 = diag[index_of(basis, 0, 0)]
+    w10 = diag[index_of(basis, 1, 0)]
     assert target.achieved == pytest.approx((w00 - w10) / math.sqrt(3), abs=1e-14)
 
 
@@ -192,11 +201,16 @@ def test_blockwise_rejects_non_block_input():
     obs = cos_theta_matrix(basis)
     blocks = block_decomposition(basis, ORIENTATION)
     mat = np.eye(basis.dim, dtype=complex) / basis.dim
-    a, b = basis.index_of(1, -1), basis.index_of(1, 1)
+    a, b = index_of(basis, 1, -1), index_of(basis, 1, 1)
     mat[a, b] = mat[b, a] = 0.01  # couples different m blocks
-    rho = DensityMatrix.from_matrix(basis, mat)
-    with pytest.raises(ValueError):
-        build_target(rho, obs, blocks)
+    with pytest.raises(ValueError, match="matrix couples"):
+        DensityMatrix.from_matrix(basis, mat)
+    # a state with coherences on the (m, parity) blocks cannot be paired on the m blocks
+    aligned = build_target(thermal_state(basis, 0.3), cos2_theta_matrix(basis), block_decomposition(basis, ALIGNMENT))
+    with pytest.raises(ValueError, match="state has off-diagonal entries.*from alignment onto orientation"):
+        build_target(aligned.rho, obs, blocks)
+    with pytest.raises(ValueError, match="observable has off-diagonal entries.*from orientation onto alignment"):
+        build_target(thermal_state(basis, 0.3), obs, aligned.rho.blocks)
 
 
 def _assert_matches_dense_target(rho0, obs, blocks):
@@ -218,33 +232,14 @@ def test_stack_target_matches_dense_oracle(kind, blockwise):
 
 
 @pytest.mark.parametrize("kind", [ORIENTATION, ALIGNMENT])
-def test_stack_target_without_block_metadata(kind):
-    # an observable without block metadata: the global scope pairs on one block of all states
+def test_target_of_a_dense_observable_on_its_m_blocks(kind):
+    # a dense observable is read onto the m blocks, where both scopes pair it, also cos^2 on the coarser layout
     big = build_basis(5)
     obs = HermitianOperator.from_matrix(big, embed_operator(observable_matrix(build_basis(3), kind), big).matrix)
-    assert obs.blocks.n_blocks == 1
+    assert obs.blocks is block_decomposition(big, ORIENTATION)
     rho0 = thermal_state(big, beta=0.2)
-    for blocks in (None, block_decomposition(big, kind)):
+    for blocks in (None, obs.blocks):
         _assert_matches_dense_target(rho0, obs, blocks)
-
-
-@pytest.mark.parametrize("which", ["state", "observable"])
-@pytest.mark.parametrize("size", [1e-13, 1e-11])
-def test_blockwise_off_block_tolerance(which, size):
-    basis = build_basis(3)
-    blocks = block_decomposition(basis, ORIENTATION)
-    thermal = thermal_state(basis, beta=0.2)
-    rho, obs = thermal.matrix.copy(), cos_theta_matrix(basis).matrix.copy()
-    a, b = basis.index_of(1, -1), basis.index_of(1, 1)  # different m blocks
-    coupled = rho if which == "state" else obs
-    coupled[a, b] = coupled[b, a] = size
-    rho0 = DensityMatrix.from_matrix(basis, rho, trace_target=thermal.trace_target)
-    obs_op = HermitianOperator.from_matrix(basis, obs)
-    if size < 1e-12:  # dropped, like the dense pairing did
-        _assert_matches_dense_target(rho0, obs_op, blocks)
-    else:
-        with pytest.raises(ValueError, match=which):
-            build_target(rho0, obs_op, blocks)
 
 
 def test_duration_stationary_states():
@@ -270,7 +265,7 @@ def test_duration_two_level_analytic():
     # coherent 2-level state: expectation (1/sqrt3) cos(2t); above threshold
     # for 2t in [-alpha, alpha] with alpha = arccos(sqrt3 * thr)
     basis = build_basis(1)
-    i0, i1 = basis.index_of(0, 0), basis.index_of(1, 0)
+    i0, i1 = index_of(basis, 0, 0), index_of(basis, 1, 0)
     mat = np.zeros((4, 4), dtype=complex)
     mat[i0, i0] = mat[i1, i1] = 0.5
     mat[i0, i1] = mat[i1, i0] = 0.5
@@ -363,7 +358,7 @@ def test_duration_decreases_at_high_cutoff():
 def test_duration_flat_rule_matches_global_max(coherence):
     # expectation (2 / sqrt3) coherence cos(2t): exactly constant at 0, or within FLAT_TOL of 0 and straddling it
     basis = build_basis(1)
-    i0, i1 = basis.index_of(0, 0), basis.index_of(1, 0)
+    i0, i1 = index_of(basis, 0, 0), index_of(basis, 1, 0)
     mat = np.zeros((4, 4), dtype=complex)
     mat[i0, i0] = mat[i1, i1] = 0.5
     mat[i0, i1] = mat[i1, i0] = coherence
