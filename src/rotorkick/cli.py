@@ -11,10 +11,11 @@ COMMANDS, which gives each command its help line and its options beyond
 the common ones, and from which the usage and help texts are generated.
 argparse is not used: its import and parser construction cost a few
 milliseconds per process, as much as an `algebra` command computes.
-main() also calls gc.freeze() once per process, so that the objects the
-imports created are never rescanned by a collection during a command;
-the freeze covers every object alive at that first call, the imports'
-and whatever an in-process caller holds or left uncollected before it.
+The first main() call in a process calls gc.freeze() (README, "Start-up"),
+so that no collection during a command rescans the objects the imports
+built, nor anything else alive at that call.  The imports stay at module
+level, not in the commands that need them: without bytecode caches their
+compile time would otherwise fall inside a command.
 """
 
 from __future__ import annotations
@@ -317,11 +318,17 @@ def parse_args(argv: list[str]) -> tuple[str, dict]:
     return command, options
 
 
+_frozen = False  # set by the first main() call in the process
+
+
 def main(argv: list[str] | None = None) -> int:
-    if gc.get_freeze_count() == 0:
+    global _frozen
+    if not _frozen:
         # Everything the imports built lives as long as the process: move it, with all else alive now, out of
-        # the collector's view once, so that no collection during a command rescans it.
+        # the collector's view once, so that no collection during a command rescans it.  A flag, not
+        # gc.get_freeze_count(), which walks the whole frozen generation.
         gc.freeze()
+        _frozen = True
     try:
         command, options = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageExit as stop:

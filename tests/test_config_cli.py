@@ -373,6 +373,40 @@ def test_main_freezes_the_collector_once_per_process(capsys):
     assert gc.get_freeze_count() == frozen
 
 
+def test_main_freezes_on_its_first_call_by_a_flag(monkeypatch, capsys):
+    # gc.get_freeze_count() walks the frozen generation, so no main() call asks it; a flag marks the first call
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(gc, "get_freeze_count", lambda: calls.append("count") or 0)
+    monkeypatch.setattr("rotorkick.cli._frozen", False)
+    assert main(["--help"]) == 0
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert calls == ["freeze"]
+
+
+def test_the_package_root_imports_nothing_and_the_cli_imports_every_module(tmp_path):
+    # the modules are the API: `import rotorkick` loads no submodule and no numpy, `import rotorkick.config` only
+    # what config imports, and the CLI every module of the package, at import, before a command starts
+    probe = (
+        "import json, sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'rotorkick')\n"
+        "import rotorkick\n"
+        "root = loaded(), 'numpy' in sys.modules\n"
+        "import rotorkick.config\n"
+        "config = loaded()\n"
+        "from rotorkick import cli\n"
+        "print(json.dumps([root, config, loaded()]))\n"
+    )
+    result = _run_python(tmp_path, "-c", probe)
+    assert result.returncode == 0, result.stderr
+    root, config, everything = json.loads(result.stdout)
+    assert root == [["rotorkick"], False]
+    assert config == ["rotorkick", "rotorkick.basis", "rotorkick.config", "rotorkick.errors"]
+    package = pathlib.Path(rotorkick.__file__).parent
+    assert everything == sorted({"rotorkick"} | {f"rotorkick.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"})
+
+
 def test_cli_fixedpoints_small(tmp_path, capsys):
     cfg = _small_config(out_dir=str(tmp_path))
     path = tmp_path / "cfg.json"
